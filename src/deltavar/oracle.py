@@ -6,7 +6,9 @@ systems are enclosed by sign brackets and refined by bisection, and the
 Rayleigh-quotient eigenvalue problems hiding in quotient functionals are
 assembled purely by differencing the two quadratic forms.  Apart from the
 expression evaluator these code paths share no logic with the residual
-module.
+module.  The one exception is :func:`fd_hessian`, which differences the exact
+gradient to check the second-order machinery (the structured Hessian and
+the classification built on it) in tests.
 """
 from __future__ import annotations
 
@@ -16,7 +18,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .euler_lagrange import ProblemSpec, decision_indices, embed_decision
+from .euler_lagrange import (
+    ProblemSpec,
+    constraint_gradient,
+    decision_indices,
+    embed_decision,
+    functional_gradient,
+)
 from .expr import parse
 from .functional import (
     CompositeFunctional,
@@ -31,6 +39,7 @@ __all__ = [
     "SingularB",
     "ScanReport",
     "fd_gradient",
+    "fd_hessian",
     "scan_low_dim",
     "generalized_eig_smallest",
     "quadratic_form_matrix",
@@ -67,6 +76,42 @@ def fd_gradient(spec: ProblemSpec, tr: Trajectory, step: float = 1e-6) -> np.nda
         vm = value(spec.lagrangian, embed_decision(spec, zm))
         grad[j] = (vp - vm) / (2.0 * step)
     return grad
+
+
+def fd_hessian(
+    spec: ProblemSpec,
+    tr: Trajectory,
+    lam0: float = 1.0,
+    lam: float = 0.0,
+    step: float = 1e-6,
+) -> np.ndarray:
+    """Dense Hessian of lam0 * value - lam * constraint by central differences.
+
+    Column j differences the exact gradient at x_j +- step * (1 + |x_j|),
+    so it costs 2d gradient evaluations and d x d memory; the result is
+    symmetrized.  A cross-check for tests, never used by the solver.
+    """
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    z = tr.x[decision_indices(spec)].copy()
+
+    def grad(zz: np.ndarray) -> np.ndarray:
+        trz = embed_decision(spec, zz)
+        g = lam0 * functional_gradient(spec, trz)
+        if spec.constraint is not None and lam != 0.0:
+            g = g - lam * constraint_gradient(spec, trz)
+        return g
+
+    dim = z.size
+    hess = np.empty((dim, dim))
+    for j in range(dim):
+        h = step * (1.0 + abs(z[j]))
+        zp = z.copy()
+        zp[j] += h
+        zm = z.copy()
+        zm[j] -= h
+        hess[:, j] = (grad(zp) - grad(zm)) / (2.0 * h)
+    return 0.5 * (hess + hess.T)
 
 
 @dataclass(frozen=True)

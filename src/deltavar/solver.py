@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.linalg import lapack
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .expr import DivisionByZero, DomainError
 from .euler_lagrange import (
@@ -423,6 +423,16 @@ def _run_newton(
         else:
             d_newton = _newton_direction(J, r)
         if r_inf <= opts.tol_residual and contracting(d_newton, w):
+            # Polish with the contracting step: unpolished roots of one branch
+            # sit further apart than the dedup distance.
+            try:
+                r_next = residual_fn(w + d_newton)
+            except _EVAL_ERRORS:
+                r_next = None
+            if r_next is not None and np.all(np.isfinite(r_next)) and (
+                float(r_next @ r_next) <= float(r @ r)
+            ):
+                w, r = w + d_newton, r_next
             return _NewtonResult(w, r, True, it)
 
         merit0 = float(r @ r)
@@ -497,39 +507,43 @@ def _detect_scale_invariance(spec: ProblemSpec) -> bool:
     return True
 
 
-def _ray_normalized(tr: Trajectory) -> Trajectory:
-    """Scale- and sign-normalized representative of a trajectory's ray."""
+def _ray_keys(tr: Trajectory) -> tuple[Trajectory, ...]:
+    """Both unit-norm representatives of a trajectory's ray.
+
+    A sign rule cannot pick one of them: antisymmetric trajectories have two
+    extremes of equal size, and rounding decides which one is larger.
+    """
     norm = float(np.linalg.norm(tr.x))
     if norm == 0.0:
-        return tr
+        return (tr,)
     xn = tr.x / norm
-    lead = xn[int(np.argmax(np.abs(xn)))]
-    if lead < 0:
-        xn = -xn
-    return Trajectory(tr.ts, xn)
+    return Trajectory(tr.ts, xn), Trajectory(tr.ts, -xn)
 
 
 def _dedup(
-    raw: list[tuple[np.ndarray, float]],
+    raw: list[tuple[np.ndarray, float, object]],
     spec: ProblemSpec,
     opts: SolveOptions,
     ray_normalize: bool = False,
-) -> list[tuple[Trajectory, float, int]]:
-    """Greedy clustering of converged decision vectors in the weak norm."""
-    raw_sorted = sorted(raw, key=lambda zr: _sort_key(zr[0], zr[1]))
-    clusters: list[list] = []  # [representative, key trajectory, residual, count]
-    for z, res in raw_sorted:
+) -> list[tuple[Trajectory, float, int, object]]:
+    """Greedy clustering of converged decision vectors in the weak norm.
+
+    ``raw`` holds (decision vector, residual, payload) triples; a cluster
+    keeps the payload (the isoperimetric multiplier) of its representative.
+    With ``ray_normalize`` points are compared as rays, by both signs.
+    """
+    raw_sorted = sorted(raw, key=lambda item: _sort_key(item[0], item[1]))
+    clusters: list[list] = []  # [representative, key, residual, count, payload]
+    for z, res, payload in raw_sorted:
         tr = embed_decision(spec, z)
-        key = _ray_normalized(tr) if ray_normalize else tr
-        merged = False
+        keys = _ray_keys(tr) if ray_normalize else (tr,)
         for cluster in clusters:
-            if c1rd_distance(cluster[1], key) < opts.dedup_distance:
+            if any(c1rd_distance(cluster[1], key) < opts.dedup_distance for key in keys):
                 cluster[3] += 1
-                merged = True
                 break
-        if not merged:
-            clusters.append([tr, key, res, 1])
-    return [(rep, res, count) for rep, _key, res, count in clusters]
+        else:
+            clusters.append([tr, keys[0], res, 1, payload])
+    return [(rep, res, count, payload) for rep, _key, res, count, payload in clusters]
 
 
 def _finish_point(
@@ -593,13 +607,13 @@ def solve_unconstrained(
             return _StructuredHessian(*hessian_parts(spec.lagrangian, spec, tr))
         return functional_hessian(spec, tr)
 
-    converged: list[tuple[np.ndarray, float]] = []
+    converged: list[tuple[np.ndarray, float, None]] = []
     denominator_failures = 0
     for restart in range(opts.restarts):
         z0 = _initial_decision(spec, opts, restart)
         out = _run_newton(residual_fn, jacobian_fn, z0, opts)
         if out.converged:
-            converged.append((out.w, float(np.max(np.abs(out.residual)))))
+            converged.append((out.w, float(np.max(np.abs(out.residual))), None))
         elif isinstance(out.failure, DenominatorVanished):
             denominator_failures += 1
 
@@ -616,7 +630,7 @@ def solve_unconstrained(
         converged, spec, opts, ray_normalize=_detect_scale_invariance(spec)
     )
     return [
-        _finish_point(spec, tr, res, count) for tr, res, count in clusters
+        _finish_point(spec, tr, res, count) for tr, res, count, _ in clusters
     ]
 
 
@@ -681,7 +695,7 @@ def solve_isoperimetric(
         J[d, :] = constraint_gradient(spec, tr)
         return J
 
-    normal: list[tuple[np.ndarray, float]] = []  # (z + [lam], residual)
+    normal: list[tuple[np.ndarray, float, float]] = []  # (z, residual, lam)
     abnormal_seeds: list[np.ndarray] = []
     inits: list[np.ndarray] = []
     denominator_failures = 0
@@ -701,7 +715,7 @@ def solve_isoperimetric(
         if np.all(np.isfinite(out.residual)):
             best_defect = min(best_defect, abs(float(out.residual[-1])))
         if out.converged:
-            normal.append((out.w, float(np.max(np.abs(out.residual)))))
+            normal.append((out.w[:-1], float(np.max(np.abs(out.residual))), float(out.w[-1])))
             try:
                 gK = constraint_gradient(spec, embed_decision(spec, out.w[:-1]))
                 if float(np.max(np.abs(gK))) < opts.tol_abnormal:
@@ -716,11 +730,11 @@ def solve_isoperimetric(
         # extremals exist, so retry the lambda0 = 0 branch from every start.
         abnormal_seeds.extend(inits)
 
-    abnormal: list[tuple[np.ndarray, float]] = []
+    abnormal: list[tuple[np.ndarray, float, None]] = []
     for z0 in abnormal_seeds:
         out = _run_newton(abnormal_residual_fn, abnormal_jacobian_fn, z0, opts)
         if out.converged:
-            abnormal.append((out.w, float(np.max(np.abs(out.residual)))))
+            abnormal.append((out.w, float(np.max(np.abs(out.residual))), None))
 
     if not normal and not abnormal:
         if denominator_failures == opts.restarts:
@@ -737,78 +751,221 @@ def solve_isoperimetric(
             f"no stationary trajectory found in {opts.restarts} restarts"
         )
 
-    points: list[StationaryPoint] = []
-    normal_sorted = sorted(normal, key=lambda wr: _sort_key(wr[0][:-1], wr[1]))
-    clusters: list[list] = []  # [trajectory, lam, residual, count]
-    for w, res in normal_sorted:
-        tr = embed_decision(spec, w[:-1])
-        for cluster in clusters:
-            if c1rd_distance(cluster[0], tr) < opts.dedup_distance:
-                cluster[3] += 1
-                break
-        else:
-            clusters.append([tr, float(w[-1]), res, 1])
-    for tr, lam, res, count in clusters:
-        points.append(_finish_point(spec, tr, res, count, lam0=1.0, lam=lam))
-    for tr, res, count in _dedup(abnormal, spec, opts):
+    points = [
+        _finish_point(spec, tr, res, count, lam0=1.0, lam=lam)
+        for tr, res, count, lam in _dedup(normal, spec, opts)
+    ]
+    for tr, res, count, _ in _dedup(abnormal, spec, opts):
         points.append(_finish_point(spec, tr, res, count, lam0=0.0, lam=1.0))
     return points
 
 
 # -- classification -----------------------------------------------------------------
 
+# Bunch's pivot threshold for the block LDL^T of a symmetric tridiagonal
+# matrix; it bounds the element growth of both pivot sizes.
+_BUNCH_ALPHA = (5.0 ** 0.5 - 1.0) / 2.0
 
-def classify(spec: ProblemSpec, point: StationaryPoint, fd_step: float = 1e-6) -> str:
-    """Advisory min/max/saddle/degenerate label from a finite-difference Hessian.
+# Eigenvalues within this fraction of the spectral radius count as zero.
+DEGENERATE_RELATIVE = 1e-6
 
-    The Hessian of the (multiplier-corrected) value is estimated by central
-    differences of the exact gradient and, for constrained problems,
-    projected onto the tangent space of the constraint.  Eigenvalues within
-    1e-6 * ||H|| of zero mark the point degenerate.
+# Outer-map curvature directions whose rank-one term is below this fraction
+# of the operator's size are rounding noise and are dropped.
+_NULL_RELATIVE = 1e-13
+
+
+def _negative_inertia(
+    diag: np.ndarray, off: np.ndarray, border: np.ndarray, corner: np.ndarray
+) -> int:
+    """Number of negative eigenvalues of [[tridiag(diag, off), border], [border.T, corner]].
+
+    One block LDL^T pass over the tridiagonal block with Bunch's 1x1/2x2
+    pivoting (no fill, stable where the block is singular) carries the
+    dense border along; by Sylvester's law the count is the negative
+    pivots plus the negative eigenvalues of the small Schur corner.  The
+    sign of a 2x2 pivot comes from its determinant.  A zero pivot with no
+    coupling ahead touches only the border, so it joins the corner.
+    """
+    n = diag.size
+    a = diag.tolist()
+    b = off.tolist()
+    sigma = max(max(map(abs, a), default=0.0), max(map(abs, b), default=0.0))
+    sub1 = [0.0] * n  # L[i + 1, i]
+    sub2 = [0.0] * n  # L[i + 2, i]
+    ones, ones_piv = [], []  # 1x1 pivot positions and values
+    twos, twos_lead = [], []  # 2x2 pivot positions and updated leading entries
+    deferred = []
+    neg = 0
+    i = 0
+    c = a[0] if n else 0.0
+    while i < n:
+        e = b[i] if i + 1 < n else 0.0
+        if sigma * abs(c) >= _BUNCH_ALPHA * e * e:
+            if c == 0.0:
+                deferred.append(i)
+            else:
+                neg += c < 0.0
+                ones.append(i)
+                ones_piv.append(c)
+                sub1[i] = e / c
+            if i + 1 < n:
+                c = a[i + 1] - sub1[i] * e
+            i += 1
+        else:
+            det = c * a[i + 1] - e * e
+            neg += 1 if det < 0.0 else (2 if c < 0.0 else 0)
+            twos.append(i)
+            twos_lead.append(c)
+            if i + 2 < n:
+                f = b[i + 1]
+                sub2[i] = -f * e / det
+                sub1[i + 1] = f * c / det
+                c = a[i + 2] - f * sub1[i + 1]
+            i += 2
+
+    schur = np.array(corner, dtype=float)
+    if border.shape[1] and n:
+        band = np.array([np.ones(n), sub1, sub2])
+        reduced, _ = lapack.dtbtrs(band, border, uplo="L", diag="U")
+        if ones:
+            x = reduced[ones]
+            schur -= x.T @ (x / np.array(ones_piv)[:, None])
+        if twos:
+            p = np.array(twos)
+            x, y = reduced[p], reduced[p + 1]
+            lead, e, tail = np.array(twos_lead), off[p], diag[p + 1]
+            det = (lead * tail - e * e)[:, None]
+            schur -= x.T @ ((tail[:, None] * x - e[:, None] * y) / det)
+            schur -= y.T @ ((lead[:, None] * y - e[:, None] * x) / det)
+        if deferred:
+            z = reduced[deferred]
+            schur = np.block([[np.zeros((len(deferred), len(deferred))), z], [z.T, schur]])
+    return neg + int(np.count_nonzero(np.linalg.eigvalsh(schur) < 0.0))
+
+
+@dataclass
+class _ProjectedHessian:
+    """Multiplier-corrected exact Hessian T + V^T diag(mu) V on the tangent of g.
+
+    ``g`` is the unit constraint gradient, or None when nothing is projected
+    out; ``mu`` is nonsingular, so the bordered matrix
+    [[T - sI, V^T, g], [V, -diag(1/mu), 0], [g^T, 0, 0]] has the negative
+    inertia of the projected operator minus sI, plus one per positive mu,
+    plus one for the border (Haynsworth additivity).
+    """
+
+    diag: np.ndarray
+    off: np.ndarray
+    v: np.ndarray
+    mu: np.ndarray
+    g: Optional[np.ndarray]
+
+    @property
+    def dim(self) -> int:
+        return self.diag.size - (self.g is not None)
+
+    def count_below(self, s: float) -> int:
+        """Eigenvalues of the projected operator below s."""
+        cols = [self.v.T] if self.g is None else [self.v.T, self.g[:, None]]
+        border = np.hstack(cols)
+        corner = np.zeros((border.shape[1], border.shape[1]))
+        k = self.mu.size
+        corner[np.arange(k), np.arange(k)] = -1.0 / self.mu
+        inertia = _negative_inertia(self.diag - s, self.off, border, corner)
+        return inertia - int(np.count_nonzero(self.mu > 0.0)) - (self.g is not None)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        if self.g is not None:
+            x = x - self.g * (self.g @ x)
+        out = self.diag * x
+        out[:-1] += self.off * x[1:]
+        out[1:] += self.off * x[:-1]
+        out += self.v.T @ (self.mu * (self.v @ x))
+        if self.g is not None:
+            out -= self.g * (self.g @ out)
+        return out
+
+    def spectral_radius(self) -> float:
+        """Largest eigenvalue magnitude, to about 1e-3 relative (Lanczos)."""
+        d = self.diag.size
+        if d == 1:
+            return abs(float(self.matvec(np.ones(1))[0]))
+        v0 = np.random.default_rng(0).standard_normal(d)
+        if not np.any(self.matvec(v0)):
+            return 0.0  # a generic vector in the null space: the zero operator
+        op = LinearOperator((d, d), matvec=self.matvec, dtype=float)
+        try:
+            w = eigsh(op, k=1, which="LM", v0=v0, tol=1e-3, return_eigenvectors=False)
+        except ArpackNoConvergence as exc:
+            w = exc.eigenvalues
+        return float(np.max(np.abs(w))) if w.size else float("nan")
+
+
+def _projected_hessian(
+    spec: ProblemSpec, point: StationaryPoint
+) -> Optional[_ProjectedHessian]:
+    """The operator classify counts on, or None where the Hessian is not finite."""
+    tr = point.trajectory
+    terms = [(point.lam0, spec.lagrangian)]
+    if spec.constraint is not None and point.lam:
+        terms.append((-point.lam, spec.constraint.functional))
+    d = decision_indices(spec).size
+    diag, off = np.zeros(d), np.zeros(max(d - 1, 0))
+    rows, blocks = [np.zeros((0, d))], []
+    for coef, F in terms:
+        if coef == 0.0:
+            continue
+        t_diag, t_off, t_rows, t_outer = hessian_parts(F, spec, tr)
+        diag = diag + coef * t_diag
+        off = off + coef * t_off
+        rows.append(t_rows)
+        blocks.append(coef * t_outer)
+    rows = np.vstack(rows)
+    outer = scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0))
+    gK = constraint_gradient(spec, tr) if spec.constraint is not None else np.zeros(0)
+    if not all(np.all(np.isfinite(part)) for part in (diag, off, rows, outer, gK)):
+        return None
+    # Diagonalize the outer curvature and give each direction unit length,
+    # so that A = T + V^T diag(mu) V with every kept mu of operator size.
+    mu, q = np.linalg.eigh(outer)
+    v = q.T @ rows
+    lengths = np.linalg.norm(v, axis=1)
+    mu = mu * lengths**2
+    size = max(float(np.max(np.abs(diag), initial=0.0))
+               + 2.0 * float(np.max(np.abs(off), initial=0.0)),
+               float(np.max(np.abs(mu), initial=0.0)))
+    keep = np.abs(mu) > _NULL_RELATIVE * size
+    norm = float(np.linalg.norm(gK))
+    g = gK / norm if norm > 0.0 else None
+    return _ProjectedHessian(diag, off, v[keep] / lengths[keep, None], mu[keep], g)
+
+
+def classify(spec: ProblemSpec, point: StationaryPoint) -> str:
+    """Advisory min/max/saddle/degenerate label from the exact Hessian's inertia.
+
+    The Hessian of the multiplier-corrected value lam0 * L - lam * K is the
+    structured operator of :func:`hessian_parts` (tridiagonal plus low
+    rank); for constrained problems it is restricted to the tangent space
+    of the constraint.  Eigenvalues below +-eps are counted by Sylvester's
+    law from one LDL^T pass per shift, with eps = 1e-6 * spectral radius
+    (estimated by Lanczos); any eigenvalue within eps of zero marks the
+    point degenerate.  Time and memory are O(d): no d x d array is formed.
     """
     try:
-        z = point.trajectory.x[decision_indices(spec)].copy()
-        lam = point.lam if point.lam is not None else 0.0
-        lam0 = point.lam0
-
-        def grad(zz):
-            tr = embed_decision(spec, zz)
-            g = lam0 * functional_gradient(spec, tr)
-            if spec.constraint is not None and lam != 0.0:
-                g = g - lam * constraint_gradient(spec, tr)
-            return g
-
-        dim = z.size
-        hess = np.empty((dim, dim))
-        for j in range(dim):
-            h = fd_step * (1.0 + abs(z[j]))
-            zp = z.copy()
-            zp[j] += h
-            zm = z.copy()
-            zm[j] -= h
-            hess[:, j] = (grad(zp) - grad(zm)) / (2.0 * h)
-        hess = 0.5 * (hess + hess.T)
-
-        if spec.constraint is not None:
-            gK = constraint_gradient(spec, point.trajectory)
-            norm = np.linalg.norm(gK)
-            if norm > 0.0:
-                q, _ = np.linalg.qr(gK[:, None], mode="complete")
-                tangent = q[:, 1:]
-                hess = tangent.T @ hess @ tangent
-        if hess.shape[0] == 0:
+        hess = _projected_hessian(spec, point)
+        if hess is None or hess.dim == 0:
             return DEGENERATE
-
-        eigs = np.linalg.eigvalsh(hess)
-        scale = float(np.max(np.abs(eigs)))
+        scale = hess.spectral_radius()
         if scale == 0.0 or not np.isfinite(scale):
             return DEGENERATE
-        threshold = 1e-6 * scale
-        if np.any(np.abs(eigs) <= threshold):
+        eps = DEGENERATE_RELATIVE * scale
+        below_lo = hess.count_below(-eps)
+        below_hi = hess.count_below(eps)
+        if below_hi > below_lo:
             return DEGENERATE
-        if np.all(eigs > threshold):
+        if below_hi == 0:
             return LOCAL_MIN
-        if np.all(eigs < -threshold):
+        if below_lo == hess.dim:
             return LOCAL_MAX
         return SADDLE
     except _EVAL_ERRORS:

@@ -6,6 +6,7 @@ import numpy as np
 from deltavar import (
     BoundarySpec,
     CompositeFunctional,
+    IsoConstraint,
     ProblemSpec,
     Trajectory,
     inner_values,
@@ -98,3 +99,10 @@ def random_problem(rng: np.random.Generator, allow_free_ends: bool = True):
             continue
         return spec, tr
     raise RuntimeError("could not generate a well-posed random problem")
+
+
+def random_constraint(rng: np.random.Generator) -> IsoConstraint:
+    """A random isoperimetric constraint with a polynomial outer map."""
+    inner = [random_polynomial(rng, ("t", "y", "v")) for _ in range(2)]
+    outer = str(rng.choice(["u1", "u1 * u2", "u1 + u2^2"]))
+    return IsoConstraint(CompositeFunctional.from_strings(inner, outer), 0.0)

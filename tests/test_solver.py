@@ -1,5 +1,10 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import random_constraint, random_problem
+from hypothesis import assume, given, settings, strategies as st
 
 from deltavar import (
     BoundarySpec,
@@ -9,12 +14,25 @@ from deltavar import (
     NoStationaryPointFound,
     ProblemSpec,
     SolveOptions,
+    StationaryPoint,
+    Trajectory,
     c1rd_distance,
+    classify,
+    constraint_gradient,
+    fd_hessian,
+    functional_hessian,
     make_timescale,
     refine_study,
     residual_report,
     solve_isoperimetric,
     solve_unconstrained,
+)
+from deltavar.cli import resolve_problem
+from deltavar.euler_lagrange import constraint_hessian
+from deltavar.solver import (
+    DEGENERATE_RELATIVE,
+    _negative_inertia,
+    _ProjectedHessian,
 )
 
 THREE_PT = make_timescale("points", values=[0, 0.5, 1])
@@ -170,6 +188,144 @@ class TestClassify:
         assert len(pts) == 1
         assert pts[0].classification == "local_min"
         assert np.allclose(pts[0].trajectory.x, ts.points, atol=1e-10)
+
+
+def dense_label(hess, border=None):
+    """(label, eigenvalues, eps) by the threshold rule from a dense Hessian.
+
+    With a border the Hessian is first projected onto its orthogonal
+    complement through a complete QR factorization.
+    """
+    if border is not None and np.linalg.norm(border) > 0.0:
+        q, _ = np.linalg.qr(border[:, None], mode="complete")
+        hess = q[:, 1:].T @ hess @ q[:, 1:]
+    eigs = np.linalg.eigvalsh(hess)
+    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    eps = DEGENERATE_RELATIVE * scale
+    if scale == 0.0 or np.any(np.abs(eigs) <= eps):
+        return "degenerate", eigs, eps
+    if np.all(eigs > eps):
+        return "local_min", eigs, eps
+    if np.all(eigs < -eps):
+        return "local_max", eigs, eps
+    return "saddle", eigs, eps
+
+
+class TestClassifyProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["plain", "normal", "abnormal"]))
+    def test_label_matches_dense_and_fd_hessians(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        spec, tr = random_problem(rng, allow_free_ends=kind == "plain")
+        lam0, lam, border = 1.0, None, None
+        hess = functional_hessian(spec, tr)
+        if kind != "plain":
+            spec = dataclasses.replace(spec, constraint=random_constraint(rng))
+            lam0, lam = (0.0, 1.0) if kind == "abnormal" else (1.0, float(rng.uniform(-2, 2)))
+            hess = lam0 * hess - lam * constraint_hessian(spec, tr)
+            border = constraint_gradient(spec, tr)
+        label, eigs, eps = dense_label(hess, border)
+        assume(not np.any((np.abs(eigs) > eps / 10) & (np.abs(eigs) < 10 * eps)))
+        fd = fd_hessian(spec, tr, lam0, lam or 0.0)
+        # Weyl: the FD error moves each eigenvalue by at most its 2-norm, so
+        # the FD label is comparable only where that stays below eps / 10.
+        assume(eigs.size == 0 or np.abs(fd - hess).max() * hess.shape[0] < eps / 10)
+        point = StationaryPoint(
+            trajectory=tr, inner=np.zeros(1), value=0.0, residual=0.0, lam0=lam0, lam=lam
+        )
+        assert classify(spec, point) == label == dense_label(fd, border)[0]
+
+
+class TestInertia:
+    def test_bordered_counts_match_dense(self):
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 25))
+            m = int(rng.integers(0, 4))
+            diag = rng.standard_normal(n)
+            off = rng.standard_normal(n - 1)
+            # Zero diagonal entries force 2x2 pivots; zero couplings leave
+            # zero pivots that only the border reaches.
+            diag[rng.random(n) < 0.5] = 0.0
+            off[rng.random(n - 1) < 0.2] = 0.0
+            border = rng.standard_normal((n, m))
+            corner = rng.standard_normal((m, m))
+            corner = corner + corner.T
+            tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            for s in (-0.7, 0.0, 1.3):
+                full = np.block([[tri - s * np.eye(n), border], [border.T, corner]])
+                eigs = np.linalg.eigvalsh(full)
+                if np.min(np.abs(eigs)) < 1e-8:
+                    continue
+                got = _negative_inertia(diag - s, off, border, corner)
+                assert got == np.count_nonzero(eigs < 0.0)
+                checked += 1
+        assert checked > 600
+
+    def test_zero_diagonal_takes_2x2_pivots(self):
+        # tridiag(0, 1) of even order has eigenvalues in +- pairs.
+        empty = np.zeros((6, 0))
+        assert _negative_inertia(np.zeros(6), np.ones(5), empty, np.zeros((0, 0))) == 3
+
+    def test_projected_counts_and_radius_match_dense(self):
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            n = int(rng.integers(2, 25))
+            k = int(rng.integers(0, 4))
+            diag = rng.standard_normal(n)
+            diag[rng.random(n) < 0.5] = 0.0
+            off = rng.standard_normal(n - 1)
+            v = rng.standard_normal((k, n))
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            mu = rng.standard_normal(k)
+            g = None
+            if trial % 2:
+                g = rng.standard_normal(n)
+                g /= np.linalg.norm(g)
+            hess = _ProjectedHessian(diag, off, v, mu, g)
+            dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) + v.T @ (mu[:, None] * v)
+            _, eigs, _ = dense_label(dense, g)
+            assert hess.dim == eigs.size
+            for s in (-1.0, -1e-3, 0.0, 0.5, 2.0):
+                if np.min(np.abs(eigs - s)) < 1e-8:
+                    continue
+                assert hess.count_below(s) == np.count_nonzero(eigs < s)
+            radius = np.max(np.abs(eigs))
+            assert hess.spectral_radius() == pytest.approx(radius, rel=2e-3)
+
+    def test_classify_memory_is_linear(self):
+        # d = 9999: a dense Hessian alone would take 800 MB.
+        spec = resolve_problem("sturm_liouville").build(h_override=1e-4)
+        tr = Trajectory(spec.ts, np.sin(np.pi * spec.ts.points))
+        point = StationaryPoint(trajectory=tr, inner=np.zeros(2), value=0.0, residual=0.0)
+        tracemalloc.start()
+        try:
+            label = classify(spec, point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert label in ("local_min", "local_max", "saddle", "degenerate")
+        assert peak < 50e6
+
+
+class TestDuplicateDraws:
+    """Multi-start draws that returned one branch more than once."""
+
+    def test_antisymmetric_ray_is_one_point(self):
+        # Copies of the antisymmetric second eigenfunction were normalized
+        # to opposite signs and never compared as one ray.
+        spec = resolve_problem("sturm_liouville").build(h_override=1e-2)
+        pts = solve_unconstrained(spec, SolveOptions(restarts=64, seed=0))
+        values = sorted(p.value for p in pts)
+        assert len(values) == 3
+        assert np.all(np.diff(values) > 1.0)
+
+    def test_polished_roots_merge(self):
+        spec = resolve_problem("quotient2_R").build(h_override=1e-2)
+        pts = solve_unconstrained(spec, SolveOptions(restarts=64, seed=4))
+        assert sorted(p.classification for p in pts) == ["local_max", "local_min"]
+        assert sum(p.basin_count for p in pts) == 4
 
 
 class TestRefineStudy:
