@@ -71,7 +71,6 @@ from .solver import (
 )
 from .oracle import (
     fd_gradient,
-    fd_hessian,
     scan_low_dim,
     generalized_eig_smallest,
     quadratic_form_matrix,
@@ -106,7 +105,7 @@ __all__ = [
     "ConstraintInfeasible", "solve_unconstrained", "solve_isoperimetric",
     "classify", "refine_study",
     # oracle
-    "fd_gradient", "fd_hessian", "scan_low_dim", "generalized_eig_smallest",
+    "fd_gradient", "scan_low_dim", "generalized_eig_smallest",
     "quadratic_form_matrix", "rayleigh_pencil", "TooManyDecisionVariables",
     "SingularB",
     # problem files

@@ -50,6 +50,7 @@ __all__ = [
 _EVAL_ERRORS = (DenominatorVanished, DomainError, DivisionByZero)
 
 BISECTION_TOL = 1e-12
+FD_HESSIAN_STEP = 1e-6
 
 
 class TooManyDecisionVariables(ValueError):
@@ -83,16 +84,14 @@ def fd_hessian(
     tr: Trajectory,
     lam0: float = 1.0,
     lam: float = 0.0,
-    step: float = 1e-6,
 ) -> np.ndarray:
     """Dense Hessian of lam0 * value - lam * constraint by central differences.
 
-    Column j differences the exact gradient at x_j +- step * (1 + |x_j|),
+    Column j differences the exact gradient at
+    x_j +- FD_HESSIAN_STEP * (1 + |x_j|),
     so it costs 2d gradient evaluations and d x d memory; the result is
     symmetrized.  A cross-check for tests, never used by the solver.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
     z = tr.x[decision_indices(spec)].copy()
 
     def grad(zz: np.ndarray) -> np.ndarray:
@@ -105,7 +104,7 @@ def fd_hessian(
     dim = z.size
     hess = np.empty((dim, dim))
     for j in range(dim):
-        h = step * (1.0 + abs(z[j]))
+        h = FD_HESSIAN_STEP * (1.0 + abs(z[j]))
         zp = z.copy()
         zp[j] += h
         zm = z.copy()

@@ -424,13 +424,15 @@ def _run_newton(
             d_newton = _newton_direction(J, r)
         if r_inf <= opts.tol_residual and contracting(d_newton, w):
             # Polish with the contracting step: unpolished roots of one branch
-            # sit further apart than the dedup distance.
+            # sit further apart than the dedup distance.  The polished point
+            # must keep the acceptance bound on the largest residual entry.
             try:
                 r_next = residual_fn(w + d_newton)
             except _EVAL_ERRORS:
                 r_next = None
             if r_next is not None and np.all(np.isfinite(r_next)) and (
                 float(r_next @ r_next) <= float(r @ r)
+                and float(np.max(np.abs(r_next))) <= opts.tol_residual
             ):
                 w, r = w + d_newton, r_next
             return _NewtonResult(w, r, True, it)

@@ -19,7 +19,6 @@ from deltavar import (
     c1rd_distance,
     classify,
     constraint_gradient,
-    fd_hessian,
     functional_hessian,
     make_timescale,
     refine_study,
@@ -29,6 +28,7 @@ from deltavar import (
 )
 from deltavar.cli import resolve_problem
 from deltavar.euler_lagrange import constraint_hessian
+from deltavar.oracle import fd_hessian
 from deltavar.solver import (
     DEGENERATE_RELATIVE,
     _negative_inertia,
@@ -239,7 +239,9 @@ class TestClassifyProperties:
 class TestInertia:
     def test_bordered_counts_match_dense(self):
         rng = np.random.default_rng(2024)
-        checked = 0
+        # tridiag(0, 1) of order 6: every 1x1 pivot is zero, so only 2x2
+        # pivots apply; its eigenvalues come in +- pairs.
+        cases = [(np.zeros(6), np.ones(5), np.zeros((6, 0)), np.zeros((0, 0)))]
         for _ in range(400):
             n = int(rng.integers(1, 25))
             m = int(rng.integers(0, 4))
@@ -251,7 +253,10 @@ class TestInertia:
             off[rng.random(n - 1) < 0.2] = 0.0
             border = rng.standard_normal((n, m))
             corner = rng.standard_normal((m, m))
-            corner = corner + corner.T
+            cases.append((diag, off, border, corner + corner.T))
+        checked = 0
+        for diag, off, border, corner in cases:
+            n = diag.size
             tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             for s in (-0.7, 0.0, 1.3):
                 full = np.block([[tri - s * np.eye(n), border], [border.T, corner]])
@@ -262,11 +267,6 @@ class TestInertia:
                 assert got == np.count_nonzero(eigs < 0.0)
                 checked += 1
         assert checked > 600
-
-    def test_zero_diagonal_takes_2x2_pivots(self):
-        # tridiag(0, 1) of even order has eigenvalues in +- pairs.
-        empty = np.zeros((6, 0))
-        assert _negative_inertia(np.zeros(6), np.ones(5), empty, np.zeros((0, 0))) == 3
 
     def test_projected_counts_and_radius_match_dense(self):
         rng = np.random.default_rng(7)
@@ -319,6 +319,7 @@ class TestDuplicateDraws:
         pts = solve_unconstrained(spec, SolveOptions(restarts=64, seed=0))
         values = sorted(p.value for p in pts)
         assert len(values) == 3
+        assert max(p.residual for p in pts) <= SolveOptions().tol_residual
         assert np.all(np.diff(values) > 1.0)
 
     def test_polished_roots_merge(self):
@@ -326,6 +327,7 @@ class TestDuplicateDraws:
         pts = solve_unconstrained(spec, SolveOptions(restarts=64, seed=4))
         assert sorted(p.classification for p in pts) == ["local_max", "local_min"]
         assert sum(p.basin_count for p in pts) == 4
+        assert max(p.residual for p in pts) <= SolveOptions().tol_residual
 
 
 class TestRefineStudy:
