@@ -30,6 +30,7 @@ from .solver import (
     NoStationaryPointFound,
     SolveOptions,
     StationaryPoint,
+    _fit_multiplier,
     refine_study,
     solve_isoperimetric,
     solve_unconstrained,
@@ -299,10 +300,7 @@ def cmd_verify(args) -> int:
     lam = None
     checks = []
     if spec.constraint is not None:
-        gL = functional_gradient(spec, tr)
-        gK = constraint_gradient(spec, tr)
-        denom = float(gK @ gK)
-        lam = float(gL @ gK) / denom if denom > 0 else 0.0
+        lam = _fit_multiplier(functional_gradient(spec, tr), constraint_gradient(spec, tr))
         defect = value(spec.constraint.functional, tr) - spec.constraint.target
         checks.append(("constraint defect", abs(defect)))
         print(f"fitted lambda: {lam:.12g}")

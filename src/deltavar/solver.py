@@ -25,14 +25,14 @@ from .expr import DivisionByZero, DomainError
 from .euler_lagrange import (
     ProblemSpec,
     constraint_gradient,
-    constraint_hessian,
     decision_indices,
     dubois_reymond_quantity,
     embed_decision,
     functional_gradient,
-    functional_hessian,
     hessian_parts,
 )
+# Not called here: bench/tracer.py looks these two names up on this module.
+from .euler_lagrange import constraint_hessian, functional_hessian  # noqa: F401
 from .functional import (
     DenominatorVanished,
     Trajectory,
@@ -63,6 +63,11 @@ LOCAL_MIN = "local_min"
 LOCAL_MAX = "local_max"
 SADDLE = "saddle"
 DEGENERATE = "degenerate"
+
+# Unconstrained Newton Jacobians of at most this many unknowns are formed
+# densely and factored by LAPACK; larger ones go through the sparse
+# augmented solve of _Hessian.
+DENSE_NEWTON_LIMIT = 200
 
 # Newton matrices with a 1-norm condition estimate beyond 1/RCOND_LIMIT are
 # treated as near-singular; the step then comes from the minimum-norm
@@ -190,8 +195,8 @@ class _NewtonResult:
     failure: Optional[BaseException] = None
 
 
-class _StructuredHessian:
-    """Exact Hessian as tridiagonal plus a rank-n outer-map correction.
+class _Hessian:
+    """Exact Hessian tridiag(diag, off) + U^T C U of lam0 * L - lam * K.
 
     Linear solves go through the sparse augmented system
 
@@ -202,123 +207,171 @@ class _StructuredHessian:
     H = T + U^T C U, so the factorization stays valid even where the
     tridiagonal part alone is singular (as it is at Rayleigh-quotient
     solutions).  Solutions are verified against a matvec; on failure the
-    caller falls back to the dense path.
+    caller falls back to the dense path.  ``count_below`` and
+    ``spectral_radius`` serve :func:`classify`.
     """
 
-    def __init__(self, diag: np.ndarray, off: np.ndarray, rows: np.ndarray,
-                 outer_hess: np.ndarray):
+    def __init__(self, diag: np.ndarray, off: np.ndarray, U: np.ndarray, C: np.ndarray):
         self.diag = diag
         self.off = off
-        self.rows = rows
-        self.outer = outer_hess
-        self.dim = diag.size
-        self.finite = bool(
-            np.all(np.isfinite(diag))
-            and np.all(np.isfinite(off))
-            and np.all(np.isfinite(rows))
-            and np.all(np.isfinite(outer_hess))
-        )
-        self._lu = None
-        self._lu_failed = False
+        self.U = U
+        self.C = C
+
+    @property
+    def finite(self) -> bool:
+        parts = (self.diag, self.off, self.U, self.C)
+        return all(bool(np.all(np.isfinite(part))) for part in parts)
 
     # The Hessian is symmetric; expose matvec via both J @ v and J.T @ v.
     @property
-    def T(self) -> "_StructuredHessian":
+    def T(self) -> "_Hessian":
         return self
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
-        if self.dim > 1:
-            out[:-1] += self.off * v[1:]
-            out[1:] += self.off * v[:-1]
-        out += self.rows.T @ (self.outer @ (self.rows @ v))
+        out[:-1] += self.off * v[1:]
+        out[1:] += self.off * v[:-1]
+        out += self.U.T @ (self.C @ (self.U @ v))
         return out
 
-    def _factor(self):
-        if self._lu is None and not self._lu_failed:
-            d = self.dim
-            k = self.rows.shape[0]
-            tri = scipy.sparse.diags(
-                [self.off, self.diag, self.off], [-1, 0, 1], shape=(d, d)
-            )
-            aug = scipy.sparse.bmat(
-                [
-                    [tri, scipy.sparse.csc_matrix(self.rows.T @ self.outer)],
-                    [scipy.sparse.csc_matrix(self.rows), -scipy.sparse.identity(k)],
-                ],
-                format="csc",
-            )
-            try:
-                self._lu = splu(aug)
-            except RuntimeError:
-                self._lu_failed = True
-        return self._lu
+    def dense(self) -> np.ndarray:
+        d = self.diag.size
+        hess = self.U.T @ self.C @ self.U
+        flat = hess.reshape(-1)  # a view: hess is a fresh contiguous array
+        flat[:: d + 1] += self.diag
+        flat[1 :: d + 1] += self.off
+        flat[d :: d + 1] += self.off
+        return hess
 
-    def solve(self, rhs: np.ndarray):
-        """H x = rhs, or None when the factorization is unusable."""
-        lu = self._factor()
-        if lu is None:
-            return None
-        k = self.rows.shape[0]
-        sol = lu.solve(np.concatenate([rhs, np.zeros(k)]))
-        x = sol[: self.dim]
-        if not np.all(np.isfinite(x)):
-            return None
-        defect = float(np.linalg.norm(self @ x - rhs))
-        if defect > 1e-8 * (np.linalg.norm(rhs) + np.linalg.norm(x)):
-            return None
-        return x
+    def solve(self, rhs: np.ndarray, border: Optional[np.ndarray] = None):
+        """H x = rhs, or with a border [[H, b], [b^T, 0]] [x; nu] = [rhs; 0].
 
-    def solve_bordered(self, rhs: np.ndarray, border: np.ndarray):
-        """[[H, b], [b^T, 0]] [x; nu] = [rhs; 0], or None on failure."""
-        d = self.dim
-        k = self.rows.shape[0]
-        tri = scipy.sparse.diags(
-            [self.off, self.diag, self.off], [-1, 0, 1], shape=(d, d)
-        )
-        aug = scipy.sparse.bmat(
-            [
-                [
-                    tri,
-                    scipy.sparse.csc_matrix(self.rows.T @ self.outer),
-                    scipy.sparse.csc_matrix(border[:, None]),
-                ],
-                [scipy.sparse.csc_matrix(self.rows), -scipy.sparse.identity(k), None],
-                [scipy.sparse.csc_matrix(border[None, :]), None, None],
-            ],
-            format="csc",
-        )
+        Returns x, or None when the factorization is unusable.
+        """
+        d = self.diag.size
+        k = self.C.shape[0]
+        tri = scipy.sparse.diags([self.off, self.diag, self.off], [-1, 0, 1], shape=(d, d))
+        blocks = [
+            [tri, scipy.sparse.csc_matrix(self.U.T @ self.C)],
+            [scipy.sparse.csc_matrix(self.U), -scipy.sparse.identity(k)],
+        ]
+        if border is not None:
+            blocks[0].append(scipy.sparse.csc_matrix(border[:, None]))
+            blocks[1].append(None)
+            blocks.append([scipy.sparse.csc_matrix(border[None, :]), None, None])
+        aug = scipy.sparse.bmat(blocks, format="csc")
         try:
             lu = splu(aug)
         except RuntimeError:
             return None
-        sol = lu.solve(np.concatenate([rhs, np.zeros(k + 1)]))
-        x = sol[:d]
-        nu = sol[d + k]
+        sol = lu.solve(np.concatenate([rhs, np.zeros(aug.shape[0] - d)]))
         if not np.all(np.isfinite(sol)):
             return None
-        defect = np.linalg.norm(self @ x + nu * border - rhs) + abs(border @ x)
-        if defect > 1e-8 * (np.linalg.norm(rhs) + np.linalg.norm(x) + 1.0):
+        x = sol[:d]
+        if border is None:
+            defect = float(np.linalg.norm(self @ x - rhs))
+            scale = np.linalg.norm(rhs) + np.linalg.norm(x)
+        else:
+            defect = np.linalg.norm(self @ x + sol[-1] * border - rhs) + abs(border @ x)
+            scale = np.linalg.norm(rhs) + np.linalg.norm(x) + 1.0
+        if defect > 1e-8 * scale:
             return None
         return x
 
-    def to_dense(self) -> np.ndarray:
-        d = self.dim
-        hess = np.zeros((d, d))
-        np.fill_diagonal(hess, self.diag)
-        if d > 1:
-            hess[np.arange(d - 1), np.arange(1, d)] = self.off
-            hess[np.arange(1, d), np.arange(d - 1)] = self.off
-        hess += self.rows.T @ self.outer @ self.rows
-        return hess
+    def _outer_directions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(V, mu) with U^T C U = V^T diag(mu) V, unit rows, null directions dropped."""
+        mu, q = np.linalg.eigh(self.C)
+        v = q.T @ self.U
+        lengths = np.linalg.norm(v, axis=1)
+        mu = mu * lengths**2
+        size = max(float(np.max(np.abs(self.diag), initial=0.0))
+                   + 2.0 * float(np.max(np.abs(self.off), initial=0.0)),
+                   float(np.max(np.abs(mu), initial=0.0)))
+        keep = np.abs(mu) > _NULL_RELATIVE * size
+        return v[keep] / lengths[keep, None], mu[keep]
+
+    def count_below(self, s: float, g: Optional[np.ndarray] = None) -> int:
+        """Eigenvalues below s of H restricted to the complement of the unit vector g.
+
+        With the outer curvature diagonalized as V^T diag(mu) V (mu
+        nonsingular), the bordered matrix
+        [[T - sI, V^T, g], [V, -diag(1/mu), 0], [g^T, 0, 0]] has the
+        negative inertia of the restricted operator minus sI, plus one per
+        positive mu, plus one for the border (Haynsworth additivity).
+        """
+        v, mu = self._outer_directions()
+        border = v.T if g is None else np.hstack([v.T, g[:, None]])
+        corner = np.zeros((border.shape[1], border.shape[1]))
+        corner[np.arange(mu.size), np.arange(mu.size)] = -1.0 / mu
+        inertia = _negative_inertia(self.diag - s, self.off, border, corner)
+        return inertia - int(np.count_nonzero(mu > 0.0)) - (g is not None)
+
+    def spectral_radius(self, g: Optional[np.ndarray] = None) -> float:
+        """Largest eigenvalue magnitude of the restricted H, to about 1e-3 relative (Lanczos)."""
+
+        def matvec(x: np.ndarray) -> np.ndarray:
+            if g is None:
+                return self @ x
+            out = self @ (x - g * (g @ x))
+            return out - g * (g @ out)
+
+        d = self.diag.size
+        if d == 1:
+            return abs(float(matvec(np.ones(1))[0]))
+        v0 = np.random.default_rng(0).standard_normal(d)
+        if not np.any(matvec(v0)):
+            return 0.0  # a generic vector in the null space: the zero operator
+        op = LinearOperator((d, d), matvec=matvec, dtype=float)
+        try:
+            w = eigsh(op, k=1, which="LM", v0=v0, tol=1e-3, return_eigenvectors=False)
+        except ArpackNoConvergence as exc:
+            w = exc.eigenvalues
+        return float(np.max(np.abs(w))) if w.size else float("nan")
 
 
-def _newton_direction(J, r: np.ndarray) -> np.ndarray:
-    if isinstance(J, _StructuredHessian):
-        step = J.solve(-r)
+def _hessian(spec: ProblemSpec, tr: Trajectory, lam0: float, lam: Optional[float]) -> _Hessian:
+    """The Hessian of lam0 * L - lam * K over the decision samples at tr."""
+    terms = [(lam0, spec.lagrangian)]
+    if spec.constraint is not None and lam:
+        terms.append((-lam, spec.constraint.functional))
+    d = decision_indices(spec).size
+    diag, off = np.zeros(d), np.zeros(max(d - 1, 0))
+    rows, blocks = [np.zeros((0, d))], []
+    for coef, F in terms:
+        if coef == 0.0:
+            continue
+        t_diag, t_off, t_rows, t_outer = hessian_parts(F, spec, tr)
+        diag += coef * t_diag
+        off += coef * t_off
+        rows.append(t_rows)
+        blocks.append(coef * t_outer)
+    # Block-diagonal C by hand: scipy.linalg.block_diag costs more than the
+    # dense Hessian assembly of a small problem.
+    k = sum(b.shape[0] for b in blocks)
+    C = np.zeros((k, k))
+    at = 0
+    for b in blocks:
+        C[at : at + b.shape[0], at : at + b.shape[0]] = b
+        at += b.shape[0]
+    return _Hessian(diag, off, np.vstack(rows), C)
+
+
+def _newton_direction(J, r: np.ndarray, border: Optional[np.ndarray] = None) -> np.ndarray:
+    """The Newton step J s = -r; with a border b, the step also meets b . s = 0.
+
+    The bordered system [[J, b], [b^T, 0]] [s; nu] = -[r; 0] pins the
+    iterate norm when b is the iterate (a Newton step on the sphere); the
+    multiplier nu is discarded.
+    """
+    if isinstance(J, _Hessian):
+        step = J.solve(-r, border)
         if step is not None:
             return step
-        J = J.to_dense()
+        J = J.dense()
+    n = J.shape[1]
+    if border is not None:
+        J = np.block([[J, border[:, None]], [border[None, :], np.zeros((1, 1))]])
+        r = np.append(r, 0.0)
     if J.shape[0] == J.shape[1]:
         try:
             with warnings.catch_warnings():
@@ -329,7 +382,7 @@ def _newton_direction(J, r: np.ndarray) -> np.ndarray:
             anorm = np.linalg.norm(J, 1)
             rcond, info = lapack.dgecon(lu, anorm, norm="1")
             if info == 0 and rcond > RCOND_LIMIT:
-                return scipy.linalg.lu_solve((lu, piv), -r, check_finite=False)
+                return scipy.linalg.lu_solve((lu, piv), -r, check_finite=False)[:n]
         except (scipy.linalg.LinAlgError, ValueError):
             pass
     # Near-singular or rectangular: least-squares direction (QR with pivoting;
@@ -338,40 +391,6 @@ def _newton_direction(J, r: np.ndarray) -> np.ndarray:
     step, *_ = scipy.linalg.lstsq(
         J, -r, cond=1e-10, lapack_driver="gelsy", check_finite=False
     )
-    return step
-
-
-def _is_scale_invariant(r: np.ndarray, w: np.ndarray) -> bool:
-    """Detect gradient systems with r(c*w) = r(w)/c (value invariant under scaling).
-
-    Such systems satisfy Euler's identity r(w).w = 0 identically; their
-    stationary sets are rays, and an unconstrained Newton step escapes along
-    the scaling direction instead of converging.
-    """
-    if r.shape != w.shape:
-        return False
-    norm_w = float(np.linalg.norm(w))
-    norm_r = float(np.linalg.norm(r))
-    if norm_w <= 1e-12 or norm_r == 0.0:
-        return False
-    return abs(float(r @ w)) <= 1e-10 * norm_r * norm_w
-
-
-def _sphere_newton_direction(J, r: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Newton step constrained to the sphere ||w|| = const (scale pinned)."""
-    if isinstance(J, _StructuredHessian):
-        step = J.solve_bordered(-r, w)
-        if step is not None:
-            return step
-        J = J.to_dense()
-    n = w.size
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = J
-    bordered[:n, n] = w
-    bordered[n, :n] = w
-    # _newton_direction solves bordered * s = -[r; 0]; the multiplier
-    # component of s is discarded.
-    step = _newton_direction(bordered, np.concatenate([r, [0.0]]))
     return step[:n]
 
 
@@ -380,7 +399,13 @@ def _run_newton(
     jacobian_fn: Callable[[np.ndarray], np.ndarray],
     w0: np.ndarray,
     opts: SolveOptions,
+    pin_scale: bool = False,
 ) -> _NewtonResult:
+    """Damped Newton from w0; with ``pin_scale`` every step keeps ||w||.
+
+    Scale-invariant gradient systems (r(c*w) = r(w)/c) have rays of roots
+    along which an unpinned Newton step escapes instead of converging.
+    """
     w = np.asarray(w0, dtype=float).copy()
     try:
         r = residual_fn(w)
@@ -412,16 +437,11 @@ def _run_newton(
         except _EVAL_ERRORS as exc:
             # Residual is known but the matrix is not evaluable here.
             return _NewtonResult(w, r, r_inf <= opts.tol_residual, it, failure=exc)
-        J_finite = J.finite if isinstance(J, _StructuredHessian) else bool(
-            np.all(np.isfinite(J))
-        )
+        J_finite = J.finite if isinstance(J, _Hessian) else bool(np.all(np.isfinite(J)))
         if not J_finite:
             return _NewtonResult(w, r, False, it)
 
-        if _is_scale_invariant(r, w):
-            d_newton = _sphere_newton_direction(J, r, w)
-        else:
-            d_newton = _newton_direction(J, r)
+        d_newton = _newton_direction(J, r, w if pin_scale else None)
         if r_inf <= opts.tol_residual and contracting(d_newton, w):
             # Polish with the contracting step: unpolished roots of one branch
             # sit further apart than the dedup distance.  The polished point
@@ -601,19 +621,18 @@ def solve_unconstrained(
     def residual_fn(z):
         return functional_gradient(spec, embed_decision(spec, z))
 
-    structured = decision_indices(spec).size > 200
+    dense = decision_indices(spec).size <= DENSE_NEWTON_LIMIT
 
     def jacobian_fn(z):
-        tr = embed_decision(spec, z)
-        if structured:
-            return _StructuredHessian(*hessian_parts(spec.lagrangian, spec, tr))
-        return functional_hessian(spec, tr)
+        hess = _hessian(spec, embed_decision(spec, z), 1.0, None)
+        return hess.dense() if dense else hess
 
+    scale_invariant = _detect_scale_invariance(spec)
     converged: list[tuple[np.ndarray, float, None]] = []
     denominator_failures = 0
     for restart in range(opts.restarts):
         z0 = _initial_decision(spec, opts, restart)
-        out = _run_newton(residual_fn, jacobian_fn, z0, opts)
+        out = _run_newton(residual_fn, jacobian_fn, z0, opts, pin_scale=scale_invariant)
         if out.converged:
             converged.append((out.w, float(np.max(np.abs(out.residual))), None))
         elif isinstance(out.failure, DenominatorVanished):
@@ -628,9 +647,7 @@ def solve_unconstrained(
             f"no stationary trajectory found in {opts.restarts} restarts"
         )
 
-    clusters = _dedup(
-        converged, spec, opts, ray_normalize=_detect_scale_invariance(spec)
-    )
+    clusters = _dedup(converged, spec, opts, ray_normalize=scale_invariant)
     return [
         _finish_point(spec, tr, res, count) for tr, res, count, _ in clusters
     ]
@@ -675,11 +692,9 @@ def solve_isoperimetric(
     def jacobian_fn(wz):
         z, lam = wz[:-1], wz[-1]
         tr = embed_decision(spec, z)
-        HL = functional_hessian(spec, tr)
-        HK = constraint_hessian(spec, tr)
         gK = constraint_gradient(spec, tr)
         J = np.zeros((d + 1, d + 1))
-        J[:d, :d] = HL - lam * HK
+        J[:d, :d] = _hessian(spec, tr, 1.0, lam).dense()
         J[:d, d] = -gK
         J[d, :d] = gK
         return J
@@ -692,10 +707,7 @@ def solve_isoperimetric(
 
     def abnormal_jacobian_fn(z):
         tr = embed_decision(spec, z)
-        J = np.zeros((d + 1, d))
-        J[:d, :] = constraint_hessian(spec, tr)
-        J[d, :] = constraint_gradient(spec, tr)
-        return J
+        return np.vstack([_hessian(spec, tr, 0.0, -1.0).dense(), constraint_gradient(spec, tr)])
 
     normal: list[tuple[np.ndarray, float, float]] = []  # (z, residual, lam)
     abnormal_seeds: list[np.ndarray] = []
@@ -845,103 +857,6 @@ def _negative_inertia(
     return neg + int(np.count_nonzero(np.linalg.eigvalsh(schur) < 0.0))
 
 
-@dataclass
-class _ProjectedHessian:
-    """Multiplier-corrected exact Hessian T + V^T diag(mu) V on the tangent of g.
-
-    ``g`` is the unit constraint gradient, or None when nothing is projected
-    out; ``mu`` is nonsingular, so the bordered matrix
-    [[T - sI, V^T, g], [V, -diag(1/mu), 0], [g^T, 0, 0]] has the negative
-    inertia of the projected operator minus sI, plus one per positive mu,
-    plus one for the border (Haynsworth additivity).
-    """
-
-    diag: np.ndarray
-    off: np.ndarray
-    v: np.ndarray
-    mu: np.ndarray
-    g: Optional[np.ndarray]
-
-    @property
-    def dim(self) -> int:
-        return self.diag.size - (self.g is not None)
-
-    def count_below(self, s: float) -> int:
-        """Eigenvalues of the projected operator below s."""
-        cols = [self.v.T] if self.g is None else [self.v.T, self.g[:, None]]
-        border = np.hstack(cols)
-        corner = np.zeros((border.shape[1], border.shape[1]))
-        k = self.mu.size
-        corner[np.arange(k), np.arange(k)] = -1.0 / self.mu
-        inertia = _negative_inertia(self.diag - s, self.off, border, corner)
-        return inertia - int(np.count_nonzero(self.mu > 0.0)) - (self.g is not None)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        if self.g is not None:
-            x = x - self.g * (self.g @ x)
-        out = self.diag * x
-        out[:-1] += self.off * x[1:]
-        out[1:] += self.off * x[:-1]
-        out += self.v.T @ (self.mu * (self.v @ x))
-        if self.g is not None:
-            out -= self.g * (self.g @ out)
-        return out
-
-    def spectral_radius(self) -> float:
-        """Largest eigenvalue magnitude, to about 1e-3 relative (Lanczos)."""
-        d = self.diag.size
-        if d == 1:
-            return abs(float(self.matvec(np.ones(1))[0]))
-        v0 = np.random.default_rng(0).standard_normal(d)
-        if not np.any(self.matvec(v0)):
-            return 0.0  # a generic vector in the null space: the zero operator
-        op = LinearOperator((d, d), matvec=self.matvec, dtype=float)
-        try:
-            w = eigsh(op, k=1, which="LM", v0=v0, tol=1e-3, return_eigenvectors=False)
-        except ArpackNoConvergence as exc:
-            w = exc.eigenvalues
-        return float(np.max(np.abs(w))) if w.size else float("nan")
-
-
-def _projected_hessian(
-    spec: ProblemSpec, point: StationaryPoint
-) -> Optional[_ProjectedHessian]:
-    """The operator classify counts on, or None where the Hessian is not finite."""
-    tr = point.trajectory
-    terms = [(point.lam0, spec.lagrangian)]
-    if spec.constraint is not None and point.lam:
-        terms.append((-point.lam, spec.constraint.functional))
-    d = decision_indices(spec).size
-    diag, off = np.zeros(d), np.zeros(max(d - 1, 0))
-    rows, blocks = [np.zeros((0, d))], []
-    for coef, F in terms:
-        if coef == 0.0:
-            continue
-        t_diag, t_off, t_rows, t_outer = hessian_parts(F, spec, tr)
-        diag = diag + coef * t_diag
-        off = off + coef * t_off
-        rows.append(t_rows)
-        blocks.append(coef * t_outer)
-    rows = np.vstack(rows)
-    outer = scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0))
-    gK = constraint_gradient(spec, tr) if spec.constraint is not None else np.zeros(0)
-    if not all(np.all(np.isfinite(part)) for part in (diag, off, rows, outer, gK)):
-        return None
-    # Diagonalize the outer curvature and give each direction unit length,
-    # so that A = T + V^T diag(mu) V with every kept mu of operator size.
-    mu, q = np.linalg.eigh(outer)
-    v = q.T @ rows
-    lengths = np.linalg.norm(v, axis=1)
-    mu = mu * lengths**2
-    size = max(float(np.max(np.abs(diag), initial=0.0))
-               + 2.0 * float(np.max(np.abs(off), initial=0.0)),
-               float(np.max(np.abs(mu), initial=0.0)))
-    keep = np.abs(mu) > _NULL_RELATIVE * size
-    norm = float(np.linalg.norm(gK))
-    g = gK / norm if norm > 0.0 else None
-    return _ProjectedHessian(diag, off, v[keep] / lengths[keep, None], mu[keep], g)
-
-
 def classify(spec: ProblemSpec, point: StationaryPoint) -> str:
     """Advisory min/max/saddle/degenerate label from the exact Hessian's inertia.
 
@@ -954,20 +869,29 @@ def classify(spec: ProblemSpec, point: StationaryPoint) -> str:
     point degenerate.  Time and memory are O(d): no d x d array is formed.
     """
     try:
-        hess = _projected_hessian(spec, point)
-        if hess is None or hess.dim == 0:
+        tr = point.trajectory
+        hess = _hessian(spec, tr, point.lam0, point.lam)
+        g = None
+        if spec.constraint is not None:
+            gK = constraint_gradient(spec, tr)
+            if not np.all(np.isfinite(gK)):
+                return DEGENERATE
+            norm = float(np.linalg.norm(gK))
+            g = gK / norm if norm > 0.0 else None
+        dim = hess.diag.size - (g is not None)
+        if not hess.finite or dim == 0:
             return DEGENERATE
-        scale = hess.spectral_radius()
+        scale = hess.spectral_radius(g)
         if scale == 0.0 or not np.isfinite(scale):
             return DEGENERATE
         eps = DEGENERATE_RELATIVE * scale
-        below_lo = hess.count_below(-eps)
-        below_hi = hess.count_below(eps)
+        below_lo = hess.count_below(-eps, g)
+        below_hi = hess.count_below(eps, g)
         if below_hi > below_lo:
             return DEGENERATE
         if below_hi == 0:
             return LOCAL_MIN
-        if below_lo == hess.dim:
+        if below_lo == dim:
             return LOCAL_MAX
         return SADDLE
     except _EVAL_ERRORS:

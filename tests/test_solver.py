@@ -27,12 +27,13 @@ from deltavar import (
     solve_unconstrained,
 )
 from deltavar.cli import resolve_problem
-from deltavar.euler_lagrange import constraint_hessian
+from deltavar.euler_lagrange import constraint_hessian, decision_indices, hessian_parts
 from deltavar.oracle import fd_hessian
 from deltavar.solver import (
     DEGENERATE_RELATIVE,
+    _Hessian,
+    _hessian,
     _negative_inertia,
-    _ProjectedHessian,
 )
 
 THREE_PT = make_timescale("points", values=[0, 0.5, 1])
@@ -121,6 +122,15 @@ class TestUnconstrained:
             report = residual_report(quotient2_spec(), p.trajectory)
             # el = gradient / mu at interior points, so certify at tol/mu.
             assert report.el_max <= 10 * opts.tol_residual / 0.5
+
+    def test_scale_invariance_decided_once_per_solve(self):
+        # Restart 0 dies on x = 0; the other four converge only if every
+        # iterate takes the sphere step, including those near a root where
+        # rounding hides the identity gradient . x = 0.
+        spec = resolve_problem("sturm_liouville").build(h_override=1e-3)
+        pts = solve_unconstrained(spec, SolveOptions(restarts=5, seed=20000))
+        assert sum(p.basin_count for p in pts) == 4
+        assert max(p.residual for p in pts) <= SolveOptions().tol_residual
 
     def test_basin_counts_sum_to_convergent_restarts(self):
         opts = SolveOptions(restarts=24, tol_residual=1e-12)
@@ -236,6 +246,48 @@ class TestClassifyProperties:
         assert classify(spec, point) == label == dense_label(fd, border)[0]
 
 
+class TestHessianSolve:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_structured_solves_match_dense(self, seed, constrained):
+        rng = np.random.default_rng(seed)
+        spec, tr = random_problem(rng, allow_free_ends=not constrained)
+        lam = None
+        dense = functional_hessian(spec, tr)
+        terms = [(1.0, spec.lagrangian)]
+        # The sphere step borders with the iterate, the isoperimetric step
+        # with the constraint gradient.
+        border = tr.x[decision_indices(spec)]
+        if constrained:
+            spec = dataclasses.replace(spec, constraint=random_constraint(rng))
+            lam = float(rng.uniform(-2, 2))
+            dense = dense - lam * constraint_hessian(spec, tr)
+            terms.append((-lam, spec.constraint.functional))
+            border = constraint_gradient(spec, tr)
+        # Entries of the Hessian can cancel far below the size of its
+        # tridiagonal and low-rank parts, which sets the rounding scale.
+        size = 0.0
+        for coef, F in terms:
+            diag, off, rows, outer = hessian_parts(F, spec, tr)
+            size += abs(coef) * (np.abs(diag).max() + np.abs(off).max(initial=0.0)
+                                 + (np.abs(rows).T @ np.abs(outer) @ np.abs(rows)).max())
+        hess = _hessian(spec, tr, 1.0, lam)
+        assert np.abs(hess.dense() - dense).max() <= 1e-12 * size
+        rhs = rng.standard_normal(dense.shape[0])
+        bordered = np.block([[dense, border[:, None]], [border[None, :], np.zeros((1, 1))]])
+        for got, matrix, b, scale in (
+            (hess.solve(rhs), dense, rhs, size),
+            (hess.solve(rhs, border), bordered, np.append(rhs, 0.0),
+             size + np.abs(border).max()),
+        ):
+            # Compare only where rounding at that scale cannot move the solution.
+            if scale >= 1e6 * np.linalg.svd(matrix, compute_uv=False).min():
+                continue
+            want = np.linalg.solve(matrix, b)
+            assert got is not None
+            assert np.linalg.norm(got - want[: got.size]) <= 1e-7 * np.linalg.norm(want)
+
+
 class TestInertia:
     def test_bordered_counts_match_dense(self):
         rng = np.random.default_rng(2024)
@@ -283,16 +335,16 @@ class TestInertia:
             if trial % 2:
                 g = rng.standard_normal(n)
                 g /= np.linalg.norm(g)
-            hess = _ProjectedHessian(diag, off, v, mu, g)
+            hess = _Hessian(diag, off, v, np.diag(mu))
             dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) + v.T @ (mu[:, None] * v)
             _, eigs, _ = dense_label(dense, g)
-            assert hess.dim == eigs.size
+            assert hess.diag.size - (g is not None) == eigs.size
             for s in (-1.0, -1e-3, 0.0, 0.5, 2.0):
                 if np.min(np.abs(eigs - s)) < 1e-8:
                     continue
-                assert hess.count_below(s) == np.count_nonzero(eigs < s)
+                assert hess.count_below(s, g) == np.count_nonzero(eigs < s)
             radius = np.max(np.abs(eigs))
-            assert hess.spectral_radius() == pytest.approx(radius, rel=2e-3)
+            assert hess.spectral_radius(g) == pytest.approx(radius, rel=2e-3)
 
     def test_classify_memory_is_linear(self):
         # d = 9999: a dense Hessian alone would take 800 MB.
