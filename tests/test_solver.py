@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import random_constraint, random_problem
 from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
 from deltavar import (
     BoundarySpec,
@@ -273,19 +274,49 @@ class TestHessianSolve:
                                  + (np.abs(rows).T @ np.abs(outer) @ np.abs(rows)).max())
         hess = _hessian(spec, tr, 1.0, lam)
         assert np.abs(hess.dense() - dense).max() <= 1e-12 * size
-        rhs = rng.standard_normal(dense.shape[0])
-        bordered = np.block([[dense, border[:, None]], [border[None, :], np.zeros((1, 1))]])
-        for got, matrix, b, scale in (
-            (hess.solve(rhs), dense, rhs, size),
-            (hess.solve(rhs, border), bordered, np.append(rhs, 0.0),
-             size + np.abs(border).max()),
-        ):
-            # Compare only where rounding at that scale cannot move the solution.
-            if scale >= 1e6 * np.linalg.svd(matrix, compute_uv=False).min():
-                continue
-            want = np.linalg.solve(matrix, b)
-            assert got is not None
-            assert np.linalg.norm(got - want[: got.size]) <= 1e-7 * np.linalg.norm(want)
+        # A fixed extra input: tridiag(0, 1) of odd order is singular, so its
+        # tridiagonal block cannot be factored alone; the rank-one outer term
+        # e1 e1^T (not orthogonal to the null vector (1, 0, -1, 0, ...)) makes
+        # H nonsingular.
+        singular = _Hessian(np.zeros(7), np.ones(6), np.eye(7)[:1], np.ones((1, 1)))
+        cases = [
+            (hess, dense, border, size, rng.standard_normal(dense.shape[0])),
+            (singular, singular.dense(), np.linspace(1.0, 2.0, 7), 2.0, np.arange(7.0) - 2.0),
+        ]
+        for op, plain, b, size, rhs in cases:
+            bordered = np.block([[plain, b[:, None]], [b[None, :], np.zeros((1, 1))]])
+            for got, matrix, full_rhs, scale in (
+                (op.solve(rhs), plain, rhs, size),
+                (op.solve(rhs, b), bordered, np.append(rhs, 0.0), size + np.abs(b).max()),
+            ):
+                # Compare only where rounding at that scale cannot move the solution.
+                if scale >= 1e6 * np.linalg.svd(matrix, compute_uv=False).min():
+                    continue
+                want = np.linalg.solve(matrix, full_rhs)
+                assert got is not None
+                assert np.linalg.norm(got - want[: got.size]) <= 1e-7 * np.linalg.norm(want)
+
+    # sturm_liouville is scale invariant, so its steps take the sphere border.
+    @pytest.mark.parametrize("problem", ["quotient2_R", "sturm_liouville"])
+    def test_fine_grid_factors_stay_linear(self, monkeypatch, problem):
+        # d = 9999: factoring the whole arrowhead system fills in to about
+        # d^2 / 2 entries; the tridiagonal block alone stays banded.
+        spec = resolve_problem(problem).build(h_override=1e-4)
+        d, k = decision_indices(spec).size, spec.lagrangian.n
+        factors = []
+
+        def recording_splu(*args, **kwargs):
+            lu = splu(*args, **kwargs)
+            factors.append((lu.shape[0], lu.nnz))
+            return lu
+
+        monkeypatch.setattr("deltavar.solver.splu", recording_splu)
+        pts = solve_unconstrained(spec, SolveOptions(restarts=4))
+        assert pts and factors
+        assert max(nnz for _, nnz in factors) <= 10 * (d + k)
+        # Every step was served by the tridiagonal block alone: the fallback
+        # factors the order d + k (+ 1) arrowhead system.
+        assert all(order == d for order, _ in factors)
 
 
 class TestInertia:
