@@ -12,9 +12,14 @@ exact gradient, and the classical residuals follow from it:
 * free right endpoint: d(value)/dx_b = +sum_i H'_i(F) *
   (f_iv(rho(b)) + mu(rho(b)) * f_iy(rho(b))).
 
-Those identities make a vanishing gradient a certificate for the
+Those identities are the implementation: the sampled partials of each
+functional are evaluated once per trajectory into a record cached on it,
+the gradient is H'(F) times the inner-integral gradients, and the
+Euler-Lagrange residual and both natural conditions are read off the
+gradient's entries.  A vanishing gradient is thus a certificate for the
 Euler-Lagrange equation at every interior point together with the natural
-boundary conditions at free endpoints.  The constancy-of-motion quantity
+boundary conditions at free endpoints.  The Hessian and the
+constancy-of-motion quantity read the same record.  The constancy quantity
 E(t) = sum_i H'_i * (f_iv(t) - integral_a^t f_iy) is exposed as a further
 stationarity diagnostic: its spread over the kappa points vanishes at
 stationary trajectories.
@@ -26,10 +31,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import expr
 from .functional import (
     BoundarySpec,
     CompositeFunctional,
     Trajectory,
+    _integrand_bindings,
+    _sampled,
     inner_values,
 )
 from .timescale import TimeScale
@@ -153,31 +161,53 @@ def extract_decision(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
 # -- sampled partial derivatives ----------------------------------------------
 
 
-def _first_partials(F: CompositeFunctional, tr: Trajectory):
-    """(F values, H' weights, f_iy samples, f_iv samples) along the trajectory."""
-    from .functional import _integrand_bindings, _sampled
-    from .expr import evaluate
+class _Partials:
+    """One evaluation of a functional's sampled partials along one trajectory.
 
-    b = _integrand_bindings(tr)
-    t = b["t"]
-    us = inner_values(F, tr)
-    w = F.outer_gradient(us)
-    fy = [_sampled(evaluate(g, b), t) for g in F.inner_y]
-    fv = [_sampled(evaluate(g, b), t) for g in F.inner_v]
-    return us, w, fy, fv
+    Holds the inner values ``us``, the outer weights ``w = H'(us)``, the
+    samples ``fy``/``fv`` (one row per inner integrand), the inner-integral
+    gradients ``rows`` over all N samples and the full-sample gradient
+    ``g = w @ rows``.  The second partials and the outer Hessian are
+    evaluated on first use.  The record keeps the trajectory's arrays but
+    not the trajectory, so the trajectory's cache forms no reference cycle.
+    """
+
+    __slots__ = ("us", "w", "fy", "fv", "rows", "g", "_F", "_bindings", "_second")
+
+    def __init__(self, F: CompositeFunctional, tr: Trajectory):
+        b = _integrand_bindings(tr)
+        self.us = inner_values(F, tr)
+        self.w = F.outer_gradient(self.us)
+        self.fy, self.fv = _samples(F.inner_y, b), _samples(F.inner_v, b)
+        # Sample x_{j+1} enters interval j through y = x_{j+1} and
+        # v = (x_{j+1} - x_j)/mu_j; sample x_j only through v.
+        self.rows = np.zeros((F.n, len(tr.ts)))
+        self.rows[:, 1:] = tr.ts.steps * self.fy + self.fv
+        self.rows[:, :-1] -= self.fv
+        self.g = self.w @ self.rows
+        self._F, self._bindings, self._second = F, b, None
+
+    def second(self):
+        """(f_yy, f_yv, f_vv, outer Hessian), evaluated on first use."""
+        if self._second is None:
+            *inner, _ = self._F.second_partials
+            self._second = tuple(_samples(exprs, self._bindings) for exprs in inner) + (
+                self._F.outer_hessian(self.us),
+            )
+        return self._second
 
 
-def _second_partials(F: CompositeFunctional, tr: Trajectory):
-    from .functional import _integrand_bindings, _sampled
-    from .expr import evaluate
+def _samples(exprs, b: dict) -> np.ndarray:
+    """Each expression sampled over the integrand bindings, one row each."""
+    return np.array([_sampled(expr.evaluate(g, b), b["t"]) for g in exprs])
 
-    b = _integrand_bindings(tr)
-    t = b["t"]
-    inner_yy, inner_yv, inner_vv, _ = F.second_partials
-    fyy = [_sampled(evaluate(g, b), t) for g in inner_yy]
-    fyv = [_sampled(evaluate(g, b), t) for g in inner_yv]
-    fvv = [_sampled(evaluate(g, b), t) for g in inner_vv]
-    return fyy, fyv, fvv
+
+def _partials(F: CompositeFunctional, tr: Trajectory) -> _Partials:
+    """The cached evaluation record of F along tr, built on first use."""
+    record = tr.partials.get(F)
+    if record is None:
+        record = tr.partials[F] = _Partials(F, tr)
+    return record
 
 
 # -- residuals ------------------------------------------------------------------
@@ -190,61 +220,37 @@ def el_residual(
 
     The delta derivative of f_iv is taken along the trajectory, so the
     residual is computable at indices 0..N-3 of an N-point scale; the vector
-    has ``kappa_count() - 1`` entries.
+    has ``kappa_count() - 1`` entries.  It is read off the interior
+    gradient entries, -g_j / mu(rho(t_j)).
     """
     F = functional if functional is not None else spec.lagrangian
-    _, w, fy, fv = _first_partials(F, tr)
-    steps = tr.ts.steps
-    n_eval = len(spec.ts) - 2
-    res = np.zeros(n_eval)
-    for i in range(F.n):
-        res += w[i] * ((fv[i][1:] - fv[i][:-1]) / steps[:-1] - fy[i][:-1])
-    return res
+    return -_partials(F, tr).g[1:-1] / tr.ts.steps[:-1]
 
 
 def natural_bc_left(spec: ProblemSpec, tr: Trajectory) -> float:
-    """Transversality residual sum_i H'_i f_iv(a) for a free left endpoint."""
+    """Transversality residual sum_i H'_i f_iv(a) = -g_0 for a free left endpoint."""
     if spec.bc.left_fixed:
         raise EndpointNotFree("left endpoint is fixed; no natural condition applies")
-    _, w, _, fv = _first_partials(spec.lagrangian, tr)
-    return float(sum(w[i] * fv[i][0] for i in range(spec.lagrangian.n)))
+    return -float(_partials(spec.lagrangian, tr).g[0])
 
 
 def natural_bc_right(spec: ProblemSpec, tr: Trajectory) -> float:
-    """Transversality residual sum_i H'_i (f_iv(rho(b)) + mu(rho(b)) f_iy(rho(b)))."""
+    """Transversality residual sum_i H'_i (f_iv(rho(b)) + mu(rho(b)) f_iy(rho(b))) = g_{N-1}."""
     if spec.bc.right_fixed:
         raise EndpointNotFree("right endpoint is fixed; no natural condition applies")
-    _, w, fy, fv = _first_partials(spec.lagrangian, tr)
-    j = len(spec.ts) - 2
-    mu = spec.ts.steps[j]
-    return float(
-        sum(w[i] * (fv[i][j] + mu * fy[i][j]) for i in range(spec.lagrangian.n))
-    )
-
-
-def _gradient_of(F: CompositeFunctional, spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
-    _, w, fy, fv = _first_partials(F, tr)
-    steps = tr.ts.steps
-    n_pts = len(spec.ts)
-    g_full = np.zeros(n_pts)
-    for i in range(F.n):
-        gi = np.zeros(n_pts)
-        gi[1:] += steps * fy[i] + fv[i]
-        gi[:-1] -= fv[i]
-        g_full += w[i] * gi
-    return g_full[decision_indices(spec)]
+    return float(_partials(spec.lagrangian, tr).g[-1])
 
 
 def functional_gradient(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
     """Exact partial derivatives of the objective value w.r.t. each decision sample."""
-    return _gradient_of(spec.lagrangian, spec, tr)
+    return _partials(spec.lagrangian, tr).g[decision_indices(spec)]
 
 
 def constraint_gradient(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
     """Exact gradient of the constraint functional w.r.t. the decision samples."""
     if spec.constraint is None:
         raise ValueError("problem has no isoperimetric constraint")
-    return _gradient_of(spec.constraint.functional, spec, tr)
+    return _partials(spec.constraint.functional, tr).g[decision_indices(spec)]
 
 
 def hessian_parts(
@@ -258,45 +264,24 @@ def hessian_parts(
     v = (x_{j+1} - x_j)/mu_j, while the outer map contributes curvature of
     rank at most n through the inner-integral gradients (the rows).
     """
-    us, w, fy, fv = _first_partials(F, tr)
-    fyy, fyv, fvv = _second_partials(F, tr)
-    outer_hess = F.outer_hessian(us)
+    record = _partials(F, tr)
+    fyy, fyv, fvv, outer_hess = record.second()
+    w = record.w
     steps = tr.ts.steps
-    n_pts = len(spec.ts)
-
-    diag = np.zeros(n_pts)
-    off = np.zeros(n_pts - 1)
-    for i in range(F.n):
-        fvv_over_mu = fvv[i] / steps
-        diag[:-1] += w[i] * fvv_over_mu
-        diag[1:] += w[i] * (steps * fyy[i] + 2.0 * fyv[i] + fvv_over_mu)
-        off += -w[i] * (fyv[i] + fvv_over_mu)
-
-    rows = np.zeros((F.n, n_pts))
-    for i in range(F.n):
-        rows[i, 1:] += steps * fy[i] + fv[i]
-        rows[i, :-1] -= fv[i]
+    curv_v = w @ (fvv / steps)
+    diag = np.zeros(len(spec.ts))
+    diag[:-1] = curv_v
+    diag[1:] += w @ (steps * fyy + 2.0 * fyv) + curv_v
+    off = -(w @ fyv) - curv_v
 
     idx = decision_indices(spec)
     lo, hi = int(idx[0]), int(idx[-1])
-    return (
-        diag[lo : hi + 1],
-        off[lo:hi] if idx.size > 1 else np.zeros(0),
-        rows[:, idx],
-        outer_hess,
-    )
+    return diag[lo : hi + 1], off[lo:hi], record.rows[:, idx], outer_hess
 
 
 def _hessian_of(F: CompositeFunctional, spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
     diag, off, rows, outer_hess = hessian_parts(F, spec, tr)
-    d = diag.size
-    hess = np.zeros((d, d))
-    np.fill_diagonal(hess, diag)
-    if d > 1:
-        hess[np.arange(d - 1), np.arange(1, d)] = off
-        hess[np.arange(1, d), np.arange(d - 1)] = off
-    hess += rows.T @ outer_hess @ rows
-    return hess
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) + rows.T @ outer_hess @ rows
 
 
 def functional_hessian(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
@@ -311,13 +296,10 @@ def constraint_hessian(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
 
 
 def _dr_quantity_of(F: CompositeFunctional, tr: Trajectory) -> np.ndarray:
-    _, w, fy, fv = _first_partials(F, tr)
-    steps = tr.ts.steps
-    out = np.zeros(len(tr.ts) - 1)
-    for i in range(F.n):
-        running = np.concatenate([[0.0], np.cumsum(steps * fy[i])])[:-1]
-        out += w[i] * (fv[i] - running)
-    return out
+    record = _partials(F, tr)
+    running = np.zeros_like(record.fy)
+    np.cumsum(tr.ts.steps[:-1] * record.fy[:, :-1], axis=1, out=running[:, 1:])
+    return record.w @ (record.fv - running)
 
 
 def dubois_reymond_quantity(

@@ -161,10 +161,12 @@ class Trajectory:
 
     ``x_sigma[i] = x[sigma(i)]`` and ``x_delta`` is the delta derivative on
     the kappa points.  All arrays are read-only, so trajectories can be
-    shared freely.
+    shared freely.  ``partials`` caches one evaluation record of the sampled
+    partials per functional (see :mod:`deltavar.euler_lagrange`); filling it
+    under a race only builds an equal record twice, so it is idempotent.
     """
 
-    __slots__ = ("ts", "x", "x_sigma", "x_delta")
+    __slots__ = ("ts", "x", "x_sigma", "x_delta", "partials")
 
     def __init__(self, ts: TimeScale, values):
         x = np.asarray(values, dtype=float).ravel().copy()
@@ -180,6 +182,7 @@ class Trajectory:
         self.x = x
         self.x_sigma = x_sigma
         self.x_delta = x_delta
+        self.partials = {}
 
     def __repr__(self) -> str:
         return f"Trajectory(n={len(self.ts)}, x[0]={self.x[0]:g}, x[-1]={self.x[-1]:g})"

@@ -24,6 +24,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 from .expr import DivisionByZero, DomainError
 from .euler_lagrange import (
     ProblemSpec,
+    _partials,
     constraint_gradient,
     decision_indices,
     dubois_reymond_quantity,
@@ -464,20 +465,22 @@ def _newton_direction(J, r: np.ndarray, border: Optional[np.ndarray] = None) -> 
 
 
 def _run_newton(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], object]]],
     w0: np.ndarray,
     opts: SolveOptions,
     pin_scale: bool = False,
 ) -> _NewtonResult:
     """Damped Newton from w0; with ``pin_scale`` every step keeps ||w||.
 
+    ``evaluate(w)`` returns the residual at w and a thunk that builds the
+    Jacobian there from the same trajectory, and so from the same
+    evaluation of the sampled partials; only accepted iterates call it.
     Scale-invariant gradient systems (r(c*w) = r(w)/c) have rays of roots
     along which an unpinned Newton step escapes instead of converging.
     """
     w = np.asarray(w0, dtype=float).copy()
     try:
-        r = residual_fn(w)
+        r, jacobian = evaluate(w)
     except _EVAL_ERRORS as exc:
         return _NewtonResult(w, np.full_like(w, np.inf), False, 0, failure=exc)
     if not np.all(np.isfinite(r)):
@@ -502,7 +505,7 @@ def _run_newton(
     for it in range(opts.max_iters):
         r_inf = float(np.max(np.abs(r)))
         try:
-            J = jacobian_fn(w)
+            J = jacobian()
         except _EVAL_ERRORS as exc:
             # Residual is known but the matrix is not evaluable here.
             return _NewtonResult(w, r, r_inf <= opts.tol_residual, it, failure=exc)
@@ -516,7 +519,7 @@ def _run_newton(
             # sit further apart than the dedup distance.  The polished point
             # must keep the acceptance bound on the largest residual entry.
             try:
-                r_next = residual_fn(w + d_newton)
+                r_next, _ = evaluate(w + d_newton)
             except _EVAL_ERRORS:
                 r_next = None
             if r_next is not None and np.all(np.isfinite(r_next)) and (
@@ -534,7 +537,7 @@ def _run_newton(
             alpha = 1.0
             for _ in range(MAX_BACKTRACKS):
                 try:
-                    r_trial = residual_fn(w + alpha * d)
+                    r_trial, jacobian_trial = evaluate(w + alpha * d)
                 except _EVAL_ERRORS as exc:
                     last_failure = exc
                     r_trial = None
@@ -548,7 +551,7 @@ def _run_newton(
                 step_norm = float(np.linalg.norm(alpha * d))
                 w = w + alpha * d
                 merit_new = float(r_trial @ r_trial)
-                r = r_trial
+                r, jacobian = r_trial, jacobian_trial
                 break
         if not accepted:
             stalled = True
@@ -573,7 +576,13 @@ def _run_newton(
 
 
 def _sort_key(traj_values: np.ndarray, residual: float):
+    """Order of candidates within a cluster: the best-converged one represents it."""
     return (residual, tuple(traj_values.tolist()))
+
+
+def _output_order(point: StationaryPoint):
+    """Normal before abnormal, then by value; never by residuals (rounding noise)."""
+    return (not point.normal, point.value)
 
 
 def _detect_scale_invariance(spec: ProblemSpec) -> bool:
@@ -687,21 +696,22 @@ def solve_unconstrained(
         raise ValueError("spec has a constraint; use solve_isoperimetric")
     opts = opts or SolveOptions()
 
-    def residual_fn(z):
-        return functional_gradient(spec, embed_decision(spec, z))
-
     dense = decision_indices(spec).size <= DENSE_NEWTON_LIMIT
 
-    def jacobian_fn(z):
-        hess = _hessian(spec, embed_decision(spec, z), 1.0, None)
+    def jacobian(tr):
+        hess = _hessian(spec, tr, 1.0, None)
         return hess.dense() if dense else hess
+
+    def evaluate(z):
+        tr = embed_decision(spec, z)
+        return functional_gradient(spec, tr), lambda: jacobian(tr)
 
     scale_invariant = _detect_scale_invariance(spec)
     converged: list[tuple[np.ndarray, float, None]] = []
     denominator_failures = 0
     for restart in range(opts.restarts):
         z0 = _initial_decision(spec, opts, restart)
-        out = _run_newton(residual_fn, jacobian_fn, z0, opts, pin_scale=scale_invariant)
+        out = _run_newton(evaluate, z0, opts, pin_scale=scale_invariant)
         if out.converged:
             converged.append((out.w, float(np.max(np.abs(out.residual))), None))
         elif isinstance(out.failure, DenominatorVanished):
@@ -717,9 +727,8 @@ def solve_unconstrained(
         )
 
     clusters = _dedup(converged, spec, opts, ray_normalize=scale_invariant)
-    return [
-        _finish_point(spec, tr, res, count) for tr, res, count, _ in clusters
-    ]
+    points = [_finish_point(spec, tr, res, count) for tr, res, count, _ in clusters]
+    return sorted(points, key=_output_order)
 
 
 def _fit_multiplier(gL: np.ndarray, gK: np.ndarray) -> float:
@@ -747,36 +756,32 @@ def solve_isoperimetric(
     if spec.constraint is None:
         raise ValueError("spec has no constraint; use solve_unconstrained")
     opts = opts or SolveOptions()
-    target = spec.constraint.target
+    K, target = spec.constraint.functional, spec.constraint.target
     d = decision_indices(spec).size
 
-    def residual_fn(wz):
+    def constraint_terms(tr):
+        """The constraint gradient and defect, from one record of its partials."""
+        return constraint_gradient(spec, tr), K.outer_value(_partials(K, tr).us) - target
+
+    def evaluate(wz):
         z, lam = wz[:-1], wz[-1]
         tr = embed_decision(spec, z)
         gL = functional_gradient(spec, tr)
-        gK = constraint_gradient(spec, tr)
-        defect = value(spec.constraint.functional, tr) - target
-        return np.concatenate([gL - lam * gK, [defect]])
+        gK, defect = constraint_terms(tr)
 
-    def jacobian_fn(wz):
-        z, lam = wz[:-1], wz[-1]
-        tr = embed_decision(spec, z)
-        gK = constraint_gradient(spec, tr)
-        J = np.zeros((d + 1, d + 1))
-        J[:d, :d] = _hessian(spec, tr, 1.0, lam).dense()
-        J[:d, d] = -gK
-        J[d, :d] = gK
-        return J
+        def jacobian():
+            J = np.zeros((d + 1, d + 1))
+            J[:d, :d] = _hessian(spec, tr, 1.0, lam).dense()
+            J[:d, d] = -gK
+            J[d, :d] = gK
+            return J
 
-    def abnormal_residual_fn(z):
-        tr = embed_decision(spec, z)
-        gK = constraint_gradient(spec, tr)
-        defect = value(spec.constraint.functional, tr) - target
-        return np.concatenate([gK, [defect]])
+        return np.concatenate([gL - lam * gK, [defect]]), jacobian
 
-    def abnormal_jacobian_fn(z):
+    def abnormal_evaluate(z):
         tr = embed_decision(spec, z)
-        return np.vstack([_hessian(spec, tr, 0.0, -1.0).dense(), constraint_gradient(spec, tr)])
+        gK, defect = constraint_terms(tr)
+        return np.append(gK, defect), lambda: np.vstack([_hessian(spec, tr, 0.0, -1.0).dense(), gK])
 
     normal: list[tuple[np.ndarray, float, float]] = []  # (z, residual, lam)
     abnormal_seeds: list[np.ndarray] = []
@@ -794,7 +799,7 @@ def solve_isoperimetric(
         except _EVAL_ERRORS:
             lam0_guess = 0.0
         w0 = np.concatenate([z0, [lam0_guess]])
-        out = _run_newton(residual_fn, jacobian_fn, w0, opts)
+        out = _run_newton(evaluate, w0, opts)
         if np.all(np.isfinite(out.residual)):
             best_defect = min(best_defect, abs(float(out.residual[-1])))
         if out.converged:
@@ -815,7 +820,7 @@ def solve_isoperimetric(
 
     abnormal: list[tuple[np.ndarray, float, None]] = []
     for z0 in abnormal_seeds:
-        out = _run_newton(abnormal_residual_fn, abnormal_jacobian_fn, z0, opts)
+        out = _run_newton(abnormal_evaluate, z0, opts)
         if out.converged:
             abnormal.append((out.w, float(np.max(np.abs(out.residual))), None))
 
@@ -840,7 +845,7 @@ def solve_isoperimetric(
     ]
     for tr, res, count, _ in _dedup(abnormal, spec, opts):
         points.append(_finish_point(spec, tr, res, count, lam0=0.0, lam=1.0))
-    return points
+    return sorted(points, key=_output_order)
 
 
 # -- classification -----------------------------------------------------------------

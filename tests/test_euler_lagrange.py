@@ -1,6 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from conftest import random_problem
+
+from deltavar import euler_lagrange
 
 from deltavar import (
     BothMultipliersZero,
@@ -24,6 +28,7 @@ from deltavar import (
     natural_bc_right,
     residual_report,
 )
+from deltavar.expr import evaluate
 from deltavar.oracle import fd_gradient
 
 THREE_PT = make_timescale("points", values=[0, 0.5, 1])
@@ -172,6 +177,25 @@ class TestFunctionalGradient:
 
 
 class TestGradientElIdentity:
+    def test_el_residual_matches_pointwise_formula(self):
+        # The pointwise formula sum_i H'_i (f_iv^Delta - f_iy), evaluated
+        # here on its own, is the reference for the residual that
+        # el_residual reads off the gradient.
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            spec, tr = random_problem(rng)
+            F = spec.lagrangian
+            b = {"t": spec.ts.points[:-1], "y": tr.x_sigma[:-1], "v": tr.x_delta}
+            w = F.outer_gradient(inner_values(F, tr))
+            steps = spec.ts.steps
+            expected = np.zeros(len(spec.ts) - 2)
+            for i in range(F.n):
+                fy = np.broadcast_to(evaluate(F.inner_y[i], b), steps.shape)
+                fv = np.broadcast_to(evaluate(F.inner_v[i], b), steps.shape)
+                expected += w[i] * ((fv[1:] - fv[:-1]) / steps[:-1] - fy[:-1])
+            scale = 1 + float(np.max(np.abs(expected), initial=0.0))
+            assert np.all(np.abs(el_residual(spec, tr) - expected) <= 1e-10 * scale)
+
     def test_interior_identity_and_endpoints(self):
         rng = np.random.default_rng(99)
         for _ in range(60):
@@ -311,3 +335,27 @@ class TestResidualReport:
         spec = ProblemSpec(ts=ts, lagrangian=F, bc=BoundarySpec(left=None, right=None))
         report = residual_report(spec, Trajectory(ts, ts.points))
         assert report.nat_left is not None and report.nat_right is not None
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    def test_one_evaluation_per_functional(self, monkeypatch, constrained):
+        # The residuals, both natural conditions and the constancy quantity
+        # all read one evaluation of each functional's sampled partials.
+        ts = make_timescale("uniform", a=0, b=1, h=0.25)
+        L = CompositeFunctional.from_strings(["v^2 + y^2", "t*v + 2"], "u1 / u2")
+        if constrained:
+            K = IsoConstraint(CompositeFunctional.from_strings(["t*v"], "u1"), 1.0)
+            spec = ProblemSpec(ts=ts, lagrangian=L, bc=BoundarySpec.fixed(0, 1), constraint=K)
+            expected = {L: 1, K.functional: 1}
+        else:
+            spec = ProblemSpec(ts=ts, lagrangian=L, bc=BoundarySpec(left=None, right=None))
+            expected = {L: 1}
+        calls = Counter()
+        real = euler_lagrange.inner_values
+
+        def counting(F, tr):
+            calls[F] += 1
+            return real(F, tr)
+
+        monkeypatch.setattr(euler_lagrange, "inner_values", counting)
+        residual_report(spec, Trajectory(ts, ts.points**2), lam0=1.0, lam=2.0)
+        assert calls == expected

@@ -1,0 +1,120 @@
+"""Pinned solver results for every bundled fixture on its own grid.
+
+``golden/fixtures.json`` holds, per fixture, the restarts and seed of one
+solve and what it returned: either the exception it ended in or its
+stationary points (value, F, lambda0, lambda, classification and basin
+count).  Points are matched by value, so the order of the returned list
+does not matter, and the tolerances admit the last-bit changes that a new
+linear solver or a reordered sum brings.
+
+After checking that a change of the pins is intended, regenerate them with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from deltavar import (
+    ConstraintInfeasible,
+    DenominatorVanished,
+    NoStationaryPointFound,
+    SolveOptions,
+    solve_isoperimetric,
+    solve_unconstrained,
+)
+from deltavar.cli import FIXTURE_DESCRIPTIONS, resolve_problem
+
+GOLDEN = Path(__file__).parent / "golden" / "fixtures.json"
+
+# Restarts per fixture: enough to reach every branch cheaply found at seed
+# 0; iso_R stays at 3, since its fourth and fifth restarts add seconds.
+RESTARTS = {
+    "iso_3pt": 8,
+    "iso_R": 3,
+    "product_3pt": 8,
+    "product_R": 4,
+    "quotient1": 8,
+    "quotient2_3pt": 8,
+    "quotient2_R": 8,
+    "sturm_liouville": 8,
+}
+SEED = 0
+
+# Values, inner integrals and multipliers agree to this relative (and, near
+# zero, absolute) tolerance; labels and basin counts must match exactly.
+RTOL = 1e-8
+ATOL = 1e-10
+
+
+def solve_fixture(name: str, restarts: int, seed: int) -> dict:
+    spec = resolve_problem(name).build()
+    solve = solve_isoperimetric if spec.constraint is not None else solve_unconstrained
+    try:
+        points = solve(spec, SolveOptions(restarts=restarts, seed=seed))
+    except (NoStationaryPointFound, ConstraintInfeasible, DenominatorVanished) as exc:
+        return {"outcome": type(exc).__name__}
+    return {
+        "outcome": "points",
+        "points": [
+            {
+                "value": p.value,
+                "F": [float(v) for v in p.inner],
+                "lam0": p.lam0,
+                "lam": p.lam,
+                "classification": p.classification,
+                "basin_count": p.basin_count,
+            }
+            for p in points
+        ],
+    }
+
+
+def _close(got, want) -> bool:
+    if want is None or got is None:
+        return got is want
+    return math.isclose(got, want, rel_tol=RTOL, abs_tol=ATOL)
+
+
+def _pins() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_pins_cover_every_fixture():
+    assert sorted(_pins()) == sorted(FIXTURE_DESCRIPTIONS) == sorted(RESTARTS)
+
+
+@pytest.mark.parametrize("name", sorted(RESTARTS))
+def test_fixture_matches_golden(name):
+    pin = _pins()[name]
+    got = solve_fixture(name, pin["restarts"], pin["seed"])
+    assert got["outcome"] == pin["outcome"]
+    if pin["outcome"] != "points":
+        return
+    assert len(got["points"]) == len(pin["points"])
+    unmatched = list(got["points"])
+    for want in pin["points"]:
+        near = [p for p in unmatched if _close(p["value"], want["value"])]
+        assert len(near) == 1, f"value {want['value']!r}: {len(near)} matching points"
+        p = near[0]
+        unmatched.remove(p)
+        assert len(p["F"]) == len(want["F"])
+        assert all(_close(a, b) for a, b in zip(p["F"], want["F"])), (p["F"], want["F"])
+        assert _close(p["lam0"], want["lam0"])
+        assert _close(p["lam"], want["lam"]), (p["lam"], want["lam"])
+        assert p["classification"] == want["classification"]
+        assert p["basin_count"] == want["basin_count"]
+
+
+if __name__ == "__main__":
+    pins = {
+        name: {"restarts": r, "seed": SEED, **solve_fixture(name, r, SEED)}
+        for name, r in sorted(RESTARTS.items())
+    }
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")

@@ -27,6 +27,7 @@ from deltavar import (
     solve_isoperimetric,
     solve_unconstrained,
 )
+from deltavar import euler_lagrange, solver
 from deltavar.cli import resolve_problem
 from deltavar.euler_lagrange import constraint_hessian, decision_indices, hessian_parts
 from deltavar.oracle import fd_hessian
@@ -35,6 +36,7 @@ from deltavar.solver import (
     _Hessian,
     _hessian,
     _negative_inertia,
+    _output_order,
 )
 
 THREE_PT = make_timescale("points", values=[0, 0.5, 1])
@@ -133,11 +135,58 @@ class TestUnconstrained:
         assert sum(p.basin_count for p in pts) == 4
         assert max(p.residual for p in pts) <= SolveOptions().tol_residual
 
+    def test_points_in_ascending_value(self):
+        # Both eigenpairs converge to residuals near 1e-13, which once
+        # decided the order (39.478 was listed before 9.8696).
+        spec = resolve_problem("sturm_liouville").build(h_override=1e-3)
+        pts = solve_unconstrained(spec, SolveOptions(restarts=5, seed=2))
+        assert [round(p.value, 3) for p in pts] == [9.870, 39.478]
+
+    def test_normal_points_before_abnormal(self):
+        ts = THREE_PT
+        tr = Trajectory(ts, ts.points)
+        pts = [StationaryPoint(tr, np.zeros(1), v, 0.0, lam0=lam0)
+               for v, lam0 in [(3.0, 0.0), (2.0, 1.0), (-1.0, 0.0), (5.0, 1.0)]]
+        ordered = sorted(pts, key=_output_order)
+        assert [(p.lam0, p.value) for p in ordered] == [
+            (1.0, 2.0), (1.0, 5.0), (0.0, -1.0), (0.0, 3.0)
+        ]
+
     def test_basin_counts_sum_to_convergent_restarts(self):
         opts = SolveOptions(restarts=24, tol_residual=1e-12)
         pts = solve_unconstrained(quotient2_spec(), opts)
         assert sum(p.basin_count for p in pts) <= opts.restarts
         assert all(p.basin_count >= 1 for p in pts)
+
+
+class TestSharedEvaluation:
+    @pytest.mark.parametrize("problem", ["quotient2_3pt", "quotient2_R", "iso_3pt"])
+    def test_hessians_reuse_the_residual_partials(self, monkeypatch, problem):
+        # Every Newton Jacobian (and classify) builds its Hessian on the
+        # trajectory whose residual was just evaluated, so hessian_parts
+        # evaluates no first partials of its own.
+        inner_calls = [0]
+        real_inner = euler_lagrange.inner_values
+
+        def counting_inner(F, tr):
+            inner_calls[0] += 1
+            return real_inner(F, tr)
+
+        added = []
+        real_parts = solver.hessian_parts
+
+        def watched_parts(F, spec, tr):
+            before = inner_calls[0]
+            out = real_parts(F, spec, tr)
+            added.append(inner_calls[0] - before)
+            return out
+
+        monkeypatch.setattr(euler_lagrange, "inner_values", counting_inner)
+        monkeypatch.setattr(solver, "hessian_parts", watched_parts)
+        spec = resolve_problem(problem).build()
+        solve = solve_isoperimetric if spec.constraint is not None else solve_unconstrained
+        solve(spec, SolveOptions(restarts=3, seed=0))
+        assert added and not any(added)
 
 
 class TestIsoperimetric:
