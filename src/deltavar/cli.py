@@ -276,14 +276,14 @@ def _load_solution_csv(path: Path, spec: ProblemSpec) -> Trajectory:
             rows.append((float(parts[0]), float(parts[1])))
         except ValueError:
             raise ProblemFileError(f"non-numeric row {line!r}", lineno) from None
+    t, v = np.array(rows, dtype=float).reshape(-1, 2).T
     x = np.full(len(spec.ts), np.nan)
-    for t, v in rows:
-        try:
-            x[spec.ts.index_of(t)] = v
-        except PointNotFound:
-            raise ProblemFileError(
-                f"solution sample t={t!r} does not match any scale point", 0
-            ) from None
+    try:
+        x[spec.ts.indices_of(t)] = v
+    except PointNotFound as exc:
+        raise ProblemFileError(
+            f"solution sample t={exc.value!r} does not match any scale point", 0
+        ) from None
     if np.any(np.isnan(x)):
         missing = int(np.count_nonzero(np.isnan(x)))
         raise ProblemFileError(

@@ -31,13 +31,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import expr
 from .functional import (
     BoundarySpec,
     CompositeFunctional,
     Trajectory,
     _integrand_bindings,
-    _sampled,
+    _samples,
     inner_values,
 )
 from .timescale import TimeScale
@@ -178,7 +177,7 @@ class _Partials:
         b = _integrand_bindings(tr)
         self.us = inner_values(F, tr)
         self.w = F.outer_gradient(self.us)
-        self.fy, self.fv = _samples(F.inner_y, b), _samples(F.inner_v, b)
+        self.fy, self.fv = _samples(F.inner_y + F.inner_v, b).reshape(2, F.n, -1)
         # Sample x_{j+1} enters interval j through y = x_{j+1} and
         # v = (x_{j+1} - x_j)/mu_j; sample x_j only through v.
         self.rows = np.zeros((F.n, len(tr.ts)))
@@ -190,16 +189,12 @@ class _Partials:
     def second(self):
         """(f_yy, f_yv, f_vv, outer Hessian), evaluated on first use."""
         if self._second is None:
-            *inner, _ = self._F.second_partials
-            self._second = tuple(_samples(exprs, self._bindings) for exprs in inner) + (
+            fyy, fyv, fvv, _ = self._F.second_partials
+            self._second = (
+                *_samples(fyy + fyv + fvv, self._bindings).reshape(3, self._F.n, -1),
                 self._F.outer_hessian(self.us),
             )
         return self._second
-
-
-def _samples(exprs, b: dict) -> np.ndarray:
-    """Each expression sampled over the integrand bindings, one row each."""
-    return np.array([_sampled(expr.evaluate(g, b), b["t"]) for g in exprs])
 
 
 def _partials(F: CompositeFunctional, tr: Trajectory) -> _Partials:

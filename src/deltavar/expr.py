@@ -15,15 +15,19 @@ literals; a negative exponent is rewritten as a division, so stored trees
 only ever carry non-negative integer powers.
 
 Trees are immutable and evaluation is pure; bindings may hold floats or
-numpy arrays, in which case evaluation broadcasts elementwise.
+numpy arrays, in which case evaluation broadcasts elementwise.  Each node
+compiles on first use into a closure over its children's closures, cached
+on the node; ``evaluate`` also takes a tuple of trees, one call per stage.
 Differentiation is exact on the whole grammar and applies constant folding
 plus the 0/1 identities, nothing more.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -104,6 +108,17 @@ class Expr:
 
     def __str__(self) -> str:
         return to_text(self)
+
+    @cached_property
+    def _closure(self) -> Callable:
+        # Not a dataclass field, so ==, hash, repr and pickling ignore it.  Descendants
+        # compile first, children before parents, so deep trees do not recurse.
+        for node in reversed(_nodes(self)[1:]):
+            node._closure
+        return _compile(self)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_closure"}
 
 
 @dataclass(frozen=True)
@@ -243,7 +258,10 @@ def pow_int(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if _is_const(base):
-        return Const(base.value**exponent)
+        try:
+            return Const(base.value**exponent)
+        except OverflowError:  # the IEEE result, as array evaluation gives
+            return Const(math.copysign(math.inf, base.value) if exponent % 2 else math.inf)
     return Pow(base, exponent)
 
 
@@ -402,62 +420,90 @@ class _Parser:
 
 def parse(text: str, vars: Iterable[str]) -> Expr:
     """Parse ``text`` over the declared variable set into a folded tree."""
-    return _Parser(text, check_varset(vars)).parse()
+    parser = _Parser(text, check_varset(vars))
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.peek()
+        raise ExprSyntaxError("nested too deeply", tok[2] if tok else len(text)) from None
 
 
 # -- evaluation ---------------------------------------------------------------
 
 
 def evaluate(
-    e: Expr,
+    e: Expr | tuple[Expr, ...],
     bindings: Mapping[str, float | np.ndarray],
     division_guard: Callable[[float, float], None] | None = None,
 ):
-    """Evaluate a tree under variable bindings (scalars or numpy arrays).
+    """Evaluate a tree, or a tuple of trees, under bindings (scalars or arrays).
 
+    A tuple is evaluated in order under one ``np.errstate`` block and gives a
+    tuple of values, so the first failing tree raises the error.
     ``division_guard(numerator, denominator)`` is invoked before every
     division so callers can reject near-vanishing denominators; exact zeros
     always raise :class:`DivisionByZero`.  log of a non-positive value and
     sqrt of a negative value raise :class:`DomainError` naming the node.
     """
-
-    def ev(node: Expr):
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Var):
-            try:
-                return bindings[node.name]
-            except KeyError:
-                raise UnknownVariable(node.name) from None
-        if isinstance(node, Neg):
-            return -ev(node.arg)
-        if isinstance(node, Add):
-            return ev(node.lhs) + ev(node.rhs)
-        if isinstance(node, Sub):
-            return ev(node.lhs) - ev(node.rhs)
-        if isinstance(node, Mul):
-            return ev(node.lhs) * ev(node.rhs)
-        if isinstance(node, Div):
-            num = ev(node.lhs)
-            den = ev(node.rhs)
-            if division_guard is not None:
-                division_guard(num, den)
-            if np.any(den == 0.0):
-                raise DivisionByZero(node)
-            return num / den
-        if isinstance(node, Pow):
-            return ev(node.base) ** node.exponent
-        if isinstance(node, Call):
-            val = ev(node.arg)
-            if node.func == "log" and np.any(val <= 0.0):
-                raise DomainError(node, "log of a non-positive value")
-            if node.func == "sqrt" and np.any(val < 0.0):
-                raise DomainError(node, "sqrt of a negative value")
-            return FUNCTIONS[node.func](val)
-        raise TypeError(f"not an expression node: {node!r}")
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return ev(e)
+        if isinstance(e, tuple):
+            return tuple(node._closure(bindings, division_guard) for node in e)
+        return e._closure(bindings, division_guard)
+
+
+def _compile(node: Expr) -> Callable:
+    """The closure ``(bindings, division_guard) -> value`` of one node."""
+    if isinstance(node, Const):
+        value = node.value
+        return lambda b, guard: value
+    if isinstance(node, Var):
+        name = node.name
+
+        def var(b, guard):
+            try:
+                return b[name]
+            except KeyError:
+                raise UnknownVariable(name) from None
+
+        return var
+    if isinstance(node, Neg):
+        arg = node.arg._closure
+        return lambda b, guard: -arg(b, guard)
+    if isinstance(node, Pow):
+        base, exponent = node.base._closure, node.exponent
+        return lambda b, guard: base(b, guard) ** exponent
+    if isinstance(node, Call):
+        arg, func, fn = node.arg._closure, node.func, FUNCTIONS[node.func]
+
+        def call_(b, guard):
+            val = arg(b, guard)
+            if func == "log" and np.any(val <= 0.0):
+                raise DomainError(node, "log of a non-positive value")
+            if func == "sqrt" and np.any(val < 0.0):
+                raise DomainError(node, "sqrt of a negative value")
+            return fn(val)
+
+        return call_
+    if type(node) in _BINARY:
+        op, lhs, rhs = _BINARY[type(node)], node.lhs._closure, node.rhs._closure
+        return lambda b, guard: op(lhs(b, guard), rhs(b, guard))
+    if not isinstance(node, Div):
+        raise TypeError(f"not an expression node: {node!r}")
+    lhs, rhs = node.lhs._closure, node.rhs._closure
+
+    def divide(b, guard):
+        num = lhs(b, guard)
+        den = rhs(b, guard)
+        if guard is not None:
+            guard(num, den)
+        if np.any(den == 0.0):
+            raise DivisionByZero(node)
+        return num / den
+
+    return divide
+
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
 # -- differentiation ----------------------------------------------------------
@@ -562,22 +608,16 @@ def to_text(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _nodes(e: Expr) -> list[Expr]:
+    """Every node of a tree, each before its children, without recursion."""
+    stack, out = [e], []
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += [getattr(node, a) for a in ("arg", "base", "lhs", "rhs") if hasattr(node, a)]
+    return out
+
+
 def expr_variables(e: Expr) -> frozenset[str]:
     """The set of variable names referenced by a tree."""
-    out: set[str] = set()
-
-    def walk(node: Expr):
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Neg):
-            walk(node.arg)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            walk(node.lhs)
-            walk(node.rhs)
-        elif isinstance(node, Pow):
-            walk(node.base)
-        elif isinstance(node, Call):
-            walk(node.arg)
-
-    walk(e)
-    return frozenset(out)
+    return frozenset(node.name for node in _nodes(e) if isinstance(node, Var))

@@ -108,48 +108,32 @@ class CompositeFunctional:
 
     @property
     def second_partials(self):
-        """(f_yy, f_yv, f_vv, outer Hessian exprs), derived on first use."""
+        """(f_yy, f_yv, f_vv, outer Hessian exprs row by row), derived on first use."""
         if self._second is None:
             inner_yy = tuple(differentiate(g, "y") for g in self.inner_y)
             inner_yv = tuple(differentiate(g, "v") for g in self.inner_y)
             inner_vv = tuple(differentiate(g, "v") for g in self.inner_v)
             outer_hess = tuple(
-                tuple(differentiate(g, u) for u in self.outer_vars)
-                for g in self.outer_grad_exprs
+                differentiate(g, u) for g in self.outer_grad_exprs for u in self.outer_vars
             )
             self._second = (inner_yy, inner_yv, inner_vv, outer_hess)
         return self._second
 
     # -- outer-map evaluation (guarded) -------------------------------------
 
-    def _outer_bindings(self, us) -> dict:
-        return {name: us[i] for i, name in enumerate(self.outer_vars)}
+    def _outer_values(self, exprs: tuple[Expr, ...], us) -> np.ndarray:
+        b = {name: us[i] for i, name in enumerate(self.outer_vars)}
+        values = evaluate(exprs, b, division_guard=_outer_division_guard)
+        return np.array([float(v) for v in values])
 
     def outer_value(self, us) -> float:
-        b = self._outer_bindings(us)
-        return float(evaluate(self.outer, b, division_guard=_outer_division_guard))
+        return float(self._outer_values((self.outer,), us)[0])
 
     def outer_gradient(self, us) -> np.ndarray:
-        b = self._outer_bindings(us)
-        return np.array(
-            [
-                float(evaluate(g, b, division_guard=_outer_division_guard))
-                for g in self.outer_grad_exprs
-            ]
-        )
+        return self._outer_values(self.outer_grad_exprs, us)
 
     def outer_hessian(self, us) -> np.ndarray:
-        b = self._outer_bindings(us)
-        hess_exprs = self.second_partials[3]
-        return np.array(
-            [
-                [
-                    float(evaluate(g, b, division_guard=_outer_division_guard))
-                    for g in row
-                ]
-                for row in hess_exprs
-            ]
-        )
+        return self._outer_values(self.second_partials[3], us).reshape(self.n, self.n)
 
     def __repr__(self) -> str:
         inner = ", ".join(str(f) for f in self.inner)
@@ -222,23 +206,19 @@ def _integrand_bindings(tr: Trajectory) -> dict:
     }
 
 
-def _sampled(expr_value, template: np.ndarray) -> np.ndarray:
-    # Constant integrands evaluate to scalars; broadcast them to the grid.
-    arr = np.asarray(expr_value, dtype=float)
-    if arr.shape != template.shape:
-        arr = np.broadcast_to(arr, template.shape)
-    return arr
+def _samples(exprs: tuple[Expr, ...], b: dict) -> np.ndarray:
+    """Each expression sampled over the integrand bindings, one row each."""
+    out = np.empty((len(exprs), b["t"].size))
+    # Row assignment broadcasts constant expressions, which give scalars.
+    for row, values in zip(out, evaluate(exprs, b)):
+        row[...] = values
+    return out
 
 
 def inner_values(functional: CompositeFunctional, tr: Trajectory) -> np.ndarray:
     """The vector of inner integrals F_i[x], summed left to right."""
-    b = _integrand_bindings(tr)
-    t = b["t"]
-    out = np.empty(functional.n)
-    for i, f in enumerate(functional.inner):
-        samples = _sampled(evaluate(f, b), t)
-        out[i] = delta_integral(tr.ts, samples)
-    return out
+    samples = _samples(functional.inner, _integrand_bindings(tr))
+    return np.array([delta_integral(tr.ts, row) for row in samples])
 
 
 def value(functional: CompositeFunctional, tr: Trajectory) -> float:

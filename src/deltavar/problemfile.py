@@ -29,6 +29,7 @@ carry 1-based line numbers.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -216,7 +217,7 @@ def _parse_timescale(section: _RawSection) -> TimeScale:
             return make_timescale("union", parts=parts)
     except ProblemFileError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # int() of an infinite value overflows
         raise ProblemFileError(str(exc), kind_line) from None
     raise ProblemFileError(f"unknown time scale kind {kind!r}", kind_line)
 
@@ -250,7 +251,7 @@ def _parse_scale_literal(text: str, line: int) -> TimeScale:
             )
     except KeyError as exc:
         raise ProblemFileError(f"union part misses parameter {exc}", line) from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ProblemFileError(str(exc), line) from None
     raise ProblemFileError(f"unknown union part kind {kind!r}", line)
 
@@ -265,7 +266,10 @@ def _parse_boundary(section: _RawSection) -> BoundarySpec:
             raise ProblemFileError(
                 f"{key} must be 'free' or 'fixed <value>', got {raw!r}", line
             )
-        return _as_float(m.group(1), line, key)
+        value = _as_float(m.group(1), line, key)
+        if not math.isfinite(value):
+            raise ProblemFileError(f"{key} value must be finite, got {value!r}", line)
+        return value
 
     return BoundarySpec(left=one("left"), right=one("right"))
 

@@ -758,6 +758,14 @@ def solve_isoperimetric(
     opts = opts or SolveOptions()
     K, target = spec.constraint.functional, spec.constraint.target
     d = decision_indices(spec).size
+    # One-entry memo of (decision bytes, trajectory): the lambda guess, steps
+    # that move only lambda and the abnormal check meet the last z again.
+    last = [None, None]
+
+    def trajectory(z):
+        if z.tobytes() != last[0]:
+            last[:] = z.tobytes(), embed_decision(spec, z)
+        return last[1]
 
     def constraint_terms(tr):
         """The constraint gradient and defect, from one record of its partials."""
@@ -765,7 +773,7 @@ def solve_isoperimetric(
 
     def evaluate(wz):
         z, lam = wz[:-1], wz[-1]
-        tr = embed_decision(spec, z)
+        tr = trajectory(z)
         gL = functional_gradient(spec, tr)
         gK, defect = constraint_terms(tr)
 
@@ -779,7 +787,7 @@ def solve_isoperimetric(
         return np.concatenate([gL - lam * gK, [defect]]), jacobian
 
     def abnormal_evaluate(z):
-        tr = embed_decision(spec, z)
+        tr = trajectory(z)
         gK, defect = constraint_terms(tr)
         return np.append(gK, defect), lambda: np.vstack([_hessian(spec, tr, 0.0, -1.0).dense(), gK])
 
@@ -792,7 +800,7 @@ def solve_isoperimetric(
         z0 = _initial_decision(spec, opts, restart)
         inits.append(z0)
         try:
-            tr0 = embed_decision(spec, z0)
+            tr0 = trajectory(z0)
             lam0_guess = _fit_multiplier(
                 functional_gradient(spec, tr0), constraint_gradient(spec, tr0)
             )
@@ -805,7 +813,7 @@ def solve_isoperimetric(
         if out.converged:
             normal.append((out.w[:-1], float(np.max(np.abs(out.residual))), float(out.w[-1])))
             try:
-                gK = constraint_gradient(spec, embed_decision(spec, out.w[:-1]))
+                gK = constraint_gradient(spec, trajectory(out.w[:-1]))
                 if float(np.max(np.abs(gK))) < opts.tol_abnormal:
                     abnormal_seeds.append(out.w[:-1])
             except _EVAL_ERRORS:

@@ -52,6 +52,10 @@ class QNotGreaterThanOne(ValueError):
 class PointNotFound(ValueError):
     """Real-valued lookup did not match any scale point."""
 
+    def __init__(self, value: float, scale: "TimeScale"):
+        super().__init__(f"t={value!r} is not a point of {scale!r}")
+        self.value = value
+
 
 @dataclass(frozen=True)
 class RegularityReport:
@@ -164,12 +168,21 @@ class TimeScale:
 
     def index_of(self, t: float) -> int:
         """Locate a real value among the points, up to a span-relative tolerance."""
+        return int(self.indices_of([t])[0])
+
+    def indices_of(self, values) -> np.ndarray:
+        """Vectorised :meth:`index_of`: each value takes the first point within
+        tolerance of the points before, at and after its sorted position."""
+        t = np.asarray(values, dtype=float).ravel()
         tol = LOOKUP_REL_TOL * max(self.span, 1.0)
-        j = int(np.searchsorted(self.points, t))
-        for cand in (j - 1, j, j + 1):
-            if 0 <= cand < len(self) and abs(self.points[cand] - t) <= tol:
-                return cand
-        raise PointNotFound(f"t={t!r} is not a point of {self!r}")
+        j = np.searchsorted(self.points, t)
+        out = np.full(t.shape, -1)
+        for cand in (j + 1, j, j - 1):  # the last match written wins
+            c = np.clip(cand, 0, len(self) - 1)
+            out = np.where((c == cand) & (np.abs(self.points[c] - t) <= tol), c, out)
+        if np.any(out < 0):
+            raise PointNotFound(float(t[np.argmax(out < 0)]), self)
+        return out
 
 
 def _canonical_points(values: Iterable[float]) -> np.ndarray:

@@ -172,6 +172,7 @@ class TestVerifyCommand:
         sol.write_text("t,x\n0,0\n0.25,1\n2,4\n")
         code, _, err = run(capsys, "verify", "quotient1", "--solution", str(sol))
         assert code == 2
+        assert "t=0.25 does not match any scale point" in err
 
     def test_csv_round_trip(self, capsys, tmp_path):
         csv = tmp_path / "round.csv"

@@ -359,3 +359,31 @@ class TestResidualReport:
         monkeypatch.setattr(euler_lagrange, "inner_values", counting)
         residual_report(spec, Trajectory(ts, ts.points**2), lam0=1.0, lam=2.0)
         assert calls == expected
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_record_evaluates_in_five_stages(self, monkeypatch, n):
+        # Inner values, outer gradient, first partials, second partials and
+        # outer Hessian: one evaluate call each, whatever the number of
+        # inner integrands.
+        from deltavar import expr, functional
+
+        ts = make_timescale("uniform", a=0, b=1, h=0.25)
+        inner = [f"v^2 + {i + 1}*t*y^2" for i in range(n)]
+        outer = " + ".join(f"u{i + 1}^2" for i in range(n)) + " + u1*u" + str(n)
+        F = CompositeFunctional.from_strings(inner, outer)
+        calls = [0]
+        real = expr.evaluate
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(expr, "evaluate", counting)
+        monkeypatch.setattr(functional, "evaluate", counting)
+        record = euler_lagrange._Partials(F, Trajectory(ts, 1.0 + ts.points**2))
+        fyy, fyv, fvv, outer_hess = record.second()
+        assert calls[0] <= 5
+        assert fyy.shape == fyv.shape == fvv.shape == record.fy.shape == (n, len(ts) - 1)
+        assert outer_hess.shape == (n, n)

@@ -1,10 +1,13 @@
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deltavar import (
     DivisionByZero,
     DomainError,
+    ExprError,
     ExprSyntaxError,
     NonIntegerExponent,
     UnknownFunction,
@@ -14,7 +17,25 @@ from deltavar import (
     parse,
     to_text,
 )
-from deltavar.expr import Add, Const, Div, Mul, Pow, Sub, Var
+from deltavar.expr import (
+    FUNCTIONS,
+    Add,
+    Call,
+    Const,
+    Div,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    add,
+    call,
+    div,
+    mul,
+    neg,
+    pow_int,
+    sub,
+)
 
 
 class TestParse:
@@ -246,3 +267,168 @@ class TestDerivativeLinearity:
                 differentiate(g, "v"), point
             )
             assert evaluate(d_combo, point) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+
+def _reference_evaluate(e, bindings, division_guard=None):
+    """The recursive tree walk that per-node closures replaced."""
+
+    def ev(node):
+        if isinstance(node, Const):
+            return node.value
+        if isinstance(node, Var):
+            try:
+                return bindings[node.name]
+            except KeyError:
+                raise UnknownVariable(node.name) from None
+        if isinstance(node, Neg):
+            return -ev(node.arg)
+        if isinstance(node, Add):
+            return ev(node.lhs) + ev(node.rhs)
+        if isinstance(node, Sub):
+            return ev(node.lhs) - ev(node.rhs)
+        if isinstance(node, Mul):
+            return ev(node.lhs) * ev(node.rhs)
+        if isinstance(node, Div):
+            num = ev(node.lhs)
+            den = ev(node.rhs)
+            if division_guard is not None:
+                division_guard(num, den)
+            if np.any(den == 0.0):
+                raise DivisionByZero(node)
+            return num / den
+        if isinstance(node, Pow):
+            return ev(node.base) ** node.exponent
+        if isinstance(node, Call):
+            val = ev(node.arg)
+            if node.func == "log" and np.any(val <= 0.0):
+                raise DomainError(node, "log of a non-positive value")
+            if node.func == "sqrt" and np.any(val < 0.0):
+                raise DomainError(node, "sqrt of a negative value")
+            return FUNCTIONS[node.func](val)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return ev(e)
+
+
+class _GuardTripped(Exception):
+    pass
+
+
+def _small_denominator_guard(num, den):
+    if np.any(np.abs(den) < 0.25):
+        raise _GuardTripped(num, den)
+
+
+def _fold(e):
+    """Rebuild a raw tree with the parser's folding constructors."""
+    if isinstance(e, Neg):
+        return neg(_fold(e.arg))
+    if isinstance(e, Call):
+        return call(e.func, _fold(e.arg))
+    if isinstance(e, Pow):
+        return pow_int(_fold(e.base), e.exponent)
+    folders = {Add: add, Sub: sub, Mul: mul, Div: div}
+    if type(e) in folders:
+        return folders[type(e)](_fold(e.lhs), _fold(e.rhs))
+    return e
+
+
+def _combine_with_calls(children):
+    return st.one_of(
+        _combine(children),
+        children.map(Neg),
+        st.tuples(st.sampled_from(sorted(FUNCTIONS)), children).map(lambda fa: Call(*fa)),
+    )
+
+
+_folded_exprs = st.recursive(
+    st.one_of(_leaf, st.just(Const(0.0)), st.sampled_from(["t", "y", "v"]).map(Var)),
+    _combine_with_calls,
+    max_leaves=10,
+).map(_fold)
+
+_binding_value = st.sampled_from([0.0, -1.5, 0.5, 2.0]) | st.floats(-3.0, 3.0)
+_bindings = st.fixed_dictionaries(
+    {
+        name: _binding_value
+        | st.lists(_binding_value, min_size=5, max_size=5).map(np.array)
+        for name in ("t", "y", "v")
+    }
+)
+
+
+class TestBatchedEvaluate:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        trees=st.lists(_folded_exprs, min_size=1, max_size=4),
+        bindings=_bindings,
+        guarded=st.booleans(),
+    )
+    # Both sides of the division fail: the numerator, walked first, raises.
+    @example(
+        trees=[parse("log(y)/(1/v)", ("t", "y", "v")), parse("sqrt(y)", ("t", "y", "v"))],
+        bindings={"t": 1.0, "y": -1.0, "v": 0.0},
+        guarded=False,
+    )
+    def test_tuple_matches_tree_walk(self, trees, bindings, guarded):
+        guard = _small_denominator_guard if guarded else None
+        expected, error = [], None
+        for tree in trees:
+            try:
+                expected.append(_reference_evaluate(tree, bindings, guard))
+            except (ArithmeticError, ExprError, _GuardTripped) as exc:
+                error = exc
+                break
+        if error is not None:
+            # The batch stops at the first failing tree, with its error.
+            with pytest.raises(type(error)) as got:
+                evaluate(tuple(trees), bindings, guard)
+            assert getattr(got.value, "node", None) is getattr(error, "node", None)
+            return
+        values = evaluate(tuple(trees), bindings, guard)
+        assert isinstance(values, tuple) and len(values) == len(trees)
+        for tree, value, want in zip(trees, values, expected):
+            assert np.array_equal(value, want, equal_nan=True)
+            assert np.array_equal(evaluate(tree, bindings, guard), want, equal_nan=True)
+
+    def test_long_sum_evaluates(self):
+        # Descendants compile before their parents, so compiling a tree
+        # recurses no deeper than evaluating it.
+        e = parse(" + ".join(["t*y"] * 800), ("t", "y", "v"))
+        assert evaluate(e, {"t": 1.0, "y": 2.0, "v": 0.0}) == 1600.0
+
+    def test_closure_is_not_a_field(self):
+        e = parse("log(t) + y/v", ("t", "y", "v"))
+        before = (repr(e), hash(e))
+        evaluate(e, {"t": 1.0, "y": 2.0, "v": 4.0})
+        assert (repr(e), hash(e)) == before
+        assert e == parse("log(t) + y/v", ("t", "y", "v"))
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and evaluate(copy, {"t": 1.0, "y": 2.0, "v": 4.0}) == 0.5
+
+
+_TOKENS = st.sampled_from([
+    "t", "y", "v", "z", "sin", "log", "tan", "(", ")", "+", "-", "*", "/", "^", "^-",
+    "2", "0", "1.5", "1e999", "9999999999", ".", "e", " ", ",",
+])
+
+
+class TestParserFuzz:
+    @settings(max_examples=1000, deadline=None)
+    @given(text=st.text(max_size=40) | st.lists(_TOKENS, max_size=30).map("".join))
+    @example(text="9999999999^9999999999")  # a folded constant power that overflows
+    @example(text="(-2)^99999")
+    @example(text="(" * 400 + "t" + ")" * 400)
+    @example(text="-" * 2000 + "t")
+    def test_random_text_raises_only_expr_errors(self, text):
+        try:
+            parse(text, ("t", "y", "v"))
+        except ExprError as exc:
+            assert isinstance(exc.position, int) and exc.position >= 0
+
+    def test_overflowing_constant_power_folds_to_infinity(self):
+        assert parse("10^400", ("t",)) == Const(np.inf)
+        assert parse("(-10)^401", ("t",)) == Const(-np.inf)
+        assert parse("(-10)^400", ("t",)) == Const(np.inf)
+

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from deltavar import ProblemFileError, parse_problem_text
 
@@ -118,3 +119,78 @@ class TestDiagnostics:
 
     def test_key_outside_section(self):
         self.expect_error("kind = points\n" + GOOD, "outside")
+
+
+def _mostly(valid, *bad):
+    """A key's value: valid three times in four, otherwise one of ``bad``."""
+    return st.sampled_from([valid] * (3 * len(bad)) + list(bad))
+
+
+# Each key takes a valid value or a non-finite number, junk or a broken
+# expression.  Numbers stay small, so no fuzzed scale is large.
+_BAD_NUMBERS = ("nan", "inf", "-inf", "1e999", "-1", "x", "")
+_BAD_EXPRS = ('"u3"', '"(y"', '"2^9999"', '"z"', "v^2", '""')
+_SLOTS = {
+    "timescale": {
+        "kind": st.sampled_from(["points", "interval", "uniform", "qscale", "union", "other"]),
+        "a": _mostly("0", *_BAD_NUMBERS),
+        "b": _mostly("1", *_BAD_NUMBERS),
+        "h": _mostly("0.5", "0", *_BAD_NUMBERS),
+        "q": _mostly("2", "1", *_BAD_NUMBERS),
+        "kmin": _mostly("0", *_BAD_NUMBERS),
+        "kmax": _mostly("3", *_BAD_NUMBERS),
+        "values": _mostly("0, 0.5, 1", "0 1", "0, nan, 1, 2", "0, inf, 1", "a b c"),
+        "parts": _mostly(
+            "points 0 0.5 1 | interval a=2 b=3 h=0.5", "qscale q=2 kmax=inf",
+            "qscale q=2 kmax=3 kmin=nan", "interval a=0 b=inf h=0.5", "points 0 1",
+            "interval a=0 b=1", "other", "|",
+        ),
+    },
+    "functional": {
+        "H": _mostly('"u1 / u2"', '"u1"', *_BAD_EXPRS),
+        "f1": _mostly('"v^2"', *_BAD_EXPRS),
+        "f2": _mostly('"t*v + y"', "", *_BAD_EXPRS),
+    },
+    "boundary": {
+        "left": _mostly("fixed 0", "free", "fixed nan", "fixed inf", "fixed", "pinned 0"),
+        "right": _mostly("fixed 1", "free", "fixed -1e999"),
+    },
+    "constraint": {
+        "P": _mostly('"u1"', *_BAD_EXPRS),
+        "g1": _mostly('"t*v"', '"1/0"', *_BAD_EXPRS),
+        "k": _mostly("1", *_BAD_NUMBERS),
+    },
+}
+
+
+@st.composite
+def _problem_texts(draw):
+    """A problem file with every section and key, then a few lines edited."""
+    names = list(_SLOTS)[:3] + draw(st.sampled_from([[], [], ["constraint"], ["other"]]))
+    lines = []
+    for name in names:
+        lines.append(f"[{name}]")
+        lines += [f"{key} = {draw(value)}" for key, value in _SLOTS.get(name, {}).items()]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "replace"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = draw(st.text(max_size=12))
+    return "\n".join(lines)
+
+
+class TestFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(text=_problem_texts() | st.text(max_size=60))
+    @example(text='[timescale]\nkind = qscale\nq = 2\nkmax = inf\n'
+             '[functional]\nH = "u1"\nf1 = "v^2"\n[boundary]\nleft = fixed 0\nright = fixed 1')
+    def test_random_text_raises_only_problem_file_errors(self, text):
+        try:
+            parse_problem_text(text)
+        except ProblemFileError as exc:
+            assert isinstance(exc.line, int) and exc.line >= 0
+

@@ -188,6 +188,26 @@ class TestSharedEvaluation:
         solve(spec, SolveOptions(restarts=3, seed=0))
         assert added and not any(added)
 
+    def test_isoperimetric_start_evaluated_once(self, monkeypatch):
+        # The multiplier guess and Newton's first residual share one
+        # trajectory, so each functional is evaluated once at each start.
+        calls = []
+        real_inner = euler_lagrange.inner_values
+
+        def counting_inner(F, tr):
+            calls.append((F, tr.x.tobytes()))
+            return real_inner(F, tr)
+
+        monkeypatch.setattr(euler_lagrange, "inner_values", counting_inner)
+        spec = resolve_problem("iso_3pt").build()
+        opts = SolveOptions(restarts=4, seed=0)
+        solve_isoperimetric(spec, opts)
+        for restart in range(opts.restarts):
+            z0 = solver._initial_decision(spec, opts, restart)
+            x0 = euler_lagrange.embed_decision(spec, z0).x.tobytes()
+            for F in (spec.lagrangian, spec.constraint.functional):
+                assert calls.count((F, x0)) == 1
+
 
 class TestIsoperimetric:
     def test_three_point_constraint_pins_interior(self):

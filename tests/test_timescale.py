@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_timescale
 
 from deltavar import (
     FewerThanThreePoints,
@@ -10,6 +11,7 @@ from deltavar import (
     delta_integral,
     make_timescale,
 )
+from deltavar.timescale import LOOKUP_REL_TOL, TimeScale
 
 
 class TestMakeTimescale:
@@ -151,6 +153,35 @@ class TestLookup:
         ts = make_timescale("points", values=[0, 0.5, 1])
         with pytest.raises(PointNotFound):
             ts.index_of(0.25)
+
+    def test_indices_of_matches_scalar_lookup(self):
+        # Random scales, plus one whose first two points lie inside one
+        # lookup tolerance, so that the candidate order decides the match.
+        rng = np.random.default_rng(5)
+        scales = [TimeScale([0.0, 8e-13, 0.5])]
+        scales += [random_timescale(rng) for _ in range(40)]
+        for ts in scales:
+            tol = LOOKUP_REL_TOL * max(ts.span, 1.0)
+            picks = ts.points[rng.integers(0, len(ts), 30)]
+            t = picks + rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5], 30) * tol
+            t = np.append(t, [4e-13, np.nan])
+            expected = [_scalar_index_of(ts, v) for v in t]
+            found = np.array([i is not None for i in expected])
+            assert ts.indices_of(t[found]).tolist() == [i for i in expected if i is not None]
+            with pytest.raises(PointNotFound) as err:
+                ts.indices_of(t)
+            first_missing = t[np.argmin(found)]
+            assert err.value.value == first_missing or np.isnan(first_missing)
+
+
+def _scalar_index_of(ts, t):
+    """The scalar lookup loop that indices_of replaced; None when unmatched."""
+    tol = LOOKUP_REL_TOL * max(ts.span, 1.0)
+    j = int(np.searchsorted(ts.points, t))
+    for cand in (j - 1, j, j + 1):
+        if 0 <= cand < len(ts) and abs(ts.points[cand] - t) <= tol:
+            return cand
+    return None
 
 
 class TestDeltaDerivative:
