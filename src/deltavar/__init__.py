@@ -29,6 +29,7 @@ from .expr import (
     NonIntegerExponent,
     DivisionByZero,
     DomainError,
+    NestingTooDeep,
 )
 from .functional import (
     CompositeFunctional,
@@ -89,7 +90,7 @@ __all__ = [
     # expr
     "Expr", "parse", "evaluate", "differentiate", "to_text", "ExprError",
     "ExprSyntaxError", "UnknownVariable", "UnknownFunction",
-    "NonIntegerExponent", "DivisionByZero", "DomainError",
+    "NonIntegerExponent", "DivisionByZero", "DomainError", "NestingTooDeep",
     # functional
     "CompositeFunctional", "Trajectory", "BoundarySpec",
     "DenominatorVanished", "ScaleMismatch", "inner_values", "value",

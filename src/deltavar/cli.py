@@ -511,7 +511,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ExprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except DenominatorVanished as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SINGULAR
 
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

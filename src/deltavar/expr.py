@@ -56,6 +56,7 @@ __all__ = [
     "NonIntegerExponent",
     "DivisionByZero",
     "DomainError",
+    "NestingTooDeep",
 ]
 
 
@@ -98,6 +99,14 @@ class DivisionByZero(ExprError):
 class DomainError(ExprError):
     def __init__(self, node: "Expr", detail: str):
         super().__init__(f"domain error in {to_text(node)!r}: {detail}")
+        self.node = node
+
+
+class NestingTooDeep(ExprError):
+    """A tree too deep to differentiate or evaluate (one call per level)."""
+
+    def __init__(self, action: str, node: "Expr | None" = None):
+        super().__init__(f"expression nested too deeply to {action}")
         self.node = node
 
 
@@ -443,12 +452,16 @@ def evaluate(
     ``division_guard(numerator, denominator)`` is invoked before every
     division so callers can reject near-vanishing denominators; exact zeros
     always raise :class:`DivisionByZero`.  log of a non-positive value and
-    sqrt of a negative value raise :class:`DomainError` naming the node.
+    sqrt of a negative value raise :class:`DomainError` naming the node; a
+    tree too deep for one call per level raises :class:`NestingTooDeep`.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if isinstance(e, tuple):
-            return tuple(node._closure(bindings, division_guard) for node in e)
-        return e._closure(bindings, division_guard)
+        try:
+            if isinstance(e, tuple):
+                return tuple(node._closure(bindings, division_guard) for node in e)
+            return e._closure(bindings, division_guard)
+        except RecursionError:
+            raise NestingTooDeep("evaluate") from None
 
 
 def _compile(node: Expr) -> Callable:
@@ -510,7 +523,10 @@ _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
 def differentiate(e: Expr, var: str) -> Expr:
-    """Exact partial derivative with respect to ``var``, folded."""
+    """Exact partial derivative with respect to ``var``, folded.
+
+    Raises :class:`NestingTooDeep`, naming ``e``, when the tree is too deep.
+    """
 
     def d(node: Expr) -> Expr:
         if isinstance(node, Const):
@@ -557,7 +573,10 @@ def differentiate(e: Expr, var: str) -> Expr:
             return mul(outer, inner)
         raise TypeError(f"not an expression node: {node!r}")
 
-    return d(e)
+    try:
+        return d(e)
+    except RecursionError:
+        raise NestingTooDeep("differentiate", e) from None
 
 
 # -- printing -----------------------------------------------------------------

@@ -47,8 +47,8 @@ class ScaleMismatch(ValueError):
 def _outer_division_guard(num, den) -> None:
     if np.any(np.abs(den) < EPS_DENOMINATOR * (1.0 + np.abs(num))):
         raise DenominatorVanished(
-            f"outer-map denominator {den!r} vanishes (|den| < "
-            f"{EPS_DENOMINATOR:g}*(1+|num|) with num={num!r})"
+            f"outer-map denominator {den} vanishes (|den| < "
+            f"{EPS_DENOMINATOR:g}*(1+|num|) with num={num})"
         )
 
 

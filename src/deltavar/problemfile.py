@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .expr import ExprError, Expr, expr_variables, parse
+from .expr import ExprError, Expr, NestingTooDeep, expr_variables, parse
 from .functional import INNER_VARS, BoundarySpec, CompositeFunctional
 from .euler_lagrange import IsoConstraint, ProblemSpec
 from .timescale import TimeScale, make_timescale
@@ -115,6 +115,13 @@ def _as_float(text: str, line: int, key: str) -> float:
         raise ProblemFileError(f"{key} must be a number, got {text!r}", line) from None
 
 
+def _as_finite(text: str, line: int, key: str) -> float:
+    value = _as_float(text, line, key)
+    if not math.isfinite(value):
+        raise ProblemFileError(f"{key} value must be finite, got {value!r}", line)
+    return value
+
+
 def _as_quoted(text: str, line: int, key: str) -> str:
     m = re.fullmatch(r'"([^"]*)"', text)
     if not m:
@@ -180,7 +187,14 @@ def _parse_composite(
     inner_exprs = [
         _parse_expr(text, INNER_VARS, line, key) for text, line, key in inner
     ]
-    return CompositeFunctional(inner_exprs, outer)
+    try:
+        return CompositeFunctional(inner_exprs, outer)
+    except NestingTooDeep as exc:
+        line, key = next(
+            ((line, key) for e, (_, line, key) in zip(inner_exprs, inner) if e is exc.node),
+            (outer_line, outer_key),
+        )
+        raise ProblemFileError(f"in {key}: {exc}", line) from None
 
 
 def _parse_timescale(section: _RawSection) -> TimeScale:
@@ -266,10 +280,7 @@ def _parse_boundary(section: _RawSection) -> BoundarySpec:
             raise ProblemFileError(
                 f"{key} must be 'free' or 'fixed <value>', got {raw!r}", line
             )
-        value = _as_float(m.group(1), line, key)
-        if not math.isfinite(value):
-            raise ProblemFileError(f"{key} value must be finite, got {value!r}", line)
-        return value
+        return _as_finite(m.group(1), line, key)
 
     return BoundarySpec(left=one("left"), right=one("right"))
 
@@ -313,7 +324,7 @@ def parse_problem_text(text: str, name: str = "<problem>") -> ProblemFile:
         functional = _parse_composite(sec, "P", "g")
         k_raw, k_line = _take(sec, "k")
         constraint = IsoConstraint(
-            functional=functional, target=_as_float(k_raw, k_line, "k")
+            functional=functional, target=_as_finite(k_raw, k_line, "k")
         )
         if not (bc.left_fixed and bc.right_fixed):
             raise ProblemFileError(

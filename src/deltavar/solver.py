@@ -11,9 +11,10 @@ returned list is deduplicated in the weak trajectory norm.
 """
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -65,8 +66,9 @@ LOCAL_MAX = "local_max"
 SADDLE = "saddle"
 DEGENERATE = "degenerate"
 
-# Unconstrained Newton Jacobians of at most this many unknowns are formed
-# densely and factored by LAPACK; larger ones go through the block
+# Newton Jacobians of an objective's gradient (unconstrained problems, and K
+# on the abnormal branch) of at most this many unknowns are formed densely
+# and factored by LAPACK; larger ones go through the block
 # elimination of _Hessian.solve (banded LU of the tridiagonal block plus a
 # small capacitance system).  Below this size the fixed cost of building and
 # factoring a sparse matrix per step outweighs one small dense LU: sending
@@ -137,7 +139,6 @@ class StationaryPoint:
     residual: float
     lam0: float = 1.0
     lam: Optional[float] = None
-    constraint_inner: Optional[np.ndarray] = None
     constraint_value: Optional[float] = None
     classification: str = DEGENERATE
     basin_count: int = 1
@@ -427,7 +428,7 @@ def _hessian(spec: ProblemSpec, tr: Trajectory, lam0: float, lam: Optional[float
 
 
 def _newton_direction(J, r: np.ndarray, border: Optional[np.ndarray] = None) -> np.ndarray:
-    """The Newton step J s = -r; with a border b, the step also meets b . s = 0.
+    """The Newton step J s = -r for a square J; with a border b, also b . s = 0.
 
     The bordered system [[J, b], [b^T, 0]] [s; nu] = -[r; 0] pins the
     iterate norm when b is the iterate (a Newton step on the sphere); the
@@ -442,22 +443,21 @@ def _newton_direction(J, r: np.ndarray, border: Optional[np.ndarray] = None) -> 
     if border is not None:
         J = np.block([[J, border[:, None]], [border[None, :], np.zeros((1, 1))]])
         r = np.append(r, 0.0)
-    if J.shape[0] == J.shape[1]:
-        try:
-            with warnings.catch_warnings():
-                # Singular factorizations are expected here; the rcond gate
-                # decides whether the factors are used.
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu, piv = scipy.linalg.lu_factor(J, check_finite=False)
-            anorm = np.linalg.norm(J, 1)
-            rcond, info = lapack.dgecon(lu, anorm, norm="1")
-            if info == 0 and rcond > RCOND_LIMIT:
-                return scipy.linalg.lu_solve((lu, piv), -r, check_finite=False)[:n]
-        except (scipy.linalg.LinAlgError, ValueError):
-            pass
-    # Near-singular or rectangular: least-squares direction (QR with pivoting;
-    # rank-deficient systems get the minimum-norm solution of the truncated
-    # problem, which projects out near-null components).
+    try:
+        with warnings.catch_warnings():
+            # Singular factorizations are expected here; the rcond gate
+            # decides whether the factors are used.
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(J, check_finite=False)
+        anorm = np.linalg.norm(J, 1)
+        rcond, info = lapack.dgecon(lu, anorm, norm="1")
+        if info == 0 and rcond > RCOND_LIMIT:
+            return scipy.linalg.lu_solve((lu, piv), -r, check_finite=False)[:n]
+    except (scipy.linalg.LinAlgError, ValueError):
+        pass
+    # Near-singular: least-squares direction (QR with pivoting; rank-deficient
+    # systems get the minimum-norm solution of the truncated problem, which
+    # projects out near-null components).
     step, *_ = scipy.linalg.lstsq(
         J, -r, cond=1e-10, lapack_driver="gelsy", check_finite=False
     )
@@ -656,10 +656,8 @@ def _finish_point(
 ) -> StationaryPoint:
     F = inner_values(spec.lagrangian, tr)
     val = value(spec.lagrangian, tr)
-    g_inner = None
     g_val = None
     if spec.constraint is not None:
-        g_inner = inner_values(spec.constraint.functional, tr)
         g_val = value(spec.constraint.functional, tr)
     E = dubois_reymond_quantity(spec, tr, lam0, lam)
     spread = float(E.max() - E.min()) if E.size else 0.0
@@ -670,7 +668,6 @@ def _finish_point(
         residual=residual,
         lam0=lam0,
         lam=lam,
-        constraint_inner=g_inner,
         constraint_value=g_val,
         basin_count=basin,
         dr_spread=spread,
@@ -680,6 +677,38 @@ def _finish_point(
 
 
 # -- public solvers ---------------------------------------------------------------
+
+
+def _gradient_roots(
+    spec: ProblemSpec, starts: Iterable[np.ndarray], opts: SolveOptions
+) -> tuple[list[tuple[np.ndarray, float]], int, bool]:
+    """Newton roots of the gradient of spec's objective, one run per start.
+
+    Returns (roots, denominator_failures, scale_invariant): roots holds the
+    (decision vector, ||gradient||_inf) pair of every run that converged.
+    Jacobians of at most DENSE_NEWTON_LIMIT unknowns are dense; larger ones
+    stay the structured operator.  A scale-invariant objective pins ||w||.
+    """
+    dense = decision_indices(spec).size <= DENSE_NEWTON_LIMIT
+
+    def jacobian(tr):
+        hess = _hessian(spec, tr, 1.0, None)
+        return hess.dense() if dense else hess
+
+    def evaluate(z):
+        tr = embed_decision(spec, z)
+        return functional_gradient(spec, tr), lambda: jacobian(tr)
+
+    scale_invariant = _detect_scale_invariance(spec)
+    roots: list[tuple[np.ndarray, float]] = []
+    denominator_failures = 0
+    for z0 in starts:
+        out = _run_newton(evaluate, z0, opts, pin_scale=scale_invariant)
+        if out.converged:
+            roots.append((out.w, float(np.max(np.abs(out.residual)))))
+        elif isinstance(out.failure, DenominatorVanished):
+            denominator_failures += 1
+    return roots, denominator_failures, scale_invariant
 
 
 def solve_unconstrained(
@@ -696,28 +725,9 @@ def solve_unconstrained(
         raise ValueError("spec has a constraint; use solve_isoperimetric")
     opts = opts or SolveOptions()
 
-    dense = decision_indices(spec).size <= DENSE_NEWTON_LIMIT
-
-    def jacobian(tr):
-        hess = _hessian(spec, tr, 1.0, None)
-        return hess.dense() if dense else hess
-
-    def evaluate(z):
-        tr = embed_decision(spec, z)
-        return functional_gradient(spec, tr), lambda: jacobian(tr)
-
-    scale_invariant = _detect_scale_invariance(spec)
-    converged: list[tuple[np.ndarray, float, None]] = []
-    denominator_failures = 0
-    for restart in range(opts.restarts):
-        z0 = _initial_decision(spec, opts, restart)
-        out = _run_newton(evaluate, z0, opts, pin_scale=scale_invariant)
-        if out.converged:
-            converged.append((out.w, float(np.max(np.abs(out.residual))), None))
-        elif isinstance(out.failure, DenominatorVanished):
-            denominator_failures += 1
-
-    if not converged:
+    starts = (_initial_decision(spec, opts, restart) for restart in range(opts.restarts))
+    roots, denominator_failures, scale_invariant = _gradient_roots(spec, starts, opts)
+    if not roots:
         if denominator_failures == opts.restarts:
             raise DenominatorVanished(
                 f"every one of {opts.restarts} restarts hit a vanishing denominator"
@@ -726,6 +736,7 @@ def solve_unconstrained(
             f"no stationary trajectory found in {opts.restarts} restarts"
         )
 
+    converged = [(z, res, None) for z, res in roots]
     clusters = _dedup(converged, spec, opts, ray_normalize=scale_invariant)
     points = [_finish_point(spec, tr, res, count) for tr, res, count, _ in clusters]
     return sorted(points, key=_output_order)
@@ -750,8 +761,9 @@ def solve_isoperimetric(
 
     in (decision samples, lambda).  Whenever a candidate has a nearly
     vanishing constraint gradient the abnormal branch (lambda0 = 0) is also
-    attempted: an extremal of the constraint functional itself that meets
-    the constraint value.  Points are labeled through ``lam0``.
+    attempted: an extremal of the constraint functional itself, found by the
+    unconstrained solver's Newton system for K, that meets the constraint
+    value.  Points are labeled through ``lam0``.
     """
     if spec.constraint is None:
         raise ValueError("spec has no constraint; use solve_unconstrained")
@@ -767,15 +779,12 @@ def solve_isoperimetric(
             last[:] = z.tobytes(), embed_decision(spec, z)
         return last[1]
 
-    def constraint_terms(tr):
-        """The constraint gradient and defect, from one record of its partials."""
-        return constraint_gradient(spec, tr), K.outer_value(_partials(K, tr).us) - target
-
     def evaluate(wz):
         z, lam = wz[:-1], wz[-1]
         tr = trajectory(z)
         gL = functional_gradient(spec, tr)
-        gK, defect = constraint_terms(tr)
+        gK = constraint_gradient(spec, tr)
+        defect = K.outer_value(_partials(K, tr).us) - target  # the record gK just filled
 
         def jacobian():
             J = np.zeros((d + 1, d + 1))
@@ -785,11 +794,6 @@ def solve_isoperimetric(
             return J
 
         return np.concatenate([gL - lam * gK, [defect]]), jacobian
-
-    def abnormal_evaluate(z):
-        tr = trajectory(z)
-        gK, defect = constraint_terms(tr)
-        return np.append(gK, defect), lambda: np.vstack([_hessian(spec, tr, 0.0, -1.0).dense(), gK])
 
     normal: list[tuple[np.ndarray, float, float]] = []  # (z, residual, lam)
     abnormal_seeds: list[np.ndarray] = []
@@ -826,11 +830,18 @@ def solve_isoperimetric(
         # extremals exist, so retry the lambda0 = 0 branch from every start.
         abnormal_seeds.extend(inits)
 
+    # Abnormal extremals are the extremals of K itself that lie on K = k:
+    # the objective's Newton system for K, with the level checked at its roots.
     abnormal: list[tuple[np.ndarray, float, None]] = []
-    for z0 in abnormal_seeds:
-        out = _run_newton(abnormal_evaluate, z0, opts)
-        if out.converged:
-            abnormal.append((out.w, float(np.max(np.abs(out.residual))), None))
+    if abnormal_seeds:
+        kspec = dataclasses.replace(spec, lagrangian=K, constraint=None)
+        for z, res in _gradient_roots(kspec, abnormal_seeds, opts)[0]:
+            try:
+                defect = abs(value(K, embed_decision(spec, z)) - target)
+            except _EVAL_ERRORS:
+                continue
+            if defect <= opts.tol_residual:
+                abnormal.append((z, max(res, defect), None))
 
     if not normal and not abnormal:
         if denominator_failures == opts.restarts:
@@ -1004,8 +1015,7 @@ class RefineStudy:
     Stationary points in each row are sorted by functional value so that
     branch k of one row continues branch k of the next.  ``branch_orders``
     estimates the convergence order of branch values from successive
-    differences; ``distance_orders`` does the same for the distance to a
-    reference trajectory when one was supplied.
+    differences.
     """
 
     rows: tuple
@@ -1031,21 +1041,6 @@ class RefineStudy:
             h1, d1 = diffs[i]
             h2, d2 = diffs[i + 1]
             if d1 > 0 and d2 > 0 and h1 != h2:
-                orders.append(float(np.log(d1 / d2) / np.log(h1 / h2)))
-        return orders
-
-    def distance_orders(self, branch: int) -> list[float]:
-        pts = []
-        for row in self.rows:
-            if row.error is None and len(row.points) > branch:
-                dist = row.points[branch].reference_distance
-                if dist is not None and dist > 0:
-                    pts.append((row.h, dist))
-        orders = []
-        for i in range(len(pts) - 1):
-            h1, d1 = pts[i]
-            h2, d2 = pts[i + 1]
-            if h1 != h2:
                 orders.append(float(np.log(d1 / d2) / np.log(h1 / h2)))
         return orders
 

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import deltavar
 from deltavar.cli import main
 
 THREE_PT_TOL = ["--tol", "1e-12"]
@@ -174,6 +180,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "t=0.25 does not match any scale point" in err
 
+    def test_vanishing_denominator_exits_4(self, capsys, tmp_path):
+        # A flat trajectory makes the quotient's denominator integral zero.
+        sol = tmp_path / "flat.csv"
+        sol.write_text("0,1\n0.5,1\n1,1\n")
+        code, _, err = run(capsys, "verify", "quotient2_3pt", "--solution", str(sol))
+        assert code == 4
+        assert err.startswith("error: outer-map denominator 0.0 vanishes")
+        assert len(err.strip().splitlines()) == 1
+
     def test_csv_round_trip(self, capsys, tmp_path):
         csv = tmp_path / "round.csv"
         code, _, _ = run(
@@ -278,3 +293,17 @@ class TestRefineCommand:
     def test_bad_h_list(self, capsys):
         code, _, err = run(capsys, "refine", "quotient1", "--h-list", "a,b")
         assert code == 2
+
+
+class TestModuleEntry:
+    def test_python_m_runs_the_cli(self):
+        src = str(Path(deltavar.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "deltavar.cli", "solve", "iso_3pt", "--restarts", "2"],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "found 1 stationary point(s)" in proc.stdout
+        assert "lambda0: 1   lambda: 14" in proc.stdout

@@ -9,6 +9,7 @@ from deltavar import (
     DomainError,
     ExprError,
     ExprSyntaxError,
+    NestingTooDeep,
     NonIntegerExponent,
     UnknownFunction,
     UnknownVariable,
@@ -397,6 +398,15 @@ class TestBatchedEvaluate:
         # recurses no deeper than evaluating it.
         e = parse(" + ".join(["t*y"] * 800), ("t", "y", "v"))
         assert evaluate(e, {"t": 1.0, "y": 2.0, "v": 0.0}) == 1600.0
+
+    def test_sum_too_deep_raises_typed_error(self):
+        # Differentiation and evaluation make one call per tree level.
+        e = parse(" + ".join(["t*y"] * 1200), ("t", "y", "v"))
+        with pytest.raises(NestingTooDeep) as err:
+            differentiate(e, "y")
+        assert err.value.node is e
+        with pytest.raises(NestingTooDeep):
+            evaluate(e, {"t": 1.0, "y": 2.0, "v": 0.0})
 
     def test_closure_is_not_a_field(self):
         e = parse("log(t) + y/v", ("t", "y", "v"))

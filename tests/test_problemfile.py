@@ -97,6 +97,19 @@ class TestDiagnostics:
         err = self.expect_error(GOOD.replace('"t*v"', '"t*"'), "in f1")
         assert err.line == 9
 
+    @pytest.mark.parametrize("k", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_constraint_target(self, k):
+        err = self.expect_error(CONSTRAINED.replace("k = 1", f"k = {k}"), "finite")
+        assert err.line == CONSTRAINED.splitlines().index("k = 1") + 1
+
+    @pytest.mark.parametrize("key, old", [("f1", '"t*v"'), ("H", '"u1 / u2"')])
+    def test_sum_too_deep_to_differentiate_carries_line(self, key, old):
+        # One call per tree level: a 1,200-term sum exhausts the recursion.
+        term = "t*v" if key == "f1" else "u1 / u2"
+        long_sum = '"' + " + ".join([term] * 1200) + '"'
+        err = self.expect_error(GOOD.replace(old, long_sum), f"in {key}: expression nested")
+        assert err.line == GOOD.splitlines().index(f"{key} = {old}") + 1
+
     def test_u_index_mismatch(self):
         self.expect_error(GOOD.replace('"u1 / u2"', '"u1"'), "u1")
 
@@ -183,11 +196,20 @@ def _problem_texts(draw):
     return "\n".join(lines)
 
 
+def _long_sum_file(terms):
+    return ('[timescale]\nkind = points\nvalues = 0, 0.5, 1\n[functional]\nH = "u1"\n'
+            f'f1 = "{" + ".join(["t*y"] * terms)}"\n[boundary]\nleft = fixed 0\nright = fixed 1')
+
+
 class TestFuzz:
     @settings(max_examples=500, deadline=None)
     @given(text=_problem_texts() | st.text(max_size=60))
     @example(text='[timescale]\nkind = qscale\nq = 2\nkmax = inf\n'
              '[functional]\nH = "u1"\nf1 = "v^2"\n[boundary]\nleft = fixed 0\nright = fixed 1')
+    # Long sums: hypothesis raises the recursion limit by 2,000 frames, so
+    # 1,200 terms differentiate here and 4,000 run out of recursion.
+    @example(text=_long_sum_file(1200))
+    @example(text=_long_sum_file(4000))
     def test_random_text_raises_only_problem_file_errors(self, text):
         try:
             parse_problem_text(text)

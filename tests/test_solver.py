@@ -52,6 +52,14 @@ def product_spec(ts=THREE_PT):
     return ProblemSpec(ts=ts, lagrangian=F, bc=BoundarySpec.fixed(0, 1))
 
 
+def abnormal_spec(ts=THREE_PT):
+    # K = sum of v^2 with x = 0 and 1 at the ends has one extremal, x = t,
+    # where K = 1 and grad K = 0: the only extremal is abnormal.
+    L = CompositeFunctional.from_strings(["t*v^2 + y"], "u1")
+    K = IsoConstraint(CompositeFunctional.from_strings(["v^2"], "u1"), 1.0)
+    return ProblemSpec(ts=ts, lagrangian=L, bc=BoundarySpec.fixed(0, 1), constraint=K)
+
+
 def iso_spec(ts=THREE_PT):
     L = CompositeFunctional.from_strings(["v^2", "t*v"], "u1 / u2")
     K = IsoConstraint(CompositeFunctional.from_strings(["t*v"], "u1"), 1.0)
@@ -251,6 +259,42 @@ class TestIsoperimetric:
     def test_rejects_unconstrained_spec(self):
         with pytest.raises(ValueError):
             solve_isoperimetric(product_spec())
+
+    @pytest.mark.parametrize("h", [None, 1e-2])
+    def test_abnormal_extremal(self, h):
+        ts = THREE_PT if h is None else make_timescale("interval", a=0, b=1, h=h)
+        pts = solve_isoperimetric(abnormal_spec(ts), SolveOptions(restarts=4))
+        assert len(pts) == 1
+        p = pts[0]
+        assert (p.lam0, p.lam) == (0.0, 1.0)
+        assert p.value == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(p.trajectory.x, ts.points, atol=1e-10)
+        assert p.classification == "local_max"
+
+    @pytest.mark.parametrize("h", [None, 1e-2, 4e-3])
+    def test_every_newton_system_is_square(self, monkeypatch, h):
+        # Abnormal Newton runs on K's own gradient system, dense up to
+        # DENSE_NEWTON_LIMIT unknowns (h = 1e-2: d = 99) and structured
+        # above it (h = 4e-3: d = 249); the normal branch's is (d+1)^2.
+        ts = THREE_PT if h is None else make_timescale("interval", a=0, b=1, h=h)
+        spec = abnormal_spec(ts)
+        d = decision_indices(spec).size
+        systems = []
+        real = solver._newton_direction
+
+        def watched(J, r, border=None):
+            systems.append(J if isinstance(J, _Hessian) else J.shape)
+            return real(J, r, border)
+
+        monkeypatch.setattr(solver, "_newton_direction", watched)
+        solve_isoperimetric(spec, SolveOptions(restarts=2))
+        hessians = [J for J in systems if isinstance(J, _Hessian)]
+        shapes = [J for J in systems if not isinstance(J, _Hessian)]
+        assert all(rows == cols for rows, cols in shapes)
+        if d > solver.DENSE_NEWTON_LIMIT:
+            assert hessians and set(shapes) == {(d + 1, d + 1)}
+        else:
+            assert (d, d) in shapes
 
 
 class TestClassify:
