@@ -464,6 +464,29 @@ def _newton_direction(J, r: np.ndarray, border: Optional[np.ndarray] = None) -> 
     return step[:n]
 
 
+class _LevelJacobian:
+    """[H; g^T], the Jacobian of the abnormal residual [g; K - k], g = grad K.
+
+    H is K's Hessian, dense or structured.  Since the level row's gradient
+    is g itself, the least-squares (Gauss-Newton) step takes two square
+    solves with H: q = H^-1 g and p = H^-1 q give
+    s = -q - p (K - k - g.q) / (1 + q.q).  A border pins both solves.
+    """
+
+    def __init__(self, H, g: np.ndarray):
+        self.H, self.g = H, g
+        H_finite = H.finite if isinstance(H, _Hessian) else bool(np.all(np.isfinite(H)))
+        self.finite = H_finite and bool(np.all(np.isfinite(g)))
+        self.T = LinearOperator(
+            (g.size, g.size + 1), matvec=lambda r: H @ r[:-1] + g * r[-1], dtype=float
+        )
+
+    def step(self, r: np.ndarray, border: Optional[np.ndarray] = None) -> np.ndarray:
+        q = _newton_direction(self.H, -self.g, border)
+        p = _newton_direction(self.H, -q, border)
+        return -q - p * ((r[-1] - self.g @ q) / (1.0 + q @ q))
+
+
 def _run_newton(
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], object]]],
     w0: np.ndarray,
@@ -509,11 +532,12 @@ def _run_newton(
         except _EVAL_ERRORS as exc:
             # Residual is known but the matrix is not evaluable here.
             return _NewtonResult(w, r, r_inf <= opts.tol_residual, it, failure=exc)
-        J_finite = J.finite if isinstance(J, _Hessian) else bool(np.all(np.isfinite(J)))
-        if not J_finite:
+        if not (J.finite if isinstance(J, (_Hessian, _LevelJacobian)) else np.all(np.isfinite(J))):
             return _NewtonResult(w, r, False, it)
 
-        d_newton = _newton_direction(J, r, w if pin_scale else None)
+        border = w if pin_scale else None
+        gauss_newton = isinstance(J, _LevelJacobian)
+        d_newton = J.step(r, border) if gauss_newton else _newton_direction(J, r, border)
         if r_inf <= opts.tol_residual and contracting(d_newton, w):
             # Polish with the contracting step: unpolished roots of one branch
             # sit further apart than the dedup distance.  The polished point
@@ -575,11 +599,6 @@ def _run_newton(
 # -- assembling and deduplicating stationary points ------------------------------
 
 
-def _sort_key(traj_values: np.ndarray, residual: float):
-    """Order of candidates within a cluster: the best-converged one represents it."""
-    return (residual, tuple(traj_values.tolist()))
-
-
 def _output_order(point: StationaryPoint):
     """Normal before abnormal, then by value; never by residuals (rounding noise)."""
     return (not point.normal, point.value)
@@ -632,7 +651,8 @@ def _dedup(
     keeps the payload (the isoperimetric multiplier) of its representative.
     With ``ray_normalize`` points are compared as rays, by both signs.
     """
-    raw_sorted = sorted(raw, key=lambda item: _sort_key(item[0], item[1]))
+    # The best-converged candidate of a cluster represents it.
+    raw_sorted = sorted(raw, key=lambda item: (item[1], tuple(item[0].tolist())))
     clusters: list[list] = []  # [representative, key, residual, count, payload]
     for z, res, payload in raw_sorted:
         tr = embed_decision(spec, z)
@@ -656,9 +676,7 @@ def _finish_point(
 ) -> StationaryPoint:
     F = inner_values(spec.lagrangian, tr)
     val = value(spec.lagrangian, tr)
-    g_val = None
-    if spec.constraint is not None:
-        g_val = value(spec.constraint.functional, tr)
+    g_val = None if spec.constraint is None else value(spec.constraint.functional, tr)
     E = dubois_reymond_quantity(spec, tr, lam0, lam)
     spread = float(E.max() - E.min()) if E.size else 0.0
     point = StationaryPoint(
@@ -680,16 +698,23 @@ def _finish_point(
 
 
 def _gradient_roots(
-    spec: ProblemSpec, starts: Iterable[np.ndarray], opts: SolveOptions
+    spec: ProblemSpec,
+    starts: Iterable[np.ndarray],
+    opts: SolveOptions,
+    level: Optional[float] = None,
 ) -> tuple[list[tuple[np.ndarray, float]], int, bool]:
     """Newton roots of the gradient of spec's objective, one run per start.
 
     Returns (roots, denominator_failures, scale_invariant): roots holds the
-    (decision vector, ||gradient||_inf) pair of every run that converged.
+    (decision vector, ||residual||_inf) pair of every run that converged.
     Jacobians of at most DENSE_NEWTON_LIMIT unknowns are dense; larger ones
     stay the structured operator.  A scale-invariant objective pins ||w||.
+    With a ``level`` the residual also holds the defect objective - level,
+    so runs are drawn onto that level set by Gauss-Newton steps
+    (_LevelJacobian) and every root lies on it.
     """
     dense = decision_indices(spec).size <= DENSE_NEWTON_LIMIT
+    F = spec.lagrangian
 
     def jacobian(tr):
         hess = _hessian(spec, tr, 1.0, None)
@@ -697,7 +722,11 @@ def _gradient_roots(
 
     def evaluate(z):
         tr = embed_decision(spec, z)
-        return functional_gradient(spec, tr), lambda: jacobian(tr)
+        g = functional_gradient(spec, tr)
+        if level is None:
+            return g, lambda: jacobian(tr)
+        defect = F.outer_value(_partials(F, tr).us) - level  # the record g just filled
+        return np.append(g, defect), lambda: _LevelJacobian(jacobian(tr), g)
 
     scale_invariant = _detect_scale_invariance(spec)
     roots: list[tuple[np.ndarray, float]] = []
@@ -816,12 +845,10 @@ def solve_isoperimetric(
             best_defect = min(best_defect, abs(float(out.residual[-1])))
         if out.converged:
             normal.append((out.w[:-1], float(np.max(np.abs(out.residual))), float(out.w[-1])))
-            try:
-                gK = constraint_gradient(spec, trajectory(out.w[:-1]))
-                if float(np.max(np.abs(gK))) < opts.tol_abnormal:
-                    abnormal_seeds.append(out.w[:-1])
-            except _EVAL_ERRORS:
-                pass
+            # Newton evaluated gK at this z already, so this cannot raise.
+            gK = constraint_gradient(spec, trajectory(out.w[:-1]))
+            if float(np.max(np.abs(gK))) < opts.tol_abnormal:
+                abnormal_seeds.append(out.w[:-1])
         elif isinstance(out.failure, DenominatorVanished):
             denominator_failures += 1
 
@@ -831,17 +858,12 @@ def solve_isoperimetric(
         abnormal_seeds.extend(inits)
 
     # Abnormal extremals are the extremals of K itself that lie on K = k:
-    # the objective's Newton system for K, with the level checked at its roots.
+    # the objective's Newton system for K, drawn onto that level set.
     abnormal: list[tuple[np.ndarray, float, None]] = []
     if abnormal_seeds:
         kspec = dataclasses.replace(spec, lagrangian=K, constraint=None)
-        for z, res in _gradient_roots(kspec, abnormal_seeds, opts)[0]:
-            try:
-                defect = abs(value(K, embed_decision(spec, z)) - target)
-            except _EVAL_ERRORS:
-                continue
-            if defect <= opts.tol_residual:
-                abnormal.append((z, max(res, defect), None))
+        roots = _gradient_roots(kspec, abnormal_seeds, opts, level=target)[0]
+        abnormal = [(z, res, None) for z, res in roots]
 
     if not normal and not abnormal:
         if denominator_failures == opts.restarts:
@@ -1024,25 +1046,15 @@ class RefineStudy:
         return max((len(r.points) for r in self.rows), default=0)
 
     def branch_values(self, branch: int) -> list[tuple[float, float]]:
-        out = []
-        for row in self.rows:
-            if row.error is None and len(row.points) > branch:
-                out.append((row.h, row.points[branch].value))
-        return out
+        return [(row.h, row.points[branch].value) for row in self.rows
+                if row.error is None and len(row.points) > branch]
 
     def branch_orders(self, branch: int) -> list[float]:
         vals = self.branch_values(branch)
-        diffs = [
-            (vals[i][0], abs(vals[i][1] - vals[i + 1][1]))
-            for i in range(len(vals) - 1)
-        ]
-        orders = []
-        for i in range(len(diffs) - 1):
-            h1, d1 = diffs[i]
-            h2, d2 = diffs[i + 1]
-            if d1 > 0 and d2 > 0 and h1 != h2:
-                orders.append(float(np.log(d1 / d2) / np.log(h1 / h2)))
-        return orders
+        diffs = [(h, abs(v - v_next)) for (h, v), (_, v_next) in zip(vals, vals[1:])]
+        return [float(np.log(d1 / d2) / np.log(h1 / h2))
+                for (h1, d1), (h2, d2) in zip(diffs, diffs[1:])
+                if d1 > 0 and d2 > 0 and h1 != h2]
 
     def format_table(self) -> str:
         lines = ["h          branch  value                 F values / note"]
@@ -1052,21 +1064,16 @@ class RefineStudy:
                 continue
             for b, pt in enumerate(row.points):
                 inner = ", ".join(f"{v:.10g}" for v in pt.inner)
-                dist = (
-                    f"  dist={pt.reference_distance:.3g}"
-                    if pt.reference_distance is not None
-                    else ""
-                )
+                dist = pt.reference_distance
+                dist = "" if dist is None else f"  dist={dist:.3g}"
                 lines.append(
                     f"{row.h:<10.4g} {b:<7d} {pt.value:<21.12g} F=[{inner}]{dist}"
                 )
         for b in range(self.branch_count()):
             orders = self.branch_orders(b)
             if orders:
-                lines.append(
-                    f"branch {b}: observed value order(s) "
-                    + ", ".join(f"{o:.2f}" for o in orders)
-                )
+                orders_text = ", ".join(f"{o:.2f}" for o in orders)
+                lines.append(f"branch {b}: observed value order(s) {orders_text}")
         return "\n".join(lines)
 
 
@@ -1085,27 +1092,22 @@ def refine_study(
     rows = []
     for h in h_list:
         spec = make_spec(float(h))
+        solve = solve_unconstrained if spec.constraint is None else solve_isoperimetric
         try:
-            if spec.constraint is not None:
-                pts = solve_isoperimetric(spec, opts)
-            else:
-                pts = solve_unconstrained(spec, opts)
+            pts = solve(spec, opts)
         except (NoStationaryPointFound, ConstraintInfeasible, DenominatorVanished) as exc:
             rows.append(RefineRow(h=float(h), points=(), error=str(exc)))
             continue
-        pts = sorted(pts, key=lambda p: p.value)
-        row_points = []
-        for p in pts:
-            dist = None
-            if reference is not None:
-                ref_vals = np.asarray(reference(spec.ts.points), dtype=float)
-                dist = float(np.max(np.abs(p.trajectory.x - ref_vals)))
-            row_points.append(
-                RefinePoint(
-                    value=p.value,
-                    inner=tuple(float(v) for v in p.inner),
-                    reference_distance=dist,
-                )
+        ref = None if reference is None else np.asarray(reference(spec.ts.points), dtype=float)
+        row_points = tuple(
+            RefinePoint(
+                value=p.value,
+                inner=tuple(float(v) for v in p.inner),
+                reference_distance=(
+                    None if ref is None else float(np.max(np.abs(p.trajectory.x - ref)))
+                ),
             )
-        rows.append(RefineRow(h=float(h), points=tuple(row_points)))
+            for p in sorted(pts, key=lambda p: p.value)
+        )
+        rows.append(RefineRow(h=float(h), points=row_points))
     return RefineStudy(rows=tuple(rows))

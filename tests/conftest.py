@@ -1,7 +1,10 @@
 """Shared helpers: random problem generation for the property suites."""
 from __future__ import annotations
 
+import sys
+
 import numpy as np
+import pytest
 
 from deltavar import (
     BoundarySpec,
@@ -106,3 +109,15 @@ def random_constraint(rng: np.random.Generator) -> IsoConstraint:
     inner = [random_polynomial(rng, ("t", "y", "v")) for _ in range(2)]
     outer = str(rng.choice(["u1", "u1 * u2", "u1 + u2^2"]))
     return IsoConstraint(CompositeFunctional.from_strings(inner, outer), 0.0)
+
+
+@pytest.fixture
+def recursion_limit():
+    """Python's default recursion limit of 1000 for one test, whatever a runner set.
+
+    Tests of expressions too deep to process build trees deeper than this.
+    """
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield 1000
+    sys.setrecursionlimit(old)

@@ -399,9 +399,9 @@ class TestBatchedEvaluate:
         e = parse(" + ".join(["t*y"] * 800), ("t", "y", "v"))
         assert evaluate(e, {"t": 1.0, "y": 2.0, "v": 0.0}) == 1600.0
 
-    def test_sum_too_deep_raises_typed_error(self):
+    def test_sum_too_deep_raises_typed_error(self, recursion_limit):
         # Differentiation and evaluation make one call per tree level.
-        e = parse(" + ".join(["t*y"] * 1200), ("t", "y", "v"))
+        e = parse(" + ".join(["t*y"] * (recursion_limit + 200)), ("t", "y", "v"))
         with pytest.raises(NestingTooDeep) as err:
             differentiate(e, "y")
         assert err.value.node is e

@@ -103,10 +103,10 @@ class TestDiagnostics:
         assert err.line == CONSTRAINED.splitlines().index("k = 1") + 1
 
     @pytest.mark.parametrize("key, old", [("f1", '"t*v"'), ("H", '"u1 / u2"')])
-    def test_sum_too_deep_to_differentiate_carries_line(self, key, old):
-        # One call per tree level: a 1,200-term sum exhausts the recursion.
+    def test_sum_too_deep_to_differentiate_carries_line(self, key, old, recursion_limit):
+        # One call per tree level: a sum deeper than the limit exhausts it.
         term = "t*v" if key == "f1" else "u1 / u2"
-        long_sum = '"' + " + ".join([term] * 1200) + '"'
+        long_sum = '"' + " + ".join([term] * (recursion_limit + 200)) + '"'
         err = self.expect_error(GOOD.replace(old, long_sum), f"in {key}: expression nested")
         assert err.line == GOOD.splitlines().index(f"{key} = {old}") + 1
 

@@ -34,6 +34,7 @@ from deltavar.oracle import fd_hessian
 from deltavar.solver import (
     DEGENERATE_RELATIVE,
     _Hessian,
+    _LevelJacobian,
     _hessian,
     _negative_inertia,
     _output_order,
@@ -295,6 +296,36 @@ class TestIsoperimetric:
             assert hessians and set(shapes) == {(d + 1, d + 1)}
         else:
             assert (d, d) in shapes
+
+    def test_abnormal_starts_are_drawn_onto_the_level_set(self):
+        # K = sum of (v^2 - 1)^2 = 0 with x = 0 and 1 at the ends holds only
+        # at x = t, an abnormal extremal.  Newton on grad K alone stalls in
+        # valleys of ||grad K||^2 off that level from 10 of these 16 starts
+        # (6 basins); the level defect in the residual draws 13 to x = t.
+        ts = make_timescale("interval", a=0, b=1, h=0.1)
+        L = CompositeFunctional.from_strings(["v^2 + y^2"], "u1")
+        K = IsoConstraint(CompositeFunctional.from_strings(["(v^2 - 1)^2"], "u1"), 0.0)
+        spec = ProblemSpec(ts=ts, lagrangian=L, bc=BoundarySpec.fixed(0, 1), constraint=K)
+        pts = solve_isoperimetric(spec, SolveOptions(restarts=16))
+        assert len(pts) == 1
+        assert (pts[0].lam0, pts[0].lam) == (0.0, 1.0)
+        np.testing.assert_allclose(pts[0].trajectory.x, ts.points, atol=1e-10)
+        assert pts[0].basin_count >= 13
+
+    def test_level_step_is_the_least_squares_step(self):
+        # Two square solves with H give the least-squares step of [H; g^T].
+        rng = np.random.default_rng(3)
+        d = 7
+        H = _Hessian(rng.uniform(2.0, 4.0, d), rng.uniform(-1.0, 1.0, d - 1),
+                     rng.standard_normal((2, d)), np.diag([0.5, -0.3]))
+        g = rng.standard_normal(d)
+        r = np.append(g, 0.7)
+        stacked = np.vstack([H.dense(), g])
+        want = np.linalg.lstsq(stacked, -r, rcond=None)[0]
+        for J in (H, H.dense()):
+            level = _LevelJacobian(J, g)
+            np.testing.assert_allclose(level.step(r), want, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(level.T @ r, stacked.T @ r, rtol=1e-12)
 
 
 class TestClassify:
