@@ -7,6 +7,7 @@ verification), 4 vanishing denominator at every restart.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from importlib import resources
 from pathlib import Path
@@ -166,7 +167,7 @@ def machine_summary(problem_name: str, spec: ProblemSpec, points: Sequence[Stati
     """Deterministic machine-readable summary (JSON with 17-digit floats)."""
     out = []
     out.append("{")
-    out.append(f'  "problem": "{problem_name}",')
+    out.append(f'  "problem": {json.dumps(problem_name, ensure_ascii=False)},')
     out.append(f'  "point_count": {len(points)},')
     out.append('  "stationary_points": [')
     blocks = []

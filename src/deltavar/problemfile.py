@@ -200,74 +200,69 @@ def _parse_composite(
 def _parse_timescale(section: _RawSection) -> TimeScale:
     kind_raw, kind_line = _take(section, "kind")
     kind = kind_raw.strip()
+    if kind != "union":
+        return _build_timescale(kind, section.entries, kind_line, section.line)
+    parts_raw, line = _take(section, "parts")
+    parts = [
+        _build_timescale(*_union_part(chunk, line), line, line)
+        for chunk in parts_raw.split("|")
+    ]
+    try:
+        return make_timescale("union", parts=parts)
+    except ValueError as exc:
+        raise ProblemFileError(str(exc), kind_line) from None
+
+
+def _union_part(text: str, line: int) -> tuple[str, dict]:
+    """(kind, entries) of a union part: 'interval a=0 b=1 h=0.1' or 'points 0 1 2'.
+
+    The entries map key -> (text, line), as those of a [timescale] section.
+    """
+    tokens = text.split()
+    if not tokens:
+        raise ProblemFileError("empty union part", line)
+    kind, tokens = tokens[0], tokens[1:]
+    if kind == "points":
+        return kind, {"values": (" ".join(tokens), line)}
+    entries = {}
+    for tok in tokens:
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise ProblemFileError(f"expected key=value in union part, got {tok!r}", line)
+        entries[key] = (val, line)
+    return kind, entries
+
+
+def _build_timescale(kind: str, entries: dict, kind_line: int, missing_line: int) -> TimeScale:
+    """A points, uniform, interval or qscale scale from key -> (text, line) entries.
+
+    A missing key is reported at ``missing_line``, an error of
+    ``make_timescale`` at ``kind_line``.
+    """
+
+    def entry(key: str) -> tuple[str, int]:
+        if key not in entries:
+            raise ProblemFileError(f"time scale kind {kind!r} needs key {key!r}", missing_line)
+        return entries[key]
+
+    def number(key: str) -> float:
+        return _as_float(*entry(key), key=key)
+
     try:
         if kind == "points":
-            values_raw, line = _take(section, "values")
-            values = [
-                _as_float(v.strip(), line, "values")
-                for v in values_raw.replace(",", " ").split()
-            ]
+            text, line = entry("values")
+            values = [_as_float(v, line, "values") for v in text.replace(",", " ").split()]
             return make_timescale("points", values=values)
         if kind in ("uniform", "interval"):
-            a = _as_float(*_take(section, "a"), key="a")
-            b = _as_float(*_take(section, "b"), key="b")
-            h = _as_float(*_take(section, "h"), key="h")
-            return make_timescale(kind, a=a, b=b, h=h)
+            return make_timescale(kind, a=number("a"), b=number("b"), h=number("h"))
         if kind == "qscale":
-            q = _as_float(*_take(section, "q"), key="q")
-            kmax_raw, kmax_line = _take(section, "kmax")
-            kmin_raw, kmin_line = section.entries.get("kmin", ("0", kmax_line))
-            return make_timescale(
-                "qscale",
-                q=q,
-                kmin=int(_as_float(kmin_raw, kmin_line, "kmin")),
-                kmax=int(_as_float(kmax_raw, kmax_line, "kmax")),
-            )
-        if kind == "union":
-            parts_raw, line = _take(section, "parts")
-            parts = []
-            for chunk in parts_raw.split("|"):
-                parts.append(_parse_scale_literal(chunk.strip(), line))
-            return make_timescale("union", parts=parts)
+            kmin = int(number("kmin")) if "kmin" in entries else 0
+            return make_timescale("qscale", q=number("q"), kmin=kmin, kmax=int(number("kmax")))
     except ProblemFileError:
         raise
     except (ValueError, OverflowError) as exc:  # int() of an infinite value overflows
         raise ProblemFileError(str(exc), kind_line) from None
     raise ProblemFileError(f"unknown time scale kind {kind!r}", kind_line)
-
-
-def _parse_scale_literal(text: str, line: int) -> TimeScale:
-    """Sub-scale literal for unions: 'interval a=0 b=1 h=0.1' or 'points 0 1 2'."""
-    tokens = text.split()
-    if not tokens:
-        raise ProblemFileError("empty union part", line)
-    kind = tokens[0]
-    if kind == "points":
-        values = [_as_float(t, line, "points") for t in tokens[1:]]
-        if len(values) < 3:
-            raise ProblemFileError("union parts of kind points need >= 3 values", line)
-        return make_timescale("points", values=values)
-    params = {}
-    for tok in tokens[1:]:
-        if "=" not in tok:
-            raise ProblemFileError(f"expected key=value in union part, got {tok!r}", line)
-        key, _, val = tok.partition("=")
-        params[key] = _as_float(val, line, key)
-    try:
-        if kind in ("uniform", "interval"):
-            return make_timescale(kind, a=params["a"], b=params["b"], h=params["h"])
-        if kind == "qscale":
-            return make_timescale(
-                "qscale",
-                q=params["q"],
-                kmin=int(params.get("kmin", 0)),
-                kmax=int(params["kmax"]),
-            )
-    except KeyError as exc:
-        raise ProblemFileError(f"union part misses parameter {exc}", line) from None
-    except (ValueError, OverflowError) as exc:
-        raise ProblemFileError(str(exc), line) from None
-    raise ProblemFileError(f"unknown union part kind {kind!r}", line)
 
 
 def _parse_boundary(section: _RawSection) -> BoundarySpec:

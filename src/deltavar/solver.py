@@ -66,14 +66,14 @@ LOCAL_MAX = "local_max"
 SADDLE = "saddle"
 DEGENERATE = "degenerate"
 
-# Newton Jacobians of an objective's gradient (unconstrained problems, and K
-# on the abnormal branch) of at most this many unknowns are formed densely
-# and factored by LAPACK; larger ones go through the block
-# elimination of _Hessian.solve (banded LU of the tridiagonal block plus a
-# small capacitance system).  Below this size the fixed cost of building and
-# factoring a sparse matrix per step outweighs one small dense LU: sending
-# every solve through _Hessian.solve made the many-restart coarse-grid
-# solves (d <= 199) about a third slower.
+# _newton_direction steps with a structured Hessian of at most this many
+# unknowns on its dense form, factored by LAPACK; larger ones go through the
+# block elimination of _Hessian.solve (banded LU of the tridiagonal block
+# plus a small capacitance system), with the dense LU as the fallback.  Below
+# this size the fixed cost of building and factoring a sparse matrix per
+# step outweighs one small dense LU: sending every solve through
+# _Hessian.solve made the many-restart coarse-grid solves (d <= 199) about a
+# third slower.
 DENSE_NEWTON_LIMIT = 200
 
 # Newton matrices with a 1-norm condition estimate beyond 1/RCOND_LIMIT are
@@ -204,19 +204,14 @@ class _NewtonResult:
 class _Hessian:
     """Exact Hessian tridiag(diag, off) + U^T C U of lam0 * L - lam * K.
 
-    Linear solves eliminate the arrowhead system
-
-        [ T   U^T C ] [x]   [rhs]
-        [ U    -I   ] [y] = [ 0 ]
-
-    (whose Schur complement on the identity block is H = T + U^T C U) by
-    blocks: T alone is factored in natural order, which keeps its LU
-    banded (O(d) entries), and the k outer-map unknowns y come from a
-    (k+1)x(k+1) capacitance system.  Solutions are refined and verified
-    against the exact matvec.  Where T alone is singular or the check
-    fails, the whole arrowhead system is factored instead; on failure of
-    that too the caller falls back to the dense path.  ``count_below`` and
-    ``spectral_radius`` serve :func:`classify`.
+    Linear solves eliminate by blocks: T alone is factored in natural
+    order, which keeps its LU banded (O(d) entries), and the k outer-map
+    unknowns U x (with the border's multiplier) come from a small
+    capacitance system.  Solutions are refined and verified against the
+    exact matvec; where T alone is singular or the check fails,
+    :meth:`solve` returns None and :func:`_newton_direction` takes the
+    dense LU.  ``count_below`` and ``spectral_radius`` serve
+    :func:`classify`.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray, U: np.ndarray, C: np.ndarray):
@@ -251,12 +246,6 @@ class _Hessian:
         flat[d :: d + 1] += self.off
         return hess
 
-    def _tridiagonal(self):
-        d = self.diag.size
-        return scipy.sparse.diags(
-            [self.off, self.diag, self.off], [-1, 0, 1], shape=(d, d), format="csc"
-        )
-
     def _defect(self, x, nu, rhs, border):
         """Residuals (r, g) of [[H, b], [b^T, 0]] [x; nu] = [rhs; 0] and their size."""
         r = rhs - self @ x
@@ -266,25 +255,22 @@ class _Hessian:
         g = -float(border @ x)
         return r, g, float(np.linalg.norm(r)) + abs(g)
 
-    def _verified(self, x, defect, rhs, border):
-        scale = np.linalg.norm(rhs) + np.linalg.norm(x) + (border is not None)
-        return x if defect <= 1e-8 * scale else None
-
     def solve(self, rhs: np.ndarray, border: Optional[np.ndarray] = None):
         """H x = rhs, or with a border [[H, b], [b^T, 0]] [x; nu] = [rhs; 0].
 
-        Returns x, or None when no factorization gives a verified solution.
+        Returns x, or None when T cannot be factored or the verified
+        defect is too large.
         """
-        x = self._solve_eliminated(rhs, border)
-        return x if x is not None else self._solve_augmented(rhs, border)
-
-    def _solve_eliminated(self, rhs, border):
         # With z = [U x; nu], R = [U; b^T] and E = diag(I_k, 0) the system
         # with right-hand side [f; g] reads T x + [U^T C, b] z = f and
         # R x - E z = [0; g], so x = T^-1 f - Y z with Y = T^-1 [U^T C, b]
         # and the capacitance system (R Y + E) z = R T^-1 f - [0; g].
+        d = self.diag.size
+        T = scipy.sparse.diags(
+            [self.off, self.diag, self.off], [-1, 0, 1], shape=(d, d), format="csc"
+        )
         try:
-            lu = splu(self._tridiagonal(), permc_spec="NATURAL")
+            lu = splu(T, permc_spec="NATURAL")
         except RuntimeError:
             return None  # T alone is exactly singular
         cols, R = self.U.T @ self.C, self.U
@@ -323,31 +309,8 @@ class _Hessian:
                 x, nu, r, g, defect = x + dx, nu + dnu, r_new, g_new, defect_new
         except np.linalg.LinAlgError:
             return None  # singular capacitance matrix
-        return self._verified(x, defect, rhs, border)
-
-    def _solve_augmented(self, rhs, border):
-        """The fallback: one sparse LU of the whole arrowhead system."""
-        d = self.diag.size
-        k = self.C.shape[0]
-        blocks = [
-            [self._tridiagonal(), scipy.sparse.csc_matrix(self.U.T @ self.C)],
-            [scipy.sparse.csc_matrix(self.U), -scipy.sparse.identity(k)],
-        ]
-        if border is not None:
-            blocks[0].append(scipy.sparse.csc_matrix(border[:, None]))
-            blocks[1].append(None)
-            blocks.append([scipy.sparse.csc_matrix(border[None, :]), None, None])
-        aug = scipy.sparse.bmat(blocks, format="csc")
-        try:
-            lu = splu(aug)
-        except RuntimeError:
-            return None
-        sol = lu.solve(np.concatenate([rhs, np.zeros(aug.shape[0] - d)]))
-        if not np.all(np.isfinite(sol)):
-            return None
-        x = sol[:d]
-        _, _, defect = self._defect(x, sol[-1], rhs, border)
-        return self._verified(x, defect, rhs, border)
+        scale = np.linalg.norm(rhs) + np.linalg.norm(x) + (border is not None)
+        return x if defect <= 1e-8 * scale else None
 
     def _outer_directions(self) -> tuple[np.ndarray, np.ndarray]:
         """(V, mu) with U^T C U = V^T diag(mu) V, unit rows, null directions dropped."""
@@ -432,12 +395,15 @@ def _newton_direction(J, r: np.ndarray, border: Optional[np.ndarray] = None) -> 
 
     The bordered system [[J, b], [b^T, 0]] [s; nu] = -[r; 0] pins the
     iterate norm when b is the iterate (a Newton step on the sphere); the
-    multiplier nu is discarded.
+    multiplier nu is discarded.  A structured Hessian above
+    DENSE_NEWTON_LIMIT unknowns is solved by block elimination; otherwise,
+    or when that fails, J is factored densely.
     """
     if isinstance(J, _Hessian):
-        step = J.solve(-r, border)
-        if step is not None:
-            return step
+        if J.diag.size > DENSE_NEWTON_LIMIT:
+            step = J.solve(-r, border)
+            if step is not None:
+                return step
         J = J.dense()
     n = J.shape[1]
     if border is not None:
@@ -467,16 +433,15 @@ def _newton_direction(J, r: np.ndarray, border: Optional[np.ndarray] = None) -> 
 class _LevelJacobian:
     """[H; g^T], the Jacobian of the abnormal residual [g; K - k], g = grad K.
 
-    H is K's Hessian, dense or structured.  Since the level row's gradient
+    H is K's structured Hessian.  Since the level row's gradient
     is g itself, the least-squares (Gauss-Newton) step takes two square
     solves with H: q = H^-1 g and p = H^-1 q give
     s = -q - p (K - k - g.q) / (1 + q.q).  A border pins both solves.
     """
 
-    def __init__(self, H, g: np.ndarray):
+    def __init__(self, H: _Hessian, g: np.ndarray):
         self.H, self.g = H, g
-        H_finite = H.finite if isinstance(H, _Hessian) else bool(np.all(np.isfinite(H)))
-        self.finite = H_finite and bool(np.all(np.isfinite(g)))
+        self.finite = H.finite and bool(np.all(np.isfinite(g)))
         self.T = LinearOperator(
             (g.size, g.size + 1), matvec=lambda r: H @ r[:-1] + g * r[-1], dtype=float
         )
@@ -707,26 +672,20 @@ def _gradient_roots(
 
     Returns (roots, denominator_failures, scale_invariant): roots holds the
     (decision vector, ||residual||_inf) pair of every run that converged.
-    Jacobians of at most DENSE_NEWTON_LIMIT unknowns are dense; larger ones
-    stay the structured operator.  A scale-invariant objective pins ||w||.
+    A scale-invariant objective pins ||w||.
     With a ``level`` the residual also holds the defect objective - level,
     so runs are drawn onto that level set by Gauss-Newton steps
     (_LevelJacobian) and every root lies on it.
     """
-    dense = decision_indices(spec).size <= DENSE_NEWTON_LIMIT
     F = spec.lagrangian
-
-    def jacobian(tr):
-        hess = _hessian(spec, tr, 1.0, None)
-        return hess.dense() if dense else hess
 
     def evaluate(z):
         tr = embed_decision(spec, z)
         g = functional_gradient(spec, tr)
         if level is None:
-            return g, lambda: jacobian(tr)
+            return g, lambda: _hessian(spec, tr, 1.0, None)
         defect = F.outer_value(_partials(F, tr).us) - level  # the record g just filled
-        return np.append(g, defect), lambda: _LevelJacobian(jacobian(tr), g)
+        return np.append(g, defect), lambda: _LevelJacobian(_hessian(spec, tr, 1.0, None), g)
 
     scale_invariant = _detect_scale_invariance(spec)
     roots: list[tuple[np.ndarray, float]] = []

@@ -140,6 +140,20 @@ right = fixed 0
                     "classification", "dr_spread", "points"):
             assert key in point
 
+    def test_json_escapes_the_problem_name(self, capsys, tmp_path):
+        import json
+
+        fixture = Path(deltavar.__file__).parent / "fixtures" / "quotient2_3pt.dvp"
+        problem = tmp_path / 'q"uote\\back é.dvp'
+        problem.write_text(fixture.read_text(encoding="utf-8"), encoding="utf-8")
+        js = tmp_path / "a.json"
+        code, _, _ = run(capsys, "solve", str(problem), "--restarts", "4",
+                         *THREE_PT_TOL, "--json", str(js))
+        assert code == 0
+        text = js.read_text(encoding="utf-8")
+        assert json.loads(text)["problem"] == 'q"uote\\back é'
+        assert '"problem": "q\\"uote\\\\back é",' in text  # non-ASCII kept as is
+
     def test_h_override(self, capsys):
         code, out, _ = run(
             capsys, "solve", "quotient1", "--h-override", "0.5",

@@ -1,11 +1,15 @@
-"""Pinned solver results for every bundled fixture on its own grid.
+"""Pinned solver results for every bundled fixture, on its own grid and on one other.
 
 ``golden/fixtures.json`` holds, per fixture, the restarts and seed of one
 solve and what it returned: either the exception it ended in or its
 stationary points (value, F, lambda0, lambda, classification and basin
-count).  Points are matched by value, so the order of the returned list
-does not matter, and the tolerances admit the last-bit changes that a new
-linear solver or a reordered sum brings.
+count).  Under ``h_override`` it holds a second solve of the fixture on an
+interval grid of step ``h``, chosen on the other side of
+``solver.DENSE_NEWTON_LIMIT`` from the fixture's own grid, so that each
+fixture is pinned through both the dense and the structured Newton step.
+Points are matched by value, so the order of the returned list does not
+matter, and the tolerances admit the last-bit changes that a new linear
+solver or a reordered sum brings.
 
 After checking that a change of the pins is intended, regenerate them with
 
@@ -45,14 +49,28 @@ RESTARTS = {
 }
 SEED = 0
 
+# (h, restarts) of the h_override solve.  The d = 999 fixtures go to d = 99;
+# the small ones go to d = 249, with restarts kept low enough that each
+# solve takes well under a second.
+H_OVERRIDES = {
+    "iso_3pt": (0.004, 4),
+    "iso_R": (0.01, 3),
+    "product_3pt": (0.004, 3),
+    "product_R": (0.01, 4),
+    "quotient1": (0.008, 8),
+    "quotient2_3pt": (0.004, 8),
+    "quotient2_R": (0.01, 8),
+    "sturm_liouville": (0.01, 8),
+}
+
 # Values, inner integrals and multipliers agree to this relative (and, near
 # zero, absolute) tolerance; labels and basin counts must match exactly.
 RTOL = 1e-8
 ATOL = 1e-10
 
 
-def solve_fixture(name: str, restarts: int, seed: int) -> dict:
-    spec = resolve_problem(name).build()
+def solve_fixture(name: str, restarts: int, seed: int, h: float | None = None) -> dict:
+    spec = resolve_problem(name).build(h_override=h)
     solve = solve_isoperimetric if spec.constraint is not None else solve_unconstrained
     try:
         points = solve(spec, SolveOptions(restarts=restarts, seed=seed))
@@ -86,12 +104,10 @@ def _pins() -> dict:
 
 def test_pins_cover_every_fixture():
     assert sorted(_pins()) == sorted(FIXTURE_DESCRIPTIONS) == sorted(RESTARTS)
+    assert sorted(H_OVERRIDES) == sorted(RESTARTS)
 
 
-@pytest.mark.parametrize("name", sorted(RESTARTS))
-def test_fixture_matches_golden(name):
-    pin = _pins()[name]
-    got = solve_fixture(name, pin["restarts"], pin["seed"])
+def _assert_matches(got: dict, pin: dict) -> None:
     assert got["outcome"] == pin["outcome"]
     if pin["outcome"] != "points":
         return
@@ -110,9 +126,31 @@ def test_fixture_matches_golden(name):
         assert p["basin_count"] == want["basin_count"]
 
 
+@pytest.mark.parametrize("name", sorted(RESTARTS))
+def test_fixture_matches_golden(name):
+    pin = _pins()[name]
+    _assert_matches(solve_fixture(name, pin["restarts"], pin["seed"]), pin)
+
+
+@pytest.mark.parametrize("name", sorted(H_OVERRIDES))
+def test_h_override_matches_golden(name):
+    pin = _pins()[name]["h_override"]
+    _assert_matches(solve_fixture(name, pin["restarts"], pin["seed"], pin["h"]), pin)
+
+
 if __name__ == "__main__":
     pins = {
-        name: {"restarts": r, "seed": SEED, **solve_fixture(name, r, SEED)}
+        name: {
+            "restarts": r,
+            "seed": SEED,
+            **solve_fixture(name, r, SEED),
+            "h_override": {
+                "h": H_OVERRIDES[name][0],
+                "restarts": H_OVERRIDES[name][1],
+                "seed": SEED,
+                **solve_fixture(name, H_OVERRIDES[name][1], SEED, H_OVERRIDES[name][0]),
+            },
+        }
         for name, r in sorted(RESTARTS.items())
     }
     GOLDEN.parent.mkdir(exist_ok=True)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -71,6 +72,20 @@ class TestParsing:
         ts = parse_problem_text(text).timescale
         assert list(ts.points) == [0, 0.5, 1, 2, 2.5, 3]
 
+    @pytest.mark.parametrize("keys, part", [
+        ("kind = points\nvalues = 0, 0.5, 1", "points 0 0.5 1"),
+        ("kind = interval\na = 0\nb = 1\nh = 0.3", "interval a=0 b=1 h=0.3"),
+        ("kind = uniform\na = 0\nb = 1\nh = 0.25", "uniform a=0 b=1 h=0.25"),
+        ("kind = qscale\nq = 2\nkmax = 3", "qscale q=2 kmax=3"),
+        ("kind = qscale\nq = 1.5\nkmin = -2\nkmax = 2", "qscale q=1.5 kmin=-2 kmax=2"),
+    ])
+    def test_section_and_one_part_union_agree(self, keys, part):
+        old = "kind = points\nvalues = 0, 0.5, 1"
+        section = parse_problem_text(GOOD.replace(old, keys)).timescale
+        union = parse_problem_text(GOOD.replace(old, f"kind = union\nparts = {part}")).timescale
+        assert section.points.size >= 3
+        np.testing.assert_array_equal(union.points, section.points)
+
     def test_free_boundary(self):
         text = GOOD.replace("left = fixed 0", "left = free")
         assert parse_problem_text(text).bc.left is None
@@ -129,6 +144,22 @@ class TestDiagnostics:
     def test_bad_number(self):
         self.expect_error(GOOD.replace("values = 0, 0.5, 1", "values = 0, x, 1"),
                           "number")
+
+    # GOOD's [timescale] header is line 3, its kind line 4.
+    @pytest.mark.parametrize("keys, line", [
+        ("kind = interval\na = 0\nb = 1", 3),
+        ("kind = union\nparts = points 0 1 2 | interval a=0 b=1", 5),
+        ("kind = qscale\nq = 2\nkmax = x", 6),
+        ("kind = qscale\nq = 2\nkmax = inf", 4),
+        ("kind = union\nparts = qscale q=2 kmax=x", 5),
+        ("kind = union\nparts = qscale q=2 kmax=inf", 5),
+        ("kind = union\nparts = union parts=1", 5),
+        ("kind = union\nparts = points 0 1 | interval a 0", 5),
+    ])
+    def test_timescale_errors_carry_line(self, keys, line):
+        with pytest.raises(ProblemFileError) as err:
+            parse_problem_text(GOOD.replace("kind = points\nvalues = 0, 0.5, 1", keys))
+        assert err.value.line == line
 
     def test_key_outside_section(self):
         self.expect_error("kind = points\n" + GOOD, "outside")

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -274,9 +275,11 @@ class TestIsoperimetric:
 
     @pytest.mark.parametrize("h", [None, 1e-2, 4e-3])
     def test_every_newton_system_is_square(self, monkeypatch, h):
-        # Abnormal Newton runs on K's own gradient system, dense up to
-        # DENSE_NEWTON_LIMIT unknowns (h = 1e-2: d = 99) and structured
-        # above it (h = 4e-3: d = 249); the normal branch's is (d+1)^2.
+        # Abnormal Newton runs on K's own gradient system, handed over as
+        # the structured Hessian at every size: _newton_direction alone
+        # steps densely up to DENSE_NEWTON_LIMIT unknowns (h = 1e-2: d = 99)
+        # and by block elimination above it (h = 4e-3: d = 249).  The
+        # normal branch's system is a (d+1)^2 array.
         ts = THREE_PT if h is None else make_timescale("interval", a=0, b=1, h=h)
         spec = abnormal_spec(ts)
         d = decision_indices(spec).size
@@ -291,11 +294,7 @@ class TestIsoperimetric:
         solve_isoperimetric(spec, SolveOptions(restarts=2))
         hessians = [J for J in systems if isinstance(J, _Hessian)]
         shapes = [J for J in systems if not isinstance(J, _Hessian)]
-        assert all(rows == cols for rows, cols in shapes)
-        if d > solver.DENSE_NEWTON_LIMIT:
-            assert hessians and set(shapes) == {(d + 1, d + 1)}
-        else:
-            assert (d, d) in shapes
+        assert hessians and set(shapes) == {(d + 1, d + 1)}
 
     def test_abnormal_starts_are_drawn_onto_the_level_set(self):
         # K = sum of (v^2 - 1)^2 = 0 with x = 0 and 1 at the ends holds only
@@ -313,17 +312,17 @@ class TestIsoperimetric:
         assert pts[0].basin_count >= 13
 
     def test_level_step_is_the_least_squares_step(self):
-        # Two square solves with H give the least-squares step of [H; g^T].
+        # Two square solves with H give the least-squares step of [H; g^T],
+        # on the dense form at d = 7 and by block elimination at d = 250.
         rng = np.random.default_rng(3)
-        d = 7
-        H = _Hessian(rng.uniform(2.0, 4.0, d), rng.uniform(-1.0, 1.0, d - 1),
-                     rng.standard_normal((2, d)), np.diag([0.5, -0.3]))
-        g = rng.standard_normal(d)
-        r = np.append(g, 0.7)
-        stacked = np.vstack([H.dense(), g])
-        want = np.linalg.lstsq(stacked, -r, rcond=None)[0]
-        for J in (H, H.dense()):
-            level = _LevelJacobian(J, g)
+        for d in (7, 250):
+            H = _Hessian(rng.uniform(2.0, 4.0, d), rng.uniform(-1.0, 1.0, d - 1),
+                         rng.standard_normal((2, d)), np.diag([0.5, -0.3]))
+            g = rng.standard_normal(d)
+            r = np.append(g, 0.7)
+            stacked = np.vstack([H.dense(), g])
+            want = np.linalg.lstsq(stacked, -r, rcond=None)[0]
+            level = _LevelJacobian(H, g)
             np.testing.assert_allclose(level.step(r), want, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(level.T @ r, stacked.T @ r, rtol=1e-12)
 
@@ -391,6 +390,38 @@ class TestClassifyProperties:
         assert classify(spec, point) == label == dense_label(fd, border)[0]
 
 
+def parts_size(spec, tr, terms):
+    """The size of the tridiagonal and low-rank parts of sum(coef * Hessian(F)).
+
+    Entries of the Hessian can cancel far below it, so it sets the scale of
+    rounding errors.
+    """
+    size = 0.0
+    for coef, F in terms:
+        diag, off, rows, outer = hessian_parts(F, spec, tr)
+        size += abs(coef) * (np.abs(diag).max() + np.abs(off).max(initial=0.0)
+                             + (np.abs(rows).T @ np.abs(outer) @ np.abs(rows)).max())
+    return size
+
+
+class TestHessianProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([0.0, 1.0]))
+    def test_hessian_is_the_derivative_of_the_gradient(self, seed, constrained, lam0):
+        rng = np.random.default_rng(seed)
+        spec, tr = random_problem(rng, allow_free_ends=not constrained)
+        lam, terms = None, [(lam0, spec.lagrangian)]
+        if constrained:
+            spec = dataclasses.replace(spec, constraint=random_constraint(rng))
+            lam = 1.0 if lam0 == 0.0 else float(rng.uniform(-2, 2))
+            terms.append((-lam, spec.constraint.functional))
+        fd = fd_hessian(spec, tr, lam0, lam or 0.0)
+        # Central differences of step 1e-6 are off by about 2e-7 of the
+        # parts' size at worst over 12,000 draws.
+        tol = 1e-5 * (1.0 + parts_size(spec, tr, terms))
+        assert np.abs(_hessian(spec, tr, lam0, lam).dense() - fd).max() <= tol
+
+
 class TestHessianSolve:
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -409,13 +440,7 @@ class TestHessianSolve:
             dense = dense - lam * constraint_hessian(spec, tr)
             terms.append((-lam, spec.constraint.functional))
             border = constraint_gradient(spec, tr)
-        # Entries of the Hessian can cancel far below the size of its
-        # tridiagonal and low-rank parts, which sets the rounding scale.
-        size = 0.0
-        for coef, F in terms:
-            diag, off, rows, outer = hessian_parts(F, spec, tr)
-            size += abs(coef) * (np.abs(diag).max() + np.abs(off).max(initial=0.0)
-                                 + (np.abs(rows).T @ np.abs(outer) @ np.abs(rows)).max())
+        size = parts_size(spec, tr, terms)
         hess = _hessian(spec, tr, 1.0, lam)
         assert np.abs(hess.dense() - dense).max() <= 1e-12 * size
         # A fixed extra input: tridiag(0, 1) of odd order is singular, so its
@@ -423,28 +448,40 @@ class TestHessianSolve:
         # e1 e1^T (not orthogonal to the null vector (1, 0, -1, 0, ...)) makes
         # H nonsingular.
         singular = _Hessian(np.zeros(7), np.ones(6), np.eye(7)[:1], np.ones((1, 1)))
+        assert singular.solve(np.ones(7)) is None
+        assert singular.solve(np.ones(7), np.linspace(1.0, 2.0, 7)) is None
         cases = [
             (hess, dense, border, size, rng.standard_normal(dense.shape[0])),
             (singular, singular.dense(), np.linspace(1.0, 2.0, 7), 2.0, np.arange(7.0) - 2.0),
         ]
         for op, plain, b, size, rhs in cases:
             bordered = np.block([[plain, b[:, None]], [b[None, :], np.zeros((1, 1))]])
-            for got, matrix, full_rhs, scale in (
-                (op.solve(rhs), plain, rhs, size),
-                (op.solve(rhs, b), bordered, np.append(rhs, 0.0), size + np.abs(b).max()),
+            for border, matrix, full_rhs, scale in (
+                (None, plain, rhs, size),
+                (b, bordered, np.append(rhs, 0.0), size + np.abs(b).max()),
             ):
                 # Compare only where rounding at that scale cannot move the solution.
                 if scale >= 1e6 * np.linalg.svd(matrix, compute_uv=False).min():
                     continue
                 want = np.linalg.solve(matrix, full_rhs)
-                assert got is not None
-                assert np.linalg.norm(got - want[: got.size]) <= 1e-7 * np.linalg.norm(want)
+                tol = 1e-7 * np.linalg.norm(want)  # the border's multiplier included
+                # Block elimination either declines or gives the dense solution.
+                got = op.solve(rhs, border)
+                if got is not None:
+                    assert np.linalg.norm(got - want[: rhs.size]) <= tol
+                # The Newton step always does, whether it starts from the
+                # structured solve (limit 0) or steps on the dense form.
+                for limit in (0, solver.DENSE_NEWTON_LIMIT):
+                    with mock.patch.object(solver, "DENSE_NEWTON_LIMIT", limit):
+                        step = solver._newton_direction(op, -rhs, border)
+                    assert np.linalg.norm(step - want[: rhs.size]) <= tol
 
     # sturm_liouville is scale invariant, so its steps take the sphere border.
     @pytest.mark.parametrize("problem", ["quotient2_R", "sturm_liouville"])
     def test_fine_grid_factors_stay_linear(self, monkeypatch, problem):
-        # d = 9999: factoring the whole arrowhead system fills in to about
-        # d^2 / 2 entries; the tridiagonal block alone stays banded.
+        # d = 9999: a dense Hessian alone would take 800 MB, and a sparse LU
+        # of the arrowhead system [[T, U^T C], [U, -I]] fills in to about
+        # d^2 / 2 entries; the tridiagonal block T alone stays banded.
         spec = resolve_problem(problem).build(h_override=1e-4)
         d, k = decision_indices(spec).size, spec.lagrangian.n
         factors = []
@@ -458,8 +495,7 @@ class TestHessianSolve:
         pts = solve_unconstrained(spec, SolveOptions(restarts=4))
         assert pts and factors
         assert max(nnz for _, nnz in factors) <= 10 * (d + k)
-        # Every step was served by the tridiagonal block alone: the fallback
-        # factors the order d + k (+ 1) arrowhead system.
+        # splu factors the order-d tridiagonal block and nothing else.
         assert all(order == d for order, _ in factors)
 
 
