@@ -66,13 +66,15 @@ LOCAL_MAX = "local_max"
 SADDLE = "saddle"
 DEGENERATE = "degenerate"
 
-# _newton_direction steps with a structured Hessian of at most this many
-# unknowns on its dense form, factored by LAPACK; larger ones go through the
-# block elimination of _Hessian.solve (banded LU of the tridiagonal block
-# plus a small capacitance system), with the dense LU as the fallback.  Below
+# _newton_solver factors a Newton system (plain, sphere-bordered or the
+# normal isoperimetric KKT system) of at most this many unknowns on its
+# dense form, by LAPACK; larger ones go through the block elimination of
+# _Hessian.factor (banded LU of the tridiagonal block plus a small
+# capacitance system), with the dense LU as the fallback.  No Newton system
+# forms a d x d array above this size unless that fallback fires.  Below
 # this size the fixed cost of building and factoring a sparse matrix per
-# step outweighs one small dense LU: sending every solve through
-# _Hessian.solve made the many-restart coarse-grid solves (d <= 199) about a
+# step outweighs one small dense LU: sending every solve through block
+# elimination made the many-restart coarse-grid solves (d <= 199) about a
 # third slower.
 DENSE_NEWTON_LIMIT = 200
 
@@ -204,14 +206,15 @@ class _NewtonResult:
 class _Hessian:
     """Exact Hessian tridiag(diag, off) + U^T C U of lam0 * L - lam * K.
 
-    Linear solves eliminate by blocks: T alone is factored in natural
-    order, which keeps its LU banded (O(d) entries), and the k outer-map
-    unknowns U x (with the border's multiplier) come from a small
-    capacitance system.  Solutions are refined and verified against the
-    exact matvec; where T alone is singular or the check fails,
-    :meth:`solve` returns None and :func:`_newton_direction` takes the
-    dense LU.  ``count_below`` and ``spectral_radius`` serve
-    :func:`classify`.
+    Linear solves, plain or bordered by one vector b as
+    [[H, b], [b^T, 0]] with any last right-hand side, eliminate by blocks:
+    T alone is factored in natural order, which keeps its LU banded (O(d)
+    entries), and the k outer-map unknowns U x with the border's
+    multiplier come from a (k+1)x(k+1) capacitance system, LU-factored
+    once per :meth:`factor`.  Solutions are refined and verified against
+    the exact matvec; where T alone is singular or the check fails, the
+    solver returns None and :func:`_newton_solver` takes the dense LU.
+    ``count_below`` and ``spectral_radius`` serve :func:`classify`.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray, U: np.ndarray, C: np.ndarray):
@@ -246,28 +249,35 @@ class _Hessian:
         flat[d :: d + 1] += self.off
         return hess
 
-    def _defect(self, x, nu, rhs, border):
-        """Residuals (r, g) of [[H, b], [b^T, 0]] [x; nu] = [rhs; 0] and their size."""
+    def _defect(self, x, nu, rhs, border, last):
+        """Residuals (r, g) of [[H, b], [b^T, 0]] [x; nu] = [rhs; last] and their size."""
         r = rhs - self @ x
         if border is None:
             return r, 0.0, float(np.linalg.norm(r))
         r -= nu * border
-        g = -float(border @ x)
+        g = last - float(border @ x)
         return r, g, float(np.linalg.norm(r)) + abs(g)
 
-    def solve(self, rhs: np.ndarray, border: Optional[np.ndarray] = None):
-        """H x = rhs, or with a border [[H, b], [b^T, 0]] [x; nu] = [rhs; 0].
+    def factor(self, border: Optional[np.ndarray] = None):
+        """A solver of H x = f, or with a border of [[H, b], [b^T, 0]] [x; nu] = [f; g].
 
-        Returns x, or None when T cannot be factored or the verified
-        defect is too large.
+        T and the capacitance matrix are factored once.  The returned
+        ``solve(f, g=0.0)`` gives x, or [x; nu] with a border, and None when
+        the verified defect is too large; ``factor`` itself returns None
+        when T or the capacitance matrix is exactly singular.
         """
         # With z = [U x; nu], R = [U; b^T] and E = diag(I_k, 0) the system
         # with right-hand side [f; g] reads T x + [U^T C, b] z = f and
         # R x - E z = [0; g], so x = T^-1 f - Y z with Y = T^-1 [U^T C, b]
         # and the capacitance system (R Y + E) z = R T^-1 f - [0; g].
         d = self.diag.size
-        T = scipy.sparse.diags(
-            [self.off, self.diag, self.off], [-1, 0, 1], shape=(d, d), format="csc"
+        # T in compressed columns, column j holding rows j-1, j and j+1:
+        # built directly, this costs less than half of scipy.sparse.diags.
+        data = np.column_stack([np.append(0.0, self.off), self.diag, np.append(self.off, 0.0)])
+        rows = np.arange(d)[:, None] + np.arange(-1, 2)
+        starts = np.concatenate([[0], np.arange(2, 3 * d - 2, 3), [3 * d - 2]])
+        T = scipy.sparse.csc_matrix(
+            (data.ravel()[1:-1], rows.ravel()[1:-1], starts), shape=(d, d)
         )
         try:
             lu = splu(T, permc_spec="NATURAL")
@@ -277,25 +287,32 @@ class _Hessian:
         if border is not None:
             cols = np.column_stack([cols, border])
             R = np.vstack([R, border])
-        sol = lu.solve(np.column_stack([rhs, cols]))
-        if not np.all(np.isfinite(sol)):
+        Y = lu.solve(cols)
+        if not np.all(np.isfinite(Y)):
             return None
-        Y = sol[:, 1:]
         k = self.C.shape[0]
         cap = R @ Y
         cap[:k, :k] += np.eye(k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            cap_lu = scipy.linalg.lu_factor(cap, check_finite=False)
+        if not np.all(np.diag(cap_lu[0])):
+            return None  # singular capacitance matrix
 
         def eliminate(y0, g):
             """(x, nu) for the right-hand side [f; g], given y0 = T^-1 f."""
             rz = R @ y0
             if border is not None:
                 rz[-1] -= g
-            z = np.linalg.solve(cap, rz)
+            z = lapack.dgetrs(*cap_lu, rz)[0]
             return y0 - Y @ z, z[-1] if border is not None else 0.0
 
-        try:
-            x, nu = eliminate(sol[:, 0], 0.0)
-            r, g, defect = self._defect(x, nu, rhs, border)
+        def solve(rhs: np.ndarray, last: float = 0.0) -> Optional[np.ndarray]:
+            y0 = lu.solve(rhs)
+            if not np.all(np.isfinite(y0)):
+                return None
+            x, nu = eliminate(y0, last)
+            r, g, defect = self._defect(x, nu, rhs, border, last)
             # Iterative refinement: T may be nearly singular (it is at
             # Rayleigh-quotient solutions), where elimination loses digits
             # that a step on the exact residual recovers.
@@ -303,14 +320,24 @@ class _Hessian:
                 if not defect > 0.0:
                     break
                 dx, dnu = eliminate(lu.solve(r), g)
-                r_new, g_new, defect_new = self._defect(x + dx, nu + dnu, rhs, border)
+                r_new, g_new, defect_new = self._defect(x + dx, nu + dnu, rhs, border, last)
                 if not defect_new < defect:
                     break
                 x, nu, r, g, defect = x + dx, nu + dnu, r_new, g_new, defect_new
-        except np.linalg.LinAlgError:
-            return None  # singular capacitance matrix
-        scale = np.linalg.norm(rhs) + np.linalg.norm(x) + (border is not None)
-        return x if defect <= 1e-8 * scale else None
+            scale = np.linalg.norm(rhs) + abs(last) + np.linalg.norm(x) + (border is not None)
+            if not defect <= 1e-8 * scale:
+                return None
+            return x if border is None else np.append(x, nu)
+
+        return solve
+
+    def step(self, r: np.ndarray, border: Optional[np.ndarray] = None) -> np.ndarray:
+        """The Newton step H s = -r; with a border b also b . s = 0.
+
+        Bordered by the iterate, this is a Newton step on the sphere; the
+        multiplier is dropped.
+        """
+        return _newton_solver(self, border)(-r)[: r.size]
 
     def _outer_directions(self) -> tuple[np.ndarray, np.ndarray]:
         """(V, mu) with U^T C U = V^T diag(mu) V, unit rows, null directions dropped."""
@@ -390,44 +417,61 @@ def _hessian(spec: ProblemSpec, tr: Trajectory, lam0: float, lam: Optional[float
     return _Hessian(diag, off, np.vstack(rows), C)
 
 
-def _newton_direction(J, r: np.ndarray, border: Optional[np.ndarray] = None) -> np.ndarray:
-    """The Newton step J s = -r for a square J; with a border b, also b . s = 0.
+def _newton_solver(H: _Hessian, border: Optional[np.ndarray] = None):
+    """Newton systems with H, or with a border b [[H, b], [b^T, 0]], factored once.
 
-    The bordered system [[J, b], [b^T, 0]] [s; nu] = -[r; 0] pins the
-    iterate norm when b is the iterate (a Newton step on the sphere); the
-    multiplier nu is discarded.  A structured Hessian above
-    DENSE_NEWTON_LIMIT unknowns is solved by block elimination; otherwise,
-    or when that fails, J is factored densely.
+    Returns ``solve(f, g=0.0)``: x with H x = f, or [x; nu] with the
+    bordered matrix times [x; nu] = [f; g].  Above DENSE_NEWTON_LIMIT
+    unknowns each right-hand side is first solved by block elimination
+    (:meth:`_Hessian.factor`); at most that size, or where the elimination
+    fails, by one dense LU of the same matrix, made on first need.
     """
-    if isinstance(J, _Hessian):
-        if J.diag.size > DENSE_NEWTON_LIMIT:
-            step = J.solve(-r, border)
-            if step is not None:
-                return step
-        J = J.dense()
-    n = J.shape[1]
+    structured = H.factor(border) if H.diag.size > DENSE_NEWTON_LIMIT else None
+    dense = None
+
+    def solve(rhs: np.ndarray, last: float = 0.0) -> np.ndarray:
+        nonlocal dense
+        if structured is not None:
+            x = structured(rhs, last)
+            if x is not None:
+                return x
+        if dense is None:
+            dense = _dense_solver(H.dense(), border)
+        return dense(rhs if border is None else np.append(rhs, last))
+
+    return solve
+
+
+def _dense_solver(
+    M: np.ndarray, border: Optional[np.ndarray]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Solves with M, bordered by b if given, from one LU factorization.
+
+    The factors are used only if their 1-norm condition estimate passes;
+    otherwise each solve is the minimum-norm least-squares solution.
+    """
     if border is not None:
-        J = np.block([[J, border[:, None]], [border[None, :], np.zeros((1, 1))]])
-        r = np.append(r, 0.0)
+        n = border.size
+        M, plain = np.zeros((n + 1, n + 1)), M
+        M[:n, :n] = plain
+        M[:n, n] = M[n, :n] = border
     try:
         with warnings.catch_warnings():
             # Singular factorizations are expected here; the rcond gate
             # decides whether the factors are used.
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(J, check_finite=False)
-        anorm = np.linalg.norm(J, 1)
-        rcond, info = lapack.dgecon(lu, anorm, norm="1")
+            factors = scipy.linalg.lu_factor(M, check_finite=False)
+        rcond, info = lapack.dgecon(factors[0], np.linalg.norm(M, 1), norm="1")
         if info == 0 and rcond > RCOND_LIMIT:
-            return scipy.linalg.lu_solve((lu, piv), -r, check_finite=False)[:n]
+            return lambda f: lapack.dgetrs(*factors, f)[0]
     except (scipy.linalg.LinAlgError, ValueError):
         pass
-    # Near-singular: least-squares direction (QR with pivoting; rank-deficient
+    # Near-singular: least-squares solution (QR with pivoting; rank-deficient
     # systems get the minimum-norm solution of the truncated problem, which
     # projects out near-null components).
-    step, *_ = scipy.linalg.lstsq(
-        J, -r, cond=1e-10, lapack_driver="gelsy", check_finite=False
-    )
-    return step[:n]
+    return lambda f: scipy.linalg.lstsq(
+        M, f, cond=1e-10, lapack_driver="gelsy", check_finite=False
+    )[0]
 
 
 class _LevelJacobian:
@@ -435,7 +479,7 @@ class _LevelJacobian:
 
     H is K's structured Hessian.  Since the level row's gradient
     is g itself, the least-squares (Gauss-Newton) step takes two square
-    solves with H: q = H^-1 g and p = H^-1 q give
+    solves with one factorization of H: q = H^-1 g and p = H^-1 q give
     s = -q - p (K - k - g.q) / (1 + q.q).  A border pins both solves.
     """
 
@@ -447,9 +491,39 @@ class _LevelJacobian:
         )
 
     def step(self, r: np.ndarray, border: Optional[np.ndarray] = None) -> np.ndarray:
-        q = _newton_direction(self.H, -self.g, border)
-        p = _newton_direction(self.H, -q, border)
+        solve, n = _newton_solver(self.H, border), self.g.size
+        q = solve(self.g)[:n]
+        p = solve(q)[:n]
         return -q - p * ((r[-1] - self.g @ q) / (1.0 + q @ q))
+
+
+class _NormalJacobian:
+    """[[H, -g], [g^T, 0]], the Jacobian of the normal residual [grad L - lam g; K - k].
+
+    H is the Hessian of L - lam K and g = grad K.  With nu = -dlam the
+    Newton step solves the symmetric bordered system
+    [[H, g], [g^T, 0]] [dz; nu] = -r, which :func:`_newton_solver` takes.
+    """
+
+    def __init__(self, H: _Hessian, g: np.ndarray):
+        self.H, self.g = H, g
+
+    @property
+    def finite(self) -> bool:
+        return self.H.finite and bool(np.all(np.isfinite(self.g)))
+
+    # The transpose [[H, g], [-g^T, 0]] has the same form, with -g.
+    @property
+    def T(self) -> "_NormalJacobian":
+        return _NormalJacobian(self.H, -self.g)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return np.append(self.H @ v[:-1] - self.g * v[-1], self.g @ v[:-1])
+
+    def step(self, r: np.ndarray) -> np.ndarray:
+        s = _newton_solver(self.H, self.g)(-r[:-1], -r[-1])
+        s[-1] = -s[-1]
+        return s
 
 
 def _run_newton(
@@ -497,12 +571,10 @@ def _run_newton(
         except _EVAL_ERRORS as exc:
             # Residual is known but the matrix is not evaluable here.
             return _NewtonResult(w, r, r_inf <= opts.tol_residual, it, failure=exc)
-        if not (J.finite if isinstance(J, (_Hessian, _LevelJacobian)) else np.all(np.isfinite(J))):
+        if not J.finite:
             return _NewtonResult(w, r, False, it)
 
-        border = w if pin_scale else None
-        gauss_newton = isinstance(J, _LevelJacobian)
-        d_newton = J.step(r, border) if gauss_newton else _newton_direction(J, r, border)
+        d_newton = J.step(r, w) if pin_scale else J.step(r)
         if r_inf <= opts.tol_residual and contracting(d_newton, w):
             # Polish with the contracting step: unpolished roots of one branch
             # sit further apart than the dedup distance.  The polished point
@@ -520,7 +592,9 @@ def _run_newton(
 
         merit0 = float(r @ r)
         accepted = False
-        for d in (d_newton, -DAMPED_STEP * (J.T @ r)):
+        for d in (d_newton, None):
+            if d is None:  # the damped gradient step, formed only when needed
+                d = -DAMPED_STEP * (J.T @ r)
             if not np.all(np.isfinite(d)) or not np.any(d):
                 continue
             alpha = 1.0
@@ -747,17 +821,21 @@ def solve_isoperimetric(
         [ gradient(objective) - lambda * gradient(constraint) ;
           constraint value - target ] = 0
 
-    in (decision samples, lambda).  Whenever a candidate has a nearly
-    vanishing constraint gradient the abnormal branch (lambda0 = 0) is also
-    attempted: an extremal of the constraint functional itself, found by the
-    unconstrained solver's Newton system for K, that meets the constraint
-    value.  Points are labeled through ``lam0``.
+    in (decision samples, lambda).  Its Newton steps solve the symmetric
+    bordered system [[H, g], [g^T, 0]] with H the Hessian of
+    objective - lambda * constraint and g the constraint gradient
+    (_NormalJacobian), by block elimination above DENSE_NEWTON_LIMIT
+    unknowns, so time and memory per step are O(d).  Whenever a candidate
+    has a nearly vanishing constraint gradient the abnormal branch
+    (lambda0 = 0) is also attempted: an extremal of the constraint
+    functional itself, found by the unconstrained solver's Newton system
+    for K, that meets the constraint value.  Points are labeled through
+    ``lam0``.
     """
     if spec.constraint is None:
         raise ValueError("spec has no constraint; use solve_unconstrained")
     opts = opts or SolveOptions()
     K, target = spec.constraint.functional, spec.constraint.target
-    d = decision_indices(spec).size
     # One-entry memo of (decision bytes, trajectory): the lambda guess, steps
     # that move only lambda and the abnormal check meet the last z again.
     last = [None, None]
@@ -773,15 +851,8 @@ def solve_isoperimetric(
         gL = functional_gradient(spec, tr)
         gK = constraint_gradient(spec, tr)
         defect = K.outer_value(_partials(K, tr).us) - target  # the record gK just filled
-
-        def jacobian():
-            J = np.zeros((d + 1, d + 1))
-            J[:d, :d] = _hessian(spec, tr, 1.0, lam).dense()
-            J[:d, d] = -gK
-            J[d, :d] = gK
-            return J
-
-        return np.concatenate([gL - lam * gK, [defect]]), jacobian
+        residual = np.concatenate([gL - lam * gK, [defect]])
+        return residual, lambda: _NormalJacobian(_hessian(spec, tr, 1.0, lam), gK)
 
     normal: list[tuple[np.ndarray, float, float]] = []  # (z, residual, lam)
     abnormal_seeds: list[np.ndarray] = []

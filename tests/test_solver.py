@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import random_constraint, random_problem
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.linalg import splu
@@ -36,6 +37,7 @@ from deltavar.solver import (
     DEGENERATE_RELATIVE,
     _Hessian,
     _LevelJacobian,
+    _NormalJacobian,
     _hessian,
     _negative_inertia,
     _output_order,
@@ -275,26 +277,106 @@ class TestIsoperimetric:
 
     @pytest.mark.parametrize("h", [None, 1e-2, 4e-3])
     def test_every_newton_system_is_square(self, monkeypatch, h):
-        # Abnormal Newton runs on K's own gradient system, handed over as
-        # the structured Hessian at every size: _newton_direction alone
-        # steps densely up to DENSE_NEWTON_LIMIT unknowns (h = 1e-2: d = 99)
-        # and by block elimination above it (h = 4e-3: d = 249).  The
-        # normal branch's system is a (d+1)^2 array.
+        # Every Newton system reaches _newton_solver as the structured
+        # Hessian at every size; it alone steps densely up to
+        # DENSE_NEWTON_LIMIT unknowns (h = 1e-2: d = 99) and by block
+        # elimination above it (h = 4e-3: d = 249).  Abnormal Newton runs on
+        # K's own gradient system, unbordered.  Each normal step
+        # (_NormalJacobian) offers the Hessian of L - lam K bordered by
+        # grad K, never a (d+1)^2 array.
         ts = THREE_PT if h is None else make_timescale("interval", a=0, b=1, h=h)
         spec = abnormal_spec(ts)
         d = decision_indices(spec).size
-        systems = []
-        real = solver._newton_direction
+        systems, normal = [], []
+        real_solver, real_step = solver._newton_solver, _NormalJacobian.step
 
-        def watched(J, r, border=None):
-            systems.append(J if isinstance(J, _Hessian) else J.shape)
-            return real(J, r, border)
+        def watched_solver(H, border=None):
+            systems.append((H, border))
+            return real_solver(H, border)
 
-        monkeypatch.setattr(solver, "_newton_direction", watched)
+        def watched_step(J, r):
+            normal.append((J, len(systems)))
+            return real_step(J, r)
+
+        monkeypatch.setattr(solver, "_newton_solver", watched_solver)
+        monkeypatch.setattr(_NormalJacobian, "step", watched_step)
         solve_isoperimetric(spec, SolveOptions(restarts=2))
-        hessians = [J for J in systems if isinstance(J, _Hessian)]
-        shapes = [J for J in systems if not isinstance(J, _Hessian)]
-        assert hessians and set(shapes) == {(d + 1, d + 1)}
+        assert all(isinstance(H, _Hessian) and H.diag.size == d for H, _ in systems)
+        assert normal and any(border is None for _, border in systems)
+        for J, at in normal:
+            assert systems[at][0] is J.H and systems[at][1] is J.g
+
+    @pytest.mark.parametrize("h", [4e-3, 1e-2])
+    def test_one_factorization_per_level_step(self, monkeypatch, h):
+        # q = H^-1 g and p = H^-1 q share one factorization of K's Hessian:
+        # one splu of T above DENSE_NEWTON_LIMIT (h = 4e-3: d = 249), one
+        # dense LU of order d at or below it (h = 1e-2: d = 99).
+        ts = make_timescale("interval", a=0, b=1, h=h)
+        spec = abnormal_spec(ts)
+        d = decision_indices(spec).size
+        factors, per_step = [], []
+        real_splu, real_lu, real_step = solver.splu, scipy.linalg.lu_factor, _LevelJacobian.step
+
+        def recording_splu(A, *args, **kwargs):
+            factors.append(("splu", A.shape[0]))
+            return real_splu(A, *args, **kwargs)
+
+        def recording_lu(a, *args, **kwargs):
+            factors.append(("lu_factor", a.shape[0]))
+            return real_lu(a, *args, **kwargs)
+
+        def watched_step(J, r, border=None):
+            before = len(factors)
+            out = real_step(J, r, border)
+            per_step.append(factors[before:])
+            return out
+
+        monkeypatch.setattr(solver, "splu", recording_splu)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", recording_lu)
+        monkeypatch.setattr(_LevelJacobian, "step", watched_step)
+        pts = solve_isoperimetric(spec, SolveOptions(restarts=4))
+        assert [p.lam0 for p in pts] == [0.0]
+        want = ("splu" if d > solver.DENSE_NEWTON_LIMIT else "lu_factor", d)
+        assert per_step and all(made.count(want) == 1 for made in per_step)
+
+    def test_fine_grid_normal_steps_stay_linear(self, monkeypatch):
+        # iso_R at d = 9999: one dense (d+1)^2 Jacobian alone would take
+        # 800 MB.  The normal steps factor the tridiagonal block (splu) and
+        # the (k+1)^2 capacitance matrix, nothing of order d on dense form.
+        h = 1e-4
+        spec = resolve_problem("iso_R").build(h_override=h)
+        d = decision_indices(spec).size
+        k = spec.lagrangian.n + spec.constraint.functional.n
+        factors, lu_orders = [], []
+        real_lu = scipy.linalg.lu_factor
+
+        def recording_splu(*args, **kwargs):
+            lu = splu(*args, **kwargs)
+            factors.append((lu.shape[0], lu.nnz))
+            return lu
+
+        def recording_lu(a, *args, **kwargs):
+            lu_orders.append(a.shape[0])
+            return real_lu(a, *args, **kwargs)
+
+        monkeypatch.setattr("deltavar.solver.splu", recording_splu)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", recording_lu)
+        tracemalloc.start()
+        try:
+            pts = solve_isoperimetric(spec, SolveOptions(restarts=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The discrete solution x = 3t^2 - 2t + O(h) has these closed forms
+        # (they hold at h = 1e-3 and 5e-4 too).  The label is not pinned.
+        assert [p.lam0 for p in pts] == [1.0]
+        excess = 6.0 * h / (1.0 - h)
+        assert pts[0].value == pytest.approx(4.0 + excess, rel=1e-9)
+        assert pts[0].lam == pytest.approx(8.0 + excess, rel=1e-9)
+        assert factors and all(order == d for order, _ in factors)
+        assert max(nnz for _, nnz in factors) <= 10 * (d + k)
+        assert lu_orders and max(lu_orders) <= k + 1
+        assert peak < 50e6
 
     def test_abnormal_starts_are_drawn_onto_the_level_set(self):
         # K = sum of (v^2 - 1)^2 = 0 with x = 0 and 1 at the ends holds only
@@ -448,33 +530,52 @@ class TestHessianSolve:
         # e1 e1^T (not orthogonal to the null vector (1, 0, -1, 0, ...)) makes
         # H nonsingular.
         singular = _Hessian(np.zeros(7), np.ones(6), np.eye(7)[:1], np.ones((1, 1)))
-        assert singular.solve(np.ones(7)) is None
-        assert singular.solve(np.ones(7), np.linspace(1.0, 2.0, 7)) is None
+        assert singular.factor() is None
+        assert singular.factor(np.linspace(1.0, 2.0, 7)) is None
         cases = [
-            (hess, dense, border, size, rng.standard_normal(dense.shape[0])),
-            (singular, singular.dense(), np.linspace(1.0, 2.0, 7), 2.0, np.arange(7.0) - 2.0),
+            (hess, dense, border, size, rng.standard_normal(dense.shape[0]),
+             rng.standard_normal()),
+            (singular, singular.dense(), np.linspace(1.0, 2.0, 7), 2.0, np.arange(7.0) - 2.0,
+             0.5),
         ]
-        for op, plain, b, size, rhs in cases:
+        for op, plain, b, size, rhs, last in cases:
+            n = rhs.size
             bordered = np.block([[plain, b[:, None]], [b[None, :], np.zeros((1, 1))]])
-            for border, matrix, full_rhs, scale in (
-                (None, plain, rhs, size),
-                (b, bordered, np.append(rhs, 0.0), size + np.abs(b).max()),
-            ):
+            systems = [(None, plain, rhs, 0.0, size)]
+            # The bordered system with a zero last right-hand side (the sphere
+            # step) and a nonzero one (the normal isoperimetric step).
+            systems += [(b, bordered, np.append(rhs, g), g, size + np.abs(b).max())
+                        for g in (0.0, last)]
+            for border, matrix, full_rhs, g, scale in systems:
                 # Compare only where rounding at that scale cannot move the solution.
                 if scale >= 1e6 * np.linalg.svd(matrix, compute_uv=False).min():
                     continue
                 want = np.linalg.solve(matrix, full_rhs)
                 tol = 1e-7 * np.linalg.norm(want)  # the border's multiplier included
-                # Block elimination either declines or gives the dense solution.
-                got = op.solve(rhs, border)
+                # Block elimination either declines or gives the dense
+                # solution, the border's multiplier included.
+                factored = op.factor(border)
+                got = None if factored is None else factored(rhs, g)
                 if got is not None:
-                    assert np.linalg.norm(got - want[: rhs.size]) <= tol
-                # The Newton step always does, whether it starts from the
-                # structured solve (limit 0) or steps on the dense form.
+                    assert np.linalg.norm(got - want) <= tol
+                # The Newton steps always do, whether they start from the
+                # structured solve (limit 0) or step on the dense form.
                 for limit in (0, solver.DENSE_NEWTON_LIMIT):
                     with mock.patch.object(solver, "DENSE_NEWTON_LIMIT", limit):
-                        step = solver._newton_direction(op, -rhs, border)
-                    assert np.linalg.norm(step - want[: rhs.size]) <= tol
+                        if border is None or g == 0.0:
+                            step = op.step(-rhs, border)
+                            assert np.linalg.norm(step - want[:n]) <= tol
+                        if border is not None:
+                            # The normal step against the dense solve of the
+                            # Jacobian [[H, -b], [b^T, 0]] in (z, lambda).
+                            normal = _NormalJacobian(op, b)
+                            old = bordered.copy()
+                            old[:n, n] = -b
+                            step = normal.step(-full_rhs)
+                            assert np.linalg.norm(step - np.linalg.solve(old, full_rhs)) <= tol
+                            # Its transpose, for the damped gradient step.
+                            atol = 1e-12 * scale * np.abs(full_rhs).sum()
+                            assert np.abs(normal.T @ full_rhs - old.T @ full_rhs).max() <= atol
 
     # sturm_liouville is scale invariant, so its steps take the sphere border.
     @pytest.mark.parametrize("problem", ["quotient2_R", "sturm_liouville"])
