@@ -1,8 +1,9 @@
 """Command-line front end: solve, verify, scan, refine, examples.
 
 Exit codes: 0 at least one stationary point (or a passing verification),
-2 parse/validation errors, 3 no stationary point found (also: failed
-verification), 4 vanishing denominator at every restart.
+2 parse/validation errors and unreadable or unwritable files, 3 no
+stationary point found (also: failed verification), 4 vanishing
+denominator at every restart.
 """
 from __future__ import annotations
 
@@ -294,6 +295,8 @@ def _load_solution_csv(path: Path, spec: ProblemSpec) -> Trajectory:
 
 
 def cmd_verify(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     problem = resolve_problem(args.problem)
     spec = problem.build(h_override=args.h_override)
     tr = _load_solution_csv(Path(args.solution), spec)
@@ -506,10 +509,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_glue_negative_values(list(argv)))
     try:
         return args.fn(args)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ExprError, ValueError) as exc:
+    except (ExprError, ValueError, OSError) as exc:  # ProblemFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DenominatorVanished as exc:

@@ -189,6 +189,10 @@ def scan_low_dim(
         raise TooManyDecisionVariables(f"{d} decision variables; scans support <= 2")
     if len(ranges) != d:
         raise ValueError(f"need {d} ranges, got {len(ranges)}")
+    if not np.all(np.isfinite(np.asarray(ranges, dtype=float))):
+        raise ValueError(f"scan ranges must be finite, got {list(ranges)}")
+    if resolution < 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
 
     if d == 1:
         if spec.constraint is not None:

@@ -4,17 +4,18 @@ Unconstrained problems are solved as the nonlinear system "exact functional
 gradient = 0" over the decision samples; by the gradient identities of
 :mod:`deltavar.euler_lagrange` a root certifies the Euler-Lagrange equation
 at every interior point and the natural conditions at free endpoints.
-Isoperimetric problems append the multiplier lambda as an unknown and the
-constraint defect as an equation.  Restarts are seeded with a counter-based
-generator so runs are reproducible regardless of execution order, and the
-returned list is deduplicated in the weak trajectory norm.
+Isoperimetric problems are solved as "gradient of L - lambda * (K - k) = 0"
+in the decision samples and the multiplier lambda.  Restarts are seeded
+with a counter-based generator so runs are reproducible regardless of
+execution order, and the returned list is deduplicated in the weak
+trajectory norm.
 """
 from __future__ import annotations
 
 import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -125,8 +126,9 @@ class SolveOptions:
             raise ValueError("restarts must be >= 1")
         for name in ("tol_residual", "tol_step", "init_spread", "dedup_distance",
                      "tol_abnormal"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -201,6 +203,10 @@ class _NewtonResult:
     converged: bool
     iterations: int
     failure: Optional[BaseException] = None
+
+    @property
+    def residual_norm(self) -> float:
+        return float(np.max(np.abs(self.residual)))
 
 
 class _Hessian:
@@ -498,32 +504,26 @@ class _LevelJacobian:
 
 
 class _NormalJacobian:
-    """[[H, -g], [g^T, 0]], the Jacobian of the normal residual [grad L - lam g; K - k].
+    """[[H, b], [b^T, 0]] with b = -grad K, the Hessian of L - lam (K - k) in (z, lam).
 
-    H is the Hessian of L - lam K and g = grad K.  With nu = -dlam the
-    Newton step solves the symmetric bordered system
-    [[H, g], [g^T, 0]] [dz; nu] = -r, which :func:`_newton_solver` takes.
+    H is the Hessian of L - lam K.  This symmetric matrix is the Jacobian
+    of the normal residual [grad L - lam grad K; k - K], and one bordered
+    solve by :func:`_newton_solver` gives its Newton step (dz, dlam).
     """
 
-    def __init__(self, H: _Hessian, g: np.ndarray):
-        self.H, self.g = H, g
+    def __init__(self, H: _Hessian, b: np.ndarray):
+        self.H, self.b = H, b
+        self.finite = H.finite and bool(np.all(np.isfinite(b)))
 
-    @property
-    def finite(self) -> bool:
-        return self.H.finite and bool(np.all(np.isfinite(self.g)))
-
-    # The transpose [[H, g], [-g^T, 0]] has the same form, with -g.
     @property
     def T(self) -> "_NormalJacobian":
-        return _NormalJacobian(self.H, -self.g)
+        return self
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return np.append(self.H @ v[:-1] - self.g * v[-1], self.g @ v[:-1])
+        return np.append(self.H @ v[:-1] + self.b * v[-1], self.b @ v[:-1])
 
     def step(self, r: np.ndarray) -> np.ndarray:
-        s = _newton_solver(self.H, self.g)(-r[:-1], -r[-1])
-        s[-1] = -s[-1]
-        return s
+        return _newton_solver(self.H, self.b)(-r[:-1], -r[-1])
 
 
 def _run_newton(
@@ -733,23 +733,51 @@ def _finish_point(
     return point
 
 
+def _points(spec: ProblemSpec, runs: list[_NewtonResult], opts: SolveOptions, lam0: float = 1.0,
+            lam: Optional[float] = None, ray_normalize: bool = False) -> list[StationaryPoint]:
+    """The deduplicated, finished stationary points of the runs that converged.
+
+    Normal isoperimetric runs (a constraint and lam0 = 1) solve for
+    (z, lam), and each of their points keeps its own multiplier.
+    """
+    normal = spec.constraint is not None and lam0 == 1.0
+    converged = [(out.w[:-1], out.residual_norm, float(out.w[-1])) if normal
+                 else (out.w, out.residual_norm, lam) for out in runs if out.converged]
+    return [_finish_point(spec, tr, res, count, lam0, multiplier)
+            for tr, res, count, multiplier in _dedup(converged, spec, opts, ray_normalize)]
+
+
+def _no_point(
+    runs: list[_NewtonResult], opts: SolveOptions, target: Optional[float] = None
+) -> Exception:
+    """The exception to raise when none of the runs converged.
+
+    Given the constraint value ``target``, the runs are normal
+    isoperimetric ones, whose last residual entry is the constraint defect.
+    """
+    if all(isinstance(out.failure, DenominatorVanished) for out in runs):
+        return DenominatorVanished(
+            f"every one of {opts.restarts} restarts hit a vanishing denominator"
+        )
+    if target is not None:
+        best = min((abs(float(out.residual[-1])) for out in runs
+                    if np.all(np.isfinite(out.residual))), default=np.inf)
+        if best > max(1e-6, 10.0 * opts.tol_residual) * (1.0 + abs(target)):
+            return ConstraintInfeasible(
+                f"no restart reached the constraint value {target!r} (best defect {best:.3g})"
+            )
+    return NoStationaryPointFound(f"no stationary trajectory found in {opts.restarts} restarts")
+
+
 # -- public solvers ---------------------------------------------------------------
 
 
-def _gradient_roots(
-    spec: ProblemSpec,
-    starts: Iterable[np.ndarray],
-    opts: SolveOptions,
-    level: Optional[float] = None,
-) -> tuple[list[tuple[np.ndarray, float]], int, bool]:
-    """Newton roots of the gradient of spec's objective, one run per start.
+def _gradient_system(spec: ProblemSpec, level: Optional[float] = None):
+    """(evaluate, scale_invariant) of Newton on the gradient of spec's objective F.
 
-    Returns (roots, denominator_failures, scale_invariant): roots holds the
-    (decision vector, ||residual||_inf) pair of every run that converged.
-    A scale-invariant objective pins ||w||.
-    With a ``level`` the residual also holds the defect objective - level,
-    so runs are drawn onto that level set by Gauss-Newton steps
-    (_LevelJacobian) and every root lies on it.
+    The residual is grad F; with a ``level`` it is [grad F; F - level], whose
+    Gauss-Newton steps (_LevelJacobian) draw runs onto that level set.  Runs
+    on a scale-invariant F pin ||w||.
     """
     F = spec.lagrangian
 
@@ -761,16 +789,7 @@ def _gradient_roots(
         defect = F.outer_value(_partials(F, tr).us) - level  # the record g just filled
         return np.append(g, defect), lambda: _LevelJacobian(_hessian(spec, tr, 1.0, None), g)
 
-    scale_invariant = _detect_scale_invariance(spec)
-    roots: list[tuple[np.ndarray, float]] = []
-    denominator_failures = 0
-    for z0 in starts:
-        out = _run_newton(evaluate, z0, opts, pin_scale=scale_invariant)
-        if out.converged:
-            roots.append((out.w, float(np.max(np.abs(out.residual)))))
-        elif isinstance(out.failure, DenominatorVanished):
-            denominator_failures += 1
-    return roots, denominator_failures, scale_invariant
+    return evaluate, _detect_scale_invariance(spec)
 
 
 def solve_unconstrained(
@@ -786,21 +805,12 @@ def solve_unconstrained(
     if spec.constraint is not None:
         raise ValueError("spec has a constraint; use solve_isoperimetric")
     opts = opts or SolveOptions()
-
-    starts = (_initial_decision(spec, opts, restart) for restart in range(opts.restarts))
-    roots, denominator_failures, scale_invariant = _gradient_roots(spec, starts, opts)
-    if not roots:
-        if denominator_failures == opts.restarts:
-            raise DenominatorVanished(
-                f"every one of {opts.restarts} restarts hit a vanishing denominator"
-            )
-        raise NoStationaryPointFound(
-            f"no stationary trajectory found in {opts.restarts} restarts"
-        )
-
-    converged = [(z, res, None) for z, res in roots]
-    clusters = _dedup(converged, spec, opts, ray_normalize=scale_invariant)
-    points = [_finish_point(spec, tr, res, count) for tr, res, count, _ in clusters]
+    evaluate, scale_invariant = _gradient_system(spec)
+    runs = [_run_newton(evaluate, _initial_decision(spec, opts, restart), opts, scale_invariant)
+            for restart in range(opts.restarts)]
+    points = _points(spec, runs, opts, ray_normalize=scale_invariant)
+    if not points:
+        raise _no_point(runs, opts)
     return sorted(points, key=_output_order)
 
 
@@ -816,21 +826,17 @@ def solve_isoperimetric(
 ) -> list[StationaryPoint]:
     """Stationary trajectories of the constrained problem, normal and abnormal.
 
-    The normal branch (lambda0 = 1) solves the square system
-
-        [ gradient(objective) - lambda * gradient(constraint) ;
-          constraint value - target ] = 0
-
-    in (decision samples, lambda).  Its Newton steps solve the symmetric
-    bordered system [[H, g], [g^T, 0]] with H the Hessian of
-    objective - lambda * constraint and g the constraint gradient
-    (_NormalJacobian), by block elimination above DENSE_NEWTON_LIMIT
-    unknowns, so time and memory per step are O(d).  Whenever a candidate
-    has a nearly vanishing constraint gradient the abnormal branch
-    (lambda0 = 0) is also attempted: an extremal of the constraint
-    functional itself, found by the unconstrained solver's Newton system
-    for K, that meets the constraint value.  Points are labeled through
-    ``lam0``.
+    The normal branch (lambda0 = 1) finds the stationary points of
+    L - lambda * (K - k) in (decision samples, lambda), the roots of
+    [grad L - lambda * grad K; k - K].  Its Newton matrix is that
+    Lagrangian's symmetric bordered Hessian [[H, -grad K], [-grad K^T, 0]],
+    H the Hessian of L - lambda * K (_NormalJacobian), and a step gives the
+    change of lambda directly, by block elimination above
+    DENSE_NEWTON_LIMIT unknowns, so in O(d) time and memory.  Where a
+    normal point has a nearly vanishing grad K, or no normal run converges,
+    the abnormal branch (lambda0 = 0) seeks extremals of K itself that meet
+    the constraint value, by the unconstrained Newton system for K.
+    Points are labeled through ``lam0``.
     """
     if spec.constraint is None:
         raise ValueError("spec has no constraint; use solve_unconstrained")
@@ -845,77 +851,47 @@ def solve_isoperimetric(
             last[:] = z.tobytes(), embed_decision(spec, z)
         return last[1]
 
-    def evaluate(wz):
-        z, lam = wz[:-1], wz[-1]
+    def evaluate(w):
+        z, lam = w[:-1], w[-1]
         tr = trajectory(z)
         gL = functional_gradient(spec, tr)
         gK = constraint_gradient(spec, tr)
-        defect = K.outer_value(_partials(K, tr).us) - target  # the record gK just filled
-        residual = np.concatenate([gL - lam * gK, [defect]])
-        return residual, lambda: _NormalJacobian(_hessian(spec, tr, 1.0, lam), gK)
+        defect = target - K.outer_value(_partials(K, tr).us)  # the record gK just filled
+        return np.append(gL - lam * gK, defect), lambda: _NormalJacobian(
+            _hessian(spec, tr, 1.0, lam), -gK
+        )
 
-    normal: list[tuple[np.ndarray, float, float]] = []  # (z, residual, lam)
-    abnormal_seeds: list[np.ndarray] = []
-    inits: list[np.ndarray] = []
-    denominator_failures = 0
-    best_defect = np.inf
-    for restart in range(opts.restarts):
-        z0 = _initial_decision(spec, opts, restart)
-        inits.append(z0)
-        try:
+    inits = [_initial_decision(spec, opts, restart) for restart in range(opts.restarts)]
+    runs, seeds = [], []
+    for z0 in inits:
+        try:  # start from the least-squares multiplier at z0
             tr0 = trajectory(z0)
-            lam0_guess = _fit_multiplier(
-                functional_gradient(spec, tr0), constraint_gradient(spec, tr0)
-            )
+            guess = _fit_multiplier(functional_gradient(spec, tr0), constraint_gradient(spec, tr0))
         except _EVAL_ERRORS:
-            lam0_guess = 0.0
-        w0 = np.concatenate([z0, [lam0_guess]])
-        out = _run_newton(evaluate, w0, opts)
-        if np.all(np.isfinite(out.residual)):
-            best_defect = min(best_defect, abs(float(out.residual[-1])))
+            guess = 0.0
+        out = _run_newton(evaluate, np.append(z0, guess), opts)
+        runs.append(out)
         if out.converged:
-            normal.append((out.w[:-1], float(np.max(np.abs(out.residual))), float(out.w[-1])))
             # Newton evaluated gK at this z already, so this cannot raise.
             gK = constraint_gradient(spec, trajectory(out.w[:-1]))
             if float(np.max(np.abs(gK))) < opts.tol_abnormal:
-                abnormal_seeds.append(out.w[:-1])
-        elif isinstance(out.failure, DenominatorVanished):
-            denominator_failures += 1
-
-    if not normal:
+                seeds.append(out.w[:-1])
+    if not any(out.converged for out in runs):
         # The normal system's Jacobian degenerates exactly when abnormal
         # extremals exist, so retry the lambda0 = 0 branch from every start.
-        abnormal_seeds.extend(inits)
+        seeds = inits
 
     # Abnormal extremals are the extremals of K itself that lie on K = k:
     # the objective's Newton system for K, drawn onto that level set.
-    abnormal: list[tuple[np.ndarray, float, None]] = []
-    if abnormal_seeds:
+    abnormal = []
+    if seeds:
         kspec = dataclasses.replace(spec, lagrangian=K, constraint=None)
-        roots = _gradient_roots(kspec, abnormal_seeds, opts, level=target)[0]
-        abnormal = [(z, res, None) for z, res in roots]
+        evaluate_k, scale_invariant = _gradient_system(kspec, level=target)
+        abnormal = [_run_newton(evaluate_k, z0, opts, scale_invariant) for z0 in seeds]
 
-    if not normal and not abnormal:
-        if denominator_failures == opts.restarts:
-            raise DenominatorVanished(
-                f"every one of {opts.restarts} restarts hit a vanishing denominator"
-            )
-        feas_tol = max(1e-6, 10.0 * opts.tol_residual) * (1.0 + abs(target))
-        if best_defect > feas_tol:
-            raise ConstraintInfeasible(
-                f"no restart reached the constraint value {target!r} "
-                f"(best defect {best_defect:.3g})"
-            )
-        raise NoStationaryPointFound(
-            f"no stationary trajectory found in {opts.restarts} restarts"
-        )
-
-    points = [
-        _finish_point(spec, tr, res, count, lam0=1.0, lam=lam)
-        for tr, res, count, lam in _dedup(normal, spec, opts)
-    ]
-    for tr, res, count, _ in _dedup(abnormal, spec, opts):
-        points.append(_finish_point(spec, tr, res, count, lam0=0.0, lam=1.0))
+    points = _points(spec, runs, opts) + _points(spec, abnormal, opts, lam0=0.0, lam=1.0)
+    if not points:
+        raise _no_point(runs, opts, target)
     return sorted(points, key=_output_order)
 
 

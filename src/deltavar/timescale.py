@@ -42,7 +42,7 @@ class FewerThanThreePoints(ValueError):
 
 
 class NonPositiveStep(ValueError):
-    """Step parameters of uniform/interval scales must be positive."""
+    """Step parameters of uniform/interval scales must be finite and positive."""
 
 
 class QNotGreaterThanOne(ValueError):
@@ -222,10 +222,10 @@ def make_timescale(kind: str, **params) -> TimeScale:
         a = float(params["a"])
         b = float(params["b"])
         h = float(params["h"])
-        if h <= 0.0:
-            raise NonPositiveStep(f"step must be positive, got h={h}")
-        if not a < b:
-            raise ValueError(f"need a < b, got a={a}, b={b}")
+        if not (np.isfinite(h) and h > 0.0):
+            raise NonPositiveStep(f"step must be finite and positive, got h={h}")
+        if not (np.isfinite(a) and np.isfinite(b) and a < b):
+            raise ValueError(f"need finite a < b, got a={a}, b={b}")
         ratio = (b - a) / h
         n = int(round(ratio))
         if kind == "uniform":

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import deltavar
 from deltavar.cli import main
@@ -293,6 +294,80 @@ class TestScanCommand:
             capsys, "scan", "product_3pt", "--var", "x@0.37", "--range", "-1,1"
         )
         assert code == 2
+
+
+INTERVAL_PROBLEM = """
+[timescale]
+kind = interval
+a = 0
+b = 1
+h = {h}
+
+[functional]
+H = "u1 / u2"
+f1 = "t*v"
+f2 = "v^2"
+
+[boundary]
+left = fixed 0
+right = fixed 1
+"""
+
+
+def assert_usage_error(code, err, message):
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+class TestRejectedInput:
+    """Non-finite or out-of-range numbers and unusable paths: one error line, exit 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "quotient2_3pt", "--tol", "nan"], "tol_residual"),
+        (["solve", "quotient2_3pt", "--tol", "inf"], "tol_residual"),
+        (["solve", "quotient2_3pt", "--dedup-distance", "nan"], "dedup_distance"),
+        (["solve", "quotient2_3pt", "--init-spread", "inf"], "init_spread"),
+        (["solve", "quotient2_3pt", "--h-override", "nan"], "step must be finite"),
+        (["solve", "quotient2_3pt", "--h-override", "inf"], "step must be finite"),
+        (["scan", "quotient2_3pt", "--var", "x@0.5", "--range", "0,inf"], "finite"),
+        (["scan", "quotient2_3pt", "--var", "x@0.5", "--range", "nan,1"], "finite"),
+        (["scan", "quotient2_3pt", "--var", "x@0.5", "--range", "-10,10",
+          "--resolution", "0"], "resolution"),
+        (["scan", "quotient2_3pt", "--var", "x@0.5", "--range", "-10,10",
+          "--resolution", "1"], "resolution"),
+    ])
+    def test_bad_number(self, capsys, argv, message):
+        code, _, err = run(capsys, *argv)
+        assert_usage_error(code, err, message)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_verify_tolerance(self, capsys, tmp_path, tol):
+        sol = tmp_path / "sol.csv"
+        sol.write_text("t,x\n0,0\n1,2\n2,4\n")  # the exact solution of quotient1
+        code, _, err = run(capsys, "verify", "quotient1", "--solution", str(sol), "--tol", tol)
+        assert_usage_error(code, err, "--tol must be finite and positive")
+
+    @pytest.mark.parametrize("h", ["nan", "inf"])
+    def test_non_finite_step_in_problem_file(self, capsys, tmp_path, h):
+        f = tmp_path / "interval.dvp"
+        f.write_text(INTERVAL_PROBLEM.format(h=h))
+        code, _, err = run(capsys, "solve", str(f), "--restarts", "2")
+        assert_usage_error(code, err, "step must be finite")
+
+    def test_missing_solution_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.csv"
+        code, _, err = run(capsys, "verify", "quotient1", "--solution", str(missing))
+        assert_usage_error(code, err, "No such file or directory")
+
+    def test_unwritable_json_path(self, capsys, tmp_path):
+        js = tmp_path / "no_such_dir" / "out.json"
+        code, _, err = run(capsys, "solve", "quotient2_3pt", "--restarts", "4", "--json", str(js))
+        assert_usage_error(code, err, "No such file or directory")
+
+    def test_directory_as_problem(self, capsys, tmp_path):
+        code, _, err = run(capsys, "solve", str(tmp_path))
+        assert_usage_error(code, err, "Is a directory")
 
 
 class TestRefineCommand:

@@ -32,7 +32,7 @@ from deltavar import (
 from deltavar import euler_lagrange, solver
 from deltavar.cli import resolve_problem
 from deltavar.euler_lagrange import constraint_hessian, decision_indices, hessian_parts
-from deltavar.oracle import fd_hessian
+from deltavar.oracle import fd_gradient, fd_hessian
 from deltavar.solver import (
     DEGENERATE_RELATIVE,
     _Hessian,
@@ -82,6 +82,14 @@ class TestSolveOptions:
             SolveOptions(restarts=0)
         with pytest.raises(ValueError):
             SolveOptions(tol_residual=-1.0)
+
+    @pytest.mark.parametrize("name", ["tol_residual", "tol_step", "init_spread",
+                                      "dedup_distance", "tol_abnormal"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, name, bad):
+        # NaN passes a "<= 0" test; an infinite tolerance accepts any iterate.
+        with pytest.raises(ValueError, match=name):
+            SolveOptions(**{name: bad})
 
 
 class TestUnconstrained:
@@ -260,6 +268,16 @@ class TestIsoperimetric:
         with pytest.raises(ConstraintInfeasible):
             solve_isoperimetric(spec, SolveOptions(restarts=6))
 
+    def test_all_zero_denominators_reported(self):
+        # The quotient's denominator integral is 0 for every trajectory, so
+        # every normal run dies on it; K = sum of mu * y has a constant
+        # nonzero gradient, so no abnormal run converges either.
+        L = CompositeFunctional.from_strings(["v^2", "0*t"], "u1 / u2")
+        K = IsoConstraint(CompositeFunctional.from_strings(["y"], "u1"), 0.25)
+        spec = ProblemSpec(ts=THREE_PT, lagrangian=L, bc=BoundarySpec.fixed(0, 0), constraint=K)
+        with pytest.raises(DenominatorVanished):
+            solve_isoperimetric(spec, SolveOptions(restarts=3))
+
     def test_rejects_unconstrained_spec(self):
         with pytest.raises(ValueError):
             solve_isoperimetric(product_spec())
@@ -283,12 +301,13 @@ class TestIsoperimetric:
         # elimination above it (h = 4e-3: d = 249).  Abnormal Newton runs on
         # K's own gradient system, unbordered.  Each normal step
         # (_NormalJacobian) offers the Hessian of L - lam K bordered by
-        # grad K, never a (d+1)^2 array.
+        # -grad K, never a (d+1)^2 array.
         ts = THREE_PT if h is None else make_timescale("interval", a=0, b=1, h=h)
         spec = abnormal_spec(ts)
         d = decision_indices(spec).size
-        systems, normal = [], []
+        systems, normal, gradients = [], [], []
         real_solver, real_step = solver._newton_solver, _NormalJacobian.step
+        real_gradient = solver.constraint_gradient
 
         def watched_solver(H, border=None):
             systems.append((H, border))
@@ -298,13 +317,19 @@ class TestIsoperimetric:
             normal.append((J, len(systems)))
             return real_step(J, r)
 
+        def watched_gradient(spec, tr):
+            gradients.append(real_gradient(spec, tr))
+            return gradients[-1]
+
         monkeypatch.setattr(solver, "_newton_solver", watched_solver)
         monkeypatch.setattr(_NormalJacobian, "step", watched_step)
+        monkeypatch.setattr(solver, "constraint_gradient", watched_gradient)
         solve_isoperimetric(spec, SolveOptions(restarts=2))
         assert all(isinstance(H, _Hessian) and H.diag.size == d for H, _ in systems)
         assert normal and any(border is None for _, border in systems)
         for J, at in normal:
-            assert systems[at][0] is J.H and systems[at][1] is J.g
+            assert systems[at][0] is J.H and systems[at][1] is J.b
+            assert any(np.array_equal(J.b, -g) for g in gradients)
 
     @pytest.mark.parametrize("h", [4e-3, 1e-2])
     def test_one_factorization_per_level_step(self, monkeypatch, h):
@@ -503,6 +528,29 @@ class TestHessianProperties:
         tol = 1e-5 * (1.0 + parts_size(spec, tr, terms))
         assert np.abs(_hessian(spec, tr, lam0, lam).dense() - fd).max() <= tol
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_normal_matrix_is_the_derivative_of_the_normal_residual(self, seed):
+        # The normal Newton matrix is the Jacobian in (z, lam) of
+        # r = [grad L - lam grad K; k - K]: the Hessian of L - lam K, bordered
+        # by -grad K in its last row and column.
+        rng = np.random.default_rng(seed)
+        spec, tr = random_problem(rng, allow_free_ends=False)
+        spec = dataclasses.replace(spec, constraint=random_constraint(rng))
+        lam = float(rng.uniform(-2, 2))
+        K = spec.constraint.functional
+        J = _NormalJacobian(_hessian(spec, tr, 1.0, lam), -constraint_gradient(spec, tr))
+        n = decision_indices(spec).size
+        dense = np.column_stack([J @ e for e in np.eye(n + 1)])
+        size = parts_size(spec, tr, [(1.0, spec.lagrangian), (-lam, K), (1.0, K)])
+        assert np.abs(dense - dense.T).max() <= 1e-12 * (1.0 + size)
+        tol = 1e-5 * (1.0 + size)
+        assert np.abs(dense[:n, :n] - fd_hessian(spec, tr, 1.0, lam)).max() <= tol
+        d_level = -fd_gradient(dataclasses.replace(spec, lagrangian=K, constraint=None), tr)
+        assert np.abs(dense[n, :n] - d_level).max() <= tol
+        assert np.abs(dense[:n, n] - d_level).max() <= tol
+        assert dense[n, n] == 0.0
+
 
 class TestHessianSolve:
     @settings(max_examples=120, deadline=None)
@@ -566,16 +614,21 @@ class TestHessianSolve:
                             step = op.step(-rhs, border)
                             assert np.linalg.norm(step - want[:n]) <= tol
                         if border is not None:
-                            # The normal step against the dense solve of the
-                            # Jacobian [[H, -b], [b^T, 0]] in (z, lambda).
-                            normal = _NormalJacobian(op, b)
-                            old = bordered.copy()
-                            old[:n, n] = -b
+                            # The normal step against the dense Newton step of
+                            # the residual [grad L - lam b; k - K], b = grad K:
+                            # its Jacobian [[H, -b], [-b^T, 0]] in (z, lam).
+                            normal = _NormalJacobian(op, -b)
+                            jac = bordered.copy()
+                            jac[:n, n] = jac[n, :n] = -b
+                            want_normal = np.linalg.solve(jac, full_rhs)
                             step = normal.step(-full_rhs)
-                            assert np.linalg.norm(step - np.linalg.solve(old, full_rhs)) <= tol
-                            # Its transpose, for the damped gradient step.
+                            assert np.linalg.norm(step - want_normal) <= (
+                                1e-7 * np.linalg.norm(want_normal))
+                            # It is symmetric: its own transpose, for the
+                            # damped gradient step.
+                            assert normal.T is normal
                             atol = 1e-12 * scale * np.abs(full_rhs).sum()
-                            assert np.abs(normal.T @ full_rhs - old.T @ full_rhs).max() <= atol
+                            assert np.abs(normal @ full_rhs - jac @ full_rhs).max() <= atol
 
     # sturm_liouville is scale invariant, so its steps take the sphere border.
     @pytest.mark.parametrize("problem", ["quotient2_R", "sturm_liouville"])

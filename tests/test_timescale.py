@@ -40,6 +40,13 @@ class TestMakeTimescale:
         with pytest.raises(NonPositiveStep):
             make_timescale("interval", a=0, b=1, h=0)
 
+    @pytest.mark.parametrize("kind", ["interval", "uniform"])
+    @pytest.mark.parametrize("h", [float("nan"), float("inf")])
+    def test_non_finite_step(self, kind, h):
+        # nan once failed in int(round(...)); inf gave a three-point grid.
+        with pytest.raises(NonPositiveStep):
+            make_timescale(kind, a=0, b=1, h=h)
+
     def test_points_deduplicated_and_sorted(self):
         ts = make_timescale("points", values=[1, 0, 0.5, 0.5 + 1e-16])
         assert len(ts) == 3
