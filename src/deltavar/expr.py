@@ -103,7 +103,7 @@ class DomainError(ExprError):
 
 
 class NestingTooDeep(ExprError):
-    """A tree too deep to differentiate or evaluate (one call per level)."""
+    """A tree too deep to differentiate, evaluate or print (one call per level)."""
 
     def __init__(self, action: str, node: "Expr | None" = None):
         super().__init__(f"expression nested too deeply to {action}")
@@ -600,12 +600,22 @@ def _precedence(e: Expr) -> int:
 
 
 def _wrap(e: Expr, min_prec: int) -> str:
-    text = to_text(e)
+    text = _text(e)
     return f"({text})" if _precedence(e) < min_prec else text
 
 
 def to_text(e: Expr) -> str:
-    """Render a tree as parseable text; parse(to_text(e)) == e for folded e."""
+    """Render a tree as parseable text; parse(to_text(e)) == e for folded e.
+
+    Raises :class:`NestingTooDeep`, naming ``e``, when the tree is too deep.
+    """
+    try:
+        return _text(e)
+    except RecursionError:
+        raise NestingTooDeep("to_text", e) from None
+
+
+def _text(e: Expr) -> str:
     if isinstance(e, Const):
         return f"{e.value:.17g}"
     if isinstance(e, Var):
@@ -623,7 +633,7 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Pow):
         return f"{_wrap(e.base, 5)}^{e.exponent}"
     if isinstance(e, Call):
-        return f"{e.func}({to_text(e.arg)})"
+        return f"{e.func}({_text(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -251,7 +251,7 @@ def _build_timescale(kind: str, entries: dict, kind_line: int, missing_line: int
     try:
         if kind == "points":
             text, line = entry("values")
-            values = [_as_float(v, line, "values") for v in text.replace(",", " ").split()]
+            values = [_as_finite(v, line, "values") for v in text.replace(",", " ").split()]
             return make_timescale("points", values=values)
         if kind in ("uniform", "interval"):
             return make_timescale(kind, a=number("a"), b=number("b"), h=number("h"))

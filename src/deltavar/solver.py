@@ -93,6 +93,11 @@ MAX_BACKTRACKS = 30
 # order of the iterate itself; the contraction test rejects those drifts.
 CONTRACTION_LIMIT = 1e-2
 
+# Newton corrections shrink inside the convergence region (Deuflhard, Newton
+# Methods for Nonlinear Problems, 2004, ch. 2-3); this many growing full
+# steps in a row that also grow ||w|| mark an escape toward that far field.
+ESCAPE_STEPS = 3
+
 # An accepted step whose relative merit improvement falls below this marks a
 # stalled iteration (a local minimum of ||residual||^2).
 STALL_RELATIVE_PROGRESS = 1e-8
@@ -539,6 +544,9 @@ def _run_newton(
     evaluation of the sampled partials; only accepted iterates call it.
     Scale-invariant gradient systems (r(c*w) = r(w)/c) have rays of roots
     along which an unpinned Newton step escapes instead of converging.
+    A run escapes once ESCAPE_STEPS full Newton steps in a row each outgrow
+    the previous Newton step and grow ||w||, well before the backstop
+    ||w|| > 1e3 * (1 + ||w0||), which takes quotients 15-25 iterations.
     """
     w = np.asarray(w0, dtype=float).copy()
     try:
@@ -563,7 +571,8 @@ def _run_newton(
     last_failure: Optional[BaseException] = None
     stalled = False
     it = 0
-    escape_norm = 1e3 * (1.0 + float(np.linalg.norm(w)))
+    w_norm, newton_norm, growing = float(np.linalg.norm(w)), np.inf, 0
+    escape_norm = 1e3 * (1.0 + w_norm)
     for it in range(opts.max_iters):
         r_inf = float(np.max(np.abs(r)))
         try:
@@ -622,10 +631,14 @@ def _run_newton(
         if merit0 - merit_new <= STALL_RELATIVE_PROGRESS * merit0:
             stalled = True
             break
-        if step_norm <= opts.tol_step * (1.0 + float(np.linalg.norm(w))):
+        w_norm, w_norm_prev = float(np.linalg.norm(w)), w_norm
+        if step_norm <= opts.tol_step * (1.0 + w_norm):
             stalled = True
             break
-        if float(np.linalg.norm(w)) > escape_norm:
+        outgrew = d is d_newton and alpha == 1.0 and step_norm > newton_norm
+        growing = growing + 1 if outgrew and w_norm > w_norm_prev else 0
+        newton_norm = step_norm if d is d_newton else newton_norm
+        if w_norm > escape_norm or growing == ESCAPE_STEPS:
             # Runaway amplitude: the iterate is escaping toward the flat far
             # field where no stationary point exists.
             return _NewtonResult(w, r, False, it, failure=last_failure)

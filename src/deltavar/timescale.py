@@ -187,7 +187,11 @@ class TimeScale:
 
 def _canonical_points(values: Iterable[float]) -> np.ndarray:
     """Sort and merge near-duplicate points (span-relative tolerance)."""
-    arr = np.sort(np.asarray(list(values), dtype=float).ravel())
+    arr = np.asarray(list(values), dtype=float).ravel()
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ValueError(f"time-scale points must be finite, got {float(bad[0])!r}")
+    arr = np.sort(arr)
     if arr.size == 0:
         return arr
     tol = LOOKUP_REL_TOL * max(float(arr[-1] - arr[0]), 1e-300)

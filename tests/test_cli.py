@@ -355,6 +355,14 @@ class TestRejectedInput:
         code, _, err = run(capsys, "solve", str(f), "--restarts", "2")
         assert_usage_error(code, err, "step must be finite")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_point_in_problem_file(self, capsys, tmp_path, value):
+        f = tmp_path / "points.dvp"
+        f.write_text(INTERVAL_PROBLEM.format(h=0.5).replace(
+            "kind = interval\na = 0\nb = 1\nh = 0.5", f"kind = points\nvalues = 0, {value}, 1, 2"))
+        code, _, err = run(capsys, "solve", str(f), "--restarts", "2")
+        assert_usage_error(code, err, f"line 4: values value must be finite, got {value}")
+
     def test_missing_solution_file(self, capsys, tmp_path):
         missing = tmp_path / "missing.csv"
         code, _, err = run(capsys, "verify", "quotient1", "--solution", str(missing))

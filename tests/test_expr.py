@@ -408,6 +408,15 @@ class TestBatchedEvaluate:
         with pytest.raises(NestingTooDeep):
             evaluate(e, {"t": 1.0, "y": 2.0, "v": 0.0})
 
+    def test_deep_sum_text_raises_typed_error(self, recursion_limit):
+        # Printing makes one call per tree level, as differentiation does.
+        e = Var("t")
+        for _ in range(3 * recursion_limit):
+            e = Add(e, Var("y"))
+        with pytest.raises(NestingTooDeep) as err:
+            to_text(e)
+        assert err.value.node is e
+
     def test_closure_is_not_a_field(self):
         e = parse("log(t) + y/v", ("t", "y", "v"))
         before = (repr(e), hash(e))

@@ -161,6 +161,12 @@ class TestDiagnostics:
             parse_problem_text(GOOD.replace("kind = points\nvalues = 0, 0.5, 1", keys))
         assert err.value.line == line
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_point_names_value_and_line(self, value):
+        text = GOOD.replace("values = 0, 0.5, 1", f"values = 0, {value}, 1, 2")
+        err = self.expect_error(text, f"must be finite, got {value}")
+        assert err.line == 5
+
     def test_key_outside_section(self):
         self.expect_error("kind = points\n" + GOOD, "outside")
 

@@ -747,6 +747,47 @@ class TestDuplicateDraws:
         assert max(p.residual for p in pts) <= SolveOptions().tol_residual
 
 
+def _recorded_runs(monkeypatch, problem, h, opts):
+    """The points of one solve and every Newton run it made, in order."""
+    runs, run_newton = [], solver._run_newton
+
+    def recording(*args, **kwargs):
+        runs.append(run_newton(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(solver, "_run_newton", recording)
+    return solve_unconstrained(resolve_problem(problem).build(h_override=h), opts), runs
+
+
+class TestEscapingRestarts:
+    """Restarts that escape toward the flat far field of a quotient."""
+
+    def test_escapes_end_within_the_window(self, monkeypatch):
+        # The ||w|| > 1e3 * (1 + ||w0||) backstop alone took 21-26 iterations.
+        pts, runs = _recorded_runs(monkeypatch, "quotient1", 1e-2,
+                                   SolveOptions(restarts=16, seed=7))
+        failed = [run.iterations for run in runs if not run.converged]
+        assert len(failed) == 15
+        assert max(failed) <= solver.ESCAPE_STEPS + 2
+        assert [(p.basin_count, p.classification) for p in pts] == [(1, "local_min")]
+        assert pts[0].value == pytest.approx(2 / 3, rel=1e-9)
+
+    # Converged restart masks from before the escape rule: ending an escape
+    # early must never end a run that would have converged.
+    @pytest.mark.parametrize("problem, h, restarts, seed, mask", [
+        ("quotient1", 1e-2, 16, 7, "1000000000000000"),
+        ("quotient2_3pt", None, 64, 1,
+         "1000011100011010110011101000100110011100000110100010100101000101"),
+        ("quotient2_R", 1e-2, 64, 4,
+         "1000000001000000000000000000000000000000000000010000000000010000"),
+    ])
+    def test_converged_restarts_are_pinned(self, monkeypatch, problem, h, restarts, seed,
+                                           mask):
+        _, runs = _recorded_runs(monkeypatch, problem, h,
+                                 SolveOptions(restarts=restarts, seed=seed))
+        assert "".join("01"[run.converged] for run in runs) == mask
+
+
 class TestRefineStudy:
     def test_orders_and_branch_tracking(self):
         def make_spec(h):

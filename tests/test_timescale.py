@@ -56,6 +56,14 @@ class TestMakeTimescale:
         with pytest.raises(FewerThanThreePoints):
             make_timescale("points", values=[0, 0, 1])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_points_reject_non_finite(self, bad):
+        # Non-finite values once made every neighbour comparison false and
+        # were reported as "need at least 3 distinct points, got 1".
+        with pytest.raises(ValueError, match=f"must be finite, got {bad!r}") as err:
+            make_timescale("points", values=[0, bad, 1, 2])
+        assert not isinstance(err.value, FewerThanThreePoints)
+
     def test_union_merges(self):
         ts = make_timescale(
             "union",
