@@ -191,6 +191,8 @@ def scan_low_dim(
         raise ValueError(f"need {d} ranges, got {len(ranges)}")
     if not np.all(np.isfinite(np.asarray(ranges, dtype=float))):
         raise ValueError(f"scan ranges must be finite, got {list(ranges)}")
+    if any(lo >= hi for lo, hi in ranges):
+        raise ValueError(f"scan ranges need lo < hi, got {list(ranges)}")
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
 

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.linalg import lapack
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, splu
 
 from .expr import DivisionByZero, DomainError
 from .euler_lagrange import (
@@ -129,6 +129,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if not 0 <= self.seed < 2**128:  # the key range of Philox
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         for name in ("tol_residual", "tol_step", "init_spread", "dedup_distance",
                      "tol_abnormal"):
             v = getattr(self, name)
@@ -225,7 +227,7 @@ class _Hessian:
     once per :meth:`factor`.  Solutions are refined and verified against
     the exact matvec; where T alone is singular or the check fails, the
     solver returns None and :func:`_newton_solver` takes the dense LU.
-    ``count_below`` and ``spectral_radius`` serve :func:`classify`.
+    ``count_below`` serves :func:`classify`.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray, U: np.ndarray, C: np.ndarray):
@@ -362,43 +364,23 @@ class _Hessian:
         keep = np.abs(mu) > _NULL_RELATIVE * size
         return v[keep] / lengths[keep, None], mu[keep]
 
-    def count_below(self, s: float, g: Optional[np.ndarray] = None) -> int:
-        """Eigenvalues below s of H restricted to the complement of the unit vector g.
+    def count_below(self, s: float, mass: np.ndarray, g: Optional[np.ndarray] = None) -> int:
+        """Eigenvalues below s of the pencil (H, diag(mass)) on the complement of g.
 
         With the outer curvature diagonalized as V^T diag(mu) V (mu
         nonsingular), the bordered matrix
-        [[T - sI, V^T, g], [V, -diag(1/mu), 0], [g^T, 0, 0]] has the
-        negative inertia of the restricted operator minus sI, plus one per
-        positive mu, plus one for the border (Haynsworth additivity).
+        [[T - s M, V^T, g], [V, -diag(1/mu), 0], [g^T, 0, 0]] has the
+        negative inertia of the restricted H - s M, plus one per positive
+        mu, plus one for the border (Haynsworth additivity).  M is positive
+        definite, so by Sylvester's law that inertia counts the pencil's
+        eigenvalues below s.
         """
         v, mu = self._outer_directions()
         border = v.T if g is None else np.hstack([v.T, g[:, None]])
         corner = np.zeros((border.shape[1], border.shape[1]))
         corner[np.arange(mu.size), np.arange(mu.size)] = -1.0 / mu
-        inertia = _negative_inertia(self.diag - s, self.off, border, corner)
+        inertia = _negative_inertia(self.diag - s * mass, self.off, border, corner)
         return inertia - int(np.count_nonzero(mu > 0.0)) - (g is not None)
-
-    def spectral_radius(self, g: Optional[np.ndarray] = None) -> float:
-        """Largest eigenvalue magnitude of the restricted H, to about 1e-3 relative (Lanczos)."""
-
-        def matvec(x: np.ndarray) -> np.ndarray:
-            if g is None:
-                return self @ x
-            out = self @ (x - g * (g @ x))
-            return out - g * (g @ out)
-
-        d = self.diag.size
-        if d == 1:
-            return abs(float(matvec(np.ones(1))[0]))
-        v0 = np.random.default_rng(0).standard_normal(d)
-        if not np.any(matvec(v0)):
-            return 0.0  # a generic vector in the null space: the zero operator
-        op = LinearOperator((d, d), matvec=matvec, dtype=float)
-        try:
-            w = eigsh(op, k=1, which="LM", v0=v0, tol=1e-3, return_eigenvectors=False)
-        except ArpackNoConvergence as exc:
-            w = exc.eigenvalues
-        return float(np.max(np.abs(w))) if w.size else float("nan")
 
 
 def _hessian(spec: ProblemSpec, tr: Trajectory, lam0: float, lam: Optional[float]) -> _Hessian:
@@ -914,7 +896,9 @@ def solve_isoperimetric(
 # matrix; it bounds the element growth of both pivot sizes.
 _BUNCH_ALPHA = (5.0 ** 0.5 - 1.0) / 2.0
 
-# Eigenvalues within this fraction of the spectral radius count as zero.
+# Pencil eigenvalues within this fraction of the pencil's largest Rayleigh
+# quotient on the first four sine modes count as zero; that scale converges
+# as h -> 0, so the threshold does not shrink with the grid.
 DEGENERATE_RELATIVE = 1e-6
 
 # Outer-map curvature directions whose rank-one term is below this fraction
@@ -992,15 +976,20 @@ def _negative_inertia(
 
 
 def classify(spec: ProblemSpec, point: StationaryPoint) -> str:
-    """Advisory min/max/saddle/degenerate label from the exact Hessian's inertia.
+    """Advisory min/max/saddle/degenerate label from the inertia of the pencil (H, M).
 
-    The Hessian of the multiplier-corrected value lam0 * L - lam * K is the
-    structured operator of :func:`hessian_parts` (tridiagonal plus low
-    rank); for constrained problems it is restricted to the tangent space
-    of the constraint.  Eigenvalues below +-eps are counted by Sylvester's
-    law from one LDL^T pass per shift, with eps = 1e-6 * spectral radius
-    (estimated by Lanczos); any eigenvalue within eps of zero marks the
-    point degenerate.  Time and memory are O(d): no d x d array is formed.
+    H is the exact Hessian of the multiplier-corrected value lam0 * L - lam * K,
+    the structured operator of :func:`hessian_parts` (tridiagonal plus low
+    rank).  M = diag(mu(rho(t_j))) holds the graininess that each decision
+    sample carries as x^sigma in the Delta-sum (a free left end takes the
+    first step), so M^-1 H is the discrete second variation, whose low
+    spectrum converges as h -> 0.  For constrained problems the pencil is
+    restricted to the tangent space of the constraint.  Eigenvalues below
+    +-eps are counted by Sylvester's law from one LDL^T pass per shift;
+    eps is DEGENERATE_RELATIVE times the largest |v^T H v| / v^T M v over
+    the first four sine modes of [a, b], and any eigenvalue within eps of
+    zero marks the point degenerate.  Time and memory are O(d): no d x d
+    array is formed.
     """
     try:
         tr = point.trajectory
@@ -1015,12 +1004,14 @@ def classify(spec: ProblemSpec, point: StationaryPoint) -> str:
         dim = hess.diag.size - (g is not None)
         if not hess.finite or dim == 0:
             return DEGENERATE
-        scale = hess.spectral_radius(g)
-        if scale == 0.0 or not np.isfinite(scale):
+        ts, idx = spec.ts, decision_indices(spec)
+        mass = ts.steps[np.maximum(idx - 1, 0)]
+        modes = np.sin(np.pi * np.arange(1, 5)[:, None] * (ts.points[idx] - ts.a) / ts.span)
+        eps = DEGENERATE_RELATIVE * max(abs(v @ (hess @ v)) / (v @ (mass * v)) for v in modes)
+        if not eps > 0.0:
             return DEGENERATE
-        eps = DEGENERATE_RELATIVE * scale
-        below_lo = hess.count_below(-eps, g)
-        below_hi = hess.count_below(eps, g)
+        below_lo = hess.count_below(-eps, mass, g)
+        below_hi = hess.count_below(eps, mass, g)
         if below_hi > below_lo:
             return DEGENERATE
         if below_hi == 0:

@@ -336,6 +336,9 @@ class TestRejectedInput:
           "--resolution", "0"], "resolution"),
         (["scan", "quotient2_3pt", "--var", "x@0.5", "--range", "-10,10",
           "--resolution", "1"], "resolution"),
+        (["solve", "quotient1", "--seed", "-1"], "seed must be in [0, 2**128)"),
+        (["scan", "quotient2_3pt", "--var", "x@0.5", "--range", "10,-10"], "lo < hi"),
+        (["scan", "quotient2_3pt", "--var", "x@0.5", "--range", "1,1"], "lo < hi"),
     ])
     def test_bad_number(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)

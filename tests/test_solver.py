@@ -393,7 +393,7 @@ class TestIsoperimetric:
         finally:
             tracemalloc.stop()
         # The discrete solution x = 3t^2 - 2t + O(h) has these closed forms
-        # (they hold at h = 1e-3 and 5e-4 too).  The label is not pinned.
+        # (they hold at h = 1e-3 and 5e-4 too).  TestClassify pins the label.
         assert [p.lam0 for p in pts] == [1.0]
         excess = 6.0 * h / (1.0 - h)
         assert pts[0].value == pytest.approx(4.0 + excess, rel=1e-9)
@@ -450,20 +450,84 @@ class TestClassify:
         assert pts[0].classification == "local_min"
         assert np.allclose(pts[0].trajectory.x, ts.points, atol=1e-10)
 
+    # M^-1 H is the discrete second variation, whose low spectrum converges
+    # as h -> 0 (8 pi^2 for iso_R), so the labels must hold on every grid.
+    @pytest.mark.parametrize("problem, h, label", [
+        ("iso_R", 1e-3, "local_min"),
+        ("iso_R", 5e-4, "local_min"),
+        ("iso_R", 2.5e-4, "local_min"),
+        ("iso_R", 1e-4, "local_min"),
+        ("sturm_liouville", 1e-4, "degenerate"),  # scale invariant
+    ])
+    def test_fine_grid_labels(self, problem, h, label):
+        spec = resolve_problem(problem).build(h_override=h)
+        solve = solve_isoperimetric if spec.constraint is not None else solve_unconstrained
+        pts = solve(spec, SolveOptions(restarts=2))
+        assert pts and [p.classification for p in pts] == [label] * len(pts)
 
-def dense_label(hess, border=None):
-    """(label, eigenvalues, eps) by the threshold rule from a dense Hessian.
+    def test_convex_energy_is_local_min_on_a_fine_grid(self):
+        ts = make_timescale("uniform", a=0, b=1, h=1e-4)
+        F = CompositeFunctional.from_strings(["v^2"], "u1")
+        spec = ProblemSpec(ts=ts, lagrangian=F, bc=BoundarySpec.fixed(0, 1))
+        tr = Trajectory(ts, ts.points.copy())  # the exact discrete minimizer x = t
+        point = StationaryPoint(trajectory=tr, inner=np.ones(1), value=1.0, residual=0.0)
+        assert classify(spec, point) == "local_min"
 
-    With a border the Hessian is first projected onto its orthogonal
+    def test_mass_is_the_weight_of_x_sigma(self, monkeypatch):
+        # Each decision sample carries mu(rho(t_j)) as x^sigma in the
+        # Delta-sum, so M is half the Hessian of the sum of y^2.  A free left
+        # end is never an x^sigma: it takes the first step, and its zero
+        # curvature makes the point degenerate.
+        masses = []
+        real = _Hessian.count_below
+        monkeypatch.setattr(_Hessian, "count_below",
+                            lambda H, s, mass, g=None: masses.append(mass) or real(H, s, mass, g))
+        ts = make_timescale("qscale", q=1.5, kmin=0, kmax=6)
+        F = CompositeFunctional.from_strings(["y^2"], "u1")
+        tr = Trajectory(ts, np.zeros(len(ts)))
+        point = StationaryPoint(trajectory=tr, inner=np.zeros(1), value=0.0, residual=0.0)
+        for left in (0.0, None):
+            spec = ProblemSpec(ts=ts, lagrangian=F, bc=BoundarySpec(left=left, right=None))
+            assert classify(spec, point) == ("local_min" if left == 0.0 else "degenerate")
+            want = np.diag(functional_hessian(spec, tr)) / 2
+            if left is None:
+                want[0] = ts.steps[0]
+            np.testing.assert_allclose(masses[-1], want, rtol=1e-12)
+
+
+def decision_mass(spec):
+    """The graininess mu(rho(t_j)) at each decision sample; a free left end takes the first step."""
+    return spec.ts.steps[np.maximum(decision_indices(spec) - 1, 0)]
+
+
+def pencil_eigs(hess, mass, border=None):
+    """Eigenvalues of the pencil (hess, diag(mass)) by dense generalized eigh.
+
+    With a border the pencil is first restricted to its orthogonal
     complement through a complete QR factorization.
     """
+    basis = np.eye(mass.size)
     if border is not None and np.linalg.norm(border) > 0.0:
-        q, _ = np.linalg.qr(border[:, None], mode="complete")
-        hess = q[:, 1:].T @ hess @ q[:, 1:]
-    eigs = np.linalg.eigvalsh(hess)
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    eps = DEGENERATE_RELATIVE * scale
-    if scale == 0.0 or np.any(np.abs(eigs) <= eps):
+        basis = np.linalg.qr(border[:, None], mode="complete")[0][:, 1:]
+    if basis.shape[1] == 0:
+        return np.zeros(0)
+    return scipy.linalg.eigh(basis.T @ hess @ basis, basis.T @ (mass[:, None] * basis),
+                             eigvals_only=True)
+
+
+def dense_label(spec, hess, border=None):
+    """(label, eigenvalues, eps) by the pencil rule of classify from a dense Hessian.
+
+    eps is DEGENERATE_RELATIVE times the largest |Rayleigh quotient| of the
+    pencil on the first four sine modes of [a, b].
+    """
+    mass = decision_mass(spec)
+    eigs = pencil_eigs(hess, mass, border)
+    ts = spec.ts
+    s = (ts.points[decision_indices(spec)] - ts.a) / ts.span
+    modes = [np.sin(m * np.pi * s) for m in range(1, 5)]
+    eps = DEGENERATE_RELATIVE * max(abs(v @ hess @ v) / (v @ (mass * v)) for v in modes)
+    if eigs.size == 0 or not eps > 0.0 or np.any(np.abs(eigs) <= eps):
         return "degenerate", eigs, eps
     if np.all(eigs > eps):
         return "local_min", eigs, eps
@@ -485,16 +549,18 @@ class TestClassifyProperties:
             lam0, lam = (0.0, 1.0) if kind == "abnormal" else (1.0, float(rng.uniform(-2, 2)))
             hess = lam0 * hess - lam * constraint_hessian(spec, tr)
             border = constraint_gradient(spec, tr)
-        label, eigs, eps = dense_label(hess, border)
+        label, eigs, eps = dense_label(spec, hess, border)
         assume(not np.any((np.abs(eigs) > eps / 10) & (np.abs(eigs) < 10 * eps)))
         fd = fd_hessian(spec, tr, lam0, lam or 0.0)
-        # Weyl: the FD error moves each eigenvalue by at most its 2-norm, so
-        # the FD label is comparable only where that stays below eps / 10.
-        assume(eigs.size == 0 or np.abs(fd - hess).max() * hess.shape[0] < eps / 10)
+        # Weyl for the pencil: the FD error moves each eigenvalue by at most
+        # its 2-norm over the smallest mass, so the FD label is comparable
+        # only where that stays below eps / 10.
+        fd_error = np.abs(fd - hess).max() * hess.shape[0] / decision_mass(spec).min()
+        assume(eigs.size == 0 or fd_error < eps / 10)
         point = StationaryPoint(
             trajectory=tr, inner=np.zeros(1), value=0.0, residual=0.0, lam0=lam0, lam=lam
         )
-        assert classify(spec, point) == label == dense_label(fd, border)[0]
+        assert classify(spec, point) == label == dense_label(spec, fd, border)[0]
 
 
 def parts_size(spec, tr, terms):
@@ -685,7 +751,7 @@ class TestInertia:
                 checked += 1
         assert checked > 600
 
-    def test_projected_counts_and_radius_match_dense(self):
+    def test_pencil_counts_match_dense(self):
         rng = np.random.default_rng(7)
         for trial in range(300):
             n = int(rng.integers(2, 25))
@@ -696,20 +762,19 @@ class TestInertia:
             v = rng.standard_normal((k, n))
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             mu = rng.standard_normal(k)
+            mass = rng.uniform(0.05, 2.0, n)
             g = None
             if trial % 2:
                 g = rng.standard_normal(n)
                 g /= np.linalg.norm(g)
             hess = _Hessian(diag, off, v, np.diag(mu))
             dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) + v.T @ (mu[:, None] * v)
-            _, eigs, _ = dense_label(dense, g)
+            eigs = pencil_eigs(dense, mass, g)
             assert hess.diag.size - (g is not None) == eigs.size
             for s in (-1.0, -1e-3, 0.0, 0.5, 2.0):
                 if np.min(np.abs(eigs - s)) < 1e-8:
                     continue
-                assert hess.count_below(s, g) == np.count_nonzero(eigs < s)
-            radius = np.max(np.abs(eigs))
-            assert hess.spectral_radius(g) == pytest.approx(radius, rel=2e-3)
+                assert hess.count_below(s, mass, g) == np.count_nonzero(eigs < s)
 
     def test_classify_memory_is_linear(self):
         # d = 9999: a dense Hessian alone would take 800 MB.
