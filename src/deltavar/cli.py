@@ -80,11 +80,8 @@ def _solve_options(args) -> SolveOptions:
         restarts=args.restarts,
         seed=args.seed,
         tol_residual=args.tol,
-        tol_step=args.tol_step,
         max_iters=args.max_iters,
-        init_spread=args.init_spread,
         dedup_distance=args.dedup_distance,
-        tol_abnormal=args.tol_abnormal,
     )
 
 
@@ -94,11 +91,8 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=SolveOptions.seed)
     p.add_argument("--tol", type=float, default=SolveOptions.tol_residual,
                    help="residual max-norm tolerance (default %(default)s)")
-    p.add_argument("--tol-step", type=float, default=SolveOptions.tol_step)
     p.add_argument("--max-iters", type=int, default=SolveOptions.max_iters)
-    p.add_argument("--init-spread", type=float, default=SolveOptions.init_spread)
     p.add_argument("--dedup-distance", type=float, default=SolveOptions.dedup_distance)
-    p.add_argument("--tol-abnormal", type=float, default=SolveOptions.tol_abnormal)
 
 
 # -- output writers -------------------------------------------------------------

@@ -132,10 +132,6 @@ class ScanReport:
     def has_roots(self) -> bool:
         return len(self.roots) > 0
 
-    @property
-    def sign_pattern(self) -> np.ndarray:
-        return np.sign(self.values)
-
     def csv_rows(self):
         yield ("value", "field")
         for w, g in zip(self.grid, self.values):

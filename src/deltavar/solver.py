@@ -72,11 +72,11 @@ DEGENERATE = "degenerate"
 # dense form, by LAPACK; larger ones go through the block elimination of
 # _Hessian.factor (banded LU of the tridiagonal block plus a small
 # capacitance system), with the dense LU as the fallback.  No Newton system
-# forms a d x d array above this size unless that fallback fires.  Below
-# this size the fixed cost of building and factoring a sparse matrix per
-# step outweighs one small dense LU: sending every solve through block
-# elimination made the many-restart coarse-grid solves (d <= 199) about a
-# third slower.
+# forms a d x d array above this size unless that fallback fires.  Per plain
+# step (one factorization and solve, one BLAS thread) dense LU takes 0.19 ms
+# at d = 99 and 1.1 ms at d = 199, block elimination 0.34-0.39 ms at both:
+# they cross near d = 150.  The limit stays at 200 so that solves of up to
+# 200 unknowns keep the results of the dense path to the last bit.
 DENSE_NEWTON_LIMIT = 200
 
 # Newton matrices with a 1-norm condition estimate beyond 1/RCOND_LIMIT are
@@ -98,9 +98,14 @@ CONTRACTION_LIMIT = 1e-2
 # steps in a row that also grow ||w|| mark an escape toward that far field.
 ESCAPE_STEPS = 3
 
-# An accepted step whose relative merit improvement falls below this marks a
-# stalled iteration (a local minimum of ||residual||^2).
+# An accepted step whose relative merit improvement falls below
+# STALL_RELATIVE_PROGRESS, or whose length relative to 1 + ||w|| falls below
+# STEP_TOLERANCE, marks a stalled iteration (a local minimum of ||residual||^2).
 STALL_RELATIVE_PROGRESS = 1e-8
+STEP_TOLERANCE = 1e-12
+
+# Converged normal points with max |grad K| below this seed the abnormal branch.
+ABNORMAL_GRADIENT = 1e-8
 
 _EVAL_ERRORS = (DenominatorVanished, DomainError, DivisionByZero)
 
@@ -115,24 +120,27 @@ class ConstraintInfeasible(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tuning knobs for the multi-start Newton search."""
+    """Settings of the multi-start Newton search.
+
+    ``restarts`` runs start from the line through the fixed end values (0 at
+    a free end) and from random perturbations of it keyed by ``seed``.  A run
+    converges at residual max-norm ``tol_residual`` and fails after
+    ``max_iters`` iterations; converged points closer than ``dedup_distance``
+    in the discrete C1_rd norm are one point.
+    """
 
     restarts: int = 64
     seed: int = 0
     tol_residual: float = 1e-9
-    tol_step: float = 1e-12
     max_iters: int = 100
-    init_spread: float = 1.0
     dedup_distance: float = 1e-6
-    tol_abnormal: float = 1e-8
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if not 0 <= self.seed < 2**128:  # the key range of Philox
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
-        for name in ("tol_residual", "tol_step", "init_spread", "dedup_distance",
-                     "tol_abnormal"):
+        for name in ("tol_residual", "dedup_distance"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
@@ -177,7 +185,7 @@ def _initial_decision(spec: ProblemSpec, opts: SolveOptions, restart: int) -> np
     base = x_a + (x_b - x_a) * s
     if restart > 0:
         rng = _restart_rng(opts.seed, restart)
-        scale = opts.init_spread * (1.0 + abs(x_a) + abs(x_b))
+        scale = 1.0 + abs(x_a) + abs(x_b)
         # Smooth perturbation: one Gaussian amplitude applied to a random
         # low-frequency unit shape (zero at both ends), plus a random affine
         # offset at any free endpoint.  Keeping the amplitude in a single
@@ -614,7 +622,7 @@ def _run_newton(
             stalled = True
             break
         w_norm, w_norm_prev = float(np.linalg.norm(w)), w_norm
-        if step_norm <= opts.tol_step * (1.0 + w_norm):
+        if step_norm <= STEP_TOLERANCE * (1.0 + w_norm):
             stalled = True
             break
         outgrew = d is d_newton and alpha == 1.0 and step_norm > newton_norm
@@ -869,7 +877,7 @@ def solve_isoperimetric(
         if out.converged:
             # Newton evaluated gK at this z already, so this cannot raise.
             gK = constraint_gradient(spec, trajectory(out.w[:-1]))
-            if float(np.max(np.abs(gK))) < opts.tol_abnormal:
+            if float(np.max(np.abs(gK))) < ABNORMAL_GRADIENT:
                 seeds.append(out.w[:-1])
     if not any(out.converged for out in runs):
         # The normal system's Jacobian degenerates exactly when abnormal

@@ -56,13 +56,23 @@ def random_timescale(rng: np.random.Generator, min_points: int = 3,
     return make_timescale("qscale", q=q, kmin=0, kmax=max(n - 1, 2))
 
 
-def random_problem(rng: np.random.Generator, allow_free_ends: bool = True):
+def graded_timescale(rng: np.random.Generator):
+    """3 to 60 random points whose steps are log-uniform over two to four decades."""
+    n = int(rng.integers(3, 61))
+    decades = float(rng.uniform(2.0, 4.0))
+    steps = 10.0 ** rng.uniform(-decades, 0.0, size=n - 1)
+    return make_timescale("points", values=np.concatenate([[0.0], np.cumsum(steps)]) - 0.5)
+
+
+def random_problem(rng: np.random.Generator, allow_free_ends: bool = True, ts=None):
     """A random (spec, trajectory) pair safe for gradient identities.
 
-    Quotient outer maps are retried until the denominator integral is well
-    away from zero at the sampled trajectory.
+    The time scale is ``ts`` if given, else a random one.  Quotient outer
+    maps are retried until the denominator integral is well away from zero
+    at the sampled trajectory.
     """
-    ts = random_timescale(rng)
+    if ts is None:
+        ts = random_timescale(rng)
     family = rng.choice(["identity", "product", "quotient", "poly"])
     for _ in range(40):
         if family == "identity":

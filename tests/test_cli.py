@@ -327,7 +327,8 @@ class TestRejectedInput:
         (["solve", "quotient2_3pt", "--tol", "nan"], "tol_residual"),
         (["solve", "quotient2_3pt", "--tol", "inf"], "tol_residual"),
         (["solve", "quotient2_3pt", "--dedup-distance", "nan"], "dedup_distance"),
-        (["solve", "quotient2_3pt", "--init-spread", "inf"], "init_spread"),
+        (["refine", "quotient2_3pt", "--h-list", "0.5", "--max-iters", "0"],
+         "max_iters must be >= 1"),
         (["solve", "quotient2_3pt", "--h-override", "nan"], "step must be finite"),
         (["solve", "quotient2_3pt", "--h-override", "inf"], "step must be finite"),
         (["scan", "quotient2_3pt", "--var", "x@0.5", "--range", "0,inf"], "finite"),
@@ -343,6 +344,15 @@ class TestRejectedInput:
     def test_bad_number(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert_usage_error(code, err, message)
+
+    @pytest.mark.parametrize("command", [["solve", "quotient2_3pt"],
+                                         ["refine", "quotient2_3pt", "--h-list", "0.5"]])
+    @pytest.mark.parametrize("flag", ["--tol-step", "--init-spread", "--tol-abnormal"])
+    def test_fixed_settings_are_not_flags(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_verify_tolerance(self, capsys, tmp_path, tol):
