@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from .expr import ExprError
 from .functional import (
     BoundarySpec,
     CompositeFunctional,
@@ -96,6 +97,10 @@ class ProblemSpec:
             raise ValueError(
                 "isoperimetric problems require both endpoint values fixed"
             )
+        # decision_indices, made once per spec (read-only; not a field).
+        idx = np.arange(int(self.bc.left_fixed), len(self.ts) - int(self.bc.right_fixed))
+        idx.setflags(write=False)
+        object.__setattr__(self, "_decision", idx)
 
 
 @dataclass(frozen=True)
@@ -131,10 +136,7 @@ class ResidualReport:
 
 def decision_indices(spec: ProblemSpec) -> np.ndarray:
     """Indices of the sample values the solver may move (always contiguous)."""
-    n = len(spec.ts)
-    lo = 0 if not spec.bc.left_fixed else 1
-    hi = n - 1 if not spec.bc.right_fixed else n - 2
-    return np.arange(lo, hi + 1)
+    return spec._decision
 
 
 def embed_decision(spec: ProblemSpec, z) -> Trajectory:
@@ -163,27 +165,34 @@ def extract_decision(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
 class _Partials:
     """One evaluation of a functional's sampled partials along one trajectory.
 
-    Holds the inner values ``us``, the outer weights ``w = H'(us)``, the
-    samples ``fy``/``fv`` (one row per inner integrand), the inner-integral
-    gradients ``rows`` over all N samples and the full-sample gradient
-    ``g = w @ rows``.  The second partials and the outer Hessian are
-    evaluated on first use.  The record keeps the trajectory's arrays but
-    not the trajectory, so the trajectory's cache forms no reference cycle.
+    One sampling pass gives f and the samples ``fy``/``fv`` (one row per
+    inner integrand); the inner values ``us`` sum mu * f left to right, bit
+    for bit :func:`inner_values`.  The record holds ``us``, the outer weights
+    ``w = H'(us)``, the inner-integral gradients ``rows`` over all N samples
+    and ``g = w @ rows``; second partials and outer Hessian come on first
+    use.  It keeps the trajectory's arrays but not the trajectory, so the
+    trajectory's cache forms no reference cycle.
     """
 
     __slots__ = ("us", "w", "fy", "fv", "rows", "g", "_F", "_bindings", "_second")
 
     def __init__(self, F: CompositeFunctional, tr: Trajectory):
-        b = _integrand_bindings(tr)
-        self.us = inner_values(F, tr)
+        b, n = _integrand_bindings(tr), F.n
+        try:
+            samples = _samples(F.inner + F.inner_y + F.inner_v, b)
+        except ExprError:  # raise what passes over f, H'(us), then f_y and f_v raised first
+            F.outer_gradient(inner_values(F, tr))
+            raise
+        self.fy, self.fv = samples[n : 2 * n], samples[2 * n :]
+        weighted = tr.ts.steps * samples[: 2 * n]  # mu * f, then mu * f_y
+        self.us = weighted[:n].cumsum(axis=1)[:, -1].copy()
         self.w = F.outer_gradient(self.us)
-        self.fy, self.fv = _samples(F.inner_y + F.inner_v, b).reshape(2, F.n, -1)
         # Sample x_{j+1} enters interval j through y = x_{j+1} and
         # v = (x_{j+1} - x_j)/mu_j; sample x_j only through v.
-        self.rows = np.zeros((F.n, len(tr.ts)))
-        self.rows[:, 1:] = tr.ts.steps * self.fy + self.fv
-        self.rows[:, :-1] -= self.fv
-        self.g = self.w @ self.rows
+        rows = self.rows = np.zeros((n, len(tr.ts)))
+        rows[:, 1:] = weighted[n:] + self.fv
+        rows[:, :-1] -= self.fv
+        self.g = self.w @ rows
         self._F, self._bindings, self._second = F, b, None
 
     def second(self):
@@ -261,8 +270,7 @@ def hessian_parts(
     """
     record = _partials(F, tr)
     fyy, fyv, fvv, outer_hess = record.second()
-    w = record.w
-    steps = tr.ts.steps
+    w, steps = record.w, tr.ts.steps
     curv_v = w @ (fvv / steps)
     diag = np.zeros(len(spec.ts))
     diag[:-1] = curv_v

@@ -267,11 +267,16 @@ def pow_int(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if _is_const(base):
-        try:
-            return Const(base.value**exponent)
-        except OverflowError:  # the IEEE result, as array evaluation gives
-            return Const(math.copysign(math.inf, base.value) if exponent % 2 else math.inf)
+        return Const(_power(base.value, exponent))
     return Pow(base, exponent)
+
+
+def _power(x, exponent: int):
+    """x**exponent; a float power that overflows is the IEEE inf, as numpy's is."""
+    try:
+        return x**exponent
+    except OverflowError:
+        return math.copysign(math.inf, x) if exponent % 2 else math.inf
 
 
 def call(func: str, arg: Expr) -> Expr:
@@ -458,7 +463,7 @@ def evaluate(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             if isinstance(e, tuple):
-                return tuple(node._closure(bindings, division_guard) for node in e)
+                return tuple([node._closure(bindings, division_guard) for node in e])
             return e._closure(bindings, division_guard)
         except RecursionError:
             raise NestingTooDeep("evaluate") from None
@@ -484,15 +489,15 @@ def _compile(node: Expr) -> Callable:
         return lambda b, guard: -arg(b, guard)
     if isinstance(node, Pow):
         base, exponent = node.base._closure, node.exponent
-        return lambda b, guard: base(b, guard) ** exponent
+        return lambda b, guard: _power(base(b, guard), exponent)
     if isinstance(node, Call):
         arg, func, fn = node.arg._closure, node.func, FUNCTIONS[node.func]
 
         def call_(b, guard):
             val = arg(b, guard)
-            if func == "log" and np.any(val <= 0.0):
+            if func == "log" and _any(val <= 0.0):
                 raise DomainError(node, "log of a non-positive value")
-            if func == "sqrt" and np.any(val < 0.0):
+            if func == "sqrt" and _any(val < 0.0):
                 raise DomainError(node, "sqrt of a negative value")
             return fn(val)
 
@@ -505,11 +510,10 @@ def _compile(node: Expr) -> Callable:
     lhs, rhs = node.lhs._closure, node.rhs._closure
 
     def divide(b, guard):
-        num = lhs(b, guard)
-        den = rhs(b, guard)
+        num, den = lhs(b, guard), rhs(b, guard)
         if guard is not None:
             guard(num, den)
-        if np.any(den == 0.0):
+        if _any(den == 0.0):
             raise DivisionByZero(node)
         return num / den
 
@@ -517,6 +521,11 @@ def _compile(node: Expr) -> Callable:
 
 
 _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _any(mask) -> bool:
+    """np.any, without its wrapper cost on the bool of a Python float comparison."""
+    return mask if type(mask) is bool else bool(np.any(mask))
 
 
 # -- differentiation ----------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Expr, differentiate, evaluate, expr_variables, parse
+from .expr import Expr, _any, differentiate, evaluate, expr_variables, parse
 from .timescale import TimeScale, delta_derivative, delta_integral
 
 __all__ = [
@@ -45,7 +45,7 @@ class ScaleMismatch(ValueError):
 
 
 def _outer_division_guard(num, den) -> None:
-    if np.any(np.abs(den) < EPS_DENOMINATOR * (1.0 + np.abs(num))):
+    if _any(abs(den) < EPS_DENOMINATOR * (1.0 + abs(num))):
         raise DenominatorVanished(
             f"outer-map denominator {den} vanishes (|den| < "
             f"{EPS_DENOMINATOR:g}*(1+|num|) with num={num})"
@@ -122,9 +122,9 @@ class CompositeFunctional:
     # -- outer-map evaluation (guarded) -------------------------------------
 
     def _outer_values(self, exprs: tuple[Expr, ...], us) -> np.ndarray:
-        b = {name: us[i] for i, name in enumerate(self.outer_vars)}
-        values = evaluate(exprs, b, division_guard=_outer_division_guard)
-        return np.array([float(v) for v in values])
+        """The expressions at us, on Python floats: numpy's bits at a fraction of its cost."""
+        b = dict(zip(self.outer_vars, np.asarray(us, dtype=float).tolist()))
+        return np.array(evaluate(exprs, b, division_guard=_outer_division_guard), dtype=float)
 
     def outer_value(self, us) -> float:
         return float(self._outer_values((self.outer,), us)[0])
@@ -210,8 +210,8 @@ def _samples(exprs: tuple[Expr, ...], b: dict) -> np.ndarray:
     """Each expression sampled over the integrand bindings, one row each."""
     out = np.empty((len(exprs), b["t"].size))
     # Row assignment broadcasts constant expressions, which give scalars.
-    for row, values in zip(out, evaluate(exprs, b)):
-        row[...] = values
+    for i, values in enumerate(evaluate(exprs, b)):
+        out[i] = values
     return out
 
 

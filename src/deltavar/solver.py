@@ -107,6 +107,10 @@ STEP_TOLERANCE = 1e-12
 # Converged normal points with max |grad K| below this seed the abnormal branch.
 ABNORMAL_GRADIENT = 1e-8
 
+# solve_isoperimetric keeps the last TRAJECTORY_MEMO trajectories it built,
+# or fewer where they would hold over TRAJECTORY_MEMO_SAMPLES samples.
+TRAJECTORY_MEMO, TRAJECTORY_MEMO_SAMPLES = 8, 4096
+
 _EVAL_ERRORS = (DenominatorVanished, DomainError, DivisionByZero)
 
 
@@ -239,15 +243,11 @@ class _Hessian:
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray, U: np.ndarray, C: np.ndarray):
-        self.diag = diag
-        self.off = off
-        self.U = U
-        self.C = C
+        self.diag, self.off, self.U, self.C = diag, off, U, C
 
     @property
     def finite(self) -> bool:
-        parts = (self.diag, self.off, self.U, self.C)
-        return all(bool(np.all(np.isfinite(part))) for part in parts)
+        return all(np.isfinite(part).all() for part in (self.diag, self.off, self.U, self.C))
 
     # The Hessian is symmetric; expose matvec via both J @ v and J.T @ v.
     @property
@@ -362,8 +362,12 @@ class _Hessian:
 
     def _outer_directions(self) -> tuple[np.ndarray, np.ndarray]:
         """(V, mu) with U^T C U = V^T diag(mu) V, unit rows, null directions dropped."""
-        mu, q = np.linalg.eigh(self.C)
-        v = q.T @ self.U
+        # Unit rows of U before C is diagonalized: rows of very different size
+        # would mix into nearly parallel directions of huge opposite mu.
+        lengths = np.linalg.norm(self.U, axis=1)
+        scale = np.where(lengths > 0.0, lengths, 1.0)
+        mu, q = np.linalg.eigh(scale[:, None] * self.C * scale)
+        v = q.T @ (self.U / scale[:, None])
         lengths = np.linalg.norm(v, axis=1)
         mu = mu * lengths**2
         size = max(float(np.max(np.abs(self.diag), initial=0.0))
@@ -409,13 +413,11 @@ def _hessian(spec: ProblemSpec, tr: Trajectory, lam0: float, lam: Optional[float
         blocks.append(coef * t_outer)
     # Block-diagonal C by hand: scipy.linalg.block_diag costs more than the
     # dense Hessian assembly of a small problem.
-    k = sum(b.shape[0] for b in blocks)
-    C = np.zeros((k, k))
-    at = 0
-    for b in blocks:
+    sizes = [b.shape[0] for b in blocks]
+    C = np.zeros((sum(sizes), sum(sizes)))
+    for b, at in zip(blocks, (0, *sizes)):  # at most two blocks
         C[at : at + b.shape[0], at : at + b.shape[0]] = b
-        at += b.shape[0]
-    return _Hessian(diag, off, np.vstack(rows), C)
+    return _Hessian(diag, off, np.concatenate(rows), C)
 
 
 def _newton_solver(H: _Hessian, border: Optional[np.ndarray] = None):
@@ -462,7 +464,7 @@ def _dense_solver(
             # decides whether the factors are used.
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             factors = scipy.linalg.lu_factor(M, check_finite=False)
-        rcond, info = lapack.dgecon(factors[0], np.linalg.norm(M, 1), norm="1")
+        rcond, info = lapack.dgecon(factors[0], np.abs(M).sum(axis=0).max(), norm="1")
         if info == 0 and rcond > RCOND_LIMIT:
             return lambda f: lapack.dgetrs(*factors, f)[0]
     except (scipy.linalg.LinAlgError, ValueError):
@@ -486,7 +488,7 @@ class _LevelJacobian:
 
     def __init__(self, H: _Hessian, g: np.ndarray):
         self.H, self.g = H, g
-        self.finite = H.finite and bool(np.all(np.isfinite(g)))
+        self.finite = H.finite and np.isfinite(g).all()
         self.T = LinearOperator(
             (g.size, g.size + 1), matvec=lambda r: H @ r[:-1] + g * r[-1], dtype=float
         )
@@ -508,7 +510,7 @@ class _NormalJacobian:
 
     def __init__(self, H: _Hessian, b: np.ndarray):
         self.H, self.b = H, b
-        self.finite = H.finite and bool(np.all(np.isfinite(b)))
+        self.finite = H.finite and np.isfinite(b).all()
 
     @property
     def T(self) -> "_NormalJacobian":
@@ -543,11 +545,11 @@ def _run_newton(
         r, jacobian = evaluate(w)
     except _EVAL_ERRORS as exc:
         return _NewtonResult(w, np.full_like(w, np.inf), False, 0, failure=exc)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         return _NewtonResult(w, r, False, 0)
 
     def contracting(d: np.ndarray, w: np.ndarray) -> bool:
-        return bool(np.all(np.isfinite(d))) and float(np.linalg.norm(d)) <= (
+        return np.isfinite(d).all() and float(np.linalg.norm(d)) <= (
             CONTRACTION_LIMIT * (1.0 + float(np.linalg.norm(w)))
         )
 
@@ -564,7 +566,7 @@ def _run_newton(
     w_norm, newton_norm, growing = float(np.linalg.norm(w)), np.inf, 0
     escape_norm = 1e3 * (1.0 + w_norm)
     for it in range(opts.max_iters):
-        r_inf = float(np.max(np.abs(r)))
+        r_inf = float(np.abs(r).max())
         try:
             J = jacobian()
         except _EVAL_ERRORS as exc:
@@ -582,7 +584,7 @@ def _run_newton(
                 r_next, _ = evaluate(w + d_newton)
             except _EVAL_ERRORS:
                 r_next = None
-            if r_next is not None and np.all(np.isfinite(r_next)) and (
+            if r_next is not None and np.isfinite(r_next).all() and (
                 float(r_next @ r_next) <= float(r @ r)
                 and float(np.max(np.abs(r_next))) <= opts.tol_residual
             ):
@@ -594,16 +596,17 @@ def _run_newton(
         for d in (d_newton, None):
             if d is None:  # the damped gradient step, formed only when needed
                 d = -DAMPED_STEP * (J.T @ r)
-            if not np.all(np.isfinite(d)) or not np.any(d):
+            if not np.isfinite(d).all() or not d.any():
                 continue
             alpha = 1.0
             for _ in range(MAX_BACKTRACKS):
+                w_trial = w + alpha * d
                 try:
-                    r_trial, jacobian_trial = evaluate(w + alpha * d)
+                    r_trial, jacobian_trial = evaluate(w_trial)
                 except _EVAL_ERRORS as exc:
                     last_failure = exc
                     r_trial = None
-                if r_trial is not None and np.all(np.isfinite(r_trial)):
+                if r_trial is not None and np.isfinite(r_trial).all():
                     merit = float(r_trial @ r_trial)
                     if merit <= merit0 * (1.0 - ARMIJO_SLOPE * alpha):
                         accepted = True
@@ -611,14 +614,12 @@ def _run_newton(
                 alpha *= 0.5
             if accepted:
                 step_norm = float(np.linalg.norm(alpha * d))
-                w = w + alpha * d
-                merit_new = float(r_trial @ r_trial)
-                r, jacobian = r_trial, jacobian_trial
+                w, r, jacobian = w_trial, r_trial, jacobian_trial
                 break
         if not accepted:
             stalled = True
             break
-        if merit0 - merit_new <= STALL_RELATIVE_PROGRESS * merit0:
+        if merit0 - merit <= STALL_RELATIVE_PROGRESS * merit0:
             stalled = True
             break
         w_norm, w_norm_prev = float(np.linalg.norm(w)), w_norm
@@ -633,7 +634,7 @@ def _run_newton(
             # field where no stationary point exists.
             return _NewtonResult(w, r, False, it, failure=last_failure)
 
-    r_inf = float(np.max(np.abs(r)))
+    r_inf = float(np.abs(r).max())
     converged = r_inf <= opts.tol_residual and stalled
     return _NewtonResult(w, r, converged, it, failure=last_failure)
 
@@ -845,14 +846,17 @@ def solve_isoperimetric(
         raise ValueError("spec has no constraint; use solve_unconstrained")
     opts = opts or SolveOptions()
     K, target = spec.constraint.functional, spec.constraint.target
-    # One-entry memo of (decision bytes, trajectory): the lambda guess, steps
-    # that move only lambda and the abnormal check meet the last z again.
-    last = [None, None]
+    # Decision bytes -> trajectory, least recently used first: the lambda guess,
+    # lambda-only steps and the abnormal check meet the last z again, and the
+    # next iteration can propose a full step that backtracking rejected.
+    memo, memo_size = {}, max(1, min(TRAJECTORY_MEMO, TRAJECTORY_MEMO_SAMPLES // len(spec.ts)))
 
     def trajectory(z):
-        if z.tobytes() != last[0]:
-            last[:] = z.tobytes(), embed_decision(spec, z)
-        return last[1]
+        key = z.tobytes()
+        memo[key] = memo.pop(key, None) or embed_decision(spec, z)
+        if len(memo) > memo_size:
+            del memo[next(iter(memo))]
+        return memo[key]
 
     def evaluate(w):
         z, lam = w[:-1], w[-1]

@@ -2,7 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import random_problem
+from conftest import graded_timescale, random_constraint, random_problem
+from hypothesis import given, settings, strategies as st
 
 from deltavar import euler_lagrange
 
@@ -10,6 +11,7 @@ from deltavar import (
     BothMultipliersZero,
     BoundarySpec,
     CompositeFunctional,
+    DenominatorVanished,
     EndpointNotFree,
     IsoConstraint,
     ProblemSpec,
@@ -350,23 +352,43 @@ class TestResidualReport:
             spec = ProblemSpec(ts=ts, lagrangian=L, bc=BoundarySpec(left=None, right=None))
             expected = {L: 1}
         calls = Counter()
-        real = euler_lagrange.inner_values
+        real = euler_lagrange._Partials
 
         def counting(F, tr):
             calls[F] += 1
             return real(F, tr)
 
-        monkeypatch.setattr(euler_lagrange, "inner_values", counting)
+        monkeypatch.setattr(euler_lagrange, "_Partials", counting)
         residual_report(spec, Trajectory(ts, ts.points**2), lam0=1.0, lam=2.0)
         assert calls == expected
 
 
 class TestBatchedEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_record_inner_values_match_inner_values(self, seed, graded):
+        # The record sums the rows of its one sampling pass; inner_values
+        # sums each integrand by delta_integral.  Bit for bit the same.
+        rng = np.random.default_rng(seed)
+        spec, tr = random_problem(rng, ts=graded_timescale(rng) if graded else None)
+        for F in (spec.lagrangian, random_constraint(rng).functional):
+            want = inner_values(F, tr)
+            assert euler_lagrange._Partials(F, tr).us.tobytes() == want.tobytes()
+
+    def test_record_raises_the_outer_error_before_the_partials_error(self):
+        # f = sqrt(y) is finite at y = 0 where f_y divides by zero, and
+        # u2 = 0 makes H'(u) = (1/u2, -u1/u2^2) vanish: the outer map's error
+        # comes first, as when f and its partials were sampled apart.
+        F = CompositeFunctional.from_strings(["sqrt(y)", "y - y"], "u1 / u2")
+        tr = Trajectory(THREE_PT, [0.0, 0.0, 1.0])
+        with pytest.raises(DenominatorVanished):
+            euler_lagrange._Partials(F, tr)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_record_evaluates_in_five_stages(self, monkeypatch, n):
-        # Inner values, outer gradient, first partials, second partials and
-        # outer Hessian: one evaluate call each, whatever the number of
-        # inner integrands.
+    def test_record_evaluates_in_four_stages(self, monkeypatch, n):
+        # The integrands with their first partials, the outer gradient, the
+        # second partials and the outer Hessian: one evaluate call each,
+        # whatever the number of inner integrands.
         from deltavar import expr, functional
 
         ts = make_timescale("uniform", a=0, b=1, h=0.25)
@@ -384,6 +406,6 @@ class TestBatchedEvaluation:
         monkeypatch.setattr(functional, "evaluate", counting)
         record = euler_lagrange._Partials(F, Trajectory(ts, 1.0 + ts.points**2))
         fyy, fyv, fvv, outer_hess = record.second()
-        assert calls[0] <= 5
+        assert calls[0] == 4
         assert fyy.shape == fyv.shape == fvv.shape == record.fy.shape == (n, len(ts) - 1)
         assert outer_hess.shape == (n, n)

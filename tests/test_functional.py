@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from deltavar import functional
 from deltavar import (
     CompositeFunctional,
     DenominatorVanished,
+    ExprError,
     ScaleMismatch,
     Trajectory,
     c1rd_distance,
@@ -172,3 +175,77 @@ class TestC1rdDistance:
             c1rd_distance(
                 Trajectory(THREE_PT, [0, 0, 0]), Trajectory(other, [0, 0, 0])
             )
+
+
+def random_outer_text(rng: np.random.Generator, n: int, depth: int = 3) -> str:
+    """A random outer map over u1..un that can use every operator and function."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.8:
+            return f"u{int(rng.integers(1, n + 1))}"
+        return repr(round(float(rng.uniform(-2.0, 2.0)), 3))
+    arg = random_outer_text(rng, n, depth - 1)
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        op = str(rng.choice(["+", "-", "*", "/", "/"]))
+        return f"({arg}) {op} ({random_outer_text(rng, n, depth - 1)})"
+    if kind == 1:
+        return f"({arg})^{int(rng.integers(2, 6))}"
+    if kind == 2:
+        return f"{rng.choice(['sin', 'cos', 'exp', 'log', 'sqrt'])}({arg})"
+    return f"-({arg})"
+
+
+# Inner values that reach every branch of the float evaluation: signed zeros,
+# NaN, infinities, near-vanishing denominators and powers that overflow.
+OUTER_INPUTS = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, 1e-12, -1e-300, 5e-10, 1e200, -1e200, np.nan, np.inf]),
+)
+
+
+def outcome(fn):
+    """('ok', bytes of the result) or (error type, message): what a caller sees.
+
+    Every NaN counts as one value: the sign bit of a NaN depends on the
+    power routine that made it, and nothing reads it.
+    """
+    try:
+        values = np.asarray(fn(), dtype=float)
+        return "ok", np.where(np.isnan(values), np.nan, values).tobytes()
+    except (DenominatorVanished, ExprError) as exc:
+        return type(exc), str(exc)
+
+
+def numpy_scalar_values(F, exprs, us):
+    """The outer-map values as evaluated on numpy scalars, one per inner value."""
+    b = dict(zip(F.outer_vars, np.asarray(us, dtype=float)))
+    values = evaluate(exprs, b, division_guard=functional._outer_division_guard)
+    return np.array([float(v) for v in values])
+
+
+class TestFloatOuterMap:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_matches_numpy_scalars_bit_for_bit(self, seed, data):
+        # Values, gradients and the typed error (DenominatorVanished,
+        # DivisionByZero, DomainError) agree at every input.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        F = CompositeFunctional.from_strings(["v"] * n, random_outer_text(rng, n))
+        us = np.array(data.draw(st.lists(OUTER_INPUTS, min_size=n, max_size=n)))
+        for exprs in ((F.outer,), F.outer_grad_exprs):
+            want = outcome(lambda: numpy_scalar_values(F, exprs, us))
+            assert outcome(lambda: F._outer_values(exprs, us)) == want
+
+    @pytest.mark.parametrize("den", [0.0, -0.0, 1e-12, -1e-300, np.nan])
+    def test_denominators_near_zero_and_nan(self, den):
+        F = CompositeFunctional.from_strings(["v", "v"], "u1 / u2")
+        for us in (np.array([1.0, den]), np.array([np.nan, den])):
+            for exprs in ((F.outer,), F.outer_grad_exprs):
+                want = outcome(lambda: numpy_scalar_values(F, exprs, us))
+                assert outcome(lambda: F._outer_values(exprs, us)) == want
+
+    def test_overflowing_power_is_infinite(self):
+        F = CompositeFunctional.from_strings(["v"], "u1^3")
+        assert F.outer_value(np.array([-1e200])) == -np.inf
+        assert F.outer_gradient(np.array([1e200]))[0] == np.inf

@@ -195,11 +195,11 @@ class TestSharedEvaluation:
         # trajectory whose residual was just evaluated, so hessian_parts
         # evaluates no first partials of its own.
         inner_calls = [0]
-        real_inner = euler_lagrange.inner_values
+        real_record = euler_lagrange._Partials
 
-        def counting_inner(F, tr):
+        def counting_record(F, tr):
             inner_calls[0] += 1
-            return real_inner(F, tr)
+            return real_record(F, tr)
 
         added = []
         real_parts = solver.hessian_parts
@@ -210,7 +210,7 @@ class TestSharedEvaluation:
             added.append(inner_calls[0] - before)
             return out
 
-        monkeypatch.setattr(euler_lagrange, "inner_values", counting_inner)
+        monkeypatch.setattr(euler_lagrange, "_Partials", counting_record)
         monkeypatch.setattr(solver, "hessian_parts", watched_parts)
         spec = resolve_problem(problem).build()
         solve = solve_isoperimetric if spec.constraint is not None else solve_unconstrained
@@ -221,13 +221,13 @@ class TestSharedEvaluation:
         # The multiplier guess and Newton's first residual share one
         # trajectory, so each functional is evaluated once at each start.
         calls = []
-        real_inner = euler_lagrange.inner_values
+        real_record = euler_lagrange._Partials
 
-        def counting_inner(F, tr):
+        def counting_record(F, tr):
             calls.append((F, tr.x.tobytes()))
-            return real_inner(F, tr)
+            return real_record(F, tr)
 
-        monkeypatch.setattr(euler_lagrange, "inner_values", counting_inner)
+        monkeypatch.setattr(euler_lagrange, "_Partials", counting_record)
         spec = resolve_problem("iso_3pt").build()
         opts = SolveOptions(restarts=4, seed=0)
         solve_isoperimetric(spec, opts)
@@ -585,6 +585,41 @@ class TestClassifyProperties:
         fd_error = np.abs(fd - hess).max() * hess.shape[0] / mass.min()
         if eigs.size == 0 or fd_error < eps / 10:
             assert dense_label(spec, fd, border)[0] == label
+
+
+# Normal points of L = 0.719 (int -0.682 t y^2)^2 with a constraint u1 * u2 on
+# 12 decision points whose steps fall geometrically from 1 to 1.7e-4: two of
+# the outer rows U differ in norm by about 1e5 and are coupled by C.
+GRADED_CASES = [
+    (["-1.805*t^2*v^2 + 0.05*y^2*v^2", "-1.753*t*y^2"],
+     [0.46, 0.29, -0.26, -0.23, 0.34, -0.03, -0.01, -0.65, -0.09, -0.34, 0.61, -0.25, 0.65, -0.41],
+     9, "saddle"),
+    (["-0.723*v^2 + -1.234*t^2*v^2", "0.033*t^2*y^2"],
+     [0.73, 0.14, 0.7, -0.35, -1.0, 0.98, 0.51, -0.69, 0.28, 0.71, -0.59, 0.71, -0.67, 0.61],
+     1, "saddle"),
+]
+
+
+@pytest.mark.parametrize("inner, x, below, label", GRADED_CASES, ids=["nine", "one"])
+def test_count_below_with_outer_rows_of_graded_size(inner, x, below, label):
+    # Diagonalizing C before scaling U's rows to unit length gave mu of about
+    # +-5e9 on two nearly parallel directions, and the Schur corner of the
+    # inertia pass lost a sign: 10 and 0 eigenvalues below -100 instead of 9
+    # and 1, and the second point labeled local_min.
+    steps = np.geomspace(1.0, 1.7e-4, 13)
+    ts = make_timescale("points", values=np.concatenate([[0.0], np.cumsum(steps)]) - 0.5)
+    K = IsoConstraint(CompositeFunctional.from_strings(inner, "u1 * u2"), 0.0)
+    spec = ProblemSpec(ts=ts, lagrangian=CompositeFunctional.from_strings(
+        ["-0.682*t*y^2"], "0.719*u1^2"), bc=BoundarySpec.fixed(x[0], x[-1]), constraint=K)
+    tr, lam = Trajectory(ts, x), 1.777
+    gK = constraint_gradient(spec, tr)
+    hess = functional_hessian(spec, tr) - lam * constraint_hessian(spec, tr)
+    eigs = pencil_eigs(hess, decision_mass(spec), gK)
+    assert np.count_nonzero(eigs < -100.0) == below
+    assert _hessian(spec, tr, 1.0, lam).count_below(
+        -100.0, decision_mass(spec), gK / np.linalg.norm(gK)) == below
+    point = StationaryPoint(tr, np.zeros(2), 0.0, 0.0, lam0=1.0, lam=lam)
+    assert classify(spec, point) == dense_label(spec, hess, gK)[0] == label
 
 
 def parts_size(spec, tr, terms):
