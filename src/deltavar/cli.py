@@ -8,6 +8,7 @@ denominator at every restart.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -429,7 +430,9 @@ def cmd_examples(_args) -> int:
 # -- entry point ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="deltavar",
         description="Stationary trajectories of composite variational "

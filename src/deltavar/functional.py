@@ -121,19 +121,20 @@ class CompositeFunctional:
 
     # -- outer-map evaluation (guarded) -------------------------------------
 
-    def _outer_values(self, exprs: tuple[Expr, ...], us) -> np.ndarray:
+    def _outer_values(self, exprs, us):
         """The expressions at us, on Python floats: numpy's bits at a fraction of its cost."""
-        b = dict(zip(self.outer_vars, np.asarray(us, dtype=float).tolist()))
-        return np.array(evaluate(exprs, b, division_guard=_outer_division_guard), dtype=float)
+        b = dict(zip(self.outer_vars, map(float, us)))
+        return evaluate(exprs, b, division_guard=_outer_division_guard)
 
     def outer_value(self, us) -> float:
-        return float(self._outer_values((self.outer,), us)[0])
+        return float(self._outer_values(self.outer, us))
 
     def outer_gradient(self, us) -> np.ndarray:
-        return self._outer_values(self.outer_grad_exprs, us)
+        return np.array(self._outer_values(self.outer_grad_exprs, us), dtype=float)
 
     def outer_hessian(self, us) -> np.ndarray:
-        return self._outer_values(self.second_partials[3], us).reshape(self.n, self.n)
+        hess = np.array(self._outer_values(self.second_partials[3], us), dtype=float)
+        return hess.reshape(self.n, self.n)
 
     def __repr__(self) -> str:
         inner = ", ".join(str(f) for f in self.inner)
@@ -207,8 +208,9 @@ def _integrand_bindings(tr: Trajectory) -> dict:
 
 
 def _samples(exprs: tuple[Expr, ...], b: dict) -> np.ndarray:
-    """Each expression sampled over the integrand bindings, one row each."""
-    out = np.empty((len(exprs), b["t"].size))
+    """Each expression sampled over the integrand bindings, one row each (each
+    row (B, N - 1) where y and v hold a batch of B trajectories)."""
+    out = np.empty((len(exprs),) + b["y"].shape)
     # Row assignment broadcasts constant expressions, which give scalars.
     for i, values in enumerate(evaluate(exprs, b)):
         out[i] = values

@@ -4,19 +4,22 @@ Everything here checks the library without trusting it: gradients come from
 central differences of the functional value, low-dimensional stationarity
 systems are enclosed by sign brackets and refined by bisection, and the
 Rayleigh-quotient eigenvalue problems hiding in quotient functionals are
-assembled purely by differencing the two quadratic forms.  Apart from the
-expression evaluator these code paths share no logic with the residual
-module.  The one exception is :func:`fd_hessian`, which differences the exact
+assembled purely by differencing the two quadratic forms.  Scans take the
+value of a batch of trajectories at once, bit for bit the value of each:
+one pass for the grid, one per bisection step.  Apart from the expression
+evaluator these code paths share no logic with the residual module.  The
+one exception is :func:`fd_hessian`, which differences the exact
 gradient to check the second-order machinery (the structured Hessian and
 the classification built on it) in tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .euler_lagrange import (
     ProblemSpec,
@@ -25,14 +28,8 @@ from .euler_lagrange import (
     embed_decision,
     functional_gradient,
 )
-from .expr import parse
-from .functional import (
-    CompositeFunctional,
-    DenominatorVanished,
-    Trajectory,
-    value,
-)
-from .expr import DomainError, DivisionByZero
+from .expr import DivisionByZero, DomainError, parse
+from .functional import CompositeFunctional, DenominatorVanished, Trajectory, _samples, value
 
 __all__ = [
     "TooManyDecisionVariables",
@@ -51,6 +48,11 @@ _EVAL_ERRORS = (DenominatorVanished, DomainError, DivisionByZero)
 
 BISECTION_TOL = 1e-12
 FD_HESSIAN_STEP = 1e-6
+# Rounding error of one value relative to its size.  2-D scans widen each
+# central difference by it, so the cells around a root stay one touching group.
+FD_ROUNDING = 64 * np.finfo(float).eps
+# Embedded samples per batch of trajectories in _values.
+_BATCH_SAMPLES = 1 << 16
 
 
 class TooManyDecisionVariables(ValueError):
@@ -61,22 +63,55 @@ class SingularB(ValueError):
     """The right-hand matrix of the eigenvalue pencil is not positive definite."""
 
 
+def _values(spec: ProblemSpec, F: CompositeFunctional, Z: np.ndarray, strict: bool = False):
+    """value(F, embed_decision(spec, z)) for each row z of Z, bit for bit.
+
+    One integrand pass per batch of rows, a row-wise cumsum per inner integral
+    (delta_integral's sum), then the outer map per row on floats, as value
+    does: numpy's x**n on arrays differs in the last bit.  A row that raises
+    gets NaN, or re-raises if ``strict``; a batch whose integrand pass raises
+    is evaluated row by row."""
+    out, per, steps = np.empty(len(Z)), max(1, _BATCH_SAMPLES // len(spec.ts)), spec.ts.steps
+    for start in range(0, len(Z), per):
+        rows = Z[start : start + per]
+        X = np.repeat(embed_decision(spec, rows[0]).x[None], len(rows), axis=0)
+        X[:, decision_indices(spec)] = rows
+        b = {"t": spec.ts.points[:-1], "y": X[:, 1:], "v": (X[:, 1:] - X[:, :-1]) / steps}
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                us = (steps * _samples(F.inner, b)).cumsum(axis=2)[:, :, -1].T.tolist()
+        except _EVAL_ERRORS:
+            us = [None] * len(rows)
+        for i, (z, u) in enumerate(zip(rows, us), start):
+            try:
+                out[i] = value(F, embed_decision(spec, z)) if u is None else F.outer_value(u)
+            except _EVAL_ERRORS:
+                if strict:
+                    raise
+                out[i] = np.nan
+    return out
+
+
+def _central_differences(spec: ProblemSpec, W: np.ndarray, step: float, strict: bool = False):
+    """Central-difference gradients of the value at the rows of W, (P, d), as
+    one batch whose rows come in fd_gradient's order (+step, then -step, per
+    variable), and the bound FD_ROUNDING * (|v+| + |v-|) / (2 step) on their
+    rounding error."""
+    P, d = W.shape
+    Z = np.repeat(W, 2 * d, axis=0).reshape(P, d, 2, d)
+    for j in range(d):
+        Z[:, j, 0, j] += step
+        Z[:, j, 1, j] -= step
+    v, h2 = _values(spec, spec.lagrangian, Z.reshape(-1, d), strict).reshape(P, d, 2), 2.0 * step
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (v[..., 0] - v[..., 1]) / h2, FD_ROUNDING * (abs(v[..., 0]) + abs(v[..., 1])) / h2
+
+
 def fd_gradient(spec: ProblemSpec, tr: Trajectory, step: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of the functional value per decision sample."""
     if step <= 0.0:
         raise ValueError("step must be positive")
-    idx = decision_indices(spec)
-    z = tr.x[idx].copy()
-    grad = np.empty(z.size)
-    for j in range(z.size):
-        zp = z.copy()
-        zp[j] += step
-        zm = z.copy()
-        zm[j] -= step
-        vp = value(spec.lagrangian, embed_decision(spec, zp))
-        vm = value(spec.lagrangian, embed_decision(spec, zm))
-        grad[j] = (vp - vm) / (2.0 * step)
-    return grad
+    return _central_differences(spec, tr.x[decision_indices(spec)][None], step, True)[0][0]
 
 
 def fd_hessian(
@@ -138,29 +173,49 @@ class ScanReport:
             yield (w, g)
 
 
-def _bisect(field: Callable[[float], float], lo: float, hi: float) -> Optional[float]:
-    flo = field(lo)
-    fhi = field(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if not (np.isfinite(flo) and np.isfinite(fhi)) or flo * fhi > 0:
-        return None
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = field(mid)
-        if not np.isfinite(fmid):
-            return None
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+def _field(spec: ProblemSpec, w: np.ndarray, step: float) -> np.ndarray:
+    """The 1-D scan's field at the points w; NaN where it fails or is not finite."""
+    if spec.constraint is not None:
+        out = _values(spec, spec.constraint.functional, w[:, None]) - spec.constraint.target
+    else:
+        out = _central_differences(spec, w[:, None], step)[0][:, 0]
+    return np.where(np.isfinite(out), out, np.nan)
+
+
+def _bisect(spec: ProblemSpec, step: float, lo, hi, flo) -> np.ndarray:
+    """Roots of the 1-D field in the sign-change brackets [lo_k, hi_k], f(lo_k) = flo_k.
+
+    The brackets advance in lockstep, one field batch per step at the open
+    ones' midpoints, each with the midpoints and root of bisecting it alone.
+    A root is NaN where a midpoint's field value is not finite.
+    """
+    lo, hi, flo, roots = lo.copy(), hi.copy(), flo.copy(), np.full(lo.size, np.nan)
+    open_ = np.arange(lo.size)
+    while True:
+        mid = 0.5 * (lo[open_] + hi[open_])
+        done = (hi[open_] - lo[open_] <= BISECTION_TOL) | (mid == lo[open_]) | (mid == hi[open_])
+        roots[open_[done]] = mid[done]
+        open_, mid = open_[~done], mid[~done]
+        if not open_.size:
+            return roots
+        fmid = _field(spec, mid, step)
+        roots[open_[fmid == 0.0]] = mid[fmid == 0.0]
+        keep = np.isfinite(fmid) & (fmid != 0.0)
+        left = keep & (flo[open_] * fmid < 0)
+        right = keep & ~left
+        hi[open_[left]] = mid[left]
+        lo[open_[right]], flo[open_[right]] = mid[right], fmid[right]
+        open_ = open_[keep]
+
+
+def _straddling(spec: ProblemSpec, lattice: np.ndarray, step: float) -> np.ndarray:
+    """Cells of a lattice of points (..., m, m, 2) whose four corners have finite
+    gradients straddling zero in both components, each within its rounding bound."""
+    g, noise = _central_differences(spec, lattice.reshape(-1, 2), step)
+    g = np.where(np.isfinite(g), g, np.nan)  # NaN straddles nothing
+    lo, hi = (sliding_window_view((g + sign * noise).reshape(lattice.shape), (2, 2), (-3, -2))
+              for sign in (-1.0, 1.0))
+    return ((lo.min((-2, -1)) <= 0.0) & (hi.max((-2, -1)) >= 0.0)).all(-1)
 
 
 def scan_low_dim(
@@ -176,11 +231,11 @@ def scan_low_dim(
     one decision variable it is the constraint defect, whose roots are the
     feasible candidates.  1-D scans return a ScanReport with guaranteed
     sign-change enclosures refined by bisection; 2-D scans return a tuple of
-    candidate boxes where both gradient components change sign, refined by
-    recursive subdivision.
+    candidate points where both gradient components change sign, refined by
+    subdivision, one per group of touching cells.  The grid is one batch of
+    field values, and so is each bisection step or subdivision level.
     """
-    idx = decision_indices(spec)
-    d = idx.size
+    d = decision_indices(spec).size
     if d > 2:
         raise TooManyDecisionVariables(f"{d} decision variables; scans support <= 2")
     if len(ranges) != d:
@@ -191,112 +246,52 @@ def scan_low_dim(
         raise ValueError(f"scan ranges need lo < hi, got {list(ranges)}")
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if d == 2 and spec.constraint is not None:
+        raise ValueError("2-D scans support unconstrained problems only")
+    grids = [np.linspace(float(lo), float(hi), int(resolution)) for lo, hi in ranges]
 
     if d == 1:
-        if spec.constraint is not None:
-            name = "constraint defect"
+        # A bracket is a sign change to the next point or a zero there (the
+        # last point pairs with itself), between finite values.
+        grid = grids[0]
+        vals = _field(spec, grid, fd_step)
+        finite = np.isfinite(vals)
+        both = np.append(finite[:-1] & finite[1:], finite[-1])
+        roots = np.where(both & (vals == 0.0), grid, np.nan)
+        with np.errstate(over="ignore"):
+            change = np.flatnonzero(both[:-1] & (vals[:-1] * vals[1:] < 0.0))
+            roots[change] = _bisect(spec, fd_step, grid[change], grid[change + 1], vals[change])
+        at = np.flatnonzero(np.isfinite(roots))
+        brackets = tuple((float(grid[i]), float(grid[i + (vals[i] != 0.0)])) for i in at)
+        name = "value gradient" if spec.constraint is None else "constraint defect"
+        return ScanReport(name, grid, vals, brackets, tuple(float(r) for r in roots[at]))
 
-            def field(w: float) -> float:
-                tr = embed_decision(spec, np.array([w]))
-                return value(spec.constraint.functional, tr) - spec.constraint.target
-
-        else:
-            name = "value gradient"
-
-            def field(w: float) -> float:
-                tr = embed_decision(spec, np.array([w]))
-                return float(fd_gradient(spec, tr, fd_step)[0])
-
-        def safe_field(w: float) -> float:
-            try:
-                out = field(w)
-            except _EVAL_ERRORS:
-                return np.nan
-            return out if np.isfinite(out) else np.nan
-
-        lo, hi = map(float, ranges[0])
-        grid = np.linspace(lo, hi, int(resolution))
-        vals = np.array([safe_field(w) for w in grid])
-        brackets = []
-        roots = []
-        for i in range(grid.size - 1):
-            g0, g1 = vals[i], vals[i + 1]
-            if not (np.isfinite(g0) and np.isfinite(g1)):
-                continue
-            if g0 == 0.0:
-                brackets.append((float(grid[i]), float(grid[i])))
-                roots.append(float(grid[i]))
-                continue
-            if g0 * g1 < 0.0:
-                root = _bisect(safe_field, float(grid[i]), float(grid[i + 1]))
-                if root is not None:
-                    brackets.append((float(grid[i]), float(grid[i + 1])))
-                    roots.append(float(root))
-        if grid.size and np.isfinite(vals[-1]) and vals[-1] == 0.0:
-            brackets.append((float(grid[-1]), float(grid[-1])))
-            roots.append(float(grid[-1]))
-        return ScanReport(
-            field_name=name,
-            grid=grid,
-            values=vals,
-            brackets=tuple(brackets),
-            roots=tuple(roots),
-        )
-
-    # Two decision variables: unconstrained gradient field only.
-    if spec.constraint is not None:
-        raise ValueError("2-D scans support unconstrained problems only")
-
-    def field2(w0: float, w1: float) -> np.ndarray:
-        tr = embed_decision(spec, np.array([w0, w1]))
-        return fd_gradient(spec, tr, fd_step)
-
-    def safe_field2(w0: float, w1: float) -> np.ndarray:
-        try:
-            out = field2(w0, w1)
-        except _EVAL_ERRORS:
-            return np.array([np.nan, np.nan])
-        return np.where(np.isfinite(out), out, np.nan)
-
-    (lo0, hi0), (lo1, hi1) = ranges
-    g0 = np.linspace(float(lo0), float(hi0), int(resolution))
-    g1 = np.linspace(float(lo1), float(hi1), int(resolution))
-
-    def cell_candidate(x0, x1, y0, y1) -> bool:
-        corners = [safe_field2(a, b) for a in (x0, x1) for b in (y0, y1)]
-        vals = np.array(corners)
-        if not np.all(np.isfinite(vals)):
-            return False
-        return all(
-            vals[:, c].min() <= 0.0 <= vals[:, c].max() for c in range(2)
-        )
-
-    boxes = []
-    for i in range(g0.size - 1):
-        for j in range(g1.size - 1):
-            if cell_candidate(g0[i], g0[i + 1], g1[j], g1[j + 1]):
-                boxes.append((g0[i], g0[i + 1], g1[j], g1[j + 1]))
-
-    refined = []
+    # Two decision variables: cells (i, j) of the grid, then of each halving,
+    # with corners lo and hi, subdivided while wider than BISECTION_TOL and
+    # while the next level fits the budget.
+    lattice = np.stack(np.meshgrid(*grids, indexing="ij"), -1)
+    cells = np.argwhere(_straddling(spec, lattice, fd_step))
+    lo, hi = (np.stack([g[c + s] for g, c in zip(grids, cells.T)], 1) for s in (0, 1))
     budget = 4096
-    for box in boxes:
-        stack = [box]
-        while stack and budget > 0:
-            x0, x1, y0, y1 = stack.pop()
-            budget -= 1
-            if max(x1 - x0, y1 - y0) <= BISECTION_TOL:
-                refined.append((0.5 * (x0 + x1), 0.5 * (y0 + y1)))
-                continue
-            xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-            for sub in (
-                (x0, xm, y0, ym),
-                (xm, x1, y0, ym),
-                (x0, xm, ym, y1),
-                (xm, x1, ym, y1),
-            ):
-                if cell_candidate(*sub):
-                    stack.append(sub)
-    return tuple(refined)
+    while 0 < 4 * len(cells) <= budget and (hi - lo).max() > BISECTION_TOL:
+        budget -= 4 * len(cells)
+        pts = np.stack([lo, 0.5 * (lo + hi), hi], -1)  # (cell, axis, 3)
+        lattice = np.stack(np.broadcast_arrays(pts[:, 0, :, None], pts[:, 1, None, :]), -1)
+        k, *sub = np.nonzero(_straddling(spec, lattice, fd_step))
+        sub = np.stack(sub, 1)
+        lo, hi = (np.take_along_axis(pts[k], sub[:, :, None] + s, 2)[..., 0] for s in (0, 1))
+        cells = 2 * cells[k] + sub
+    # Touching cells (an edge or a corner in common) make one candidate, their union's centre.
+    todo, found = {cell: n for n, cell in enumerate(map(tuple, cells.tolist()))}, []
+    while todo:
+        stack, group = [todo.popitem()], []
+        while stack:
+            (i, j), n = stack.pop()
+            group.append(n)
+            near = [(i + a, j + c) for a in (-1, 0, 1) for c in (-1, 0, 1)]
+            stack += [(cell, todo.pop(cell)) for cell in near if cell in todo]
+        found.append((min(group), 0.5 * (lo[group].min(0) + hi[group].max(0))))
+    return tuple((float(w0), float(w1)) for _, (w0, w1) in sorted(found, key=lambda f: f[0]))
 
 
 def generalized_eig_smallest(

@@ -75,9 +75,8 @@ DEGENERATE = "degenerate"
 # forms a d x d array above this size unless that fallback fires.  Per plain
 # step (one factorization and solve, one BLAS thread) dense LU takes 0.19 ms
 # at d = 99 and 1.1 ms at d = 199, block elimination 0.34-0.39 ms at both:
-# they cross near d = 150.  The limit stays at 200 so that solves of up to
-# 200 unknowns keep the results of the dense path to the last bit.
-DENSE_NEWTON_LIMIT = 200
+# they cross near d = 150, so the limit sits there.
+DENSE_NEWTON_LIMIT = 150
 
 # Newton matrices with a 1-norm condition estimate beyond 1/RCOND_LIMIT are
 # treated as near-singular; the step then comes from the minimum-norm

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import deltavar
-from deltavar.cli import main
+from deltavar.cli import build_parser, main
 
 THREE_PT_TOL = ["--tol", "1e-12"]
 
@@ -389,6 +389,21 @@ class TestRejectedInput:
     def test_directory_as_problem(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path))
         assert_usage_error(code, err, "Is a directory")
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # The parser is built once per process; refused or version-only
+        # commands leave it as it was for the next call.
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == deltavar.__version__
+        with pytest.raises(SystemExit):
+            main(["solve", "quotient2_3pt", "--tol-step", "1"])
+        assert "unrecognized arguments: --tol-step" in capsys.readouterr().err
+        code, _, err = run(capsys, "scan", "quotient2_3pt", "--var", "x@0.5", "--range", "1,1")
+        assert_usage_error(code, err, "lo < hi")
+        assert build_parser() is parser
 
 
 class TestRefineCommand:

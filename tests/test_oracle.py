@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from conftest import random_problem
+from conftest import graded_timescale, random_constraint, random_problem
+from hypothesis import given, settings, strategies as st
 
 from deltavar import (
     BoundarySpec,
     CompositeFunctional,
+    DenominatorVanished,
     IsoConstraint,
     ProblemSpec,
     SingularB,
@@ -19,10 +23,144 @@ from deltavar import (
     rayleigh_pencil,
     scan_low_dim,
     solve_unconstrained,
+    value,
 )
-from deltavar.oracle import ScanReport, inner_integral_form
+from deltavar.cli import resolve_problem
+from deltavar.euler_lagrange import decision_indices
+from deltavar.expr import DivisionByZero, DomainError
+from deltavar.oracle import BISECTION_TOL, ScanReport, _values, inner_integral_form
 
 THREE_PT = make_timescale("points", values=[0, 0.5, 1])
+EVAL_ERRORS = (DenominatorVanished, DomainError, DivisionByZero)
+
+
+def per_point_value(F, spec, z):
+    """value(F, embed_decision(spec, z)), NaN where it raises a typed evaluation error."""
+    try:
+        return value(F, embed_decision(spec, z))
+    except EVAL_ERRORS:
+        return np.nan
+
+
+def reference_scan(spec, lo, hi, resolution, step=1e-6):
+    """The 1-D scan evaluated point by point: one trajectory per value, one
+    bisection at a time.  scan_low_dim must reproduce it bit for bit."""
+
+    def field(w):
+        if spec.constraint is not None:
+            F, target = spec.constraint.functional, spec.constraint.target
+            out = per_point_value(F, spec, [w]) - target
+        else:
+            F = spec.lagrangian
+            vp, vm = per_point_value(F, spec, [w + step]), per_point_value(F, spec, [w - step])
+            out = (vp - vm) / (2.0 * step)
+        return out if np.isfinite(out) else np.nan
+
+    def bisect(lo, hi):
+        flo = field(lo)
+        while hi - lo > BISECTION_TOL:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            fmid = field(mid)
+            if not np.isfinite(fmid):
+                return None
+            if fmid == 0.0:
+                return mid
+            if flo * fmid < 0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        return 0.5 * (lo + hi)
+
+    grid = np.linspace(lo, hi, resolution)
+    vals = np.array([field(w) for w in grid])
+    brackets, roots = [], []
+    for i in range(grid.size - 1):
+        g0, g1 = vals[i], vals[i + 1]
+        if not (np.isfinite(g0) and np.isfinite(g1)):
+            continue
+        if g0 == 0.0:
+            brackets.append((float(grid[i]), float(grid[i])))
+            roots.append(float(grid[i]))
+        elif g0 * g1 < 0.0:
+            root = bisect(float(grid[i]), float(grid[i + 1]))
+            if root is not None:
+                brackets.append((float(grid[i]), float(grid[i + 1])))
+                roots.append(float(root))
+    if np.isfinite(vals[-1]) and vals[-1] == 0.0:
+        brackets.append((float(grid[-1]), float(grid[-1])))
+        roots.append(float(grid[-1]))
+    return grid, vals, tuple(brackets), tuple(roots)
+
+
+def random_integrand_text(rng, depth=3):
+    """A random integrand over t, y, v that can use every operator and function."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.8:
+            return str(rng.choice(["t", "y", "v"]))
+        return repr(round(float(rng.uniform(-2.0, 2.0)), 3))
+    arg = random_integrand_text(rng, depth - 1)
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        op = str(rng.choice(["+", "-", "*", "/"]))
+        return f"({arg}) {op} ({random_integrand_text(rng, depth - 1)})"
+    if kind == 1:
+        return f"({arg})^{int(rng.integers(2, 6))}"
+    if kind == 2:
+        return f"{rng.choice(['sin', 'cos', 'exp', 'log', 'sqrt'])}({arg})"
+    return f"-({arg})"
+
+
+class TestBatchedValues:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["objective", "constraint", "any_function"]),
+           st.booleans())
+    def test_rows_match_per_point_values_bit_for_bit(self, seed, which, graded):
+        # Graded scales, free ends and constraint functionals; the last kind
+        # uses every function, so some rows raise in the integrand pass and
+        # the batch falls back to one row at a time.
+        rng = np.random.default_rng(seed)
+        spec, tr = random_problem(rng, ts=graded_timescale(rng) if graded else None)
+        F = spec.lagrangian
+        if which == "constraint":
+            F = random_constraint(rng).functional
+        elif which == "any_function":
+            n = int(rng.integers(1, 3))
+            F = CompositeFunctional.from_strings(
+                [random_integrand_text(rng) for _ in range(n)], "u1 / u2" if n == 2 else "u1")
+        d = decision_indices(spec).size
+        Z = np.concatenate([
+            tr.x[decision_indices(spec)][None],
+            rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 12)), d)),
+            np.zeros((1, d)),
+        ])
+        want = np.array([per_point_value(F, spec, z) for z in Z])
+        got = _values(spec, F, Z)
+        assert np.where(np.isnan(got), np.nan, got).tobytes() == (
+            np.where(np.isnan(want), np.nan, want).tobytes())
+        # Strict: the first failing row raises what evaluating it alone raises.
+        first = next((z for z, w in zip(Z, want) if np.isnan(w)), None)
+        try:
+            if first is not None:
+                value(F, embed_decision(spec, first))
+            expected = None
+        except EVAL_ERRORS as exc:
+            expected = (type(exc), str(exc))
+        try:
+            _values(spec, F, Z, strict=True)
+            raised = None
+        except EVAL_ERRORS as exc:
+            raised = (type(exc), str(exc))
+        assert raised == expected
+
+    def test_batches_split_long_inputs(self, monkeypatch):
+        # Rows beyond one batch's samples give the same bits as one batch.
+        spec = resolve_problem("quotient2_3pt").build()
+        Z = np.linspace(-3.0, 3.0, 101)[:, None]
+        whole = _values(spec, spec.lagrangian, Z)
+        monkeypatch.setattr("deltavar.oracle._BATCH_SAMPLES", 10)
+        assert _values(spec, spec.lagrangian, Z).tobytes() == whole.tobytes()
 
 
 def product_spec(ts=THREE_PT):
@@ -114,15 +252,42 @@ class TestScanLowDim:
             scan_low_dim(spec, [(-1, 1)] * 3)
 
     def test_two_dimensional_scan_finds_candidate(self):
+        # The pure-energy problem is stationary only at the linear
+        # interpolant; its refined cells once came out as hundreds of copies.
         ts = make_timescale("points", values=[0.0, 0.4, 0.7, 1.0])
         F = CompositeFunctional.from_strings(["v^2"], "u1")
         spec = ProblemSpec(ts=ts, lagrangian=F, bc=BoundarySpec.fixed(0, 1))
-        boxes = scan_low_dim(spec, [(-1.0, 2.0), (-1.0, 2.0)], resolution=21)
-        assert len(boxes) >= 1
-        # The pure-energy problem is stationary at the linear interpolant.
-        w0, w1 = min(boxes, key=lambda b: abs(b[0] - 0.4) + abs(b[1] - 0.7))
-        assert w0 == pytest.approx(0.4, abs=1e-6)
-        assert w1 == pytest.approx(0.7, abs=1e-6)
+        for resolution in (21, 31):
+            boxes = scan_low_dim(spec, [(-1.0, 2.0), (-1.0, 2.0)], resolution=resolution)
+            assert len(boxes) == 1
+            (w0, w1), = boxes
+            assert w0 == pytest.approx(0.4, abs=1e-6)
+            assert w1 == pytest.approx(0.7, abs=1e-6)
+
+    @pytest.mark.parametrize("problem", ["product_3pt", "quotient2_3pt", "iso_3pt"])
+    @pytest.mark.parametrize("resolution", [201, 401])
+    @pytest.mark.parametrize("lo, hi", [(-10.0, 10.0), (-1.0, 1.0)])
+    def test_matches_per_point_reference(self, problem, resolution, lo, hi):
+        spec = resolve_problem(problem).build()
+        report = scan_low_dim(spec, [(lo, hi)], resolution=resolution)
+        grid, vals, brackets, roots = reference_scan(spec, lo, hi, resolution)
+        assert report.grid.tobytes() == grid.tobytes()
+        assert report.values.tobytes() == vals.tobytes()
+        assert report.brackets == brackets
+        assert report.roots == roots
+
+    def test_matches_reference_where_the_field_fails(self):
+        # A quotient whose denominator vanishes at x(1/2) = 0 and 1: NaN
+        # values split the grid, and the brackets next to them are dropped.
+        spec = dataclasses.replace(
+            quotient2_spec(),
+            lagrangian=CompositeFunctional.from_strings(["t*v", "(y*(y - 1))^2"], "u1 / u2"),
+        )
+        report = scan_low_dim(spec, [(-2.0, 2.0)], resolution=41)
+        grid, vals, brackets, roots = reference_scan(spec, -2.0, 2.0, 41)
+        assert np.isnan(vals).any()
+        assert report.values.tobytes() == vals.tobytes()
+        assert (report.brackets, report.roots) == (brackets, roots)
 
     def test_csv_rows(self):
         report = scan_low_dim(product_spec(), [(-1.0, 1.0)], resolution=11)

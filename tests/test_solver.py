@@ -777,6 +777,25 @@ class TestHessianSolve:
         # splu factors the order-d tridiagonal block and nothing else.
         assert all(order == d for order, _ in factors)
 
+    @pytest.mark.parametrize("problem", ["quotient2_R", "iso_R"])
+    def test_block_steps_below_old_dense_limit_find_the_same_points(self, problem):
+        # h = 6e-3 gives d = 166, between DENSE_NEWTON_LIMIT and the former
+        # limit of 200: block elimination there finds the points, labels and
+        # basins of the dense LU steps, with values equal to rounding.
+        spec = resolve_problem(problem).build(h_override=6e-3)
+        assert solver.DENSE_NEWTON_LIMIT < decision_indices(spec).size <= 200
+        solve = solve_isoperimetric if spec.constraint is not None else solve_unconstrained
+        opts = SolveOptions(restarts=4, seed=0)
+        with mock.patch.object(solver, "DENSE_NEWTON_LIMIT", 200):
+            dense = solve(spec, opts)
+        block = solve(spec, opts)
+        assert [(p.classification, p.basin_count) for p in block] == [
+            (p.classification, p.basin_count) for p in dense
+        ]
+        for p, q in zip(block, dense):
+            assert p.value == pytest.approx(q.value, rel=1e-12)
+            np.testing.assert_allclose(p.trajectory.x, q.trajectory.x, atol=1e-10)
+
 
 class TestInertia:
     def test_bordered_counts_match_dense(self):
