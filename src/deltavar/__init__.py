@@ -78,6 +78,7 @@ from .oracle import (
     rayleigh_pencil,
     TooManyDecisionVariables,
     SingularB,
+    ScanBudgetExhausted,
 )
 from .problemfile import ProblemFile, ProblemFileError, load_problem, parse_problem_text
 
@@ -108,7 +109,7 @@ __all__ = [
     # oracle
     "fd_gradient", "scan_low_dim", "generalized_eig_smallest",
     "quadratic_form_matrix", "rayleigh_pencil", "TooManyDecisionVariables",
-    "SingularB",
+    "SingularB", "ScanBudgetExhausted",
     # problem files
     "ProblemFile", "ProblemFileError", "load_problem", "parse_problem_text",
 ]

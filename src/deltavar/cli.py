@@ -26,7 +26,7 @@ from .euler_lagrange import (
     residual_report,
 )
 from .functional import DenominatorVanished, Trajectory, value
-from .oracle import ScanReport, scan_low_dim
+from .oracle import ScanBudgetExhausted, ScanReport, scan_low_dim
 from .problemfile import ProblemFile, ProblemFileError, load_problem
 from .solver import (
     ConstraintInfeasible,
@@ -259,10 +259,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _load_solution_csv(path: Path, spec: ProblemSpec) -> Trajectory:
+def _solution_rows(lines: list[str]) -> np.ndarray:
+    """The (t, x) rows of a solution CSV's lines, one at a time.
+
+    Blank lines and ``t,`` header lines are skipped; a bad row raises
+    ProblemFileError with its line number.
+    """
     rows = []
-    text = path.read_text(encoding="utf-8").strip().splitlines()
-    for lineno, line in enumerate(text, start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.lower().startswith("t,"):
             continue
@@ -273,7 +277,21 @@ def _load_solution_csv(path: Path, spec: ProblemSpec) -> Trajectory:
             rows.append((float(parts[0]), float(parts[1])))
         except ValueError:
             raise ProblemFileError(f"non-numeric row {line!r}", lineno) from None
-    t, v = np.array(rows, dtype=float).reshape(-1, 2).T
+    return np.array(rows, dtype=float).reshape(-1, 2)
+
+
+def _load_solution_csv(path: Path, spec: ProblemSpec) -> Trajectory:
+    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    # One numpy pass after a leading header; anything it rejects (another
+    # header, a bad row) goes to the line scan, which names the line.
+    body = lines[1:] if lines and lines[0].strip().lower().startswith("t,") else lines
+    try:
+        rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2) if body else None
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape[1] != 2:
+        rows = _solution_rows(lines)
+    t, v = rows.T
     x = np.full(len(spec.ts), np.nan)
     try:
         x[spec.ts.indices_of(t)] = v
@@ -363,7 +381,11 @@ def cmd_scan(args) -> int:
             ) from None
         ranges[pos] = (lo, hi)
 
-    report = scan_low_dim(spec, ranges, resolution=args.resolution)
+    try:
+        report = scan_low_dim(spec, ranges, resolution=args.resolution)
+    except ScanBudgetExhausted as exc:
+        print(f"no candidate boxes: {exc}")
+        return EXIT_NO_POINT
     if isinstance(report, ScanReport):
         print(f"scanned field: {report.field_name}")
         print(f"grid: {report.grid.size} samples on "

@@ -126,8 +126,14 @@ class Expr:
             node._closure
         return _compile(self)
 
+    @cached_property
+    def _float_only(self) -> bool:
+        # No function call: on Python floats the tree runs on float arithmetic
+        # alone, which never reads numpy's error state.
+        return not any(isinstance(node, Call) for node in _nodes(self))
+
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_closure"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_closure", "_float_only")}
 
 
 @dataclass(frozen=True)
@@ -449,6 +455,7 @@ def evaluate(
     e: Expr | tuple[Expr, ...],
     bindings: Mapping[str, float | np.ndarray],
     division_guard: Callable[[float, float], None] | None = None,
+    floats: bool = False,
 ):
     """Evaluate a tree, or a tuple of trees, under bindings (scalars or arrays).
 
@@ -459,14 +466,23 @@ def evaluate(
     always raise :class:`DivisionByZero`.  log of a non-positive value and
     sqrt of a negative value raise :class:`DomainError` naming the node; a
     tree too deep for one call per level raises :class:`NestingTooDeep`.
+    ``floats`` promises that every binding is a Python float: trees without
+    function calls then skip the ``np.errstate`` block, with the same values.
     """
+    trees = e if isinstance(e, tuple) else (e,)
+    if floats and all(node._float_only for node in trees):
+        return _evaluate(e, bindings, division_guard)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            if isinstance(e, tuple):
-                return tuple([node._closure(bindings, division_guard) for node in e])
-            return e._closure(bindings, division_guard)
-        except RecursionError:
-            raise NestingTooDeep("evaluate") from None
+        return _evaluate(e, bindings, division_guard)
+
+
+def _evaluate(e, bindings, division_guard):
+    try:
+        if isinstance(e, tuple):
+            return tuple([node._closure(bindings, division_guard) for node in e])
+        return e._closure(bindings, division_guard)
+    except RecursionError:
+        raise NestingTooDeep("evaluate") from None
 
 
 def _compile(node: Expr) -> Callable:

@@ -34,6 +34,7 @@ from .functional import CompositeFunctional, DenominatorVanished, Trajectory, _s
 __all__ = [
     "TooManyDecisionVariables",
     "SingularB",
+    "ScanBudgetExhausted",
     "ScanReport",
     "fd_gradient",
     "fd_hessian",
@@ -53,6 +54,8 @@ FD_HESSIAN_STEP = 1e-6
 FD_ROUNDING = 64 * np.finfo(float).eps
 # Embedded samples per batch of trajectories in _values.
 _BATCH_SAMPLES = 1 << 16
+# Sub-cells a 2-D scan may evaluate over all its subdivision levels.
+SCAN_CELL_BUDGET = 4096
 
 
 class TooManyDecisionVariables(ValueError):
@@ -61,6 +64,20 @@ class TooManyDecisionVariables(ValueError):
 
 class SingularB(ValueError):
     """The right-hand matrix of the eigenvalue pencil is not positive definite."""
+
+
+class ScanBudgetExhausted(RuntimeError):
+    """A 2-D scan ran out of its cell budget before its candidate cells were refined.
+
+    ``cells`` candidate cells ``width`` wide were left; none is reported as a root.
+    """
+
+    def __init__(self, cells: int, width: float):
+        super().__init__(
+            f"2-D scan budget of {SCAN_CELL_BUDGET} cells exhausted with {cells} "
+            f"candidate cells {width:.3g} wide left unrefined"
+        )
+        self.cells, self.width = cells, width
 
 
 def _values(spec: ProblemSpec, F: CompositeFunctional, Z: np.ndarray, strict: bool = False):
@@ -233,7 +250,11 @@ def scan_low_dim(
     sign-change enclosures refined by bisection; 2-D scans return a tuple of
     candidate points where both gradient components change sign, refined by
     subdivision, one per group of touching cells.  The grid is one batch of
-    field values, and so is each bisection step or subdivision level.
+    field values, and so is each bisection step or subdivision level.  A 2-D
+    scan whose next level would outgrow SCAN_CELL_BUDGET before its cells
+    are BISECTION_TOL wide returns its groups only if each spans at most
+    ``fd_step``, and otherwise raises :class:`ScanBudgetExhausted`: it never
+    returns coarse cells as candidates.
     """
     d = decision_indices(spec).size
     if d > 2:
@@ -267,21 +288,24 @@ def scan_low_dim(
         return ScanReport(name, grid, vals, brackets, tuple(float(r) for r in roots[at]))
 
     # Two decision variables: cells (i, j) of the grid, then of each halving,
-    # with corners lo and hi, subdivided while wider than BISECTION_TOL and
-    # while the next level fits the budget.
+    # with corners lo and hi, subdivided while wider than BISECTION_TOL.
     lattice = np.stack(np.meshgrid(*grids, indexing="ij"), -1)
     cells = np.argwhere(_straddling(spec, lattice, fd_step))
     lo, hi = (np.stack([g[c + s] for g, c in zip(grids, cells.T)], 1) for s in (0, 1))
-    budget = 4096
-    while 0 < 4 * len(cells) <= budget and (hi - lo).max() > BISECTION_TOL:
+    budget = SCAN_CELL_BUDGET
+    while len(cells) and (hi - lo).max() > BISECTION_TOL:
         budget -= 4 * len(cells)
+        if budget < 0:
+            break
         pts = np.stack([lo, 0.5 * (lo + hi), hi], -1)  # (cell, axis, 3)
         lattice = np.stack(np.broadcast_arrays(pts[:, 0, :, None], pts[:, 1, None, :]), -1)
         k, *sub = np.nonzero(_straddling(spec, lattice, fd_step))
         sub = np.stack(sub, 1)
         lo, hi = (np.take_along_axis(pts[k], sub[:, :, None] + s, 2)[..., 0] for s in (0, 1))
         cells = 2 * cells[k] + sub
-    # Touching cells (an edge or a corner in common) make one candidate, their union's centre.
+    # Touching cells (an edge or a corner in common) make one candidate, their
+    # union's centre.  Out of budget, only unions within fd_step count: there
+    # rounding of the differences, not a coarse cell, makes neighbours straddle.
     todo, found = {cell: n for n, cell in enumerate(map(tuple, cells.tolist()))}, []
     while todo:
         stack, group = [todo.popitem()], []
@@ -290,7 +314,10 @@ def scan_low_dim(
             group.append(n)
             near = [(i + a, j + c) for a in (-1, 0, 1) for c in (-1, 0, 1)]
             stack += [(cell, todo.pop(cell)) for cell in near if cell in todo]
-        found.append((min(group), 0.5 * (lo[group].min(0) + hi[group].max(0))))
+        box_lo, box_hi = lo[group].min(0), hi[group].max(0)
+        if budget < 0 and (box_hi - box_lo).max() > fd_step:
+            raise ScanBudgetExhausted(len(cells), float((hi - lo).max()))
+        found.append((min(group), 0.5 * (box_lo + box_hi)))
     return tuple((float(w0), float(w1)) for _, (w0, w1) in sorted(found, key=lambda f: f[0]))
 
 

@@ -97,6 +97,11 @@ CONTRACTION_LIMIT = 1e-2
 # steps in a row that also grow ||w|| mark an escape toward that far field.
 ESCAPE_STEPS = 3
 
+# A run whose damping has failed is over (Deuflhard 2004, ch. 3): with the
+# residual still above tolerance, this many accepted steps in a row that each
+# needed alpha <= STAGNATION_ALPHA or fell back to the damped gradient end it.
+STAGNATION_STEPS, STAGNATION_ALPHA = 3, 2.0**-11
+
 # An accepted step whose relative merit improvement falls below
 # STALL_RELATIVE_PROGRESS, or whose length relative to 1 + ||w|| falls below
 # STEP_TOLERANCE, marks a stalled iteration (a local minimum of ||residual||^2).
@@ -105,6 +110,12 @@ STEP_TOLERANCE = 1e-12
 
 # Converged normal points with max |grad K| below this seed the abnormal branch.
 ABNORMAL_GRADIENT = 1e-8
+
+# solve_isoperimetric moves each normal start z0 onto K = k by at most
+# RESTORE_ITERS scalar Newton steps along grad K(z0), and keeps the restored
+# start only where ||grad K|| is at least RESTORE_GRADIENT * ||grad K(z0)||:
+# a vanishing gradient there marks a degenerate level set (abnormal branch).
+RESTORE_ITERS, RESTORE_GRADIENT = 30, 1e-3
 
 # solve_isoperimetric keeps the last TRAJECTORY_MEMO trajectories it built,
 # or fewer where they would hold over TRAJECTORY_MEMO_SAMPLES samples.
@@ -246,7 +257,8 @@ class _Hessian:
 
     @property
     def finite(self) -> bool:
-        return all(np.isfinite(part).all() for part in (self.diag, self.off, self.U, self.C))
+        parts = (self.diag, self.off, self.U.ravel(), self.C.ravel())
+        return bool(np.isfinite(np.concatenate(parts)).all())  # one pass over all four
 
     # The Hessian is symmetric; expose matvec via both J @ v and J.T @ v.
     @property
@@ -538,6 +550,11 @@ def _run_newton(
     A run escapes once ESCAPE_STEPS full Newton steps in a row each outgrow
     the previous Newton step and grow ||w||, well before the backstop
     ||w|| > 1e3 * (1 + ||w0||), which takes quotients 15-25 iterations.
+    A run stagnates, and ends unconverged, once STAGNATION_STEPS accepted
+    steps in a row each needed alpha <= STAGNATION_ALPHA or the damped
+    gradient while max |r| stays above ``opts.tol_residual``: such runs
+    otherwise crawl along a merit valley to ``max_iters``.  A run already
+    below tolerance is never cut there, since it may still stall onto a root.
     """
     w = np.asarray(w0, dtype=float).copy()
     try:
@@ -562,7 +579,7 @@ def _run_newton(
     last_failure: Optional[BaseException] = None
     stalled = False
     it = 0
-    w_norm, newton_norm, growing = float(np.linalg.norm(w)), np.inf, 0
+    w_norm, newton_norm, growing, deep = float(np.linalg.norm(w)), np.inf, 0, 0
     escape_norm = 1e3 * (1.0 + w_norm)
     for it in range(opts.max_iters):
         r_inf = float(np.abs(r).max())
@@ -631,6 +648,9 @@ def _run_newton(
         if w_norm > escape_norm or growing == ESCAPE_STEPS:
             # Runaway amplitude: the iterate is escaping toward the flat far
             # field where no stationary point exists.
+            return _NewtonResult(w, r, False, it, failure=last_failure)
+        deep = deep + 1 if d is not d_newton or alpha <= STAGNATION_ALPHA else 0
+        if deep >= STAGNATION_STEPS and float(np.abs(r).max()) > opts.tol_residual:
             return _NewtonResult(w, r, False, it, failure=last_failure)
 
     r_inf = float(np.abs(r).max())
@@ -835,10 +855,18 @@ def solve_isoperimetric(
     Lagrangian's symmetric bordered Hessian [[H, -grad K], [-grad K^T, 0]],
     H the Hessian of L - lambda * K (_NormalJacobian), and a step gives the
     change of lambda directly, by block elimination above
-    DENSE_NEWTON_LIMIT unknowns, so in O(d) time and memory.  Where a
-    normal point has a nearly vanishing grad K, or no normal run converges,
-    the abnormal branch (lambda0 = 0) seeks extremals of K itself that meet
-    the constraint value, by the unconstrained Newton system for K.
+    DENSE_NEWTON_LIMIT unknowns, so in O(d) time and memory.  Each normal
+    run starts on the constraint (Nocedal & Wright, Numerical Optimization,
+    2nd ed., ch. 15 and 18): a scalar Newton on K(z0 + s grad K(z0)) = k
+    restores the start z0, and lambda is the least-squares multiplier there.
+    The restored start is kept only if that Newton converged and ||grad K||
+    there is at least RESTORE_GRADIENT times ||grad K(z0)|| (else the level
+    set is degenerate, a case for the abnormal branch); if the run from it
+    fails, the restart runs from z0 with the multiplier fitted at z0, as
+    it would without the restoration.  Where a normal point has a nearly
+    vanishing grad K, or no normal run converges, the abnormal branch
+    (lambda0 = 0) seeks extremals of K itself that meet the constraint
+    value, by the unconstrained Newton system for K.
     Points are labeled through ``lam0``.
     """
     if spec.constraint is None:
@@ -850,32 +878,68 @@ def solve_isoperimetric(
     # next iteration can propose a full step that backtracking rejected.
     memo, memo_size = {}, max(1, min(TRAJECTORY_MEMO, TRAJECTORY_MEMO_SAMPLES // len(spec.ts)))
 
-    def trajectory(z):
+    def trajectory(z, known: Optional[Trajectory] = None):
         key = z.tobytes()
-        memo[key] = memo.pop(key, None) or embed_decision(spec, z)
+        memo[key] = memo.pop(key, None) or known or embed_decision(spec, z)
         if len(memo) > memo_size:
             del memo[next(iter(memo))]
         return memo[key]
+
+    def constraint(tr):
+        """(grad K, K - k) at tr, from one record of K."""
+        gK = constraint_gradient(spec, tr)
+        return gK, K.outer_value(_partials(K, tr).us) - target  # the record gK just filled
 
     def evaluate(w):
         z, lam = w[:-1], w[-1]
         tr = trajectory(z)
         gL = functional_gradient(spec, tr)
-        gK = constraint_gradient(spec, tr)
-        defect = target - K.outer_value(_partials(K, tr).us)  # the record gK just filled
-        return np.append(gL - lam * gK, defect), lambda: _NormalJacobian(
+        gK, defect = constraint(tr)
+        return np.append(gL - lam * gK, -defect), lambda: _NormalJacobian(
             _hessian(spec, tr, 1.0, lam), -gK
         )
+
+    def restored(z0, tr0):
+        """z0 + s grad K(z0) with K = k there, by scalar Newton in s; None where that fails.
+
+        Also None where ||grad K|| at that point fell below RESTORE_GRADIENT
+        times its size at z0 (a degenerate level set).
+        """
+        try:
+            g0, defect = constraint(tr0)
+            if abs(defect) <= opts.tol_residual:
+                return None  # z0 is on the level set: its own run is the restored one
+            g0_norm, s, gK = float(np.linalg.norm(g0)), 0.0, g0
+            for _ in range(RESTORE_ITERS):
+                slope = float(gK @ g0)
+                if not (np.isfinite(slope) and slope != 0.0):
+                    return None
+                s -= defect / slope
+                z = z0 + s * g0
+                gK, defect = constraint(trajectory(z))
+                if abs(defect) <= opts.tol_residual:
+                    return z if np.linalg.norm(gK) >= RESTORE_GRADIENT * g0_norm else None
+        except _EVAL_ERRORS:
+            pass
+        return None
+
+    def start(z, tr=None):
+        """[z; the least-squares multiplier at z], 0 where it cannot be evaluated."""
+        tr = trajectory(z, tr)
+        try:
+            return np.append(z, _fit_multiplier(functional_gradient(spec, tr),
+                                                constraint_gradient(spec, tr)))
+        except _EVAL_ERRORS:
+            return np.append(z, 0.0)
 
     inits = [_initial_decision(spec, opts, restart) for restart in range(opts.restarts)]
     runs, seeds = [], []
     for z0 in inits:
-        try:  # start from the least-squares multiplier at z0
-            tr0 = trajectory(z0)
-            guess = _fit_multiplier(functional_gradient(spec, tr0), constraint_gradient(spec, tr0))
-        except _EVAL_ERRORS:
-            guess = 0.0
-        out = _run_newton(evaluate, np.append(z0, guess), opts)
+        tr0 = trajectory(z0)
+        z = restored(z0, tr0)
+        out = None if z is None else _run_newton(evaluate, start(z), opts)
+        if out is None or not out.converged:
+            out = _run_newton(evaluate, start(z0, tr0), opts)
         runs.append(out)
         if out.converged:
             # Newton evaluated gK at this z already, so this cannot raise.

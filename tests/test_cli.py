@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_problem
 
 import deltavar
 from deltavar.cli import build_parser, main
@@ -294,6 +295,28 @@ class TestScanCommand:
             capsys, "scan", "product_3pt", "--var", "x@0.37", "--range", "-1,1"
         )
         assert code == 2
+
+    def test_exhausted_2d_budget_exits_3(self, capsys, tmp_path):
+        # The 2-D case of test_oracle's exhausted-budget test, as a problem file.
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            ts = deltavar.make_timescale("points", values=np.sort(rng.uniform(-1.0, 2.0, 4)))
+            spec, _ = random_problem(rng, allow_free_ends=False, ts=ts)
+        F, points = spec.lagrangian, [repr(float(t)) for t in ts.points]
+        inner = "\n".join(f'f{i + 1} = "{f}"' for i, f in enumerate(F.inner))
+        prob = tmp_path / "budget.dvp"
+        prob.write_text(
+            f"[timescale]\nkind = points\nvalues = {', '.join(points)}\n"
+            f'[functional]\nH = "{F.outer}"\n{inner}\n'
+            f"[boundary]\nleft = fixed {spec.bc.left!r}\nright = fixed {spec.bc.right!r}\n"
+        )
+        code, out, _ = run(
+            capsys, "scan", str(prob), "--var", f"x@{points[1]}", "--var", f"x@{points[2]}",
+            "--range", "-2,2", "--range", "-2,2", "--resolution", "21",
+        )
+        assert code == 3
+        assert "budget of 4096 cells exhausted with 578 candidate cells" in out
+        assert "candidate root" not in out
 
 
 INTERVAL_PROBLEM = """

@@ -11,6 +11,7 @@ from deltavar import (
     DenominatorVanished,
     IsoConstraint,
     ProblemSpec,
+    ScanBudgetExhausted,
     SingularB,
     SolveOptions,
     TooManyDecisionVariables,
@@ -263,6 +264,19 @@ class TestScanLowDim:
             (w0, w1), = boxes
             assert w0 == pytest.approx(0.4, abs=1e-6)
             assert w1 == pytest.approx(0.7, abs=1e-6)
+
+    def test_two_dimensional_scan_reports_an_exhausted_budget(self):
+        # The candidate cells grow 52 -> 578 over six levels; the scan once
+        # returned 37 groups of cells 3e-3 wide, with gradients up to 1.1e3.
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            ts = make_timescale("points", values=np.sort(rng.uniform(-1.0, 2.0, size=4)))
+            spec, _ = random_problem(rng, allow_free_ends=False, ts=ts)
+        assert str(spec.lagrangian.outer).startswith("1.319*u1")
+        with pytest.raises(ScanBudgetExhausted) as info:
+            scan_low_dim(spec, [(-2.0, 2.0), (-2.0, 2.0)], resolution=21)
+        assert info.value.cells == 578
+        assert info.value.width == pytest.approx(4.0 / 20 / 2**6)
 
     @pytest.mark.parametrize("problem", ["product_3pt", "quotient2_3pt", "iso_3pt"])
     @pytest.mark.parametrize("resolution", [201, 401])

@@ -28,6 +28,7 @@ from deltavar import (
     residual_report,
     solve_isoperimetric,
     solve_unconstrained,
+    value,
 )
 from deltavar import euler_lagrange, solver
 from deltavar.cli import resolve_problem
@@ -218,24 +219,36 @@ class TestSharedEvaluation:
         assert added and not any(added)
 
     def test_isoperimetric_start_evaluated_once(self, monkeypatch):
-        # The multiplier guess and Newton's first residual share one
-        # trajectory, so each functional is evaluated once at each start.
-        calls = []
-        real_record = euler_lagrange._Partials
+        # Every start is first restored onto K = k along grad K.  The
+        # restoration's last step, the multiplier guess and Newton's first
+        # residual share one trajectory, so each functional is evaluated once
+        # at each start trajectory; at z0 the restoration reads K alone.
+        calls, starts = [], []
+        real_record, real_run = euler_lagrange._Partials, solver._run_newton
 
         def counting_record(F, tr):
             calls.append((F, tr.x.tobytes()))
             return real_record(F, tr)
 
+        def recording(evaluate, w0, opts, pin_scale=False):
+            starts.append(w0[:-1])
+            return real_run(evaluate, w0, opts, pin_scale)
+
         monkeypatch.setattr(euler_lagrange, "_Partials", counting_record)
-        spec = resolve_problem("iso_3pt").build()
+        monkeypatch.setattr(solver, "_run_newton", recording)
+        spec = resolve_problem("iso_R").build(h_override=1e-2)
+        L, K = spec.lagrangian, spec.constraint.functional
         opts = SolveOptions(restarts=4, seed=0)
         solve_isoperimetric(spec, opts)
-        for restart in range(opts.restarts):
+        assert len(starts) == opts.restarts
+        for restart, z in enumerate(starts):
+            tr = euler_lagrange.embed_decision(spec, z)
+            assert value(K, tr) == pytest.approx(1.0, abs=opts.tol_residual)
+            for F in (L, K):
+                assert calls.count((F, tr.x.tobytes())) == 1
             z0 = solver._initial_decision(spec, opts, restart)
             x0 = euler_lagrange.embed_decision(spec, z0).x.tobytes()
-            for F in (spec.lagrangian, spec.constraint.functional):
-                assert calls.count((F, x0)) == 1
+            assert (calls.count((L, x0)), calls.count((K, x0))) == (0, 1)
 
 
 class TestIsoperimetric:
@@ -929,6 +942,85 @@ class TestEscapingRestarts:
         _, runs = _recorded_runs(monkeypatch, problem, h,
                                  SolveOptions(restarts=restarts, seed=seed))
         assert "".join("01"[run.converged] for run in runs) == mask
+
+
+class TestStagnatingRestarts:
+    """Runs whose damping fails end after STAGNATION_STEPS deep steps."""
+
+    def test_root_less_product_restarts_end_early(self, monkeypatch):
+        # Failing product_3pt runs crawled along a merit valley to max_iters:
+        # 3,218 residual evaluations before the rule, 1,826 with it.
+        count, real = [0], solver._gradient_system
+
+        def counting(spec, level=None):
+            evaluate, scale_invariant = real(spec, level)
+
+            def counted(z):
+                count[0] += 1
+                return evaluate(z)
+
+            return counted, scale_invariant
+
+        monkeypatch.setattr(solver, "_gradient_system", counting)
+        with pytest.raises(NoStationaryPointFound):
+            solve_unconstrained(resolve_problem("product_3pt").build(),
+                                SolveOptions(restarts=24, seed=2))
+        assert count[0] <= 2200
+
+    def test_slow_converging_saddle_is_kept(self):
+        # Its only converging restart takes two deep steps in a row before it
+        # converges; ending runs after two such steps loses the point.
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            spec, _ = random_problem(rng)
+        pts = solve_unconstrained(spec, SolveOptions(restarts=12, seed=3))
+        assert [(round(p.value, 7), p.classification) for p in pts] == [(3.3411157, "saddle")]
+
+
+class TestRestoredStarts:
+    """Normal isoperimetric runs start on K = k, restored along grad K."""
+
+    @pytest.mark.parametrize("problem, h, restarts", [
+        ("iso_3pt", None, 16), ("iso_R", 1e-2, 8),
+    ])
+    def test_every_restart_converges(self, problem, h, restarts):
+        spec = resolve_problem(problem).build(h_override=h)
+        pts = solve_isoperimetric(spec, SolveOptions(restarts=restarts, seed=5))
+        assert len(pts) == 1 and pts[0].basin_count == restarts
+
+    def test_failed_restored_run_falls_back_to_the_start(self, monkeypatch):
+        # A restart whose restored run fails runs from z0 as without the
+        # restoration, so it converges wherever it did before.
+        spec = resolve_problem("iso_R").build(h_override=1e-2)
+        opts = SolveOptions(restarts=4, seed=0)
+        inits = [solver._initial_decision(spec, opts, r).tobytes() for r in range(4)]
+        runs, real = [], solver._run_newton
+
+        def failing_restored(evaluate, w0, opts, pin_scale=False):
+            runs.append(w0[:-1].tobytes() in inits)
+            if not runs[-1]:
+                return solver._NewtonResult(w0, np.full_like(w0, np.inf), False, 0)
+            return real(evaluate, w0, opts, pin_scale)
+
+        monkeypatch.setattr(solver, "_run_newton", failing_restored)
+        fallback = solve_isoperimetric(spec, opts)
+        assert runs == [False, True] * opts.restarts
+        monkeypatch.setattr(solver, "_run_newton", real)
+        monkeypatch.setattr(solver, "RESTORE_ITERS", 0)
+        unrestored = solve_isoperimetric(spec, opts)
+        assert [(p.value, p.lam, p.basin_count) for p in fallback] == [
+            (p.value, p.lam, p.basin_count) for p in unrestored]
+
+    def test_degenerate_level_set_is_left_to_the_abnormal_branch(self, monkeypatch):
+        # Every line z0 + s grad K(z0) meets K = 1 only at x = t, a double
+        # root where grad K = 0.  Restored there, the normal runs converged
+        # to spurious points with |lambda| of 1e3 to 1e5 at ||grad K|| ~ 1e-6.
+        opts = SolveOptions(restarts=4)
+        pts = solve_isoperimetric(abnormal_spec(), opts)
+        assert [(p.lam0, p.lam) for p in pts] == [(0.0, 1.0)]
+        monkeypatch.setattr(solver, "RESTORE_GRADIENT", 0.0)
+        unguarded = solve_isoperimetric(abnormal_spec(), opts)
+        assert any(p.lam0 == 1.0 and abs(p.lam) > 1e3 for p in unguarded)
 
 
 class TestRefineStudy:
