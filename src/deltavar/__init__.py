@@ -73,11 +73,9 @@ from .solver import (
 from .oracle import (
     fd_gradient,
     scan_low_dim,
-    generalized_eig_smallest,
     quadratic_form_matrix,
     rayleigh_pencil,
     TooManyDecisionVariables,
-    SingularB,
     ScanBudgetExhausted,
 )
 from .problemfile import ProblemFile, ProblemFileError, load_problem, parse_problem_text
@@ -107,9 +105,8 @@ __all__ = [
     "ConstraintInfeasible", "solve_unconstrained", "solve_isoperimetric",
     "classify", "refine_study",
     # oracle
-    "fd_gradient", "scan_low_dim", "generalized_eig_smallest",
-    "quadratic_form_matrix", "rayleigh_pencil", "TooManyDecisionVariables",
-    "SingularB", "ScanBudgetExhausted",
+    "fd_gradient", "scan_low_dim", "quadratic_form_matrix", "rayleigh_pencil",
+    "TooManyDecisionVariables", "ScanBudgetExhausted",
     # problem files
     "ProblemFile", "ProblemFileError", "load_problem", "parse_problem_text",
 ]

@@ -368,6 +368,8 @@ def cmd_scan(args) -> int:
         raise ProblemFileError(
             f"problem has {d} decision variable(s); pass --var/--range {d} time(s)", 0
         )
+    if args.csv and d == 2:
+        raise ValueError("--csv applies to 1-D scans only; a 2-D scan prints its candidates")
     positions = [_parse_scan_var(spec, v) for v in var_specs]
     if sorted(positions) != list(range(d)):
         raise ProblemFileError("--var entries must cover each decision variable once", 0)
@@ -485,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--var", action="append", help="decision variable, e.g. x@0.5")
     p.add_argument("--range", action="append", help="scan range lo,hi")
     p.add_argument("--resolution", type=int, default=201)
-    p.add_argument("--csv", default=None, help="export scan rows as CSV")
+    p.add_argument("--csv", default=None, help="export the rows of a 1-D scan as CSV")
     p.add_argument("--h-override", type=float, default=None)
     p.set_defaults(fn=cmd_scan)
 

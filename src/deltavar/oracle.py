@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .euler_lagrange import (
@@ -33,13 +32,11 @@ from .functional import CompositeFunctional, DenominatorVanished, Trajectory, _s
 
 __all__ = [
     "TooManyDecisionVariables",
-    "SingularB",
     "ScanBudgetExhausted",
     "ScanReport",
     "fd_gradient",
     "fd_hessian",
     "scan_low_dim",
-    "generalized_eig_smallest",
     "quadratic_form_matrix",
     "inner_integral_form",
     "rayleigh_pencil",
@@ -48,6 +45,8 @@ __all__ = [
 _EVAL_ERRORS = (DenominatorVanished, DomainError, DivisionByZero)
 
 BISECTION_TOL = 1e-12
+# Central-difference step of fd_gradient's default and of every scan.
+FD_STEP = 1e-6
 FD_HESSIAN_STEP = 1e-6
 # Rounding error of one value relative to its size.  2-D scans widen each
 # central difference by it, so the cells around a root stay one touching group.
@@ -56,14 +55,12 @@ FD_ROUNDING = 64 * np.finfo(float).eps
 _BATCH_SAMPLES = 1 << 16
 # Sub-cells a 2-D scan may evaluate over all its subdivision levels.
 SCAN_CELL_BUDGET = 4096
+# Off-band pairs quadratic_form_matrix differences to check its band assumption.
+OFFBAND_CHECKS = 32
 
 
 class TooManyDecisionVariables(ValueError):
     """Dense scanning only supports one or two decision variables."""
-
-
-class SingularB(ValueError):
-    """The right-hand matrix of the eigenvalue pencil is not positive definite."""
 
 
 class ScanBudgetExhausted(RuntimeError):
@@ -124,7 +121,7 @@ def _central_differences(spec: ProblemSpec, W: np.ndarray, step: float, strict: 
         return (v[..., 0] - v[..., 1]) / h2, FD_ROUNDING * (abs(v[..., 0]) + abs(v[..., 1])) / h2
 
 
-def fd_gradient(spec: ProblemSpec, tr: Trajectory, step: float = 1e-6) -> np.ndarray:
+def fd_gradient(spec: ProblemSpec, tr: Trajectory, step: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient of the functional value per decision sample."""
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -190,16 +187,16 @@ class ScanReport:
             yield (w, g)
 
 
-def _field(spec: ProblemSpec, w: np.ndarray, step: float) -> np.ndarray:
+def _field(spec: ProblemSpec, w: np.ndarray) -> np.ndarray:
     """The 1-D scan's field at the points w; NaN where it fails or is not finite."""
     if spec.constraint is not None:
         out = _values(spec, spec.constraint.functional, w[:, None]) - spec.constraint.target
     else:
-        out = _central_differences(spec, w[:, None], step)[0][:, 0]
+        out = _central_differences(spec, w[:, None], FD_STEP)[0][:, 0]
     return np.where(np.isfinite(out), out, np.nan)
 
 
-def _bisect(spec: ProblemSpec, step: float, lo, hi, flo) -> np.ndarray:
+def _bisect(spec: ProblemSpec, lo, hi, flo) -> np.ndarray:
     """Roots of the 1-D field in the sign-change brackets [lo_k, hi_k], f(lo_k) = flo_k.
 
     The brackets advance in lockstep, one field batch per step at the open
@@ -215,7 +212,7 @@ def _bisect(spec: ProblemSpec, step: float, lo, hi, flo) -> np.ndarray:
         open_, mid = open_[~done], mid[~done]
         if not open_.size:
             return roots
-        fmid = _field(spec, mid, step)
+        fmid = _field(spec, mid)
         roots[open_[fmid == 0.0]] = mid[fmid == 0.0]
         keep = np.isfinite(fmid) & (fmid != 0.0)
         left = keep & (flo[open_] * fmid < 0)
@@ -225,10 +222,10 @@ def _bisect(spec: ProblemSpec, step: float, lo, hi, flo) -> np.ndarray:
         open_ = open_[keep]
 
 
-def _straddling(spec: ProblemSpec, lattice: np.ndarray, step: float) -> np.ndarray:
+def _straddling(spec: ProblemSpec, lattice: np.ndarray) -> np.ndarray:
     """Cells of a lattice of points (..., m, m, 2) whose four corners have finite
     gradients straddling zero in both components, each within its rounding bound."""
-    g, noise = _central_differences(spec, lattice.reshape(-1, 2), step)
+    g, noise = _central_differences(spec, lattice.reshape(-1, 2), FD_STEP)
     g = np.where(np.isfinite(g), g, np.nan)  # NaN straddles nothing
     lo, hi = (sliding_window_view((g + sign * noise).reshape(lattice.shape), (2, 2), (-3, -2))
               for sign in (-1.0, 1.0))
@@ -239,7 +236,6 @@ def scan_low_dim(
     spec: ProblemSpec,
     ranges: Sequence[tuple[float, float]],
     resolution: int = 201,
-    fd_step: float = 1e-6,
 ) -> ScanReport | tuple:
     """Exhaustive stationarity scan over one or two decision variables.
 
@@ -253,7 +249,7 @@ def scan_low_dim(
     field values, and so is each bisection step or subdivision level.  A 2-D
     scan whose next level would outgrow SCAN_CELL_BUDGET before its cells
     are BISECTION_TOL wide returns its groups only if each spans at most
-    ``fd_step``, and otherwise raises :class:`ScanBudgetExhausted`: it never
+    FD_STEP, and otherwise raises :class:`ScanBudgetExhausted`: it never
     returns coarse cells as candidates.
     """
     d = decision_indices(spec).size
@@ -275,13 +271,13 @@ def scan_low_dim(
         # A bracket is a sign change to the next point or a zero there (the
         # last point pairs with itself), between finite values.
         grid = grids[0]
-        vals = _field(spec, grid, fd_step)
+        vals = _field(spec, grid)
         finite = np.isfinite(vals)
         both = np.append(finite[:-1] & finite[1:], finite[-1])
         roots = np.where(both & (vals == 0.0), grid, np.nan)
         with np.errstate(over="ignore"):
             change = np.flatnonzero(both[:-1] & (vals[:-1] * vals[1:] < 0.0))
-            roots[change] = _bisect(spec, fd_step, grid[change], grid[change + 1], vals[change])
+            roots[change] = _bisect(spec, grid[change], grid[change + 1], vals[change])
         at = np.flatnonzero(np.isfinite(roots))
         brackets = tuple((float(grid[i]), float(grid[i + (vals[i] != 0.0)])) for i in at)
         name = "value gradient" if spec.constraint is None else "constraint defect"
@@ -290,7 +286,7 @@ def scan_low_dim(
     # Two decision variables: cells (i, j) of the grid, then of each halving,
     # with corners lo and hi, subdivided while wider than BISECTION_TOL.
     lattice = np.stack(np.meshgrid(*grids, indexing="ij"), -1)
-    cells = np.argwhere(_straddling(spec, lattice, fd_step))
+    cells = np.argwhere(_straddling(spec, lattice))
     lo, hi = (np.stack([g[c + s] for g, c in zip(grids, cells.T)], 1) for s in (0, 1))
     budget = SCAN_CELL_BUDGET
     while len(cells) and (hi - lo).max() > BISECTION_TOL:
@@ -299,12 +295,12 @@ def scan_low_dim(
             break
         pts = np.stack([lo, 0.5 * (lo + hi), hi], -1)  # (cell, axis, 3)
         lattice = np.stack(np.broadcast_arrays(pts[:, 0, :, None], pts[:, 1, None, :]), -1)
-        k, *sub = np.nonzero(_straddling(spec, lattice, fd_step))
+        k, *sub = np.nonzero(_straddling(spec, lattice))
         sub = np.stack(sub, 1)
         lo, hi = (np.take_along_axis(pts[k], sub[:, :, None] + s, 2)[..., 0] for s in (0, 1))
         cells = 2 * cells[k] + sub
     # Touching cells (an edge or a corner in common) make one candidate, their
-    # union's centre.  Out of budget, only unions within fd_step count: there
+    # union's centre.  Out of budget, only unions within FD_STEP count: there
     # rounding of the differences, not a coarse cell, makes neighbours straddle.
     todo, found = {cell: n for n, cell in enumerate(map(tuple, cells.tolist()))}, []
     while todo:
@@ -315,114 +311,54 @@ def scan_low_dim(
             near = [(i + a, j + c) for a in (-1, 0, 1) for c in (-1, 0, 1)]
             stack += [(cell, todo.pop(cell)) for cell in near if cell in todo]
         box_lo, box_hi = lo[group].min(0), hi[group].max(0)
-        if budget < 0 and (box_hi - box_lo).max() > fd_step:
+        if budget < 0 and (box_hi - box_lo).max() > FD_STEP:
             raise ScanBudgetExhausted(len(cells), float((hi - lo).max()))
         found.append((min(group), 0.5 * (box_lo + box_hi)))
     return tuple((float(w0), float(w1)) for _, (w0, w1) in sorted(found, key=lambda f: f[0]))
 
 
-def generalized_eig_smallest(
-    apply_a: Callable[[np.ndarray], np.ndarray],
-    apply_b: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    tol: float = 1e-10,
-    max_iters: int = 500,
-) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of A x = Q B x by inverse power iteration.
-
-    The operators are materialized by applying them to the standard basis
-    (all pencils here are desk scale), B must be positive definite, and the
-    iterate is normalized in the B inner product.  Iteration stops when the
-    Rayleigh quotient moves by less than ``tol`` relatively.
-    """
-    eye = np.eye(dim)
-    A = np.column_stack([np.asarray(apply_a(eye[:, j]), dtype=float) for j in range(dim)])
-    B = np.column_stack([np.asarray(apply_b(eye[:, j]), dtype=float) for j in range(dim)])
-    A = 0.5 * (A + A.T)
-    B = 0.5 * (B + B.T)
-    try:
-        np.linalg.cholesky(B)
-    except np.linalg.LinAlgError:
-        raise SingularB("B is not positive definite on the decision space") from None
-
-    lu_piv = scipy.linalg.lu_factor(A)
-    x = np.ones(dim)
-    x = x / np.sqrt(x @ B @ x)
-    rho = float(x @ A @ x)
-    for _ in range(max_iters):
-        y = scipy.linalg.lu_solve(lu_piv, B @ x)
-        norm_sq = float(y @ B @ y)
-        if norm_sq <= 0.0 or not np.isfinite(norm_sq):
-            raise SingularB("B norm degenerated during iteration")
-        x = y / np.sqrt(norm_sq)
-        rho_new = float(x @ A @ x)
-        if abs(rho_new - rho) <= tol * (1.0 + abs(rho_new)):
-            return rho_new, x
-        rho = rho_new
-    raise RuntimeError(
-        f"inverse power iteration did not reach tol={tol:g} in {max_iters} steps"
-    )
-
-
-def quadratic_form_matrix(
-    form: Callable[[np.ndarray], float],
-    dim: int,
-    probe_scale: float = 1.0,
-    offband_checks: int = 32,
-    seed: int = 0,
-) -> np.ndarray:
+def quadratic_form_matrix(form: Callable[[np.ndarray], float], dim: int) -> np.ndarray:
     """Matrix M with form(z) = z M z, recovered by exact second differencing.
 
-    Second differences annihilate constant and linear parts, so the formulas
-    are exact (up to rounding) for any quadratic form.  Only the tridiagonal
-    band is probed, which matches forms assembled from nearest-neighbor
-    integrand samples; the band assumption is verified on randomly chosen
-    off-band pairs and a violation raises ValueError.
+    Second differences of unit and doubled unit probes annihilate constant and
+    linear parts, so the formulas are exact (up to rounding) for any quadratic
+    form.  Only the tridiagonal band is probed, which matches forms assembled
+    from nearest-neighbor integrand samples; the band assumption is verified
+    on OFFBAND_CHECKS off-band pairs drawn with a fixed key, and a violation
+    raises ValueError.
     """
-    s = float(probe_scale)
     phi0 = float(form(np.zeros(dim)))
 
-    def unit(j: int, scale: float) -> np.ndarray:
+    def probe(*js: int, scale: float = 1.0) -> float:
         z = np.zeros(dim)
-        z[j] = scale
-        return z
+        z[list(js)] = scale
+        return float(form(z))
 
-    diag = np.empty(dim)
-    for j in range(dim):
-        diag[j] = (form(unit(j, 2 * s)) - 2.0 * form(unit(j, s)) + phi0) / (2.0 * s * s)
+    singles = np.array([probe(j) for j in range(dim)])
+    diag = np.array([(probe(j, scale=2.0) - 2.0 * singles[j] + phi0) / 2.0 for j in range(dim)])
 
-    off = np.empty(max(dim - 1, 0))
-    singles = np.array([form(unit(j, s)) for j in range(dim)])
-    for j in range(dim - 1):
-        z = unit(j, s)
-        z[j + 1] = s
-        off[j] = (form(z) - singles[j] - singles[j + 1] + phi0) / (2.0 * s * s)
+    def coupling(i: int, j: int) -> float:
+        return (probe(i, j) - singles[i] - singles[j] + phi0) / 2.0
 
-    M = np.zeros((dim, dim))
-    np.fill_diagonal(M, diag)
-    if dim > 1:
-        M[np.arange(dim - 1), np.arange(1, dim)] = off
-        M[np.arange(1, dim), np.arange(dim - 1)] = off
+    off = np.array([coupling(j, j + 1) for j in range(dim - 1)])
+    M, band = np.diag(diag), np.arange(dim - 1)
+    M[band, band + 1] = M[band + 1, band] = off
 
     scale = max(float(np.max(np.abs(M))), 1.0)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=0))
     pairs = set()
-    limit = min(offband_checks, max(0, (dim - 2) * (dim - 1) // 2))
+    limit = min(OFFBAND_CHECKS, max(0, (dim - 2) * (dim - 1) // 2))
     guard = 0
-    while len(pairs) < limit and guard < 50 * offband_checks:
+    while len(pairs) < limit and guard < 50 * OFFBAND_CHECKS:
         guard += 1
         i = int(rng.integers(0, dim))
         j = int(rng.integers(0, dim))
         if abs(i - j) >= 2:
             pairs.add((min(i, j), max(i, j)))
     for i, j in sorted(pairs):
-        z = unit(i, s)
-        z[j] = s
-        coupling = (form(z) - singles[i] - singles[j] + phi0) / (2.0 * s * s)
-        if abs(coupling) > 1e-7 * scale:
-            raise ValueError(
-                f"form couples non-adjacent samples ({i}, {j}): {coupling!r}"
-            )
+        c = coupling(i, j)
+        if abs(c) > 1e-7 * scale:
+            raise ValueError(f"form couples non-adjacent samples ({i}, {j}): {c!r}")
     return M
 
 

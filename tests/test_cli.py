@@ -11,6 +11,9 @@ import deltavar
 from deltavar.cli import build_parser, main
 
 THREE_PT_TOL = ["--tol", "1e-12"]
+PROBLEMS = Path(__file__).parent / "problems"
+SCAN_2D = ["scan", str(PROBLEMS / "energy_4pt.dvp"), "--var", "x@0.4", "--var", "x@0.7",
+           "--range", "-1,2", "--range", "-1,2", "--resolution", "21"]
 
 
 def run(capsys, *argv):
@@ -205,6 +208,22 @@ class TestVerifyCommand:
         assert err.startswith("error: outer-map denominator 0.0 vanishes")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("row, message", [
+        ("1,abc", "line 3: non-numeric row '1,abc'"),
+        ("1,2,3", "line 3: expected 't,x' row, got '1,2,3'"),
+    ])
+    def test_bad_row_names_its_line(self, capsys, tmp_path, row, message):
+        sol = tmp_path / "sol.csv"
+        sol.write_text(f"t,x\n0,0\n{row}\n2,4\n")
+        code, _, err = run(capsys, "verify", "quotient1", "--solution", str(sol))
+        assert_usage_error(code, err, message)
+
+    def test_missing_scale_point_exits_2(self, capsys, tmp_path):
+        sol = tmp_path / "sol.csv"
+        sol.write_text("t,x\n0,0\n2,4\n")
+        code, _, err = run(capsys, "verify", "quotient1", "--solution", str(sol))
+        assert_usage_error(code, err, "solution misses 1 of 3 scale points")
+
     def test_csv_round_trip(self, capsys, tmp_path):
         csv = tmp_path / "round.csv"
         code, _, _ = run(
@@ -295,6 +314,19 @@ class TestScanCommand:
             capsys, "scan", "product_3pt", "--var", "x@0.37", "--range", "-1,1"
         )
         assert code == 2
+
+    def test_2d_scan_prints_one_candidate(self, capsys):
+        code, out, _ = run(capsys, *SCAN_2D)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("candidate root near (0.4")
+        assert ", 0.7" in lines[0]
+
+    def test_2d_scan_rejects_csv(self, capsys, tmp_path):
+        csv = tmp_path / "scan.csv"
+        code, out, err = run(capsys, *SCAN_2D, "--csv", str(csv))
+        assert_usage_error(code, err, "--csv applies to 1-D scans only")
+        assert out == "" and not csv.exists()
 
     def test_exhausted_2d_budget_exits_3(self, capsys, tmp_path):
         # The 2-D case of test_oracle's exhausted-budget test, as a problem file.

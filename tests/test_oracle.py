@@ -1,7 +1,9 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import graded_timescale, random_constraint, random_problem
 from hypothesis import given, settings, strategies as st
 
@@ -12,13 +14,11 @@ from deltavar import (
     IsoConstraint,
     ProblemSpec,
     ScanBudgetExhausted,
-    SingularB,
     SolveOptions,
     TooManyDecisionVariables,
     embed_decision,
     fd_gradient,
     functional_gradient,
-    generalized_eig_smallest,
     make_timescale,
     quadratic_form_matrix,
     rayleigh_pencil,
@@ -32,6 +32,7 @@ from deltavar.expr import DivisionByZero, DomainError
 from deltavar.oracle import BISECTION_TOL, ScanReport, _values, inner_integral_form
 
 THREE_PT = make_timescale("points", values=[0, 0.5, 1])
+PROBLEMS = Path(__file__).parent / "problems"
 EVAL_ERRORS = (DenominatorVanished, DomainError, DivisionByZero)
 
 
@@ -347,32 +348,6 @@ class TestQuadraticFormMatrix:
 
 
 class TestGeneralizedEig:
-    def test_identity_pencil(self):
-        eye = np.eye(5)
-        val, vec = generalized_eig_smallest(eye.dot, eye.dot, 5)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_small_symmetric_pencil(self):
-        rng = np.random.default_rng(9)
-        A = rng.standard_normal((6, 6))
-        A = A @ A.T + 0.5 * np.eye(6)
-        B = rng.standard_normal((6, 6))
-        B = B @ B.T + 6 * np.eye(6)
-        val, vec = generalized_eig_smallest(A.dot, B.dot, 6, tol=1e-12)
-        import scipy.linalg
-
-        expected = np.min(scipy.linalg.eigh(A, B, eigvals_only=True))
-        assert val == pytest.approx(expected, rel=1e-9)
-        # The eigenvalue converges quadratically; the vector only linearly.
-        resid = A @ vec - val * (B @ vec)
-        assert np.max(np.abs(resid)) <= 1e-4
-
-    def test_singular_b_detected(self):
-        A = np.eye(4)
-        B = np.zeros((4, 4))
-        with pytest.raises(SingularB):
-            generalized_eig_smallest(A.dot, B.dot, 4)
-
     def test_dirichlet_pencil_trends_to_pi_squared(self):
         # Coarse-to-fine check of the smallest Rayleigh value against the
         # classical continuum limit pi^2.
@@ -382,8 +357,7 @@ class TestGeneralizedEig:
             F = CompositeFunctional.from_strings(["v^2", "y^2"], "u1 / u2")
             spec = ProblemSpec(ts=ts, lagrangian=F, bc=BoundarySpec.fixed(0, 0))
             A, B = rayleigh_pencil(spec)
-            val, _ = generalized_eig_smallest(A.dot, B.dot, A.shape[0])
-            vals.append(val)
+            vals.append(scipy.linalg.eigh(A, B, eigvals_only=True)[0])
         err = [abs(v - np.pi**2) for v in vals]
         assert err[1] < err[0]
         assert err[1] <= 0.02 * np.pi**2
@@ -393,10 +367,23 @@ class TestGeneralizedEig:
         F = CompositeFunctional.from_strings(["v^2", "y^2"], "u1 / u2")
         spec = ProblemSpec(ts=ts, lagrangian=F, bc=BoundarySpec.fixed(0, 0))
         A, B = rayleigh_pencil(spec)
-        val, _ = generalized_eig_smallest(A.dot, B.dot, A.shape[0], tol=1e-12)
+        val = scipy.linalg.eigh(A, B, eigvals_only=True)[0]
         pts = solve_unconstrained(spec, SolveOptions(restarts=6, tol_residual=1e-12))
         best = min(p.value for p in pts)
         assert best == pytest.approx(val, abs=1e-9)
+
+    @pytest.mark.parametrize("name, points, kind", [
+        ("sl_qscale", 61, "qscale"),
+        ("sl_union", 255, "union"),
+    ])
+    def test_graded_scale_values_are_pencil_eigenvalues(self, name, points, kind):
+        # Sturm-Liouville on scales whose graininess varies: the solved values
+        # are the two smallest eigenvalues of the pencil.
+        spec = resolve_problem(str(PROBLEMS / f"{name}.dvp")).build()
+        assert (len(spec.ts), spec.ts.kind) == (points, kind)
+        pts = solve_unconstrained(spec, SolveOptions(restarts=8, seed=0))
+        eig = scipy.linalg.eigh(*rayleigh_pencil(spec), eigvals_only=True)
+        assert sorted(p.value for p in pts) == pytest.approx(eig[:2], rel=1e-10, abs=0.0)
 
     def test_inner_form_evaluates_single_integral(self):
         spec = quotient2_spec()
