@@ -54,7 +54,6 @@ from .euler_lagrange import (
     natural_bc_left,
     natural_bc_right,
     functional_gradient,
-    functional_hessian,
     constraint_gradient,
     dubois_reymond_quantity,
     isoperimetric_residual,
@@ -69,6 +68,8 @@ from .solver import (
     solve_isoperimetric,
     classify,
     refine_study,
+    functional_hessian,
+    constraint_hessian,
 )
 from .oracle import (
     fd_gradient,
@@ -98,12 +99,12 @@ __all__ = [
     "ProblemSpec", "IsoConstraint", "ResidualReport", "EndpointNotFree",
     "BothMultipliersZero", "decision_indices", "embed_decision",
     "extract_decision", "el_residual", "natural_bc_left", "natural_bc_right",
-    "functional_gradient", "functional_hessian", "constraint_gradient",
+    "functional_gradient", "constraint_gradient",
     "dubois_reymond_quantity", "isoperimetric_residual", "residual_report",
     # solver
     "SolveOptions", "StationaryPoint", "NoStationaryPointFound",
     "ConstraintInfeasible", "solve_unconstrained", "solve_isoperimetric",
-    "classify", "refine_study",
+    "classify", "refine_study", "functional_hessian", "constraint_hessian",
     # oracle
     "fd_gradient", "scan_low_dim", "quadratic_form_matrix", "rayleigh_pencil",
     "TooManyDecisionVariables", "ScanBudgetExhausted",

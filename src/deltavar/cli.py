@@ -73,7 +73,7 @@ def resolve_problem(arg: str) -> ProblemFile:
     candidate = resources.files("deltavar").joinpath("fixtures", name + ".dvp")
     if candidate.is_file():
         return load_problem(candidate)
-    raise ProblemFileError(f"no such problem file or bundled fixture: {arg!r}", 0)
+    raise ValueError(f"no such problem file or bundled fixture: {arg!r}")
 
 
 def _solve_options(args) -> SolveOptions:
@@ -296,14 +296,12 @@ def _load_solution_csv(path: Path, spec: ProblemSpec) -> Trajectory:
     try:
         x[spec.ts.indices_of(t)] = v
     except PointNotFound as exc:
-        raise ProblemFileError(
-            f"solution sample t={exc.value!r} does not match any scale point", 0
+        raise ValueError(
+            f"solution sample t={exc.value!r} does not match any scale point"
         ) from None
     if np.any(np.isnan(x)):
         missing = int(np.count_nonzero(np.isnan(x)))
-        raise ProblemFileError(
-            f"solution misses {missing} of {len(spec.ts)} scale points", 0
-        )
+        raise ValueError(f"solution misses {missing} of {len(spec.ts)} scale points")
     return Trajectory(spec.ts, x)
 
 
@@ -342,19 +340,19 @@ def cmd_verify(args) -> int:
 def _parse_scan_var(spec: ProblemSpec, text: str) -> int:
     """Map 'x@<time>' to the position of that decision variable."""
     if not text.startswith("x@"):
-        raise ProblemFileError(f"--var must look like x@<time>, got {text!r}", 0)
+        raise ValueError(f"--var must look like x@<time>, got {text!r}")
     try:
         t = float(text[2:])
     except ValueError:
-        raise ProblemFileError(f"bad time value in {text!r}", 0) from None
+        raise ValueError(f"bad time value in {text!r}") from None
     try:
         idx = spec.ts.index_of(t)
     except PointNotFound:
-        raise ProblemFileError(f"{t!r} is not a point of the time scale", 0) from None
+        raise ValueError(f"{t!r} is not a point of the time scale") from None
     decisions = decision_indices(spec)
     where = np.where(decisions == idx)[0]
     if where.size == 0:
-        raise ProblemFileError(f"x@{t!r} is not a free decision variable", 0)
+        raise ValueError(f"x@{t!r} is not a free decision variable")
     return int(where[0])
 
 
@@ -365,22 +363,20 @@ def cmd_scan(args) -> int:
     var_specs = args.var or []
     range_specs = args.range or []
     if len(var_specs) != d or len(range_specs) != d:
-        raise ProblemFileError(
-            f"problem has {d} decision variable(s); pass --var/--range {d} time(s)", 0
+        raise ValueError(
+            f"problem has {d} decision variable(s); pass --var/--range {d} time(s)"
         )
     if args.csv and d == 2:
         raise ValueError("--csv applies to 1-D scans only; a 2-D scan prints its candidates")
     positions = [_parse_scan_var(spec, v) for v in var_specs]
     if sorted(positions) != list(range(d)):
-        raise ProblemFileError("--var entries must cover each decision variable once", 0)
+        raise ValueError("--var entries must cover each decision variable once")
     ranges: list[tuple[float, float]] = [(0.0, 0.0)] * d
     for pos, rtext in zip(positions, range_specs):
         try:
             lo, hi = (float(v) for v in rtext.split(","))
         except ValueError:
-            raise ProblemFileError(
-                f"--range must be 'lo,hi', got {rtext!r}", 0
-            ) from None
+            raise ValueError(f"--range must be 'lo,hi', got {rtext!r}") from None
         ranges[pos] = (lo, hi)
 
     try:
@@ -394,22 +390,21 @@ def cmd_scan(args) -> int:
               f"[{report.grid[0]:g}, {report.grid[-1]:g}]")
         if not report.has_roots:
             print("no roots in range (zero sign changes)")
-            return EXIT_NO_POINT
         for (lo, hi), root in zip(report.brackets, report.roots):
             print(f"root {root:.12g} in bracket [{lo:.6g}, {hi:.6g}]")
-        if args.csv:
+        if args.csv:  # also without roots: the sampled field shows why
             rows = list(report.csv_rows())
             lines = [",".join(str(c) for c in rows[0])]
             for w, g in rows[1:]:
                 lines.append(f"{format_g17(w)},{format_g17(g)}")
             Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
             print(f"csv: {args.csv}")
-    else:
-        if not report:
-            print("no candidate boxes in range")
-            return EXIT_NO_POINT
-        for w0, w1 in report:
-            print(f"candidate root near ({w0:.12g}, {w1:.12g})")
+        return EXIT_OK if report.has_roots else EXIT_NO_POINT
+    if not report:
+        print("no candidate boxes in range")
+        return EXIT_NO_POINT
+    for w0, w1 in report:
+        print(f"candidate root near ({w0:.12g}, {w1:.12g})")
     return EXIT_OK
 
 
@@ -418,14 +413,14 @@ def cmd_refine(args) -> int:
     try:
         h_list = [float(v) for v in args.h_list.split(",")]
     except ValueError:
-        raise ProblemFileError(f"bad --h-list {args.h_list!r}", 0) from None
+        raise ValueError(f"bad --h-list {args.h_list!r}") from None
     opts = _solve_options(args)
     reference = None
     if args.reference:
         try:
             ref_expr = parse_expr(args.reference, ("t",))
         except ExprError as exc:
-            raise ProblemFileError(f"bad --reference: {exc}", 0) from None
+            raise ValueError(f"bad --reference: {exc}") from None
 
         def reference(points, _e=ref_expr):
             vals = eval_expr(_e, {"t": points})

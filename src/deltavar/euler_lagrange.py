@@ -55,10 +55,8 @@ __all__ = [
     "natural_bc_left",
     "natural_bc_right",
     "functional_gradient",
-    "functional_hessian",
     "hessian_parts",
     "constraint_gradient",
-    "constraint_hessian",
     "dubois_reymond_quantity",
     "isoperimetric_residual",
     "residual_report",
@@ -280,22 +278,6 @@ def hessian_parts(
     idx = decision_indices(spec)
     lo, hi = int(idx[0]), int(idx[-1])
     return diag[lo : hi + 1], off[lo:hi], record.rows[:, idx], outer_hess
-
-
-def _hessian_of(F: CompositeFunctional, spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
-    diag, off, rows, outer_hess = hessian_parts(F, spec, tr)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) + rows.T @ outer_hess @ rows
-
-
-def functional_hessian(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
-    """Exact second derivative matrix of the objective over the decision samples."""
-    return _hessian_of(spec.lagrangian, spec, tr)
-
-
-def constraint_hessian(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
-    if spec.constraint is None:
-        raise ValueError("problem has no isoperimetric constraint")
-    return _hessian_of(spec.constraint.functional, spec, tr)
 
 
 def _dr_quantity_of(F: CompositeFunctional, tr: Trajectory) -> np.ndarray:

@@ -34,8 +34,6 @@ from .euler_lagrange import (
     functional_gradient,
     hessian_parts,
 )
-# Not called here: bench/tracer.py looks these two names up on this module.
-from .euler_lagrange import constraint_hessian, functional_hessian  # noqa: F401
 from .functional import (
     DenominatorVanished,
     Trajectory,
@@ -53,6 +51,8 @@ __all__ = [
     "solve_isoperimetric",
     "classify",
     "refine_study",
+    "functional_hessian",
+    "constraint_hessian",
     "RefinePoint",
     "RefineRow",
     "RefineStudy",
@@ -248,8 +248,10 @@ class _Hessian:
     multiplier come from a (k+1)x(k+1) capacitance system, LU-factored
     once per :meth:`factor`.  Solutions are refined and verified against
     the exact matvec; where T alone is singular or the check fails, the
-    solver returns None and :func:`_newton_solver` takes the dense LU.
-    ``count_below`` serves :func:`classify`.
+    solver returns None and :func:`_newton_solver` takes the dense LU of
+    ``dense``, the one array form of H, which :func:`functional_hessian` and
+    :func:`constraint_hessian` return too.  ``count_below`` serves
+    :func:`classify`.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray, U: np.ndarray, C: np.ndarray):
@@ -272,14 +274,20 @@ class _Hessian:
         out += self.U.T @ (self.C @ (self.U @ v))
         return out
 
-    def dense(self) -> np.ndarray:
+    def dense(self, border: Optional[np.ndarray] = None) -> np.ndarray:
+        """H as a d x d array, or with a border b the (d+1)^2 array [[H, b], [b^T, 0]]."""
         d = self.diag.size
-        hess = self.U.T @ self.C @ self.U
-        flat = hess.reshape(-1)  # a view: hess is a fresh contiguous array
-        flat[:: d + 1] += self.diag
-        flat[1 :: d + 1] += self.off
-        flat[d :: d + 1] += self.off
-        return hess
+        n = d if border is None else d + 1
+        M = np.empty((n, n))
+        np.matmul(self.U.T @ self.C, self.U, out=M[:d, :d])
+        if border is not None:
+            M[:d, d] = M[d, :d] = border
+            M[d, d] = 0.0
+        flat = M.reshape(-1)  # a view: M is a fresh contiguous array
+        flat[: n * d : n + 1] += self.diag
+        flat[1 : n * (d - 1) : n + 1] += self.off
+        flat[n : n * d : n + 1] += self.off
+        return M
 
     def _defect(self, x, nu, rhs, border, last):
         """Residuals (r, g) of [[H, b], [b^T, 0]] [x; nu] = [rhs; last] and their size."""
@@ -431,6 +439,18 @@ def _hessian(spec: ProblemSpec, tr: Trajectory, lam0: float, lam: Optional[float
     return _Hessian(diag, off, np.concatenate(rows), C)
 
 
+def functional_hessian(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
+    """Exact second derivative matrix of the objective over the decision samples."""
+    return _hessian(spec, tr, 1.0, None).dense()
+
+
+def constraint_hessian(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
+    """Exact second derivative matrix of the constraint functional over the decision samples."""
+    if spec.constraint is None:
+        raise ValueError("problem has no isoperimetric constraint")
+    return _hessian(spec, tr, 0.0, -1.0).dense()
+
+
 def _newton_solver(H: _Hessian, border: Optional[np.ndarray] = None):
     """Newton systems with H, or with a border b [[H, b], [b^T, 0]], factored once.
 
@@ -450,25 +470,18 @@ def _newton_solver(H: _Hessian, border: Optional[np.ndarray] = None):
             if x is not None:
                 return x
         if dense is None:
-            dense = _dense_solver(H.dense(), border)
+            dense = _dense_solver(H.dense(border))
         return dense(rhs if border is None else np.append(rhs, last))
 
     return solve
 
 
-def _dense_solver(
-    M: np.ndarray, border: Optional[np.ndarray]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Solves with M, bordered by b if given, from one LU factorization.
+def _dense_solver(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Solves with the square matrix M from one LU factorization.
 
     The factors are used only if their 1-norm condition estimate passes;
     otherwise each solve is the minimum-norm least-squares solution.
     """
-    if border is not None:
-        n = border.size
-        M, plain = np.zeros((n + 1, n + 1)), M
-        M[:n, :n] = plain
-        M[:n, n] = M[n, :n] = border
     try:
         with warnings.catch_warnings():
             # Singular factorizations are expected here; the rcond gate
@@ -531,6 +544,10 @@ class _NormalJacobian:
         return np.append(self.H @ v[:-1] + self.b * v[-1], self.b @ v[:-1])
 
     def step(self, r: np.ndarray) -> np.ndarray:
+        if not self.b.any():
+            # grad K = 0 decouples the system; dlam = 0 is the minimum-norm
+            # answer, and H alone keeps the step free of (d+1)^2 arrays.
+            return np.append(self.H.step(r[:-1]), 0.0)
         return _newton_solver(self.H, self.b)(-r[:-1], -r[-1])
 
 

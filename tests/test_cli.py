@@ -289,6 +289,18 @@ class TestScanCommand:
         assert code == 3
         assert "no roots in range" in out
 
+    def test_no_root_scan_still_writes_csv(self, capsys, tmp_path):
+        # The sampled field is what shows why there is no root.
+        csv = tmp_path / "scan.csv"
+        code, out, _ = run(
+            capsys, "scan", "product_3pt", "--var", "x@0.5", "--range", "-10,10",
+            "--resolution", "401", "--csv", str(csv),
+        )
+        assert code == 3
+        assert "no roots in range" in out and f"csv: {csv}" in out
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "value,field" and len(lines) == 402
+
     def test_quotient2_scan_roots_with_csv(self, capsys, tmp_path):
         csv = tmp_path / "scan.csv"
         code, out, _ = run(
@@ -430,6 +442,34 @@ class TestRejectedInput:
             "kind = interval\na = 0\nb = 1\nh = 0.5", f"kind = points\nvalues = 0, {value}, 1, 2"))
         code, _, err = run(capsys, "solve", str(f), "--restarts", "2")
         assert_usage_error(code, err, f"line 4: values value must be finite, got {value}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "no_such_problem"], "no such problem file or bundled fixture"),
+        (["scan", "product_3pt", "--var", "y@0.5", "--range", "-1,1"],
+         "--var must look like x@<time>"),
+        (["scan", "product_3pt", "--var", "x@abc", "--range", "-1,1"], "bad time value"),
+        (["scan", "product_3pt", "--var", "x@0.37", "--range", "-1,1"],
+         "is not a point of the time scale"),
+        (["scan", "product_3pt", "--var", "x@0", "--range", "-1,1"],
+         "is not a free decision variable"),
+        (["scan", "product_3pt", "--range", "-1,1"], "pass --var/--range 1 time(s)"),
+        (["scan", "product_3pt", "--var", "x@0.5", "--range", "1"], "--range must be 'lo,hi'"),
+        (["scan", str(PROBLEMS / "energy_4pt.dvp"), "--var", "x@0.4", "--var", "x@0.4",
+          "--range", "-1,2", "--range", "-1,2"], "must cover each decision variable once"),
+        (["refine", "quotient1", "--h-list", "a,b"], "bad --h-list"),
+        (["refine", "quotient1", "--h-list", "0.5", "--reference", "2*"], "bad --reference"),
+        (["verify", "quotient1", "--solution", "{tmp}/misaligned.csv"],
+         "t=0.25 does not match any scale point"),
+        (["verify", "quotient1", "--solution", "{tmp}/short.csv"],
+         "solution misses 1 of 3 scale points"),
+    ])
+    def test_argument_errors_name_no_line(self, capsys, tmp_path, argv, message):
+        # Only problem-file and solution-row errors have a line to name.
+        (tmp_path / "misaligned.csv").write_text("t,x\n0,0\n0.25,1\n2,4\n")
+        (tmp_path / "short.csv").write_text("t,x\n0,0\n2,4\n")
+        code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert_usage_error(code, err, message)
+        assert "line 0" not in err
 
     def test_missing_solution_file(self, capsys, tmp_path):
         missing = tmp_path / "missing.csv"

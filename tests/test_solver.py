@@ -22,7 +22,6 @@ from deltavar import (
     c1rd_distance,
     classify,
     constraint_gradient,
-    functional_hessian,
     make_timescale,
     refine_study,
     residual_report,
@@ -32,7 +31,7 @@ from deltavar import (
 )
 from deltavar import euler_lagrange, solver
 from deltavar.cli import resolve_problem
-from deltavar.euler_lagrange import constraint_hessian, decision_indices, hessian_parts
+from deltavar.euler_lagrange import decision_indices, hessian_parts
 from deltavar.oracle import fd_gradient, fd_hessian
 from deltavar.solver import (
     DEGENERATE_RELATIVE,
@@ -42,6 +41,8 @@ from deltavar.solver import (
     _hessian,
     _negative_inertia,
     _output_order,
+    constraint_hessian,
+    functional_hessian,
 )
 
 THREE_PT = make_timescale("points", values=[0, 0.5, 1])
@@ -323,7 +324,8 @@ class TestIsoperimetric:
         # elimination above it (h = 4e-3: d = 249).  Abnormal Newton runs on
         # K's own gradient system, unbordered.  Each normal step
         # (_NormalJacobian) offers the Hessian of L - lam K bordered by
-        # -grad K, never a (d+1)^2 array.
+        # -grad K, never a (d+1)^2 array; where grad K = 0 the system
+        # decouples and the step offers that Hessian unbordered.
         ts = THREE_PT if h is None else make_timescale("interval", a=0, b=1, h=h)
         spec = abnormal_spec(ts)
         d = decision_indices(spec).size
@@ -350,8 +352,39 @@ class TestIsoperimetric:
         assert all(isinstance(H, _Hessian) and H.diag.size == d for H, _ in systems)
         assert normal and any(border is None for _, border in systems)
         for J, at in normal:
-            assert systems[at][0] is J.H and systems[at][1] is J.b
+            assert systems[at][0] is J.H
+            assert systems[at][1] is (J.b if J.b.any() else None)
             assert any(np.array_equal(J.b, -g) for g in gradients)
+
+    def test_zero_gradient_normal_step_stays_linear(self):
+        # Restart 0 starts on x = t, where grad K = 0: its normal step solves
+        # with the Hessian of L - lam K alone.  A dense (d+1)^2 least-squares
+        # solve of the bordered system took 32 MB here (d = 999).
+        ts = make_timescale("interval", a=0, b=1, h=1e-3)
+        tracemalloc.start()
+        try:
+            pts = solve_isoperimetric(abnormal_spec(ts), SolveOptions(restarts=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(p.lam0, p.lam, p.basin_count) for p in pts] == [(0.0, 1.0, 4)]
+        assert pts[0].value == pytest.approx(1.0, abs=1e-12)
+        assert pts[0].classification == "local_max"
+        assert peak < 4e6
+
+    def test_zero_gradient_normal_step_is_minimum_norm(self):
+        # With b = 0 the bordered matrix [[H, 0], [0, 0]] is singular; the
+        # step is its minimum-norm least-squares solution, dlam = 0.
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            spec, tr = random_problem(rng)
+            H = _hessian(spec, tr, 1.0, None)
+            d = H.diag.size
+            r = rng.standard_normal(d + 1)
+            want = np.linalg.lstsq(H.dense(np.zeros(d)), -r, rcond=None)[0]
+            step = _NormalJacobian(H, np.zeros(d)).step(r)
+            assert step[-1] == 0.0
+            assert np.linalg.norm(step - want) <= 1e-7 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("h", [4e-3, 1e-2])
     def test_one_factorization_per_level_step(self, monkeypatch, h):
@@ -727,6 +760,8 @@ class TestHessianSolve:
         for op, plain, b, size, rhs, last in cases:
             n = rhs.size
             bordered = np.block([[plain, b[:, None]], [b[None, :], np.zeros((1, 1))]])
+            np.testing.assert_array_equal(op.dense(b), np.block(
+                [[op.dense(), b[:, None]], [b[None, :], np.zeros((1, 1))]]))
             systems = [(None, plain, rhs, 0.0, size)]
             # The bordered system with a zero last right-hand side (the sphere
             # step) and a nonzero one (the normal isoperimetric step).
