@@ -33,7 +33,7 @@ from .solver import (
     NoStationaryPointFound,
     SolveOptions,
     StationaryPoint,
-    _fit_multiplier,
+    fit_multipliers,
     refine_study,
     solve_isoperimetric,
     solve_unconstrained,
@@ -81,7 +81,6 @@ def _solve_options(args) -> SolveOptions:
         restarts=args.restarts,
         seed=args.seed,
         tol_residual=args.tol,
-        max_iters=args.max_iters,
         dedup_distance=args.dedup_distance,
     )
 
@@ -92,7 +91,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=SolveOptions.seed)
     p.add_argument("--tol", type=float, default=SolveOptions.tol_residual,
                    help="residual max-norm tolerance (default %(default)s)")
-    p.add_argument("--max-iters", type=int, default=SolveOptions.max_iters)
     p.add_argument("--dedup-distance", type=float, default=SolveOptions.dedup_distance)
 
 
@@ -312,14 +310,14 @@ def cmd_verify(args) -> int:
     spec = problem.build(h_override=args.h_override)
     tr = _load_solution_csv(Path(args.solution), spec)
 
-    lam = None
+    lam0, lam = 1.0, None
     checks = []
     if spec.constraint is not None:
-        lam = _fit_multiplier(functional_gradient(spec, tr), constraint_gradient(spec, tr))
+        lam0, lam = fit_multipliers(functional_gradient(spec, tr), constraint_gradient(spec, tr))
         defect = value(spec.constraint.functional, tr) - spec.constraint.target
         checks.append(("constraint defect", abs(defect)))
-        print(f"fitted lambda: {lam:.12g}")
-    report = residual_report(spec, tr, lam0=1.0, lam=lam)
+        print(f"fitted lambda: {lam:.12g}" if lam0 else "fitted lambda0: 0   lambda: 1 (abnormal)")
+    report = residual_report(spec, tr, lam0=lam0, lam=lam)
     checks.append(("el residual max-norm", report.el_max))
     if report.nat_left is not None:
         checks.append(("natural bc left", abs(report.nat_left)))

@@ -455,7 +455,6 @@ def evaluate(
     e: Expr | tuple[Expr, ...],
     bindings: Mapping[str, float | np.ndarray],
     division_guard: Callable[[float, float], None] | None = None,
-    floats: bool = False,
 ):
     """Evaluate a tree, or a tuple of trees, under bindings (scalars or arrays).
 
@@ -466,11 +465,11 @@ def evaluate(
     always raise :class:`DivisionByZero`.  log of a non-positive value and
     sqrt of a negative value raise :class:`DomainError` naming the node; a
     tree too deep for one call per level raises :class:`NestingTooDeep`.
-    ``floats`` promises that every binding is a Python float: trees without
-    function calls then skip the ``np.errstate`` block, with the same values.
+    Python-float bindings under trees without function calls skip the
+    ``np.errstate`` block: that arithmetic never reads numpy's error state.
     """
     trees = e if isinstance(e, tuple) else (e,)
-    if floats and all(node._float_only for node in trees):
+    if all(type(v) is float for v in bindings.values()) and all(n._float_only for n in trees):
         return _evaluate(e, bindings, division_guard)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _evaluate(e, bindings, division_guard)

@@ -124,7 +124,7 @@ class CompositeFunctional:
     def _outer_values(self, exprs, us):
         """The expressions at us, on Python floats: numpy's bits at a fraction of its cost."""
         b = dict(zip(self.outer_vars, map(float, us)))
-        return evaluate(exprs, b, division_guard=_outer_division_guard, floats=True)
+        return evaluate(exprs, b, division_guard=_outer_division_guard)
 
     def outer_value(self, us) -> float:
         return float(self._outer_values(self.outer, us))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
     "solve_unconstrained",
     "solve_isoperimetric",
     "classify",
+    "fit_multipliers",
     "refine_study",
     "functional_hessian",
     "constraint_hessian",
@@ -100,7 +102,9 @@ ESCAPE_STEPS = 3
 # A run whose damping has failed is over (Deuflhard 2004, ch. 3): with the
 # residual still above tolerance, this many accepted steps in a row that each
 # needed alpha <= STAGNATION_ALPHA or fell back to the damped gradient end it.
+# A run still going after MAX_ITERS iterations has failed.
 STAGNATION_STEPS, STAGNATION_ALPHA = 3, 2.0**-11
+MAX_ITERS = 100
 
 # An accepted step whose relative merit improvement falls below
 # STALL_RELATIVE_PROGRESS, or whose length relative to 1 + ||w|| falls below
@@ -139,14 +143,13 @@ class SolveOptions:
     ``restarts`` runs start from the line through the fixed end values (0 at
     a free end) and from random perturbations of it keyed by ``seed``.  A run
     converges at residual max-norm ``tol_residual`` and fails after
-    ``max_iters`` iterations; converged points closer than ``dedup_distance``
+    MAX_ITERS iterations; converged points closer than ``dedup_distance``
     in the discrete C1_rd norm are one point.
     """
 
     restarts: int = 64
     seed: int = 0
     tol_residual: float = 1e-9
-    max_iters: int = 100
     dedup_distance: float = 1e-6
 
     def __post_init__(self):
@@ -158,8 +161,6 @@ class SolveOptions:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -379,6 +380,7 @@ class _Hessian:
         """
         return _newton_solver(self, border)(-r)[: r.size]
 
+    @cached_property  # both count_below calls of a classification share one eigh
     def _outer_directions(self) -> tuple[np.ndarray, np.ndarray]:
         """(V, mu) with U^T C U = V^T diag(mu) V, unit rows, null directions dropped."""
         # Unit rows of U before C is diagonalized: rows of very different size
@@ -406,7 +408,7 @@ class _Hessian:
         definite, so by Sylvester's law that inertia counts the pencil's
         eigenvalues below s.
         """
-        v, mu = self._outer_directions()
+        v, mu = self._outer_directions
         border = v.T if g is None else np.hstack([v.T, g[:, None]])
         corner = np.zeros((border.shape[1], border.shape[1]))
         corner[np.arange(mu.size), np.arange(mu.size)] = -1.0 / mu
@@ -570,7 +572,7 @@ def _run_newton(
     A run stagnates, and ends unconverged, once STAGNATION_STEPS accepted
     steps in a row each needed alpha <= STAGNATION_ALPHA or the damped
     gradient while max |r| stays above ``opts.tol_residual``: such runs
-    otherwise crawl along a merit valley to ``max_iters``.  A run already
+    otherwise crawl along a merit valley to MAX_ITERS.  A run already
     below tolerance is never cut there, since it may still stall onto a root.
     """
     w = np.asarray(w0, dtype=float).copy()
@@ -598,7 +600,7 @@ def _run_newton(
     it = 0
     w_norm, newton_norm, growing, deep = float(np.linalg.norm(w)), np.inf, 0, 0
     escape_norm = 1e3 * (1.0 + w_norm)
-    for it in range(opts.max_iters):
+    for it in range(MAX_ITERS):
         r_inf = float(np.abs(r).max())
         try:
             J = jacobian()
@@ -859,6 +861,19 @@ def _fit_multiplier(gL: np.ndarray, gK: np.ndarray) -> float:
     if denom <= 0.0 or not np.isfinite(denom):
         return 0.0
     return float(gL @ gK) / denom
+
+
+def fit_multipliers(gL: np.ndarray, gK: np.ndarray) -> tuple[float, float]:
+    """The multiplier pair (lam0, lam) of a trajectory with gradients gL and gK.
+
+    Of the two pairs normalized as the solver reports them, the normal
+    (1, least-squares lam) and the abnormal (0, 1), this is the one whose
+    gradient lam0 * gL - lam * gK is smaller; a tie is normal.
+    """
+    lam = _fit_multiplier(gL, gK)
+    if np.linalg.norm(gK) < np.linalg.norm(gL - lam * gK):
+        return 0.0, 1.0
+    return 1.0, lam
 
 
 def solve_isoperimetric(

@@ -279,6 +279,17 @@ right = free
         assert code == 0
         assert "fitted lambda: 8.0" in out
 
+    def test_abnormal_point_round_trip(self, capsys, tmp_path):
+        # solve returns x = t as an abnormal point (grad K = 0 there); with
+        # lambda0 fixed at 1 verify checked EL(L) alone and failed it.
+        problem = str(PROBLEMS / "abnormal_line.dvp")
+        csv = tmp_path / "abnormal.csv"
+        code, out, _ = run(capsys, "solve", problem, "--restarts", "16", "--csv", str(csv))
+        assert code == 0 and "lambda0: 0   lambda: 1" in out
+        code, out, _ = run(capsys, "verify", problem, "--solution", str(csv))
+        assert code == 0
+        assert "fitted lambda0: 0   lambda: 1" in out and "verification: PASS" in out
+
 
 class TestScanCommand:
     def test_product_3pt_scan_no_roots(self, capsys):
@@ -394,8 +405,8 @@ class TestRejectedInput:
         (["solve", "quotient2_3pt", "--tol", "nan"], "tol_residual"),
         (["solve", "quotient2_3pt", "--tol", "inf"], "tol_residual"),
         (["solve", "quotient2_3pt", "--dedup-distance", "nan"], "dedup_distance"),
-        (["refine", "quotient2_3pt", "--h-list", "0.5", "--max-iters", "0"],
-         "max_iters must be >= 1"),
+        (["refine", "quotient2_3pt", "--h-list", "0.5", "--restarts", "0"],
+         "restarts must be >= 1"),
         (["solve", "quotient2_3pt", "--h-override", "nan"], "step must be finite"),
         (["solve", "quotient2_3pt", "--h-override", "inf"], "step must be finite"),
         (["scan", "quotient2_3pt", "--var", "x@0.5", "--range", "0,inf"], "finite"),
@@ -414,7 +425,8 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize("command", [["solve", "quotient2_3pt"],
                                          ["refine", "quotient2_3pt", "--h-list", "0.5"]])
-    @pytest.mark.parametrize("flag", ["--tol-step", "--init-spread", "--tol-abnormal"])
+    @pytest.mark.parametrize("flag", ["--tol-step", "--init-spread", "--tol-abnormal",
+                                      "--max-iters"])
     def test_fixed_settings_are_not_flags(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
             main([*command, flag, "1"])

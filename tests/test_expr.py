@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -298,7 +299,11 @@ def _reference_evaluate(e, bindings, division_guard=None):
                 raise DivisionByZero(node)
             return num / den
         if isinstance(node, Pow):
-            return ev(node.base) ** node.exponent
+            base = ev(node.base)
+            try:
+                return base**node.exponent
+            except OverflowError:  # a float power that overflows is inf, as in numpy
+                return math.copysign(math.inf, base) if node.exponent % 2 else math.inf
         if isinstance(node, Call):
             val = ev(node.arg)
             if node.func == "log" and np.any(val <= 0.0):
@@ -370,6 +375,12 @@ class TestBatchedEvaluate:
     @example(
         trees=[parse("log(y)/(1/v)", ("t", "y", "v")), parse("sqrt(y)", ("t", "y", "v"))],
         bindings={"t": 1.0, "y": -1.0, "v": 0.0},
+        guarded=False,
+    )
+    # A float power that overflows: IEEE inf, not OverflowError.
+    @example(
+        trees=[parse("-(1/v)^2", ("t", "y", "v"))],
+        bindings={"t": 0.0, "y": 0.0, "v": 9.823695331945303e-198},
         guarded=False,
     )
     def test_tuple_matches_tree_walk(self, trees, bindings, guarded):

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.sparse.linalg import splu
 from deltavar import (
     BoundarySpec,
     CompositeFunctional,
+    ConstraintInfeasible,
     DenominatorVanished,
     IsoConstraint,
     NoStationaryPointFound,
@@ -46,6 +48,7 @@ from deltavar.solver import (
 )
 
 THREE_PT = make_timescale("points", values=[0, 0.5, 1])
+PROBLEMS = Path(__file__).parent / "problems"
 
 
 def quotient2_spec(ts=THREE_PT):
@@ -77,7 +80,7 @@ class TestSolveOptions:
         opts = SolveOptions()
         assert opts.restarts == 64
         assert opts.tol_residual == 1e-9
-        assert opts.max_iters == 100
+        assert solver.MAX_ITERS == 100
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -94,11 +97,12 @@ class TestSolveOptions:
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(SolveOptions)] == [
-            "restarts", "seed", "tol_residual", "max_iters", "dedup_distance"]
+            "restarts", "seed", "tol_residual", "dedup_distance"]
 
-    @pytest.mark.parametrize("name", ["tol_step", "init_spread", "tol_abnormal"])
+    @pytest.mark.parametrize("name", ["tol_step", "init_spread", "tol_abnormal", "max_iters"])
     def test_fixed_settings_refused(self, name):
-        # The step floor, start spread and abnormal-seed bound are constants.
+        # The step floor, start spread, abnormal-seed bound and iteration cap
+        # are constants.
         with pytest.raises(TypeError, match=name):
             SolveOptions(**{name: 1.0})
 
@@ -983,7 +987,7 @@ class TestStagnatingRestarts:
     """Runs whose damping fails end after STAGNATION_STEPS deep steps."""
 
     def test_root_less_product_restarts_end_early(self, monkeypatch):
-        # Failing product_3pt runs crawled along a merit valley to max_iters:
+        # Failing product_3pt runs crawled along a merit valley to MAX_ITERS:
         # 3,218 residual evaluations before the rule, 1,826 with it.
         count, real = [0], solver._gradient_system
 
@@ -1010,6 +1014,19 @@ class TestStagnatingRestarts:
             spec, _ = random_problem(rng)
         pts = solve_unconstrained(spec, SolveOptions(restarts=12, seed=3))
         assert [(round(p.value, 7), p.classification) for p in pts] == [(3.3411157, "saddle")]
+
+    def test_damped_gradient_step_reaches_the_only_root(self, monkeypatch):
+        # A random constraint draw (conftest.random_problem) whose one root
+        # no pure Newton route reaches: without the damped-gradient step
+        # every restart ends off the constraint.
+        spec = resolve_problem(str(PROBLEMS / "damped_rescue.dvp")).build()
+        opts = SolveOptions(restarts=6, seed=321)
+        pts = solve_isoperimetric(spec, opts)
+        assert [p.normal for p in pts] == [True]
+        assert pts[0].value == pytest.approx(3.814312715944558, rel=1e-10)
+        monkeypatch.setattr(solver, "DAMPED_STEP", 0.0)
+        with pytest.raises(ConstraintInfeasible, match=r"best defect 0\.164"):
+            solve_isoperimetric(spec, opts)
 
 
 class TestRestoredStarts:
