@@ -58,6 +58,7 @@ __all__ = [
     "hessian_parts",
     "constraint_gradient",
     "dubois_reymond_quantity",
+    "dubois_reymond_spread",
     "isoperimetric_residual",
     "residual_report",
 ]
@@ -182,8 +183,9 @@ class _Partials:
             F.outer_gradient(inner_values(F, tr))
             raise
         self.fy, self.fv = samples[n : 2 * n], samples[2 * n :]
-        weighted = tr.ts.steps * samples[: 2 * n]  # mu * f, then mu * f_y
-        self.us = weighted[:n].cumsum(axis=1)[:, -1].copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # +inf and -inf sum to nan, as in value
+            weighted = tr.ts.steps * samples[: 2 * n]  # mu * f, then mu * f_y
+            self.us = weighted[:n].cumsum(axis=1)[:, -1].copy()
         self.w = F.outer_gradient(self.us)
         # Sample x_{j+1} enters interval j through y = x_{j+1} and
         # v = (x_{j+1} - x_j)/mu_j; sample x_j only through v.
@@ -305,6 +307,17 @@ def dubois_reymond_quantity(
     return E
 
 
+def dubois_reymond_spread(
+    spec: ProblemSpec,
+    tr: Trajectory,
+    lam0: float = 1.0,
+    lam: float | None = None,
+) -> float:
+    """max E - min E of :func:`dubois_reymond_quantity`, 0 with no kappa point."""
+    E = dubois_reymond_quantity(spec, tr, lam0, lam)
+    return float(E.max() - E.min()) if E.size else 0.0
+
+
 def isoperimetric_residual(
     spec: ProblemSpec, tr: Trajectory, lam0: float, lam: float
 ) -> np.ndarray:
@@ -332,8 +345,7 @@ def residual_report(
         el = el_residual(spec, tr)
     nat_left = None if spec.bc.left_fixed else natural_bc_left(spec, tr)
     nat_right = None if spec.bc.right_fixed else natural_bc_right(spec, tr)
-    E = dubois_reymond_quantity(spec, tr, lam0, lam)
-    spread = float(E.max() - E.min()) if E.size else 0.0
     return ResidualReport(
-        el=el, nat_left=nat_left, nat_right=nat_right, dr_constancy_spread=spread
+        el=el, nat_left=nat_left, nat_right=nat_right,
+        dr_constancy_spread=dubois_reymond_spread(spec, tr, lam0, lam),
     )

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 from .expr import ExprError, Expr, NestingTooDeep, expr_variables, parse
@@ -48,7 +49,6 @@ class ProblemFileError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-        self.plain_message = message
 
 
 @dataclass
@@ -331,13 +331,8 @@ def parse_problem_text(text: str, name: str = "<problem>") -> ProblemFile:
 
 
 def load_problem(source) -> ProblemFile:
-    """Load a problem file from a path or an importlib.resources traversable."""
-    if hasattr(source, "read_text"):
-        text = source.read_text()
-        name = getattr(source, "name", "<problem>")
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        name = str(source)
-    short = re.sub(r"\.dvp$", "", name.rsplit("/", 1)[-1])
-    return parse_problem_text(text, name=short)
+    """Load a UTF-8 problem file from a path or an importlib.resources traversable."""
+    if not hasattr(source, "read_text"):
+        source = Path(source)
+    text = source.read_text(encoding="utf-8")
+    return parse_problem_text(text, name=re.sub(r"\.dvp$", "", source.name))

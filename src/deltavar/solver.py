@@ -15,14 +15,14 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.linalg import lapack
-from scipy.sparse.linalg import LinearOperator, splu
+from scipy.sparse.linalg import splu
 
 from .expr import DivisionByZero, DomainError
 from .euler_lagrange import (
@@ -30,7 +30,7 @@ from .euler_lagrange import (
     _partials,
     constraint_gradient,
     decision_indices,
-    dubois_reymond_quantity,
+    dubois_reymond_spread,
     embed_decision,
     functional_gradient,
     hessian_parts,
@@ -120,10 +120,6 @@ ABNORMAL_GRADIENT = 1e-8
 # start only where ||grad K|| is at least RESTORE_GRADIENT * ||grad K(z0)||:
 # a vanishing gradient there marks a degenerate level set (abnormal branch).
 RESTORE_ITERS, RESTORE_GRADIENT = 30, 1e-3
-
-# solve_isoperimetric keeps the last TRAJECTORY_MEMO trajectories it built,
-# or fewer where they would hold over TRAJECTORY_MEMO_SAMPLES samples.
-TRAJECTORY_MEMO, TRAJECTORY_MEMO_SAMPLES = 8, 4096
 
 _EVAL_ERRORS = (DenominatorVanished, DomainError, DivisionByZero)
 
@@ -263,17 +259,14 @@ class _Hessian:
         parts = (self.diag, self.off, self.U.ravel(), self.C.ravel())
         return bool(np.isfinite(np.concatenate(parts)).all())  # one pass over all four
 
-    # The Hessian is symmetric; expose matvec via both J @ v and J.T @ v.
-    @property
-    def T(self) -> "_Hessian":
-        return self
-
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
         out[:-1] += self.off * v[1:]
         out[1:] += self.off * v[:-1]
         out += self.U.T @ (self.C @ (self.U @ v))
         return out
+
+    rmatvec = __matmul__  # H^T r, for the damped gradient step: H is symmetric
 
     def dense(self, border: Optional[np.ndarray] = None) -> np.ndarray:
         """H as a d x d array, or with a border b the (d+1)^2 array [[H, b], [b^T, 0]]."""
@@ -515,9 +508,10 @@ class _LevelJacobian:
     def __init__(self, H: _Hessian, g: np.ndarray):
         self.H, self.g = H, g
         self.finite = H.finite and np.isfinite(g).all()
-        self.T = LinearOperator(
-            (g.size, g.size + 1), matvec=lambda r: H @ r[:-1] + g * r[-1], dtype=float
-        )
+
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        """[H; g^T]^T r = H r[:-1] + g r[-1], for the damped gradient step."""
+        return self.H @ r[:-1] + self.g * r[-1]
 
     def step(self, r: np.ndarray, border: Optional[np.ndarray] = None) -> np.ndarray:
         solve, n = _newton_solver(self.H, border), self.g.size
@@ -538,12 +532,10 @@ class _NormalJacobian:
         self.H, self.b = H, b
         self.finite = H.finite and np.isfinite(b).all()
 
-    @property
-    def T(self) -> "_NormalJacobian":
-        return self
-
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return np.append(self.H @ v[:-1] + self.b * v[-1], self.b @ v[:-1])
+
+    rmatvec = __matmul__  # J^T r, for the damped gradient step: J is symmetric
 
     def step(self, r: np.ndarray) -> np.ndarray:
         if not self.b.any():
@@ -630,7 +622,7 @@ def _run_newton(
         accepted = False
         for d in (d_newton, None):
             if d is None:  # the damped gradient step, formed only when needed
-                d = -DAMPED_STEP * (J.T @ r)
+                d = -DAMPED_STEP * J.rmatvec(r)
             if not np.isfinite(d).all() or not d.any():
                 continue
             alpha = 1.0
@@ -758,8 +750,6 @@ def _finish_point(
     F = inner_values(spec.lagrangian, tr)
     val = value(spec.lagrangian, tr)
     g_val = None if spec.constraint is None else value(spec.constraint.functional, tr)
-    E = dubois_reymond_quantity(spec, tr, lam0, lam)
-    spread = float(E.max() - E.min()) if E.size else 0.0
     point = StationaryPoint(
         trajectory=tr,
         inner=F,
@@ -769,7 +759,7 @@ def _finish_point(
         lam=lam,
         constraint_value=g_val,
         basin_count=basin,
-        dr_spread=spread,
+        dr_spread=dubois_reymond_spread(spec, tr, lam0, lam),
     )
     point.classification = classify(spec, point)
     return point
@@ -905,17 +895,15 @@ def solve_isoperimetric(
         raise ValueError("spec has no constraint; use solve_unconstrained")
     opts = opts or SolveOptions()
     K, target = spec.constraint.functional, spec.constraint.target
-    # Decision bytes -> trajectory, least recently used first: the lambda guess,
-    # lambda-only steps and the abnormal check meet the last z again, and the
-    # next iteration can propose a full step that backtracking rejected.
-    memo, memo_size = {}, max(1, min(TRAJECTORY_MEMO, TRAJECTORY_MEMO_SAMPLES // len(spec.ts)))
+    # The last two trajectories built, by decision bytes.  Every reuse hands
+    # one z to its next consumer: the restored start to the multiplier fit
+    # and Newton's first residual, the current iterate to a step (a trial or
+    # the polish) that moves only lambda, and a run's last iterate to the
+    # abnormal-seed check.
+    embed = lru_cache(maxsize=2)(lambda key: embed_decision(spec, np.frombuffer(key)))
 
-    def trajectory(z, known: Optional[Trajectory] = None):
-        key = z.tobytes()
-        memo[key] = memo.pop(key, None) or known or embed_decision(spec, z)
-        if len(memo) > memo_size:
-            del memo[next(iter(memo))]
-        return memo[key]
+    def trajectory(z):
+        return embed(z.tobytes())
 
     def constraint(tr):
         """(grad K, K - k) at tr, from one record of K."""
@@ -931,14 +919,14 @@ def solve_isoperimetric(
             _hessian(spec, tr, 1.0, lam), -gK
         )
 
-    def restored(z0, tr0):
+    def restored(z0):
         """z0 + s grad K(z0) with K = k there, by scalar Newton in s; None where that fails.
 
         Also None where ||grad K|| at that point fell below RESTORE_GRADIENT
         times its size at z0 (a degenerate level set).
         """
         try:
-            g0, defect = constraint(tr0)
+            g0, defect = constraint(trajectory(z0))
             if abs(defect) <= opts.tol_residual:
                 return None  # z0 is on the level set: its own run is the restored one
             g0_norm, s, gK = float(np.linalg.norm(g0)), 0.0, g0
@@ -955,9 +943,9 @@ def solve_isoperimetric(
             pass
         return None
 
-    def start(z, tr=None):
+    def start(z):
         """[z; the least-squares multiplier at z], 0 where it cannot be evaluated."""
-        tr = trajectory(z, tr)
+        tr = trajectory(z)
         try:
             return np.append(z, _fit_multiplier(functional_gradient(spec, tr),
                                                 constraint_gradient(spec, tr)))
@@ -967,11 +955,10 @@ def solve_isoperimetric(
     inits = [_initial_decision(spec, opts, restart) for restart in range(opts.restarts)]
     runs, seeds = [], []
     for z0 in inits:
-        tr0 = trajectory(z0)
-        z = restored(z0, tr0)
+        z = restored(z0)
         out = None if z is None else _run_newton(evaluate, start(z), opts)
         if out is None or not out.converged:
-            out = _run_newton(evaluate, start(z0, tr0), opts)
+            out = _run_newton(evaluate, start(z0), opts)
         runs.append(out)
         if out.converged:
             # Newton evaluated gK at this z already, so this cannot raise.

@@ -316,6 +316,8 @@ def delta_integral(
     if start == stop:
         return 0.0
     # np.cumsum accumulates strictly sequentially, so the result is bit for
-    # bit the left-to-right running sum of the weighted samples.
-    products = ts.steps[start:stop] * arr[start:stop]
-    return float(np.cumsum(products)[-1])
+    # bit the left-to-right running sum of the weighted samples.  Samples
+    # that overflow to +inf and -inf sum to nan, which the caller gets as
+    # the value, so numpy's warning is not raised.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.cumsum(ts.steps[start:stop] * arr[start:stop])[-1])

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -29,6 +30,7 @@ from deltavar import (
     natural_bc_left,
     natural_bc_right,
     residual_report,
+    value,
 )
 from deltavar.expr import evaluate
 from deltavar.oracle import fd_gradient
@@ -383,6 +385,21 @@ class TestBatchedEvaluation:
         tr = Trajectory(THREE_PT, [0.0, 0.0, 1.0])
         with pytest.raises(DenominatorVanished):
             euler_lagrange._Partials(F, tr)
+
+    def test_opposite_infinite_samples_sum_to_nan_quietly(self):
+        # On quotient1's [0, 2] at h = 0.5 the integrand overflows to -inf at
+        # t = 0 and to +inf at t = 1.5.  Both left-to-right sums, value's
+        # (delta_integral) and the gradient record's, give nan without a
+        # RuntimeWarning.
+        ts = make_timescale("interval", a=0, b=2, h=0.5)
+        F = CompositeFunctional.from_strings(["exp(1000*(t - 0.5)) - exp(1000*(1 - t))"], "u1")
+        spec = ProblemSpec(ts=ts, lagrangian=F, bc=BoundarySpec.fixed(0, 4))
+        tr = Trajectory(ts, ts.points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(value(F, tr))
+            np.testing.assert_array_equal(functional_gradient(spec, tr), np.zeros(3))
+            assert np.isnan(euler_lagrange._Partials(F, tr).us).all()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_record_evaluates_in_four_stages(self, monkeypatch, n):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from deltavar import ProblemFileError, parse_problem_text
+from deltavar import ProblemFileError, load_problem, parse_problem_text
 
 GOOD = """
 # a quotient problem
@@ -89,6 +89,24 @@ class TestParsing:
     def test_free_boundary(self):
         text = GOOD.replace("left = fixed 0", "left = free")
         assert parse_problem_text(text).bc.left is None
+
+    def test_every_source_is_read_as_utf8(self, tmp_path):
+        # A path as str or Path and a traversable (how bundled fixtures
+        # come) are all read as UTF-8, whatever the locale's encoding.
+        path = tmp_path / "café.dvp"
+        path.write_text("# façon\n" + GOOD, encoding="utf-8")
+        encodings = []
+
+        class Traversable:
+            name = path.name
+
+            def read_text(self, encoding=None):
+                encodings.append(encoding)
+                return path.read_text(encoding=encoding)
+
+        loaded = [load_problem(source) for source in (str(path), path, Traversable())]
+        assert [pf.name for pf in loaded] == ["café"] * 3
+        assert encodings == ["utf-8"]
 
 
 class TestDiagnostics:

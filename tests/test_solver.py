@@ -255,6 +255,25 @@ class TestSharedEvaluation:
             x0 = euler_lagrange.embed_decision(spec, z0).x.tobytes()
             assert (calls.count((L, x0)), calls.count((K, x0))) == (0, 1)
 
+    # The solve keeps two trajectories.  iso_R at h = 1e-2 builds 5 in its
+    # one restart, and the dedup of its converged run one more.  iso_3pt
+    # has d = 1, so every restart restores onto the same single point of
+    # K = k, which two entries do not keep from one restart to the next:
+    # 15 builds in 8 restarts, plus 8 in the dedup.
+    @pytest.mark.parametrize("problem, h, restarts, builds",
+                             [("iso_R", 1e-2, 1, 6), ("iso_3pt", None, 8, 23)])
+    def test_isoperimetric_trajectory_builds(self, monkeypatch, problem, h, restarts, builds):
+        calls = [0]
+        real = solver.embed_decision
+
+        def counting(spec, z):
+            calls[0] += 1
+            return real(spec, z)
+
+        monkeypatch.setattr(solver, "embed_decision", counting)
+        solve_isoperimetric(resolve_problem(problem).build(h), SolveOptions(restarts=restarts))
+        assert calls[0] == builds
+
 
 class TestIsoperimetric:
     def test_three_point_constraint_pins_interior(self):
@@ -490,7 +509,7 @@ class TestIsoperimetric:
             want = np.linalg.lstsq(stacked, -r, rcond=None)[0]
             level = _LevelJacobian(H, g)
             np.testing.assert_allclose(level.step(r), want, rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(level.T @ r, stacked.T @ r, rtol=1e-12)
+            np.testing.assert_allclose(level.rmatvec(r), stacked.T @ r, rtol=1e-12)
 
 
 class TestClassify:
@@ -801,11 +820,9 @@ class TestHessianSolve:
                             step = normal.step(-full_rhs)
                             assert np.linalg.norm(step - want_normal) <= (
                                 1e-7 * np.linalg.norm(want_normal))
-                            # It is symmetric: its own transpose, for the
-                            # damped gradient step.
-                            assert normal.T is normal
+                            # J^T r for the damped gradient step.
                             atol = 1e-12 * scale * np.abs(full_rhs).sum()
-                            assert np.abs(normal @ full_rhs - jac @ full_rhs).max() <= atol
+                            assert np.abs(normal.rmatvec(full_rhs) - jac.T @ full_rhs).max() <= atol
 
     # sturm_liouville is scale invariant, so its steps take the sphere border.
     @pytest.mark.parametrize("problem", ["quotient2_R", "sturm_liouville"])
