@@ -451,48 +451,43 @@ def parse(text: str, vars: Iterable[str]) -> Expr:
 # -- evaluation ---------------------------------------------------------------
 
 
-def evaluate(
-    e: Expr | tuple[Expr, ...],
-    bindings: Mapping[str, float | np.ndarray],
-    division_guard: Callable[[float, float], None] | None = None,
-):
+def evaluate(e: Expr | tuple[Expr, ...], bindings: Mapping[str, float | np.ndarray]):
     """Evaluate a tree, or a tuple of trees, under bindings (scalars or arrays).
 
     A tuple is evaluated in order under one ``np.errstate`` block and gives a
-    tuple of values, so the first failing tree raises the error.
-    ``division_guard(numerator, denominator)`` is invoked before every
-    division so callers can reject near-vanishing denominators; exact zeros
-    always raise :class:`DivisionByZero`.  log of a non-positive value and
-    sqrt of a negative value raise :class:`DomainError` naming the node; a
-    tree too deep for one call per level raises :class:`NestingTooDeep`.
+    tuple of values, so the first failing tree raises the error.  A division
+    by an exact zero raises :class:`DivisionByZero`; any other denominator,
+    however small, divides.  log of a non-positive value and sqrt of a
+    negative value raise :class:`DomainError` naming the node; a tree too
+    deep for one call per level raises :class:`NestingTooDeep`.
     Python-float bindings under trees without function calls skip the
     ``np.errstate`` block: that arithmetic never reads numpy's error state.
     """
     trees = e if isinstance(e, tuple) else (e,)
     if all(type(v) is float for v in bindings.values()) and all(n._float_only for n in trees):
-        return _evaluate(e, bindings, division_guard)
+        return _evaluate(e, bindings)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _evaluate(e, bindings, division_guard)
+        return _evaluate(e, bindings)
 
 
-def _evaluate(e, bindings, division_guard):
+def _evaluate(e, bindings):
     try:
         if isinstance(e, tuple):
-            return tuple([node._closure(bindings, division_guard) for node in e])
-        return e._closure(bindings, division_guard)
+            return tuple([node._closure(bindings) for node in e])
+        return e._closure(bindings)
     except RecursionError:
         raise NestingTooDeep("evaluate") from None
 
 
 def _compile(node: Expr) -> Callable:
-    """The closure ``(bindings, division_guard) -> value`` of one node."""
+    """The closure ``bindings -> value`` of one node."""
     if isinstance(node, Const):
         value = node.value
-        return lambda b, guard: value
+        return lambda b: value
     if isinstance(node, Var):
         name = node.name
 
-        def var(b, guard):
+        def var(b):
             try:
                 return b[name]
             except KeyError:
@@ -501,15 +496,15 @@ def _compile(node: Expr) -> Callable:
         return var
     if isinstance(node, Neg):
         arg = node.arg._closure
-        return lambda b, guard: -arg(b, guard)
+        return lambda b: -arg(b)
     if isinstance(node, Pow):
         base, exponent = node.base._closure, node.exponent
-        return lambda b, guard: _power(base(b, guard), exponent)
+        return lambda b: _power(base(b), exponent)
     if isinstance(node, Call):
         arg, func, fn = node.arg._closure, node.func, FUNCTIONS[node.func]
 
-        def call_(b, guard):
-            val = arg(b, guard)
+        def call_(b):
+            val = arg(b)
             if func == "log" and _any(val <= 0.0):
                 raise DomainError(node, "log of a non-positive value")
             if func == "sqrt" and _any(val < 0.0):
@@ -519,15 +514,13 @@ def _compile(node: Expr) -> Callable:
         return call_
     if type(node) in _BINARY:
         op, lhs, rhs = _BINARY[type(node)], node.lhs._closure, node.rhs._closure
-        return lambda b, guard: op(lhs(b, guard), rhs(b, guard))
+        return lambda b: op(lhs(b), rhs(b))
     if not isinstance(node, Div):
         raise TypeError(f"not an expression node: {node!r}")
     lhs, rhs = node.lhs._closure, node.rhs._closure
 
-    def divide(b, guard):
-        num, den = lhs(b, guard), rhs(b, guard)
-        if guard is not None:
-            guard(num, den)
+    def divide(b):
+        num, den = lhs(b), rhs(b)
         if _any(den == 0.0):
             raise DivisionByZero(node)
         return num / den

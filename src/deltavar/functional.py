@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Expr, _any, differentiate, evaluate, expr_variables, parse
+from .expr import Div, Expr, ExprError, _nodes, differentiate, evaluate, expr_variables, parse
 from .timescale import TimeScale, delta_derivative, delta_integral
 
 __all__ = [
@@ -30,26 +30,18 @@ __all__ = [
 
 INNER_VARS = ("t", "y", "v")
 
-# Relative threshold below which an outer-map denominator counts as
-# vanished.  Quotient objectives are only meaningful away from that set, so
-# evaluation fails loudly instead of returning a huge number.
+# H's own divisions fail loudly where |den| < EPS_DENOMINATOR*(1 + |num|), as
+# quotient objectives are only meaningful away from that set.  H's partials
+# divide by powers of these denominators and raise only at an exact zero.
 EPS_DENOMINATOR = 1e-9
 
 
 class DenominatorVanished(ArithmeticError):
-    """An outer-map division was evaluated too close to a zero denominator."""
+    """One of the outer map's own divisions was evaluated too close to a zero denominator."""
 
 
 class ScaleMismatch(ValueError):
     """Two trajectories live on different time scales."""
-
-
-def _outer_division_guard(num, den) -> None:
-    if _any(abs(den) < EPS_DENOMINATOR * (1.0 + abs(num))):
-        raise DenominatorVanished(
-            f"outer-map denominator {den} vanishes (|den| < "
-            f"{EPS_DENOMINATOR:g}*(1+|num|) with num={num})"
-        )
 
 
 class CompositeFunctional:
@@ -69,6 +61,7 @@ class CompositeFunctional:
         "inner_y",
         "inner_v",
         "outer_grad_exprs",
+        "_divisions",
         "_second",
     )
 
@@ -96,6 +89,8 @@ class CompositeFunctional:
         self.outer_grad_exprs = tuple(
             differentiate(outer, u) for u in self.outer_vars
         )
+        # (numerator, denominator) of H's own divisions, innermost first.
+        self._divisions = [(d.lhs, d.rhs) for d in reversed(_nodes(outer)) if isinstance(d, Div)]
         self._second = None
 
     @classmethod
@@ -122,9 +117,19 @@ class CompositeFunctional:
     # -- outer-map evaluation (guarded) -------------------------------------
 
     def _outer_values(self, exprs, us):
-        """The expressions at us, on Python floats: numpy's bits at a fraction of its cost."""
+        """The expressions at us, on Python floats: numpy's bits at a fraction of its cost.
+
+        H's own divisions that evaluate at us are tested first, innermost first."""
         b = dict(zip(self.outer_vars, map(float, us)))
-        return evaluate(exprs, b, division_guard=_outer_division_guard)
+        for pair in self._divisions:
+            try:
+                num, den = evaluate(pair, b)
+            except ExprError:  # the trees themselves raise what applies
+                continue
+            if abs(den) < EPS_DENOMINATOR * (1.0 + abs(num)):
+                raise DenominatorVanished(f"outer-map denominator {den} vanishes (|den| < "
+                                          f"{EPS_DENOMINATOR:g}*(1+|num|) with num={num})")
+        return evaluate(exprs, b)
 
     def outer_value(self, us) -> float:
         return float(self._outer_values(self.outer, us))
@@ -226,9 +231,9 @@ def inner_values(functional: CompositeFunctional, tr: Trajectory) -> np.ndarray:
 def value(functional: CompositeFunctional, tr: Trajectory) -> float:
     """The composite value H(F_1[x], ..., F_n[x]).
 
-    Raises :class:`DenominatorVanished` when a division inside the outer
-    map is evaluated with a near-zero denominator, and propagates the
-    expression evaluator's domain errors otherwise.
+    Raises :class:`DenominatorVanished` when one of the outer map's own
+    divisions fails the ``EPS_DENOMINATOR`` rule at the inner values, and
+    propagates the evaluator's DivisionByZero and DomainError otherwise.
     """
     us = inner_values(functional, tr)
     return functional.outer_value(us)

@@ -134,16 +134,6 @@ class TestEvaluate:
         out = evaluate(e, {"t": t, "v": v})
         assert np.array_equal(out, t**2 + 1.0)
 
-    def test_division_guard_hook(self):
-        e = parse("u1/u2", ("u1", "u2"))
-        calls = []
-
-        def guard(num, den):
-            calls.append((num, den))
-
-        evaluate(e, {"u1": 3.0, "u2": 2.0}, division_guard=guard)
-        assert calls == [(3.0, 2.0)]
-
 
 class TestDifferentiate:
     def test_power_rule(self):
@@ -271,7 +261,7 @@ class TestDerivativeLinearity:
             assert evaluate(d_combo, point) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
-def _reference_evaluate(e, bindings, division_guard=None):
+def _reference_evaluate(e, bindings):
     """The recursive tree walk that per-node closures replaced."""
 
     def ev(node):
@@ -293,8 +283,6 @@ def _reference_evaluate(e, bindings, division_guard=None):
         if isinstance(node, Div):
             num = ev(node.lhs)
             den = ev(node.rhs)
-            if division_guard is not None:
-                division_guard(num, den)
             if np.any(den == 0.0):
                 raise DivisionByZero(node)
             return num / den
@@ -315,15 +303,6 @@ def _reference_evaluate(e, bindings, division_guard=None):
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return ev(e)
-
-
-class _GuardTripped(Exception):
-    pass
-
-
-def _small_denominator_guard(num, den):
-    if np.any(np.abs(den) < 0.25):
-        raise _GuardTripped(num, den)
 
 
 def _fold(e):
@@ -369,40 +348,36 @@ class TestBatchedEvaluate:
     @given(
         trees=st.lists(_folded_exprs, min_size=1, max_size=4),
         bindings=_bindings,
-        guarded=st.booleans(),
     )
     # Both sides of the division fail: the numerator, walked first, raises.
     @example(
         trees=[parse("log(y)/(1/v)", ("t", "y", "v")), parse("sqrt(y)", ("t", "y", "v"))],
         bindings={"t": 1.0, "y": -1.0, "v": 0.0},
-        guarded=False,
     )
     # A float power that overflows: IEEE inf, not OverflowError.
     @example(
         trees=[parse("-(1/v)^2", ("t", "y", "v"))],
         bindings={"t": 0.0, "y": 0.0, "v": 9.823695331945303e-198},
-        guarded=False,
     )
-    def test_tuple_matches_tree_walk(self, trees, bindings, guarded):
-        guard = _small_denominator_guard if guarded else None
+    def test_tuple_matches_tree_walk(self, trees, bindings):
         expected, error = [], None
         for tree in trees:
             try:
-                expected.append(_reference_evaluate(tree, bindings, guard))
-            except (ArithmeticError, ExprError, _GuardTripped) as exc:
+                expected.append(_reference_evaluate(tree, bindings))
+            except (ArithmeticError, ExprError) as exc:
                 error = exc
                 break
         if error is not None:
             # The batch stops at the first failing tree, with its error.
             with pytest.raises(type(error)) as got:
-                evaluate(tuple(trees), bindings, guard)
+                evaluate(tuple(trees), bindings)
             assert getattr(got.value, "node", None) is getattr(error, "node", None)
             return
-        values = evaluate(tuple(trees), bindings, guard)
+        values = evaluate(tuple(trees), bindings)
         assert isinstance(values, tuple) and len(values) == len(trees)
         for tree, value, want in zip(trees, values, expected):
             assert np.array_equal(value, want, equal_nan=True)
-            assert np.array_equal(evaluate(tree, bindings, guard), want, equal_nan=True)
+            assert np.array_equal(evaluate(tree, bindings), want, equal_nan=True)
 
     def test_long_sum_evaluates(self):
         # Descendants compile before their parents, so compiling a tree

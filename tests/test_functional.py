@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltavar import functional
+from deltavar.expr import Div
 from deltavar import (
     CompositeFunctional,
     DenominatorVanished,
@@ -216,11 +217,35 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
+def own_divisions(e):
+    """(numerator, denominator) of each division in e, in the order a tree walk completes them."""
+    children = [getattr(e, a) for a in ("arg", "base", "lhs", "rhs") if hasattr(e, a)]
+    pairs = [pair for child in children for pair in own_divisions(child)]
+    return pairs + [(e.lhs, e.rhs)] if isinstance(e, Div) else pairs
+
+
+def fails_rule(num, den) -> bool:
+    return bool(np.abs(den) < functional.EPS_DENOMINATOR * (1.0 + np.abs(num)))
+
+
 def numpy_scalar_values(F, exprs, us):
-    """The outer-map values as evaluated on numpy scalars, one per inner value."""
+    """The expressions' values on numpy scalars, after testing H's own divisions.
+
+    Each division of H that evaluates is tested innermost first; the
+    expressions themselves then raise only at an exact zero denominator.
+    """
     b = dict(zip(F.outer_vars, np.asarray(us, dtype=float)))
-    values = evaluate(exprs, b, division_guard=functional._outer_division_guard)
-    return np.array([float(v) for v in values])
+    for pair in own_divisions(F.outer):
+        try:
+            num, den = evaluate(pair, b)
+        except ExprError:
+            continue
+        if fails_rule(num, den):
+            raise DenominatorVanished(
+                f"outer-map denominator {den} vanishes (|den| < "
+                f"{functional.EPS_DENOMINATOR:g}*(1+|num|) with num={num})"
+            )
+    return np.array([float(v) for v in evaluate(exprs, b)])
 
 
 class TestFloatOuterMap:
@@ -233,9 +258,55 @@ class TestFloatOuterMap:
         n = int(rng.integers(1, 4))
         F = CompositeFunctional.from_strings(["v"] * n, random_outer_text(rng, n))
         us = np.array(data.draw(st.lists(OUTER_INPUTS, min_size=n, max_size=n)))
-        for exprs in ((F.outer,), F.outer_grad_exprs):
+        for exprs in ((F.outer,), F.outer_grad_exprs, F.second_partials[3]):
             want = outcome(lambda: numpy_scalar_values(F, exprs, us))
             assert outcome(lambda: F._outer_values(exprs, us)) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_vanished_exactly_when_an_own_division_fails(self, seed, data):
+        # Whatever the order of evaluation: H, H' and H'' raise
+        # DenominatorVanished exactly when a division of H itself evaluates
+        # and fails the EPS_DENOMINATOR rule.  The divisions of the partials
+        # (by powers of H's denominators) are not tested.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        F = CompositeFunctional.from_strings(["v"] * n, random_outer_text(rng, n))
+        us = data.draw(st.lists(OUTER_INPUTS, min_size=n, max_size=n))
+        b = dict(zip(F.outer_vars, us))
+        fails = False
+        for num, den in own_divisions(F.outer):
+            try:
+                fails |= fails_rule(evaluate(num, b), evaluate(den, b))
+            except ExprError:
+                pass
+        for exprs in ((F.outer,), F.outer_grad_exprs, F.second_partials[3]):
+            assert (outcome(lambda: F._outer_values(exprs, us))[0] is DenominatorVanished) == fails
+
+    @pytest.mark.parametrize(
+        "us, vanished",
+        [
+            ((1.0, 1.0, 0.0), True),  # the inner division by u3
+            ((1.0, 2.0, 1e-12), True),
+            ((1.0, 1e-12, 1.0), True),  # the outer division by u2/u3
+            ((1.0, np.nan, 0.0), False),  # NaN fails no rule; u2/u3 divides by 0
+            ((1.0, 1e-4, 1.0), False),
+        ],
+    )
+    def test_nested_division(self, us, vanished):
+        F = CompositeFunctional.from_strings(["v"] * 3, "u1/(u2/u3)")
+        for exprs in ((F.outer,), F.outer_grad_exprs, F.second_partials[3]):
+            got = outcome(lambda: F._outer_values(exprs, us))
+            assert (got[0] is DenominatorVanished) == vanished
+            assert got == outcome(lambda: numpy_scalar_values(F, exprs, us))
+
+    def test_partials_near_the_pole_are_finite(self):
+        # H'' of u1/u2 divides by u2^4 = 1e-16; H's own denominator u2 = 1e-4
+        # is far above the rule, so neither partial raises.
+        F = CompositeFunctional.from_strings(["v", "v"], "u1/u2")
+        us = np.array([1.0, 1e-4])
+        np.testing.assert_allclose(F.outer_gradient(us), [1e4, -1e8])
+        np.testing.assert_allclose(F.outer_hessian(us), [[0.0, -1e8], [-1e8, 2e12]])
 
     @pytest.mark.parametrize("den", [0.0, -0.0, 1e-12, -1e-300, np.nan])
     def test_denominators_near_zero_and_nan(self, den):

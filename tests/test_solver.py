@@ -135,6 +135,18 @@ class TestUnconstrained:
         with pytest.raises(DenominatorVanished):
             solve_unconstrained(spec, SolveOptions(restarts=3))
 
+    def test_root_near_the_pole_is_returned(self):
+        # The local maximum sits where the denominator integral u2 is 1.4e-3.
+        # Only H's own division is tested there; H'' divides by u2^4 = 3.5e-12
+        # and must not stop the Newton run.
+        spec = resolve_problem(str(PROBLEMS / "pole_adjacent.dvp")).build()
+        lo, hi = solve_unconstrained(spec, SolveOptions(restarts=64, seed=0))
+        assert (lo.classification, hi.classification) == ("local_min", "local_max")
+        assert lo.trajectory.x[1] == pytest.approx(0.28996, abs=1e-5)
+        assert lo.value == pytest.approx(0.408848827154, rel=1e-10)
+        assert hi.trajectory.x[1] == pytest.approx(-0.15359, abs=1e-5)
+        assert hi.value == pytest.approx(80.4258418078, rel=1e-10)
+
     def test_determinism(self):
         opts = SolveOptions(restarts=24, seed=7, tol_residual=1e-12)
         a = solve_unconstrained(quotient2_spec(), opts)
