@@ -290,13 +290,20 @@ def _load_solution_csv(path: Path, spec: ProblemSpec) -> Trajectory:
     if rows is None or rows.shape[1] != 2:
         rows = _solution_rows(lines)
     t, v = rows.T
-    x = np.full(len(spec.ts), np.nan)
     try:
-        x[spec.ts.indices_of(t)] = v
+        idx = spec.ts.indices_of(t)
     except PointNotFound as exc:
         raise ValueError(
             f"solution sample t={exc.value!r} does not match any scale point"
         ) from None
+    counts = np.bincount(idx, minlength=len(spec.ts))
+    if counts.max() > 1:
+        j = int(np.argmax(counts > 1))
+        raise ValueError(
+            f"solution has {counts[j]} rows at scale point t={float(spec.ts.points[j])!r}"
+        )
+    x = np.full(len(spec.ts), np.nan)
+    x[idx] = v
     if np.any(np.isnan(x)):
         missing = int(np.count_nonzero(np.isnan(x)))
         raise ValueError(f"solution misses {missing} of {len(spec.ts)} scale points")

@@ -712,71 +712,46 @@ def _ray_keys(tr: Trajectory) -> tuple[Trajectory, ...]:
     return Trajectory(tr.ts, xn), Trajectory(tr.ts, -xn)
 
 
-def _dedup(
-    raw: list[tuple[np.ndarray, float, object]],
-    spec: ProblemSpec,
-    opts: SolveOptions,
-    ray_normalize: bool = False,
-) -> list[tuple[Trajectory, float, int, object]]:
-    """Greedy clustering of converged decision vectors in the weak norm.
-
-    ``raw`` holds (decision vector, residual, payload) triples; a cluster
-    keeps the payload (the isoperimetric multiplier) of its representative.
-    With ``ray_normalize`` points are compared as rays, by both signs.
-    """
-    # The best-converged candidate of a cluster represents it.
-    raw_sorted = sorted(raw, key=lambda item: (item[1], tuple(item[0].tolist())))
-    clusters: list[list] = []  # [representative, key, residual, count, payload]
-    for z, res, payload in raw_sorted:
-        tr = embed_decision(spec, z)
-        keys = _ray_keys(tr) if ray_normalize else (tr,)
-        for cluster in clusters:
-            if any(c1rd_distance(cluster[1], key) < opts.dedup_distance for key in keys):
-                cluster[3] += 1
-                break
-        else:
-            clusters.append([tr, keys[0], res, 1, payload])
-    return [(rep, res, count, payload) for rep, _key, res, count, payload in clusters]
-
-
-def _finish_point(
-    spec: ProblemSpec,
-    tr: Trajectory,
-    residual: float,
-    basin: int,
-    lam0: float = 1.0,
-    lam: Optional[float] = None,
-) -> StationaryPoint:
-    F = inner_values(spec.lagrangian, tr)
-    val = value(spec.lagrangian, tr)
-    g_val = None if spec.constraint is None else value(spec.constraint.functional, tr)
-    point = StationaryPoint(
-        trajectory=tr,
-        inner=F,
-        value=val,
-        residual=residual,
-        lam0=lam0,
-        lam=lam,
-        constraint_value=g_val,
-        basin_count=basin,
-        dr_spread=dubois_reymond_spread(spec, tr, lam0, lam),
-    )
-    point.classification = classify(spec, point)
-    return point
-
-
 def _points(spec: ProblemSpec, runs: list[_NewtonResult], opts: SolveOptions, lam0: float = 1.0,
             lam: Optional[float] = None, ray_normalize: bool = False) -> list[StationaryPoint]:
     """The deduplicated, finished stationary points of the runs that converged.
 
-    Normal isoperimetric runs (a constraint and lam0 = 1) solve for
-    (z, lam), and each of their points keeps its own multiplier.
+    Converged decision vectors are clustered greedily in the weak norm, the
+    best-converged one representing its cluster; with ``ray_normalize`` they
+    are compared as rays, by both signs.  Normal isoperimetric runs (a
+    constraint and lam0 = 1) solve for (z, lam), and each of their points
+    keeps its representative's multiplier.
     """
     normal = spec.constraint is not None and lam0 == 1.0
-    converged = [(out.w[:-1], out.residual_norm, float(out.w[-1])) if normal
-                 else (out.w, out.residual_norm, lam) for out in runs if out.converged]
-    return [_finish_point(spec, tr, res, count, lam0, multiplier)
-            for tr, res, count, multiplier in _dedup(converged, spec, opts, ray_normalize)]
+
+    def decision(out):
+        return out.w[:-1] if normal else out.w
+
+    clusters: list[tuple[StationaryPoint, Trajectory]] = []  # (point, key)
+    for out in sorted((out for out in runs if out.converged),
+                      key=lambda out: (out.residual_norm, tuple(decision(out).tolist()))):
+        tr = embed_decision(spec, decision(out))
+        keys = _ray_keys(tr) if ray_normalize else (tr,)
+        for point, key in clusters:
+            if any(c1rd_distance(key, other) < opts.dedup_distance for other in keys):
+                point.basin_count += 1
+                break
+        else:
+            multiplier = float(out.w[-1]) if normal else lam
+            point = StationaryPoint(
+                trajectory=tr,
+                inner=inner_values(spec.lagrangian, tr),
+                value=value(spec.lagrangian, tr),
+                residual=out.residual_norm,
+                lam0=lam0,
+                lam=multiplier,
+                constraint_value=None if spec.constraint is None
+                else value(spec.constraint.functional, tr),
+                dr_spread=dubois_reymond_spread(spec, tr, lam0, multiplier),
+            )
+            point.classification = classify(spec, point)
+            clusters.append((point, keys[0]))
+    return [point for point, _ in clusters]
 
 
 def _no_point(
@@ -824,6 +799,22 @@ def _gradient_system(spec: ProblemSpec, level: Optional[float] = None):
     return evaluate, _detect_scale_invariance(spec)
 
 
+def _gradient_points(spec: ProblemSpec, starts, opts: SolveOptions, level: Optional[float] = None):
+    """(runs, points) of Newton on the gradient system from each start.
+
+    Without a ``level`` the system is spec's objective's and its points are
+    plain; with one it is the constraint functional K's, drawn onto K =
+    level, and its points are abnormal, (lam0, lam) = (0, 1).  On a
+    scale-invariant system the runs pin ||w|| and the points are rays.
+    """
+    gspec = spec if level is None else dataclasses.replace(
+        spec, lagrangian=spec.constraint.functional, constraint=None)
+    evaluate, scale_invariant = _gradient_system(gspec, level)
+    runs = [_run_newton(evaluate, w0, opts, scale_invariant) for w0 in starts]
+    lam0, lam = (1.0, None) if level is None else (0.0, 1.0)
+    return runs, _points(spec, runs, opts, lam0, lam, scale_invariant)
+
+
 def solve_unconstrained(
     spec: ProblemSpec, opts: SolveOptions | None = None
 ) -> list[StationaryPoint]:
@@ -837,10 +828,8 @@ def solve_unconstrained(
     if spec.constraint is not None:
         raise ValueError("spec has a constraint; use solve_isoperimetric")
     opts = opts or SolveOptions()
-    evaluate, scale_invariant = _gradient_system(spec)
-    runs = [_run_newton(evaluate, _initial_decision(spec, opts, restart), opts, scale_invariant)
-            for restart in range(opts.restarts)]
-    points = _points(spec, runs, opts, ray_normalize=scale_invariant)
+    runs, points = _gradient_points(
+        spec, (_initial_decision(spec, opts, restart) for restart in range(opts.restarts)), opts)
     if not points:
         raise _no_point(runs, opts)
     return sorted(points, key=_output_order)
@@ -972,13 +961,8 @@ def solve_isoperimetric(
 
     # Abnormal extremals are the extremals of K itself that lie on K = k:
     # the objective's Newton system for K, drawn onto that level set.
-    abnormal = []
-    if seeds:
-        kspec = dataclasses.replace(spec, lagrangian=K, constraint=None)
-        evaluate_k, scale_invariant = _gradient_system(kspec, level=target)
-        abnormal = [_run_newton(evaluate_k, z0, opts, scale_invariant) for z0 in seeds]
-
-    points = _points(spec, runs, opts) + _points(spec, abnormal, opts, lam0=0.0, lam=1.0)
+    abnormal = _gradient_points(spec, seeds, opts, level=target)[1] if seeds else []
+    points = _points(spec, runs, opts) + abnormal
     if not points:
         raise _no_point(runs, opts, target)
     return sorted(points, key=_output_order)

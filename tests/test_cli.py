@@ -199,6 +199,13 @@ class TestVerifyCommand:
         assert code == 2
         assert "t=0.25 does not match any scale point" in err
 
+    def test_two_rows_on_one_scale_point_exit_2(self, capsys, tmp_path):
+        # The last row used to win: this CSV was verified as x(0.5) = 9.
+        sol = tmp_path / "sol.csv"
+        sol.write_text("t,x\n0,0\n0.5,0.25\n0.5,9\n1,1\n")
+        code, _, err = run(capsys, "verify", "quotient2_3pt", "--solution", str(sol))
+        assert_usage_error(code, err, "solution has 2 rows at scale point t=0.5")
+
     def test_vanishing_denominator_exits_4(self, capsys, tmp_path):
         # A flat trajectory makes the quotient's denominator integral zero.
         sol = tmp_path / "flat.csv"

@@ -508,6 +508,17 @@ class TestIsoperimetric:
         np.testing.assert_allclose(pts[0].trajectory.x, ts.points, atol=1e-10)
         assert pts[0].basin_count >= 13
 
+    def test_abnormal_rays_come_back_once(self):
+        # L and K are both Rayleigh quotients, so K's extremals are rays.  Six
+        # of these restarts land on the ray of x(3/4), at six amplitudes;
+        # deduplicated as points rather than rays they were six extremals.
+        spec = resolve_problem(str(PROBLEMS / "abnormal_rays.dvp")).build()
+        pts = solve_isoperimetric(spec, SolveOptions(restarts=16, seed=0))
+        assert [(p.lam0, p.lam, p.basin_count) for p in pts] == [(0.0, 1.0, 6)]
+        assert pts[0].value == pytest.approx(32.0, rel=1e-12)
+        x = pts[0].trajectory.x
+        np.testing.assert_allclose(np.abs(x) / np.linalg.norm(x), [0, 0, 0, 1, 0], atol=1e-12)
+
     def test_level_step_is_the_least_squares_step(self):
         # Two square solves with H give the least-squares step of [H; g^T],
         # on the dense form at d = 7 and by block elimination at d = 250.
