@@ -302,6 +302,9 @@ def _load_solution_csv(path: Path, spec: ProblemSpec) -> Trajectory:
         raise ValueError(
             f"solution has {counts[j]} rows at scale point t={float(spec.ts.points[j])!r}"
         )
+    for j in np.flatnonzero(~np.isfinite(v))[:1]:
+        raise ValueError(f"solution value {float(v[j])} at scale point "
+                         f"t={float(spec.ts.points[idx[j]])!r} is not finite")
     x = np.full(len(spec.ts), np.nan)
     x[idx] = v
     if np.any(np.isnan(x)):

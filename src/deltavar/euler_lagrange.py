@@ -164,54 +164,76 @@ def extract_decision(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
 class _Partials:
     """One evaluation of a functional's sampled partials along one trajectory.
 
-    One sampling pass gives f and the samples ``fy``/``fv`` (one row per
-    inner integrand); the inner values ``us`` sum mu * f left to right, bit
-    for bit :func:`inner_values`.  The record holds ``us``, the outer weights
-    ``w = H'(us)``, the inner-integral gradients ``rows`` over all N samples
-    and ``g = w @ rows``; second partials and outer Hessian come on first
-    use.  It keeps the trajectory's arrays but not the trajectory, so the
-    trajectory's cache forms no reference cycle.
+    Made a batch at a time by :func:`_fill_partials`, a record owns copies of its row:
+    inner values ``us`` (bit for bit :func:`inner_values`), samples ``fy``/``fv``, the
+    inner-integral gradients ``rows`` over all N samples, ``w = H'(us)`` and ``g = w @ rows``.
+    It keeps no trajectory, so the trajectory's cache forms no reference cycle.
     """
 
-    __slots__ = ("us", "w", "fy", "fv", "rows", "g", "_F", "_bindings", "_second")
+    __slots__ = ("us", "w", "fy", "fv", "rows", "g", "_F", "_batch", "_second")
 
-    def __init__(self, F: CompositeFunctional, tr: Trajectory):
-        b, n = _integrand_bindings(tr), F.n
-        try:
-            samples = _samples(F.inner + F.inner_y + F.inner_v, b)
-        except ExprError:  # raise what passes over f, H'(us), then f_y and f_v raised first
-            F.outer_gradient(inner_values(F, tr))
-            raise
-        self.fy, self.fv = samples[n : 2 * n], samples[2 * n :]
-        with np.errstate(over="ignore", invalid="ignore"):  # +inf and -inf sum to nan, as in value
-            weighted = tr.ts.steps * samples[: 2 * n]  # mu * f, then mu * f_y
-            self.us = weighted[:n].cumsum(axis=1)[:, -1].copy()
-        self.w = F.outer_gradient(self.us)
-        # Sample x_{j+1} enters interval j through y = x_{j+1} and
-        # v = (x_{j+1} - x_j)/mu_j; sample x_j only through v.
-        rows = self.rows = np.zeros((n, len(tr.ts)))
-        rows[:, 1:] = weighted[n:] + self.fv
-        rows[:, :-1] -= self.fv
+    def __init__(self, F: CompositeFunctional, us, fyv, rows, batch):
+        self.us, self.rows, self.fy, self.fv = us, rows, fyv[: F.n], fyv[F.n :]
+        self.w = F.outer_gradient(us)
         self.g = self.w @ rows
-        self._F, self._bindings, self._second = F, b, None
+        self._F, self._batch, self._second = F, batch, None
 
     def second(self):
-        """(f_yy, f_yv, f_vv, outer Hessian), evaluated on first use."""
+        """(f_yy, f_yv, f_vv, outer Hessian) on first use, the batch's first
+        asking record sampling every row (each its own, where that raises)."""
         if self._second is None:
             fyy, fyv, fvv, _ = self._F.second_partials
-            self._second = (
-                *_samples(fyy + fyv + fvv, self._bindings).reshape(3, self._F.n, -1),
-                self._F.outer_hessian(self.us),
-            )
+            exprs, ((b, shared), row) = fyy + fyv + fvv, self._batch
+            if shared[0] is None:
+                try:
+                    shared[0] = _samples(exprs, b)
+                except ExprError:
+                    shared[0] = False
+            samples = row(shared[0]) if shared[0] is not False else _samples(
+                exprs, dict(b, y=row(b["y"][None]), v=row(b["v"][None])))
+            self._second = (*samples.reshape(3, self._F.n, -1), self._F.outer_hessian(self.us))
+            self._batch = None
         return self._second
 
 
+def _fill_partials(F: CompositeFunctional, trs: list) -> None:
+    """Cache F's record on each trajectory of trs, on one scale, from one pass of f, f_y, f_v.
+
+    A row-wise cumsum of mu * f gives the inner values; H' runs per row.  A batch of one
+    raises what its record raises; in a larger one a row whose record raises (each row,
+    where the pass raises) is left to build alone."""
+    n, ts, b = F.n, trs[0].ts, _integrand_bindings(trs)
+    try:
+        samples = _samples(F.inner + F.inner_y + F.inner_v, b)
+    except ExprError:  # alone, raise what passes over f, H'(us), then f_y and f_v raised first
+        if len(trs) > 1:
+            return
+        F.outer_gradient(inner_values(F, trs[0]))
+        raise
+    # Sample x_{j+1} enters interval j through y = x_{j+1} and v = (x_{j+1} - x_j)/mu_j,
+    # sample x_j only through v.  Products and sums go in place, into samples and rows.
+    rows = np.zeros((n, *samples.shape[1:-1], len(ts)))
+    with np.errstate(over="ignore", invalid="ignore"):  # +inf and -inf sum to nan, as in value
+        weighted = np.multiply(ts.steps, samples[:n], out=samples[:n])  # f is not kept
+        us = weighted.cumsum(axis=-1, out=weighted)[..., -1].copy()
+        np.multiply(ts.steps, samples[n : 2 * n], out=rows[..., 1:])
+    rows[..., 1:] += samples[2 * n :]
+    rows[..., :-1] -= samples[2 * n :]
+    batch, lone = (b, [None]), len(trs) == 1  # the second partials come on first use
+    for i, tr in enumerate(trs):
+        # A copy of row i of a (k, B, ...) array; a lone trajectory's arrays are its own.
+        row = (lambda a: a) if lone else (lambda a, i=i: a[:, i].copy())
+        try:
+            tr.partials[F] = _Partials(F, row(us), row(samples[n:]), row(rows), (batch, row))
+        except () if lone else (ArithmeticError, ExprError):  # uncached, it raises alone
+            pass
+
+
 def _partials(F: CompositeFunctional, tr: Trajectory) -> _Partials:
-    """The cached evaluation record of F along tr, built on first use."""
-    record = tr.partials.get(F)
-    if record is None:
-        record = tr.partials[F] = _Partials(F, tr)
-    return record
+    """The cached evaluation record of F along tr, built on first use as a batch of one."""
+    if F not in tr.partials:
+        _fill_partials(F, [tr])
+    return tr.partials[F]
 
 
 # -- residuals ------------------------------------------------------------------

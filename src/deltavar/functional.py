@@ -34,6 +34,8 @@ INNER_VARS = ("t", "y", "v")
 # quotient objectives are only meaningful away from that set.  H's partials
 # divide by powers of these denominators and raise only at an exact zero.
 EPS_DENOMINATOR = 1e-9
+# Embedded samples per batch of trajectories (oracle._values, lockstep Newton runs).
+_BATCH_SAMPLES = 1 << 16
 
 
 class DenominatorVanished(ArithmeticError):
@@ -203,13 +205,13 @@ class BoundarySpec:
         return self.right is not None
 
 
-def _integrand_bindings(tr: Trajectory) -> dict:
-    # Integration runs over [a, b): drop the maximal point everywhere.
-    return {
-        "t": tr.ts.points[:-1],
-        "y": tr.x_sigma[:-1],
-        "v": tr.x_delta,
-    }
+def _integrand_bindings(trs: Sequence[Trajectory]) -> dict:
+    """t, y and v over [a, b) (the maximal point dropped): a lone trajectory's own
+    arrays, or one (B, N - 1) row per trajectory of several on one scale."""
+    if len(trs) == 1:
+        return {"t": trs[0].ts.points[:-1], "y": trs[0].x_sigma[:-1], "v": trs[0].x_delta}
+    return {"t": trs[0].ts.points[:-1], "y": np.array([tr.x_sigma[:-1] for tr in trs]),
+            "v": np.array([tr.x_delta for tr in trs])}
 
 
 def _samples(exprs: tuple[Expr, ...], b: dict) -> np.ndarray:
@@ -224,7 +226,7 @@ def _samples(exprs: tuple[Expr, ...], b: dict) -> np.ndarray:
 
 def inner_values(functional: CompositeFunctional, tr: Trajectory) -> np.ndarray:
     """The vector of inner integrals F_i[x], summed left to right."""
-    samples = _samples(functional.inner, _integrand_bindings(tr))
+    samples = _samples(functional.inner, _integrand_bindings([tr]))
     return np.array([delta_integral(tr.ts, row) for row in samples])
 
 

@@ -28,7 +28,9 @@ from .euler_lagrange import (
     functional_gradient,
 )
 from .expr import DivisionByZero, DomainError, parse
-from .functional import CompositeFunctional, DenominatorVanished, Trajectory, _samples, value
+from .functional import (
+    _BATCH_SAMPLES, CompositeFunctional, DenominatorVanished, Trajectory, _samples, value,
+)
 
 __all__ = [
     "TooManyDecisionVariables",
@@ -51,8 +53,6 @@ FD_HESSIAN_STEP = 1e-6
 # Rounding error of one value relative to its size.  2-D scans widen each
 # central difference by it, so the cells around a root stay one touching group.
 FD_ROUNDING = 64 * np.finfo(float).eps
-# Embedded samples per batch of trajectories in _values.
-_BATCH_SAMPLES = 1 << 16
 # Sub-cells a 2-D scan may evaluate over all its subdivision levels.
 SCAN_CELL_BUDGET = 4096
 # Off-band pairs quadratic_form_matrix differences to check its band assumption.

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from scipy.sparse.linalg import splu
 from .expr import DivisionByZero, DomainError
 from .euler_lagrange import (
     ProblemSpec,
+    _fill_partials,
     _partials,
     constraint_gradient,
     decision_indices,
@@ -36,6 +38,7 @@ from .euler_lagrange import (
     hessian_parts,
 )
 from .functional import (
+    _BATCH_SAMPLES,
     DenominatorVanished,
     Trajectory,
     c1rd_distance,
@@ -545,17 +548,11 @@ class _NormalJacobian:
         return _newton_solver(self.H, self.b)(-r[:-1], -r[-1])
 
 
-def _run_newton(
-    evaluate: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], object]]],
-    w0: np.ndarray,
-    opts: SolveOptions,
-    pin_scale: bool = False,
-) -> _NewtonResult:
-    """Damped Newton from w0; with ``pin_scale`` every step keeps ||w||.
+def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
+    """Damped Newton from w0, a generator returning _NewtonResult; ``pin_scale`` keeps ||w||.
 
-    ``evaluate(w)`` returns the residual at w and a thunk that builds the
-    Jacobian there from the same trajectory, and so from the same
-    evaluation of the sampled partials; only accepted iterates call it.
+    Each ``(yield w)()`` evaluates w: :func:`_lockstep` sends a thunk giving the residual and
+    a Jacobian thunk on the same sampled partials, or raising w's evaluation error.
     Scale-invariant gradient systems (r(c*w) = r(w)/c) have rays of roots
     along which an unpinned Newton step escapes instead of converging.
     A run escapes once ESCAPE_STEPS full Newton steps in a row each outgrow
@@ -569,7 +566,7 @@ def _run_newton(
     """
     w = np.asarray(w0, dtype=float).copy()
     try:
-        r, jacobian = evaluate(w)
+        r, jacobian = (yield w)()
     except _EVAL_ERRORS as exc:
         return _NewtonResult(w, np.full_like(w, np.inf), False, 0, failure=exc)
     if not np.isfinite(r).all():
@@ -601,6 +598,7 @@ def _run_newton(
             return _NewtonResult(w, r, r_inf <= opts.tol_residual, it, failure=exc)
         if not J.finite:
             return _NewtonResult(w, r, False, it)
+        jacobian = jacobian_trial = None  # J holds what it needs: drop the records
 
         d_newton = J.step(r, w) if pin_scale else J.step(r)
         if r_inf <= opts.tol_residual and contracting(d_newton, w):
@@ -608,7 +606,7 @@ def _run_newton(
             # sit further apart than the dedup distance.  The polished point
             # must keep the acceptance bound on the largest residual entry.
             try:
-                r_next, _ = evaluate(w + d_newton)
+                r_next, _ = (yield w + d_newton)()
             except _EVAL_ERRORS:
                 r_next = None
             if r_next is not None and np.isfinite(r_next).all() and (
@@ -627,9 +625,9 @@ def _run_newton(
                 continue
             alpha = 1.0
             for _ in range(MAX_BACKTRACKS):
-                w_trial = w + alpha * d
+                w_trial, jacobian_trial = w + alpha * d, None
                 try:
-                    r_trial, jacobian_trial = evaluate(w_trial)
+                    r_trial, jacobian_trial = (yield w_trial)()
                 except _EVAL_ERRORS as exc:
                     last_failure = exc
                     r_trial = None
@@ -667,6 +665,30 @@ def _run_newton(
     r_inf = float(np.abs(r).max())
     converged = r_inf <= opts.tol_residual and stalled
     return _NewtonResult(w, r, converged, it, failure=last_failure)
+
+
+def _lockstep(runs, evaluate, size: int = 1) -> list[_NewtonResult]:
+    """The results of the :func:`_run_newton` generators ``runs``, in order, ``size`` at a time:
+    each round passes the pending iterates of all live runs to ``evaluate`` as one batch
+    and sends each run the thunk that ``evaluate`` returns for its row."""
+    runs, results, pending = iter(runs), [], {}
+
+    def advance(k, run, answer):
+        try:
+            pending[k] = run, run.send(answer)
+        except StopIteration as stop:
+            results[k] = stop.value
+
+    while True:
+        while len(pending) < size and (run := next(runs, None)) is not None:
+            results.append(None)
+            advance(len(results) - 1, run, None)
+        if not pending:
+            return results
+        batch, pending = pending, {}
+        answers = evaluate([w for _, w in batch.values()])[::-1]
+        for k, (run, _) in batch.items():
+            advance(k, run, answers.pop())  # a row's record lives while its run needs it
 
 
 # -- assembling and deduplicating stationary points ------------------------------
@@ -782,19 +804,24 @@ def _no_point(
 def _gradient_system(spec: ProblemSpec, level: Optional[float] = None):
     """(evaluate, scale_invariant) of Newton on the gradient of spec's objective F.
 
+    ``evaluate`` answers a batch (:func:`_lockstep`) from one batch of records.
     The residual is grad F; with a ``level`` it is [grad F; F - level], whose
     Gauss-Newton steps (_LevelJacobian) draw runs onto that level set.  Runs
     on a scale-invariant F pin ||w||.
     """
     F = spec.lagrangian
 
-    def evaluate(z):
-        tr = embed_decision(spec, z)
+    def row(tr):
         g = functional_gradient(spec, tr)
         if level is None:
             return g, lambda: _hessian(spec, tr, 1.0, None)
-        defect = F.outer_value(_partials(F, tr).us) - level  # the record g just filled
+        defect = F.outer_value(_partials(F, tr).us) - level  # the record g read
         return np.append(g, defect), lambda: _LevelJacobian(_hessian(spec, tr, 1.0, None), g)
+
+    def evaluate(Z):
+        with suppress(*_EVAL_ERRORS):  # only a batch of one raises: its run meets that alone
+            _fill_partials(F, trs := [embed_decision(spec, z) for z in Z])
+        return [partial(row, tr) for tr in trs]
 
     return evaluate, _detect_scale_invariance(spec)
 
@@ -810,7 +837,8 @@ def _gradient_points(spec: ProblemSpec, starts, opts: SolveOptions, level: Optio
     gspec = spec if level is None else dataclasses.replace(
         spec, lagrangian=spec.constraint.functional, constraint=None)
     evaluate, scale_invariant = _gradient_system(gspec, level)
-    runs = [_run_newton(evaluate, w0, opts, scale_invariant) for w0 in starts]
+    runs = _lockstep((_run_newton(w0, opts, scale_invariant) for w0 in starts), evaluate,
+                     max(1, _BATCH_SAMPLES // len(spec.ts)))
     lam0, lam = (1.0, None) if level is None else (0.0, 1.0)
     return runs, _points(spec, runs, opts, lam0, lam, scale_invariant)
 
@@ -820,7 +848,9 @@ def solve_unconstrained(
 ) -> list[StationaryPoint]:
     """All distinct stationary trajectories found by multi-start Newton.
 
-    Every returned point satisfies ||gradient||_inf <= opts.tol_residual.
+    The restarts advance in lockstep (:func:`_lockstep`), one batch of records per
+    round, each run exactly as alone.  Every returned point satisfies
+    ||gradient||_inf <= opts.tol_residual.
     Raises :class:`NoStationaryPointFound` when no restart converges and
     :class:`DenominatorVanished` when every restart dies on a vanishing
     outer-map denominator.
@@ -941,13 +971,16 @@ def solve_isoperimetric(
         except _EVAL_ERRORS:
             return np.append(z, 0.0)
 
+    def newton(w0):
+        return _lockstep([_run_newton(w0, opts)], lambda W: [partial(evaluate, W[0])])[0]
+
     inits = [_initial_decision(spec, opts, restart) for restart in range(opts.restarts)]
     runs, seeds = [], []
     for z0 in inits:
         z = restored(z0)
-        out = None if z is None else _run_newton(evaluate, start(z), opts)
+        out = None if z is None else newton(start(z))
         if out is None or not out.converged:
-            out = _run_newton(evaluate, start(z0), opts)
+            out = newton(start(z0))
         runs.append(out)
         if out.converged:
             # Newton evaluated gK at this z already, so this cannot raise.

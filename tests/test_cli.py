@@ -206,6 +206,15 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "quotient2_3pt", "--solution", str(sol))
         assert_usage_error(code, err, "solution has 2 rows at scale point t=0.5")
 
+    @pytest.mark.parametrize("text", ["inf", "nan"])
+    def test_non_finite_value_exits_2(self, capsys, tmp_path, text):
+        # inf was evaluated to a nan value and FAIL (exit 3), and nan was
+        # reported as a missing scale point.
+        sol = tmp_path / "sol.csv"
+        sol.write_text(f"t,x\n0,0\n0.5,{text}\n1,1\n")
+        code, _, err = run(capsys, "verify", "quotient2_3pt", "--solution", str(sol))
+        assert_usage_error(code, err, f"solution value {text} at scale point t=0.5 is not finite")
+
     def test_vanishing_denominator_exits_4(self, capsys, tmp_path):
         # A flat trajectory makes the quotient's denominator integral zero.
         sol = tmp_path / "flat.csv"

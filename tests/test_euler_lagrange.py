@@ -32,7 +32,7 @@ from deltavar import (
     residual_report,
     value,
 )
-from deltavar.expr import evaluate
+from deltavar.expr import ExprError, evaluate
 from deltavar.oracle import fd_gradient
 
 THREE_PT = make_timescale("points", values=[0, 0.5, 1])
@@ -354,13 +354,13 @@ class TestResidualReport:
             spec = ProblemSpec(ts=ts, lagrangian=L, bc=BoundarySpec(left=None, right=None))
             expected = {L: 1}
         calls = Counter()
-        real = euler_lagrange._Partials
+        real = euler_lagrange._fill_partials
 
-        def counting(F, tr):
-            calls[F] += 1
-            return real(F, tr)
+        def counting(F, trs):
+            calls[F] += len(trs)
+            return real(F, trs)
 
-        monkeypatch.setattr(euler_lagrange, "_Partials", counting)
+        monkeypatch.setattr(euler_lagrange, "_fill_partials", counting)
         residual_report(spec, Trajectory(ts, ts.points**2), lam0=1.0, lam=2.0)
         assert calls == expected
 
@@ -375,7 +375,65 @@ class TestBatchedEvaluation:
         spec, tr = random_problem(rng, ts=graded_timescale(rng) if graded else None)
         for F in (spec.lagrangian, random_constraint(rng).functional):
             want = inner_values(F, tr)
-            assert euler_lagrange._Partials(F, tr).us.tobytes() == want.tobytes()
+            assert euler_lagrange._partials(F, tr).us.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_batch_records_match_lone_records(self, seed, graded):
+        # A batch of trajectories on one scale gives each the record it
+        # gets alone, bit for bit, or leaves it to raise its lone error.
+        # Rows with a negative sample make the sqrt functional's batch pass
+        # raise; rows with x(b) = x(a) make the last functional's
+        # denominator vanish in a batch pass that holds.
+        rng = np.random.default_rng(seed)
+        spec, tr = random_problem(rng, ts=graded_timescale(rng) if graded else None)
+        scales = rng.choice([0.0, 0.3, 3.0], size=int(rng.integers(2, 7)))
+        X = tr.x + scales[:, None] * rng.standard_normal((scales.size, len(tr.ts)))
+        X[rng.random(scales.size) < 0.5] **= 2
+        X[rng.random(scales.size) < 0.3, -1] = X[0, 0]
+        X[:, 0] = X[0, 0]
+        root = CompositeFunctional.from_strings(["sqrt(y) + v^2", "y - 0.5"], "u1 / u2")
+        for F in (spec.lagrangian, root,
+                  CompositeFunctional.from_strings(["y^2 + v^2", "v"], "u1 / u2")):
+            batch = [Trajectory(tr.ts, x) for x in X]
+            euler_lagrange._fill_partials(F, batch)
+            pass_holds = F is not root or (X[:, 1:] >= 0.0).all()
+            for got, x in zip(batch, X):
+                try:
+                    want = euler_lagrange._partials(F, Trajectory(tr.ts, x))
+                except Exception as exc:
+                    assert F not in got.partials
+                    with pytest.raises(type(exc)) as raised:
+                        euler_lagrange._partials(F, got)
+                    assert str(raised.value) == str(exc)
+                    continue
+                assert (F in got.partials) == pass_holds
+                got = euler_lagrange._partials(F, got)
+                for name in ("us", "w", "g", "rows", "fy", "fv"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+                for a, b in zip(got.second(), want.second()):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_second_partials_of_a_failed_batch_pass_come_row_by_row(self, monkeypatch):
+        # Where the batch's second-partials pass raises, each record samples
+        # its own row, as alone.
+        rng = np.random.default_rng(3)
+        spec, tr = random_problem(rng, ts=graded_timescale(rng))
+        F, X = spec.lagrangian, tr.x + rng.standard_normal((4, len(tr.ts)))
+        batch = [Trajectory(tr.ts, x) for x in X]
+        euler_lagrange._fill_partials(F, batch)
+        real = euler_lagrange._samples
+
+        def failing(exprs, b):
+            if b["y"].shape[0] > 1 and b["y"].ndim == 2:
+                raise ExprError("some row of the batch raises")
+            return real(exprs, b)
+
+        monkeypatch.setattr(euler_lagrange, "_samples", failing)
+        for got, x in zip(batch, X):
+            want = euler_lagrange._partials(F, Trajectory(tr.ts, x)).second()
+            for a, b in zip(got.partials[F].second(), want):
+                assert a.tobytes() == b.tobytes()
 
     def test_record_raises_the_outer_error_before_the_partials_error(self):
         # f = sqrt(y) is finite at y = 0 where f_y divides by zero, and
@@ -384,7 +442,7 @@ class TestBatchedEvaluation:
         F = CompositeFunctional.from_strings(["sqrt(y)", "y - y"], "u1 / u2")
         tr = Trajectory(THREE_PT, [0.0, 0.0, 1.0])
         with pytest.raises(DenominatorVanished):
-            euler_lagrange._Partials(F, tr)
+            euler_lagrange._partials(F, tr)
 
     def test_opposite_infinite_samples_sum_to_nan_quietly(self):
         # On quotient1's [0, 2] at h = 0.5 the integrand overflows to -inf at
@@ -399,7 +457,7 @@ class TestBatchedEvaluation:
             warnings.simplefilter("error")
             assert np.isnan(value(F, tr))
             np.testing.assert_array_equal(functional_gradient(spec, tr), np.zeros(3))
-            assert np.isnan(euler_lagrange._Partials(F, tr).us).all()
+            assert np.isnan(euler_lagrange._partials(F, tr).us).all()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_record_evaluates_in_four_stages(self, monkeypatch, n):
@@ -421,7 +479,7 @@ class TestBatchedEvaluation:
 
         monkeypatch.setattr(expr, "evaluate", counting)
         monkeypatch.setattr(functional, "evaluate", counting)
-        record = euler_lagrange._Partials(F, Trajectory(ts, 1.0 + ts.points**2))
+        record = euler_lagrange._partials(F, Trajectory(ts, 1.0 + ts.points**2))
         fyy, fyv, fvv, outer_hess = record.second()
         assert calls[0] == 4
         assert fyy.shape == fyv.shape == fvv.shape == record.fy.shape == (n, len(ts) - 1)

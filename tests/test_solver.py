@@ -213,11 +213,11 @@ class TestSharedEvaluation:
         # trajectory whose residual was just evaluated, so hessian_parts
         # evaluates no first partials of its own.
         inner_calls = [0]
-        real_record = euler_lagrange._Partials
+        real_records = euler_lagrange._fill_partials
 
-        def counting_record(F, tr):
-            inner_calls[0] += 1
-            return real_record(F, tr)
+        def counting_records(F, trs):
+            inner_calls[0] += len(trs)
+            return real_records(F, trs)
 
         added = []
         real_parts = solver.hessian_parts
@@ -228,7 +228,8 @@ class TestSharedEvaluation:
             added.append(inner_calls[0] - before)
             return out
 
-        monkeypatch.setattr(euler_lagrange, "_Partials", counting_record)
+        monkeypatch.setattr(euler_lagrange, "_fill_partials", counting_records)
+        monkeypatch.setattr(solver, "_fill_partials", counting_records)
         monkeypatch.setattr(solver, "hessian_parts", watched_parts)
         spec = resolve_problem(problem).build()
         solve = solve_isoperimetric if spec.constraint is not None else solve_unconstrained
@@ -241,17 +242,17 @@ class TestSharedEvaluation:
         # residual share one trajectory, so each functional is evaluated once
         # at each start trajectory; at z0 the restoration reads K alone.
         calls, starts = [], []
-        real_record, real_run = euler_lagrange._Partials, solver._run_newton
+        real_records, real_run = euler_lagrange._fill_partials, solver._run_newton
 
-        def counting_record(F, tr):
-            calls.append((F, tr.x.tobytes()))
-            return real_record(F, tr)
+        def counting_records(F, trs):
+            calls.extend((F, tr.x.tobytes()) for tr in trs)
+            return real_records(F, trs)
 
-        def recording(evaluate, w0, opts, pin_scale=False):
+        def recording(w0, opts, pin_scale=False):
             starts.append(w0[:-1])
-            return real_run(evaluate, w0, opts, pin_scale)
+            return real_run(w0, opts, pin_scale)
 
-        monkeypatch.setattr(euler_lagrange, "_Partials", counting_record)
+        monkeypatch.setattr(euler_lagrange, "_fill_partials", counting_records)
         monkeypatch.setattr(solver, "_run_newton", recording)
         spec = resolve_problem("iso_R").build(h_override=1e-2)
         L, K = spec.lagrangian, spec.constraint.functional
@@ -982,13 +983,49 @@ class TestDuplicateDraws:
         assert max(p.residual for p in pts) <= SolveOptions().tol_residual
 
 
+class TestLockstep:
+    """Restarts advance as one batch per round, as if each ran alone."""
+
+    FIXTURES = ["iso_3pt", "iso_R", "product_3pt", "product_R", "quotient1",
+                "quotient2_3pt", "quotient2_R", "sturm_liouville"]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_groups_of_one_give_the_same_output(self, monkeypatch, capsys, tmp_path, seed):
+        # With a batch budget of one sample every group holds one run.
+        from deltavar.cli import main
+
+        rows, real = [], solver._gradient_system
+
+        def watched(spec, level=None):
+            evaluate, scale_invariant = real(spec, level)
+            return lambda Z: rows.append(len(Z)) or evaluate(Z), scale_invariant
+
+        monkeypatch.setattr(solver, "_gradient_system", watched)
+        out, path, default = {}, tmp_path / "out.json", solver._BATCH_SAMPLES
+        for budget in (default, 1):
+            monkeypatch.setattr(solver, "_BATCH_SAMPLES", budget)
+            for name in self.FIXTURES:
+                path.unlink(missing_ok=True)
+                code = main(["solve", name, "--restarts", "64", "--seed", str(seed),
+                             "--h-override", "1e-2", "--json", str(path)])
+                text = path.read_bytes() if path.exists() else None
+                out[budget, name] = code, capsys.readouterr(), text
+            rows.append(None)
+        grouped, alone = rows[: rows.index(None)], rows[rows.index(None) + 1 : -1]
+        assert max(grouped) == 64 and max(alone) == 1
+        for name in self.FIXTURES:
+            assert out[default, name] == out[1, name], name
+
+
 def _recorded_runs(monkeypatch, problem, h, opts):
-    """The points of one solve and every Newton run it made, in order."""
+    """The points of one solve and every Newton run it made, in order of start."""
     runs, run_newton = [], solver._run_newton
 
     def recording(*args, **kwargs):
-        runs.append(run_newton(*args, **kwargs))
-        return runs[-1]
+        k = len(runs)
+        runs.append(None)
+        runs[k] = yield from run_newton(*args, **kwargs)
+        return runs[k]
 
     monkeypatch.setattr(solver, "_run_newton", recording)
     return solve_unconstrained(resolve_problem(problem).build(h_override=h), opts), runs
@@ -1028,15 +1065,16 @@ class TestStagnatingRestarts:
 
     def test_root_less_product_restarts_end_early(self, monkeypatch):
         # Failing product_3pt runs crawled along a merit valley to MAX_ITERS:
-        # 3,218 residual evaluations before the rule, 1,826 with it.
+        # 3,218 residual evaluations before the rule, 1,826 with it, counted
+        # as evaluated rows of the lockstep batches.
         count, real = [0], solver._gradient_system
 
         def counting(spec, level=None):
             evaluate, scale_invariant = real(spec, level)
 
-            def counted(z):
-                count[0] += 1
-                return evaluate(z)
+            def counted(Z):
+                count[0] += len(Z)
+                return evaluate(Z)
 
             return counted, scale_invariant
 
@@ -1088,11 +1126,11 @@ class TestRestoredStarts:
         inits = [solver._initial_decision(spec, opts, r).tobytes() for r in range(4)]
         runs, real = [], solver._run_newton
 
-        def failing_restored(evaluate, w0, opts, pin_scale=False):
+        def failing_restored(w0, opts, pin_scale=False):
             runs.append(w0[:-1].tobytes() in inits)
             if not runs[-1]:
                 return solver._NewtonResult(w0, np.full_like(w0, np.inf), False, 0)
-            return real(evaluate, w0, opts, pin_scale)
+            return (yield from real(w0, opts, pin_scale))
 
         monkeypatch.setattr(solver, "_run_newton", failing_restored)
         fallback = solve_isoperimetric(spec, opts)
