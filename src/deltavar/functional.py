@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Div, Expr, ExprError, _nodes, differentiate, evaluate, expr_variables, parse
+from .expr import Div, DivisionByZero, DomainError, Expr, ExprError, _nodes, differentiate, evaluate
+from .expr import expr_variables, parse
 from .timescale import TimeScale, delta_derivative, delta_integral
 
 __all__ = [
@@ -40,6 +41,10 @@ _BATCH_SAMPLES = 1 << 16
 
 class DenominatorVanished(ArithmeticError):
     """One of the outer map's own divisions was evaluated too close to a zero denominator."""
+
+
+# What evaluating a functional may raise: a failure of that trajectory alone.
+_EVAL_ERRORS = (DenominatorVanished, DomainError, DivisionByZero)
 
 
 class ScaleMismatch(ValueError):

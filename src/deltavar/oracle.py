@@ -27,9 +27,9 @@ from .euler_lagrange import (
     embed_decision,
     functional_gradient,
 )
-from .expr import DivisionByZero, DomainError, parse
+from .expr import parse
 from .functional import (
-    _BATCH_SAMPLES, CompositeFunctional, DenominatorVanished, Trajectory, _samples, value,
+    _BATCH_SAMPLES, _EVAL_ERRORS, CompositeFunctional, Trajectory, _samples, value,
 )
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "inner_integral_form",
     "rayleigh_pencil",
 ]
-
-_EVAL_ERRORS = (DenominatorVanished, DomainError, DivisionByZero)
 
 BISECTION_TOL = 1e-12
 # Central-difference step of fd_gradient's default and of every scan.

@@ -25,7 +25,6 @@ import scipy.sparse
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from .expr import DivisionByZero, DomainError
 from .euler_lagrange import (
     ProblemSpec,
     _fill_partials,
@@ -39,6 +38,7 @@ from .euler_lagrange import (
 )
 from .functional import (
     _BATCH_SAMPLES,
+    _EVAL_ERRORS,
     DenominatorVanished,
     Trajectory,
     c1rd_distance,
@@ -123,8 +123,6 @@ ABNORMAL_GRADIENT = 1e-8
 # start only where ||grad K|| is at least RESTORE_GRADIENT * ||grad K(z0)||:
 # a vanishing gradient there marks a degenerate level set (abnormal branch).
 RESTORE_ITERS, RESTORE_GRADIENT = 30, 1e-3
-
-_EVAL_ERRORS = (DenominatorVanished, DomainError, DivisionByZero)
 
 
 class NoStationaryPointFound(RuntimeError):
@@ -241,15 +239,15 @@ class _NewtonResult:
 class _Hessian:
     """Exact Hessian tridiag(diag, off) + U^T C U of lam0 * L - lam * K.
 
-    Linear solves, plain or bordered by one vector b as
-    [[H, b], [b^T, 0]] with any last right-hand side, eliminate by blocks:
-    T alone is factored in natural order, which keeps its LU banded (O(d)
-    entries), and the k outer-map unknowns U x with the border's
-    multiplier come from a (k+1)x(k+1) capacitance system, LU-factored
-    once per :meth:`factor`.  Solutions are refined and verified against
-    the exact matvec; where T alone is singular or the check fails, the
-    solver returns None and :func:`_newton_solver` takes the dense LU of
-    ``dense``, the one array form of H, which :func:`functional_hessian` and
+    Linear solves with a (d, m) border B, [[H, B], [B^T, 0]] (H alone when
+    m = 0) with any right-hand side, eliminate by blocks: T alone is
+    factored in natural order, which keeps its LU banded (O(d) entries), and
+    the k outer-map unknowns U x with the border's m multipliers come from
+    a (k+m)x(k+m) capacitance system, LU-factored once per :meth:`factor`.
+    Solutions are refined and verified against the exact matvec; where T
+    alone is singular or the check fails, the solver returns None and
+    :func:`_newton_solver` takes the dense LU of ``dense``, the one array
+    form of H, which :func:`functional_hessian` and
     :func:`constraint_hessian` return too.  ``count_below`` serves
     :func:`classify`.
     """
@@ -271,43 +269,38 @@ class _Hessian:
 
     rmatvec = __matmul__  # H^T r, for the damped gradient step: H is symmetric
 
-    def dense(self, border: Optional[np.ndarray] = None) -> np.ndarray:
-        """H as a d x d array, or with a border b the (d+1)^2 array [[H, b], [b^T, 0]]."""
-        d = self.diag.size
-        n = d if border is None else d + 1
+    def dense(self, B: np.ndarray) -> np.ndarray:
+        """The (d+m)^2 array [[H, B], [B^T, 0]] of a (d, m) border B: H itself when m = 0."""
+        d, n = self.diag.size, self.diag.size + B.shape[1]
         M = np.empty((n, n))
         np.matmul(self.U.T @ self.C, self.U, out=M[:d, :d])
-        if border is not None:
-            M[:d, d] = M[d, :d] = border
-            M[d, d] = 0.0
+        M[:d, d:], M[d:, :d], M[d:, d:] = B, B.T, 0.0
         flat = M.reshape(-1)  # a view: M is a fresh contiguous array
         flat[: n * d : n + 1] += self.diag
         flat[1 : n * (d - 1) : n + 1] += self.off
         flat[n : n * d : n + 1] += self.off
         return M
 
-    def _defect(self, x, nu, rhs, border, last):
-        """Residuals (r, g) of [[H, b], [b^T, 0]] [x; nu] = [rhs; last] and their size."""
-        r = rhs - self @ x
-        if border is None:
-            return r, 0.0, float(np.linalg.norm(r))
-        r -= nu * border
-        g = last - float(border @ x)
-        return r, g, float(np.linalg.norm(r)) + abs(g)
+    def _defect(self, x, nu, f, B):
+        """Residuals (r, g) of [[H, B], [B^T, 0]] [x; nu] = f and their size ||r||_2 + ||g||_1."""
+        r = f[: x.size] - self @ x
+        r -= B.dot(nu)
+        g = f[x.size :] - x @ B
+        return r, g, float(np.linalg.norm(r)) + sum(map(abs, g.tolist()))
 
-    def factor(self, border: Optional[np.ndarray] = None):
-        """A solver of H x = f, or with a border of [[H, b], [b^T, 0]] [x; nu] = [f; g].
+    def factor(self, B: np.ndarray):
+        """A solver of [[H, B], [B^T, 0]] v = f for the (d, m) border B.
 
         T and the capacitance matrix are factored once.  The returned
-        ``solve(f, g=0.0)`` gives x, or [x; nu] with a border, and None when
-        the verified defect is too large; ``factor`` itself returns None
-        when T or the capacitance matrix is exactly singular.
+        ``solve(f)`` gives v = [x; nu], d + m entries, and None when the
+        verified defect is too large; ``factor`` itself returns None when T
+        or the capacitance matrix is exactly singular.
         """
-        # With z = [U x; nu], R = [U; b^T] and E = diag(I_k, 0) the system
-        # with right-hand side [f; g] reads T x + [U^T C, b] z = f and
-        # R x - E z = [0; g], so x = T^-1 f - Y z with Y = T^-1 [U^T C, b]
+        # With z = [U x; nu], R = [U; B^T] and E = diag(I_k, 0_m) the system
+        # with right-hand side [f; g] reads T x + [U^T C, B] z = f and
+        # R x - E z = [0; g], so x = T^-1 f - Y z with Y = T^-1 [U^T C, B]
         # and the capacitance system (R Y + E) z = R T^-1 f - [0; g].
-        d = self.diag.size
+        d, m = B.shape
         # T in compressed columns, column j holding rows j-1, j and j+1:
         # built directly, this costs less than half of scipy.sparse.diags.
         data = np.column_stack([np.append(0.0, self.off), self.diag, np.append(self.off, 0.0)])
@@ -320,11 +313,8 @@ class _Hessian:
             lu = splu(T, permc_spec="NATURAL")
         except RuntimeError:
             return None  # T alone is exactly singular
-        cols, R = self.U.T @ self.C, self.U
-        if border is not None:
-            cols = np.column_stack([cols, border])
-            R = np.vstack([R, border])
-        Y = lu.solve(cols)
+        R = np.concatenate((self.U, B.T))
+        Y = lu.solve(np.concatenate((self.U.T @ self.C, B), axis=1))
         if not np.all(np.isfinite(Y)):
             return None
         k = self.C.shape[0]
@@ -339,17 +329,16 @@ class _Hessian:
         def eliminate(y0, g):
             """(x, nu) for the right-hand side [f; g], given y0 = T^-1 f."""
             rz = R @ y0
-            if border is not None:
-                rz[-1] -= g
+            rz[k:] -= g
             z = lapack.dgetrs(*cap_lu, rz)[0]
-            return y0 - Y @ z, z[-1] if border is not None else 0.0
+            return y0 - Y @ z, z[k:]
 
-        def solve(rhs: np.ndarray, last: float = 0.0) -> Optional[np.ndarray]:
-            y0 = lu.solve(rhs)
+        def solve(f: np.ndarray) -> Optional[np.ndarray]:
+            y0 = lu.solve(f[:d])
             if not np.all(np.isfinite(y0)):
                 return None
-            x, nu = eliminate(y0, last)
-            r, g, defect = self._defect(x, nu, rhs, border, last)
+            x, nu = eliminate(y0, f[d:])
+            r, g, defect = self._defect(x, nu, f, B)
             # Iterative refinement: T may be nearly singular (it is at
             # Rayleigh-quotient solutions), where elimination loses digits
             # that a step on the exact residual recovers.
@@ -357,24 +346,24 @@ class _Hessian:
                 if not defect > 0.0:
                     break
                 dx, dnu = eliminate(lu.solve(r), g)
-                r_new, g_new, defect_new = self._defect(x + dx, nu + dnu, rhs, border, last)
+                r_new, g_new, defect_new = self._defect(x + dx, nu + dnu, f, B)
                 if not defect_new < defect:
                     break
                 x, nu, r, g, defect = x + dx, nu + dnu, r_new, g_new, defect_new
-            scale = np.linalg.norm(rhs) + abs(last) + np.linalg.norm(x) + (border is not None)
-            if not defect <= 1e-8 * scale:
-                return None
-            return x if border is None else np.append(x, nu)
+            scale = np.linalg.norm(f[:d]) + sum(map(abs, f[d:].tolist())) + np.linalg.norm(x) + m
+            return np.concatenate((x, nu)) if defect <= 1e-8 * scale else None
 
         return solve
 
-    def step(self, r: np.ndarray, border: Optional[np.ndarray] = None) -> np.ndarray:
-        """The Newton step H s = -r; with a border b also b . s = 0.
+    def step(self, r: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """The first r.size entries of v with [[H, B], [B^T, 0]] v = [-r; 0], r.size <= d + m.
 
-        Bordered by the iterate, this is a Newton step on the sphere; the
-        multiplier is dropped.
+        With r.size = d this is the Newton step H s = -r with B^T s = 0:
+        bordered by the iterate, a Newton step on the sphere.
         """
-        return _newton_solver(self, border)(-r)[: r.size]
+        f = np.zeros(self.diag.size + B.shape[1])
+        np.negative(r, out=f[: r.size])
+        return _newton_solver(self, B)(f)[: r.size]
 
     @cached_property  # both count_below calls of a classification share one eigh
     def _outer_directions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -393,23 +382,23 @@ class _Hessian:
         keep = np.abs(mu) > _NULL_RELATIVE * size
         return v[keep] / lengths[keep, None], mu[keep]
 
-    def count_below(self, s: float, mass: np.ndarray, g: Optional[np.ndarray] = None) -> int:
-        """Eigenvalues below s of the pencil (H, diag(mass)) on the complement of g.
+    def count_below(self, s: float, mass: np.ndarray, B: np.ndarray) -> int:
+        """Eigenvalues below s of the pencil (H, diag(mass)) on the complement of B's columns.
 
-        With the outer curvature diagonalized as V^T diag(mu) V (mu
-        nonsingular), the bordered matrix
-        [[T - s M, V^T, g], [V, -diag(1/mu), 0], [g^T, 0, 0]] has the
+        B is a (d, m) border of full column rank.  With the outer curvature
+        diagonalized as V^T diag(mu) V (mu nonsingular), the bordered matrix
+        [[T - s M, V^T, B], [V, -diag(1/mu), 0], [B^T, 0, 0]] has the
         negative inertia of the restricted H - s M, plus one per positive
-        mu, plus one for the border (Haynsworth additivity).  M is positive
+        mu, plus m for the border (Haynsworth additivity).  M is positive
         definite, so by Sylvester's law that inertia counts the pencil's
         eigenvalues below s.
         """
         v, mu = self._outer_directions
-        border = v.T if g is None else np.hstack([v.T, g[:, None]])
+        border = np.concatenate([v, B.T]).T
         corner = np.zeros((border.shape[1], border.shape[1]))
         corner[np.arange(mu.size), np.arange(mu.size)] = -1.0 / mu
         inertia = _negative_inertia(self.diag - s * mass, self.off, border, corner)
-        return inertia - int(np.count_nonzero(mu > 0.0)) - (g is not None)
+        return inertia - int(np.count_nonzero(mu > 0.0)) - B.shape[1]
 
 
 def _hessian(spec: ProblemSpec, tr: Trajectory, lam0: float, lam: Optional[float]) -> _Hessian:
@@ -439,37 +428,36 @@ def _hessian(spec: ProblemSpec, tr: Trajectory, lam0: float, lam: Optional[float
 
 def functional_hessian(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
     """Exact second derivative matrix of the objective over the decision samples."""
-    return _hessian(spec, tr, 1.0, None).dense()
+    return _hessian(spec, tr, 1.0, None).dense(np.zeros((decision_indices(spec).size, 0)))
 
 
 def constraint_hessian(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
     """Exact second derivative matrix of the constraint functional over the decision samples."""
     if spec.constraint is None:
         raise ValueError("problem has no isoperimetric constraint")
-    return _hessian(spec, tr, 0.0, -1.0).dense()
+    return _hessian(spec, tr, 0.0, -1.0).dense(np.zeros((decision_indices(spec).size, 0)))
 
 
-def _newton_solver(H: _Hessian, border: Optional[np.ndarray] = None):
-    """Newton systems with H, or with a border b [[H, b], [b^T, 0]], factored once.
+def _newton_solver(H: _Hessian, B: np.ndarray):
+    """Newton systems [[H, B], [B^T, 0]] with the (d, m) border B, factored once.
 
-    Returns ``solve(f, g=0.0)``: x with H x = f, or [x; nu] with the
-    bordered matrix times [x; nu] = [f; g].  Above DENSE_NEWTON_LIMIT
-    unknowns each right-hand side is first solved by block elimination
-    (:meth:`_Hessian.factor`); at most that size, or where the elimination
-    fails, by one dense LU of the same matrix, made on first need.
+    Returns ``solve(f)``, the v with that matrix times v = f.  Above
+    DENSE_NEWTON_LIMIT unknowns each right-hand side is first solved by
+    block elimination (:meth:`_Hessian.factor`); at most that size, or where
+    the elimination fails, by one dense LU of the same matrix, made on first need.
     """
-    structured = H.factor(border) if H.diag.size > DENSE_NEWTON_LIMIT else None
+    structured = H.factor(B) if H.diag.size > DENSE_NEWTON_LIMIT else None
     dense = None
 
-    def solve(rhs: np.ndarray, last: float = 0.0) -> np.ndarray:
+    def solve(f: np.ndarray) -> np.ndarray:
         nonlocal dense
         if structured is not None:
-            x = structured(rhs, last)
-            if x is not None:
-                return x
+            v = structured(f)
+            if v is not None:
+                return v
         if dense is None:
-            dense = _dense_solver(H.dense(border))
-        return dense(rhs if border is None else np.append(rhs, last))
+            dense = _dense_solver(H.dense(B))
+        return dense(f)
 
     return solve
 
@@ -505,7 +493,7 @@ class _LevelJacobian:
     H is K's structured Hessian.  Since the level row's gradient
     is g itself, the least-squares (Gauss-Newton) step takes two square
     solves with one factorization of H: q = H^-1 g and p = H^-1 q give
-    s = -q - p (K - k - g.q) / (1 + q.q).  A border pins both solves.
+    s = -q - p (K - k - g.q) / (1 + q.q).  A pin borders both solves.
     """
 
     def __init__(self, H: _Hessian, g: np.ndarray):
@@ -516,10 +504,10 @@ class _LevelJacobian:
         """[H; g^T]^T r = H r[:-1] + g r[-1], for the damped gradient step."""
         return self.H @ r[:-1] + self.g * r[-1]
 
-    def step(self, r: np.ndarray, border: Optional[np.ndarray] = None) -> np.ndarray:
-        solve, n = _newton_solver(self.H, border), self.g.size
-        q = solve(self.g)[:n]
-        p = solve(q)[:n]
+    def step(self, r: np.ndarray, pin: np.ndarray) -> np.ndarray:
+        solve, n, m = _newton_solver(self.H, pin), self.g.size, pin.shape[1]
+        q = solve(np.append(self.g, np.zeros(m)))[:n]
+        p = solve(np.append(q, np.zeros(m)))[:n]
         return -q - p * ((r[-1] - self.g @ q) / (1.0 + q @ q))
 
 
@@ -528,7 +516,7 @@ class _NormalJacobian:
 
     H is the Hessian of L - lam K.  This symmetric matrix is the Jacobian
     of the normal residual [grad L - lam grad K; k - K], and one bordered
-    solve by :func:`_newton_solver` gives its Newton step (dz, dlam).
+    solve gives its Newton step (dz, dlam); a pin on z joins that border.
     """
 
     def __init__(self, H: _Hessian, b: np.ndarray):
@@ -540,21 +528,23 @@ class _NormalJacobian:
 
     rmatvec = __matmul__  # J^T r, for the damped gradient step: J is symmetric
 
-    def step(self, r: np.ndarray) -> np.ndarray:
+    def step(self, r: np.ndarray, pin: np.ndarray) -> np.ndarray:
+        """(dz, dlam) with pin^T [dz; 0] = 0, for a (d + 1, m) pin."""
         if not self.b.any():
             # grad K = 0 decouples the system; dlam = 0 is the minimum-norm
             # answer, and H alone keeps the step free of (d+1)^2 arrays.
-            return np.append(self.H.step(r[:-1]), 0.0)
-        return _newton_solver(self.H, self.b)(-r[:-1], -r[-1])
+            return np.append(self.H.step(r[:-1], pin[:-1]), 0.0)
+        return self.H.step(r, np.column_stack([self.b, pin[:-1]]))
 
 
 def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
-    """Damped Newton from w0, a generator returning _NewtonResult; ``pin_scale`` keeps ||w||.
+    """Damped Newton from w0, a generator returning _NewtonResult; ``pin_scale`` keeps ||z||.
 
     Each ``(yield w)()`` evaluates w: :func:`_lockstep` sends a thunk giving the residual and
     a Jacobian thunk on the same sampled partials, or raising w's evaluation error.
     Scale-invariant gradient systems (r(c*w) = r(w)/c) have rays of roots
-    along which an unpinned Newton step escapes instead of converging.
+    along which an unpinned Newton step escapes instead of converging: a
+    pinned one keeps ||z||, z the decision samples in w, to first order.
     A run escapes once ESCAPE_STEPS full Newton steps in a row each outgrow
     the previous Newton step and grow ||w||, well before the backstop
     ||w|| > 1e3 * (1 + ||w0||), which takes quotients 15-25 iterations.
@@ -588,6 +578,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
     stalled = False
     it = 0
     w_norm, newton_norm, growing, deep = float(np.linalg.norm(w)), np.inf, 0, 0
+    no_pin = np.empty((w.size, 0))  # the (empty) border of an unpinned step
     escape_norm = 1e3 * (1.0 + w_norm)
     for it in range(MAX_ITERS):
         r_inf = float(np.abs(r).max())
@@ -600,7 +591,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
             return _NewtonResult(w, r, False, it)
         jacobian = jacobian_trial = None  # J holds what it needs: drop the records
 
-        d_newton = J.step(r, w) if pin_scale else J.step(r)
+        d_newton = J.step(r, w[:, None] if pin_scale else no_pin)
         if r_inf <= opts.tol_residual and contracting(d_newton, w):
             # Polish with the contracting step: unpolished roots of one branch
             # sit further apart than the dedup distance.  The polished point
@@ -707,6 +698,8 @@ def _detect_scale_invariance(spec: ProblemSpec) -> bool:
     rays; the solver then pins the iterate norm and deduplicates rays by
     their normalized representatives.
     """
+    if spec.bc.left or spec.bc.right:  # a nonzero fixed end does not scale with the samples
+        return False
     idx = decision_indices(spec)
     s = np.linspace(0.3, 1.0, idx.size)
     for probe in (np.sin(2.0 + 3.0 * s) + 0.5, 0.25 * s * s - 0.75):
@@ -907,13 +900,17 @@ def solve_isoperimetric(
     it would without the restoration.  Where a normal point has a nearly
     vanishing grad K, or no normal run converges, the abnormal branch
     (lambda0 = 0) seeks extremals of K itself that meet the constraint
-    value, by the unconstrained Newton system for K.
+    value, by the unconstrained Newton system for K.  Where L and K are
+    both scale-invariant, the normal runs pin ||z|| as a second border
+    column beside -grad K, and their points are deduplicated as rays.
     Points are labeled through ``lam0``.
     """
     if spec.constraint is None:
         raise ValueError("spec has no constraint; use solve_unconstrained")
     opts = opts or SolveOptions()
     K, target = spec.constraint.functional, spec.constraint.target
+    pin_scale = _detect_scale_invariance(spec) and _detect_scale_invariance(
+        dataclasses.replace(spec, lagrangian=K, constraint=None))
     # The last two trajectories built, by decision bytes.  Every reuse hands
     # one z to its next consumer: the restored start to the multiplier fit
     # and Newton's first residual, the current iterate to a step (a trial or
@@ -972,7 +969,7 @@ def solve_isoperimetric(
             return np.append(z, 0.0)
 
     def newton(w0):
-        return _lockstep([_run_newton(w0, opts)], lambda W: [partial(evaluate, W[0])])[0]
+        return _lockstep([_run_newton(w0, opts, pin_scale)], lambda W: [partial(evaluate, W[0])])[0]
 
     inits = [_initial_decision(spec, opts, restart) for restart in range(opts.restarts)]
     runs, seeds = [], []
@@ -995,7 +992,7 @@ def solve_isoperimetric(
     # Abnormal extremals are the extremals of K itself that lie on K = k:
     # the objective's Newton system for K, drawn onto that level set.
     abnormal = _gradient_points(spec, seeds, opts, level=target)[1] if seeds else []
-    points = _points(spec, runs, opts) + abnormal
+    points = _points(spec, runs, opts, ray_normalize=pin_scale) + abnormal
     if not points:
         raise _no_point(runs, opts, target)
     return sorted(points, key=_output_order)
@@ -1105,14 +1102,14 @@ def classify(spec: ProblemSpec, point: StationaryPoint) -> str:
     try:
         tr = point.trajectory
         hess = _hessian(spec, tr, point.lam0, point.lam)
-        g = None
+        B = np.zeros((hess.diag.size, 0))  # the unit constraint gradient, where it is nonzero
         if spec.constraint is not None:
             gK = constraint_gradient(spec, tr)
             if not np.all(np.isfinite(gK)):
                 return DEGENERATE
-            norm = float(np.linalg.norm(gK))
-            g = gK / norm if norm > 0.0 else None
-        dim = hess.diag.size - (g is not None)
+            if norm := float(np.linalg.norm(gK)):
+                B = gK[:, None] / norm
+        dim = hess.diag.size - B.shape[1]
         if not hess.finite or dim == 0:
             return DEGENERATE
         ts, idx = spec.ts, decision_indices(spec)
@@ -1121,8 +1118,8 @@ def classify(spec: ProblemSpec, point: StationaryPoint) -> str:
         eps = DEGENERATE_RELATIVE * max(abs(v @ (hess @ v)) / (v @ (mass * v)) for v in modes)
         if not eps > 0.0:
             return DEGENERATE
-        below_lo = hess.count_below(-eps, mass, g)
-        below_hi = hess.count_below(eps, mass, g)
+        below_lo = hess.count_below(-eps, mass, B)
+        below_hi = hess.count_below(eps, mass, B)
         if below_hi > below_lo:
             return DEGENERATE
         if below_hi == 0:

@@ -358,10 +358,10 @@ class TestIsoperimetric:
         # Hessian at every size; it alone steps densely up to
         # DENSE_NEWTON_LIMIT unknowns (h = 1e-2: d = 99) and by block
         # elimination above it (h = 4e-3: d = 249).  Abnormal Newton runs on
-        # K's own gradient system, unbordered.  Each normal step
-        # (_NormalJacobian) offers the Hessian of L - lam K bordered by
-        # -grad K, never a (d+1)^2 array; where grad K = 0 the system
-        # decouples and the step offers that Hessian unbordered.
+        # K's own gradient system, with an empty (d, 0) border.  Each normal
+        # step (_NormalJacobian) offers the Hessian of L - lam K bordered by
+        # the one column -grad K, never a (d+1)^2 array; where grad K = 0 the
+        # system decouples and the step offers that Hessian with no column.
         ts = THREE_PT if h is None else make_timescale("interval", a=0, b=1, h=h)
         spec = abnormal_spec(ts)
         d = decision_indices(spec).size
@@ -369,13 +369,13 @@ class TestIsoperimetric:
         real_solver, real_step = solver._newton_solver, _NormalJacobian.step
         real_gradient = solver.constraint_gradient
 
-        def watched_solver(H, border=None):
-            systems.append((H, border))
-            return real_solver(H, border)
+        def watched_solver(H, B):
+            systems.append((H, B))
+            return real_solver(H, B)
 
-        def watched_step(J, r):
+        def watched_step(J, r, pin):
             normal.append((J, len(systems)))
-            return real_step(J, r)
+            return real_step(J, r, pin)
 
         def watched_gradient(spec, tr):
             gradients.append(real_gradient(spec, tr))
@@ -386,10 +386,11 @@ class TestIsoperimetric:
         monkeypatch.setattr(solver, "constraint_gradient", watched_gradient)
         solve_isoperimetric(spec, SolveOptions(restarts=2))
         assert all(isinstance(H, _Hessian) and H.diag.size == d for H, _ in systems)
-        assert normal and any(border is None for _, border in systems)
+        assert all(B.ndim == 2 and B.shape[0] == d for _, B in systems)
+        assert normal and any(B.shape[1] == 0 for _, B in systems)
         for J, at in normal:
             assert systems[at][0] is J.H
-            assert systems[at][1] is (J.b if J.b.any() else None)
+            assert np.array_equal(systems[at][1], J.b[:, None] if J.b.any() else np.zeros((d, 0)))
             assert any(np.array_equal(J.b, -g) for g in gradients)
 
     def test_zero_gradient_normal_step_stays_linear(self):
@@ -417,8 +418,8 @@ class TestIsoperimetric:
             H = _hessian(spec, tr, 1.0, None)
             d = H.diag.size
             r = rng.standard_normal(d + 1)
-            want = np.linalg.lstsq(H.dense(np.zeros(d)), -r, rcond=None)[0]
-            step = _NormalJacobian(H, np.zeros(d)).step(r)
+            want = np.linalg.lstsq(H.dense(np.zeros((d, 1))), -r, rcond=None)[0]
+            step = _NormalJacobian(H, np.zeros(d)).step(r, np.zeros((d + 1, 0)))
             assert step[-1] == 0.0
             assert np.linalg.norm(step - want) <= 1e-7 * np.linalg.norm(want)
 
@@ -520,6 +521,40 @@ class TestIsoperimetric:
         x = pts[0].trajectory.x
         np.testing.assert_allclose(np.abs(x) / np.linalg.norm(x), [0, 0, 0, 1, 0], atol=1e-12)
 
+    def test_normal_rays_pin_their_norm(self):
+        # L and K are both Rayleigh quotients, and no single-sample ray lies on
+        # K = 0.4: the extremals are normal rays.  Normal runs that did not pin
+        # ||z|| slid along them, and this solve raised ConstraintInfeasible.
+        spec = resolve_problem(str(PROBLEMS / "normal_rays.dvp")).build()
+        pts = solve_isoperimetric(spec, SolveOptions(restarts=16, seed=0))
+        assert [p.lam0 for p in pts] == [1.0, 1.0]
+        assert [p.value for p in pts] == pytest.approx([13.8980664016, 50.1019335984], abs=1e-9)
+        assert [p.lam for p in pts] == pytest.approx([67.8822509939, -67.8822509939], abs=1e-9)
+        L, K = spec.lagrangian, spec.constraint.functional
+        k_spec = dataclasses.replace(spec, lagrangian=K, constraint=None)
+        for p in pts:
+            # Stationary by central differences, at every amplitude of the ray.
+            for c in (1.0, -3.0):
+                tr = Trajectory(spec.ts, c * p.trajectory.x)
+                assert value(K, tr) == pytest.approx(0.4, abs=1e-12)
+                gL, gK = fd_gradient(spec, tr), fd_gradient(k_spec, tr)
+                assert np.abs(gL - p.lam * gK).max() <= 1e-6 * (1.0 + np.abs(gL).max())
+        # L sampled on the level set, by bisection of K along random
+        # segments, stays between the two points and comes within 1% of each.
+        rng, samples = np.random.default_rng(0), []
+        for a, b in rng.standard_normal((300, 2, 3)):
+            def defect(s):
+                return value(K, euler_lagrange.embed_decision(spec, a + s * (b - a))) - 0.4
+            lo, hi = 0.0, 1.0
+            if defect(lo) * defect(hi) > 0.0:
+                continue
+            for _ in range(45):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if (defect(mid) > 0.0) == (defect(lo) > 0.0) else (lo, mid)
+            samples.append(value(L, euler_lagrange.embed_decision(spec, a + lo * (b - a))))
+        assert pts[0].value - 1e-9 <= min(samples) <= 1.01 * pts[0].value
+        assert 0.99 * pts[1].value <= max(samples) <= pts[1].value + 1e-9
+
     def test_level_step_is_the_least_squares_step(self):
         # Two square solves with H give the least-squares step of [H; g^T],
         # on the dense form at d = 7 and by block elimination at d = 250.
@@ -529,10 +564,11 @@ class TestIsoperimetric:
                          rng.standard_normal((2, d)), np.diag([0.5, -0.3]))
             g = rng.standard_normal(d)
             r = np.append(g, 0.7)
-            stacked = np.vstack([H.dense(), g])
+            stacked = np.vstack([H.dense(np.zeros((d, 0))), g])
             want = np.linalg.lstsq(stacked, -r, rcond=None)[0]
             level = _LevelJacobian(H, g)
-            np.testing.assert_allclose(level.step(r), want, rtol=1e-10, atol=1e-12)
+            step = level.step(r, np.zeros((d, 0)))
+            np.testing.assert_allclose(step, want, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(level.rmatvec(r), stacked.T @ r, rtol=1e-12)
 
 
@@ -710,7 +746,7 @@ def test_count_below_with_outer_rows_of_graded_size(inner, x, below, label):
     eigs = pencil_eigs(hess, decision_mass(spec), gK)
     assert np.count_nonzero(eigs < -100.0) == below
     assert _hessian(spec, tr, 1.0, lam).count_below(
-        -100.0, decision_mass(spec), gK / np.linalg.norm(gK)) == below
+        -100.0, decision_mass(spec), gK[:, None] / np.linalg.norm(gK)) == below
     point = StationaryPoint(tr, np.zeros(2), 0.0, 0.0, lam0=1.0, lam=lam)
     assert classify(spec, point) == dense_label(spec, hess, gK)[0] == label
 
@@ -744,7 +780,8 @@ class TestHessianProperties:
         # Central differences of step 1e-6 are off by about 2e-7 of the
         # parts' size at worst over 12,000 draws.
         tol = 1e-5 * (1.0 + parts_size(spec, tr, terms))
-        assert np.abs(_hessian(spec, tr, lam0, lam).dense() - fd).max() <= tol
+        plain = np.zeros((fd.shape[0], 0))
+        assert np.abs(_hessian(spec, tr, lam0, lam).dense(plain) - fd).max() <= tol
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -790,63 +827,72 @@ class TestHessianSolve:
             border = constraint_gradient(spec, tr)
         size = parts_size(spec, tr, terms)
         hess = _hessian(spec, tr, 1.0, lam)
-        assert np.abs(hess.dense() - dense).max() <= 1e-12 * size
+        assert np.abs(hess.dense(np.zeros((dense.shape[0], 0))) - dense).max() <= 1e-12 * size
         # A fixed extra input: tridiag(0, 1) of odd order is singular, so its
         # tridiagonal block cannot be factored alone; the rank-one outer term
         # e1 e1^T (not orthogonal to the null vector (1, 0, -1, 0, ...)) makes
         # H nonsingular.
         singular = _Hessian(np.zeros(7), np.ones(6), np.eye(7)[:1], np.ones((1, 1)))
-        assert singular.factor() is None
-        assert singular.factor(np.linspace(1.0, 2.0, 7)) is None
+        assert singular.factor(np.zeros((7, 0))) is None
+        assert singular.factor(np.linspace(1.0, 2.0, 7)[:, None]) is None
         cases = [
             (hess, dense, border, size, rng.standard_normal(dense.shape[0]),
              rng.standard_normal()),
-            (singular, singular.dense(), np.linspace(1.0, 2.0, 7), 2.0, np.arange(7.0) - 2.0,
-             0.5),
+            (singular, singular.dense(np.zeros((7, 0))), np.linspace(1.0, 2.0, 7), 2.0,
+             np.arange(7.0) - 2.0, 0.5),
         ]
-        for op, plain, b, size, rhs, last in cases:
+        # The pinned normal step borders by [-grad K, z] with the iterate z;
+        # beside the sphere border's iterate, z is a random direction.
+        pins = [tr.x[decision_indices(spec)] if constrained
+                else rng.standard_normal(dense.shape[0]), np.cos(np.arange(7.0))]
+        for (op, plain, b, size, rhs, last), z in zip(cases, pins):
             n = rhs.size
-            bordered = np.block([[plain, b[:, None]], [b[None, :], np.zeros((1, 1))]])
-            np.testing.assert_array_equal(op.dense(b), np.block(
-                [[op.dense(), b[:, None]], [b[None, :], np.zeros((1, 1))]]))
-            systems = [(None, plain, rhs, 0.0, size)]
-            # The bordered system with a zero last right-hand side (the sphere
-            # step) and a nonzero one (the normal isoperimetric step).
-            systems += [(b, bordered, np.append(rhs, g), g, size + np.abs(b).max())
-                        for g in (0.0, last)]
-            for border, matrix, full_rhs, g, scale in systems:
+            # Borders of every width: none (the plain step), one column (the
+            # sphere step, or the normal step's -grad K) and two (the pinned
+            # normal step).
+            for B in (np.zeros((n, 0)), b[:, None], np.column_stack([-b, z])):
+                m = B.shape[1]
+                matrix = np.block([[plain, B], [B.T, np.zeros((m, m))]])
+                np.testing.assert_array_equal(op.dense(B), np.block(
+                    [[op.dense(B[:, :0]), B], [B.T, np.zeros((m, m))]]))
                 # Compare only where rounding at that scale cannot move the solution.
+                scale = size + np.abs(B).max(initial=0.0)
                 if scale >= 1e6 * np.linalg.svd(matrix, compute_uv=False).min():
                     continue
-                want = np.linalg.solve(matrix, full_rhs)
-                tol = 1e-7 * np.linalg.norm(want)  # the border's multiplier included
-                # Block elimination either declines or gives the dense
-                # solution, the border's multiplier included.
-                factored = op.factor(border)
-                got = None if factored is None else factored(rhs, g)
-                if got is not None:
-                    assert np.linalg.norm(got - want) <= tol
-                # The Newton steps always do, whether they start from the
-                # structured solve (limit 0) or step on the dense form.
-                for limit in (0, solver.DENSE_NEWTON_LIMIT):
-                    with mock.patch.object(solver, "DENSE_NEWTON_LIMIT", limit):
-                        if border is None or g == 0.0:
-                            step = op.step(-rhs, border)
-                            assert np.linalg.norm(step - want[:n]) <= tol
-                        if border is not None:
-                            # The normal step against the dense Newton step of
-                            # the residual [grad L - lam b; k - K], b = grad K:
-                            # its Jacobian [[H, -b], [-b^T, 0]] in (z, lam).
-                            normal = _NormalJacobian(op, -b)
-                            jac = bordered.copy()
-                            jac[:n, n] = jac[n, :n] = -b
-                            want_normal = np.linalg.solve(jac, full_rhs)
-                            step = normal.step(-full_rhs)
-                            assert np.linalg.norm(step - want_normal) <= (
-                                1e-7 * np.linalg.norm(want_normal))
-                            # J^T r for the damped gradient step.
-                            atol = 1e-12 * scale * np.abs(full_rhs).sum()
-                            assert np.abs(normal.rmatvec(full_rhs) - jac.T @ full_rhs).max() <= atol
+                # A zero last right-hand side (the pinned steps) and a nonzero
+                # first entry (the normal step's constraint row).
+                for tail in (np.zeros(m), np.append(last, np.zeros(m))[:m]):
+                    full_rhs = np.append(rhs, tail)
+                    want = np.linalg.solve(matrix, full_rhs)
+                    tol = 1e-7 * np.linalg.norm(want)  # the border's multipliers included
+                    # Block elimination either declines or gives the dense
+                    # solution, the border's multipliers included.
+                    factored = op.factor(B)
+                    got = None if factored is None else factored(full_rhs)
+                    if got is not None:
+                        assert np.linalg.norm(got - want) <= tol
+                    # The Newton solves and steps always do, whether they start
+                    # from the structured solve (limit 0) or step on the dense form.
+                    for limit in (0, solver.DENSE_NEWTON_LIMIT):
+                        with mock.patch.object(solver, "DENSE_NEWTON_LIMIT", limit):
+                            got = solver._newton_solver(op, B)(full_rhs)
+                            assert np.linalg.norm(got - want) <= tol
+                            if not tail.any():
+                                step = op.step(-rhs, B)
+                                assert np.linalg.norm(step - want[:n]) <= tol
+                            if m:
+                                # The normal step against the dense Newton step
+                                # of the residual [grad L - lam b; k - K], whose
+                                # Jacobian in (z, lam) is bordered by B's first
+                                # column b = -grad K; the other columns pin z.
+                                normal = _NormalJacobian(op, B[:, 0])
+                                pin = np.vstack([B[:, 1:], np.zeros((1, m - 1))])
+                                step = normal.step(-full_rhs[: n + 1], pin)
+                                assert np.linalg.norm(step - want[: n + 1]) <= tol
+                                # J^T r for the damped gradient step.
+                                jac, r = matrix[: n + 1, : n + 1], full_rhs[: n + 1]
+                                atol = 1e-12 * scale * np.abs(r).sum()
+                                assert np.abs(normal.rmatvec(r) - jac.T @ r).max() <= atol
 
     # sturm_liouville is scale invariant, so its steps take the sphere border.
     @pytest.mark.parametrize("problem", ["quotient2_R", "sturm_liouville"])
@@ -941,11 +987,12 @@ class TestInertia:
             hess = _Hessian(diag, off, v, np.diag(mu))
             dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) + v.T @ (mu[:, None] * v)
             eigs = pencil_eigs(dense, mass, g)
-            assert hess.diag.size - (g is not None) == eigs.size
+            B = np.zeros((n, 0)) if g is None else g[:, None]
+            assert hess.diag.size - B.shape[1] == eigs.size
             for s in (-1.0, -1e-3, 0.0, 0.5, 2.0):
                 if np.min(np.abs(eigs - s)) < 1e-8:
                     continue
-                assert hess.count_below(s, mass, g) == np.count_nonzero(eigs < s)
+                assert hess.count_below(s, mass, B) == np.count_nonzero(eigs < s)
 
     def test_classify_memory_is_linear(self):
         # d = 9999: a dense Hessian alone would take 800 MB.
