@@ -26,6 +26,8 @@ stationary trajectories.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +39,7 @@ from .functional import (
     CompositeFunctional,
     Trajectory,
     _integrand_bindings,
+    _owned_rows,
     _samples,
     inner_values,
 )
@@ -144,13 +147,18 @@ def embed_decision(spec: ProblemSpec, z) -> Trajectory:
     z = np.asarray(z, dtype=float).ravel()
     if z.size != idx.size:
         raise ValueError(f"expected {idx.size} decision values, got {z.size}")
-    x = np.empty(len(spec.ts))
-    x[idx] = z
+    return Trajectory(spec.ts, _embedded(spec, z[None])[0])
+
+
+def _embedded(spec: ProblemSpec, Z) -> np.ndarray:
+    """The (B, N) samples of the B decision vectors Z, fixed ends filled in."""
+    X, lo = np.empty((len(Z), len(spec.ts))), int(spec.bc.left_fixed)
+    X[:, lo : lo + decision_indices(spec).size] = Z  # a slice: the indices are contiguous
     if spec.bc.left_fixed:
-        x[0] = spec.bc.left
+        X[:, 0] = spec.bc.left
     if spec.bc.right_fixed:
-        x[-1] = spec.bc.right
-    return Trajectory(spec.ts, x)
+        X[:, -1] = spec.bc.right
+    return X
 
 
 def extract_decision(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
@@ -161,48 +169,24 @@ def extract_decision(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
 # -- sampled partial derivatives ----------------------------------------------
 
 
-class _Partials:
-    """One evaluation of a functional's sampled partials along one trajectory.
-
-    Made a batch at a time by :func:`_fill_partials`, a record owns copies of its row:
-    inner values ``us`` (bit for bit :func:`inner_values`), samples ``fy``/``fv``, the
-    inner-integral gradients ``rows`` over all N samples, ``w = H'(us)`` and ``g = w @ rows``.
-    It keeps no trajectory, so the trajectory's cache forms no reference cycle.
-    """
-
-    __slots__ = ("us", "w", "fy", "fv", "rows", "g", "_F", "_batch", "_second")
-
-    def __init__(self, F: CompositeFunctional, us, fyv, rows, batch):
-        self.us, self.rows, self.fy, self.fv = us, rows, fyv[: F.n], fyv[F.n :]
-        self.w = F.outer_gradient(us)
-        self.g = self.w @ rows
-        self._F, self._batch, self._second = F, batch, None
-
-    def second(self):
-        """(f_yy, f_yv, f_vv, outer Hessian) on first use, the batch's first
-        asking record sampling every row (each its own, where that raises)."""
-        if self._second is None:
-            fyy, fyv, fvv, _ = self._F.second_partials
-            exprs, ((b, shared), row) = fyy + fyv + fvv, self._batch
-            if shared[0] is None:
-                try:
-                    shared[0] = _samples(exprs, b)
-                except ExprError:
-                    shared[0] = False
-            samples = row(shared[0]) if shared[0] is not False else _samples(
-                exprs, dict(b, y=row(b["y"][None]), v=row(b["v"][None])))
-            self._second = (*samples.reshape(3, self._F.n, -1), self._F.outer_hessian(self.us))
-            self._batch = None
-        return self._second
+# One evaluation of a functional's sampled partials along one trajectory.  Made a batch
+# at a time by _fill_partials, a record owns copies of its row: inner values us (bit for
+# bit inner_values), samples fy/fv, the inner-integral gradients rows over all N samples,
+# w = H'(us) and g = w @ rows.  It keeps no trajectory, so the trajectory's cache forms
+# no reference cycle.
+_Partials = namedtuple("_Partials", "us w fy fv rows g")
 
 
-def _fill_partials(F: CompositeFunctional, trs: list) -> None:
-    """Cache F's record on each trajectory of trs, on one scale, from one pass of f, f_y, f_v.
+def _fill_partials(F: CompositeFunctional, trs: list, b: Optional[dict] = None) -> None:
+    """Cache F's record on each trajectory of trs, on one scale, from one pass of f, f_y, f_v
+    over their bindings ``b`` (stacked from trs where not given).
 
-    A row-wise cumsum of mu * f gives the inner values; H' runs per row.  A batch of one
-    raises what its record raises; in a larger one a row whose record raises (each row,
-    where the pass raises) is left to build alone."""
-    n, ts, b = F.n, trs[0].ts, _integrand_bindings(trs)
+    A row-wise cumsum of mu * f gives the inner values, one pass of H' over (B,) arrays
+    the weights w, and one batched matmul each row's g.  A batch of one raises what its
+    record raises.  In a larger one whose H' pass raises, each row is filled alone, and
+    where the sampling pass raises each row is left to build alone; a row whose record
+    raises stays without one."""
+    n, ts, b = F.n, trs[0].ts, b or _integrand_bindings(trs)
     try:
         samples = _samples(F.inner + F.inner_y + F.inner_v, b)
     except ExprError:  # alone, raise what passes over f, H'(us), then f_y and f_v raised first
@@ -212,21 +196,26 @@ def _fill_partials(F: CompositeFunctional, trs: list) -> None:
         raise
     # Sample x_{j+1} enters interval j through y = x_{j+1} and v = (x_{j+1} - x_j)/mu_j,
     # sample x_j only through v.  Products and sums go in place, into samples and rows.
-    rows = np.zeros((n, *samples.shape[1:-1], len(ts)))
+    rows = np.zeros((len(trs), n, len(ts)))
     with np.errstate(over="ignore", invalid="ignore"):  # +inf and -inf sum to nan, as in value
-        weighted = np.multiply(ts.steps, samples[:n], out=samples[:n])  # f is not kept
+        weighted = np.multiply(ts.steps, samples[:, :n], out=samples[:, :n])  # f is not kept
         us = weighted.cumsum(axis=-1, out=weighted)[..., -1].copy()
-        np.multiply(ts.steps, samples[n : 2 * n], out=rows[..., 1:])
-    rows[..., 1:] += samples[2 * n :]
-    rows[..., :-1] -= samples[2 * n :]
-    batch, lone = (b, [None]), len(trs) == 1  # the second partials come on first use
-    for i, tr in enumerate(trs):
-        # A copy of row i of a (k, B, ...) array; a lone trajectory's arrays are its own.
-        row = (lambda a: a) if lone else (lambda a, i=i: a[:, i].copy())
-        try:
-            tr.partials[F] = _Partials(F, row(us), row(samples[n:]), row(rows), (batch, row))
-        except () if lone else (ArithmeticError, ExprError):  # uncached, it raises alone
-            pass
+        np.multiply(ts.steps, samples[:, n : 2 * n], out=rows[..., 1:])
+    rows[..., 1:] += samples[:, 2 * n :]
+    rows[..., :-1] -= samples[:, 2 * n :]
+    try:
+        w = F._outer_rows(F.outer_grad_exprs, us)  # F.outer_gradient of the (B, n) us
+    except (ArithmeticError, ExprError):  # a batch of one raises; a larger one goes row by row
+        if len(trs) == 1:
+            raise
+        for tr in trs:
+            with suppress(ArithmeticError, ExprError):
+                _fill_partials(F, [tr])
+        return
+    g = np.matmul(w[:, None], rows)[:, 0]  # each row's w @ rows, bit for bit
+    records = zip(*map(_owned_rows, (us, w, samples[:, n : 2 * n], samples[:, 2 * n :], rows, g)))
+    for tr, record in zip(trs, records):
+        tr.partials[F] = _Partials(*record)
 
 
 def _partials(F: CompositeFunctional, tr: Trajectory) -> _Partials:
@@ -279,9 +268,7 @@ def constraint_gradient(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
     return _partials(spec.constraint.functional, tr).g[decision_indices(spec)]
 
 
-def hessian_parts(
-    F: CompositeFunctional, spec: ProblemSpec, tr: Trajectory
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def hessian_parts(F: CompositeFunctional, spec: ProblemSpec, tr) -> tuple[np.ndarray, ...]:
     """Structured pieces of the exact Hessian over the decision samples.
 
     Returns ``(diag, off, rows, outer_hess)`` with the Hessian equal to
@@ -289,19 +276,29 @@ def hessian_parts(
     couples only the samples x_j and x_{j+1} through y = x_{j+1} and
     v = (x_{j+1} - x_j)/mu_j, while the outer map contributes curvature of
     rank at most n through the inner-integral gradients (the rows).
+    Given a list of trajectories, each piece gains a leading axis, one entry each, from
+    one pass of the second partials, one of H'' over (B,) arrays and batched matmuls: a
+    lone trajectory is a batch of one, so each gets its lone bits.  Raises where any does.
     """
-    record = _partials(F, tr)
-    fyy, fyv, fvv, outer_hess = record.second()
-    w, steps = record.w, tr.ts.steps
-    curv_v = w @ (fvv / steps)
-    diag = np.zeros(len(spec.ts))
-    diag[:-1] = curv_v
-    diag[1:] += w @ (steps * fyy + 2.0 * fyv) + curv_v
-    off = -(w @ fyv) - curv_v
+    trs = [tr] if isinstance(tr, Trajectory) else tr
+    records = [_partials(F, t) for t in trs]
+    fyy, fyv, fvv, _ = F.second_partials
+    samples = _samples(fyy + fyv + fvv, _integrand_bindings(trs))
+    outer_hess = F.outer_hessian(np.array([record.us for record in records]))
+    n, steps = F.n, spec.ts.steps
+    fyy, fyv, fvv = samples[:, :n], samples[:, n : 2 * n], samples[:, 2 * n :]
+    w = np.array([record.w for record in records])[:, None]
+    curv_v = np.matmul(w, fvv / steps)[:, 0]
+    diag = np.zeros((len(trs), len(spec.ts)))
+    diag[:, :-1] = curv_v
+    diag[:, 1:] += np.matmul(w, steps * fyy + 2.0 * fyv)[:, 0] + curv_v
+    off = -np.matmul(w, fyv)[:, 0] - curv_v
 
     idx = decision_indices(spec)
     lo, hi = int(idx[0]), int(idx[-1])
-    return diag[lo : hi + 1], off[lo:hi], record.rows[:, idx], outer_hess
+    rows = np.array([record.rows[:, lo : hi + 1] for record in records])
+    parts = diag[:, lo : hi + 1], off[:, lo:hi], rows, outer_hess
+    return tuple(part[0] for part in parts) if tr is not trs else parts
 
 
 def _dr_quantity_of(F: CompositeFunctional, tr: Trajectory) -> np.ndarray:

@@ -126,7 +126,8 @@ class CompositeFunctional:
     def _outer_values(self, exprs, us):
         """The expressions at us, on Python floats: numpy's bits at a fraction of its cost.
 
-        H's own divisions that evaluate at us are tested first, innermost first."""
+        H's own divisions that evaluate at us are tested first, innermost first; with no
+        expressions (None) that test is all."""
         b = dict(zip(self.outer_vars, map(float, us)))
         for pair in self._divisions:
             try:
@@ -136,17 +137,27 @@ class CompositeFunctional:
             if abs(den) < EPS_DENOMINATOR * (1.0 + abs(num)):
                 raise DenominatorVanished(f"outer-map denominator {den} vanishes (|den| < "
                                           f"{EPS_DENOMINATOR:g}*(1+|num|) with num={num})")
-        return evaluate(exprs, b)
+        return evaluate(exprs, b) if exprs else None
+
+    def _outer_rows(self, exprs, us: np.ndarray) -> np.ndarray:
+        """The expressions at each row of the (B, n) inner values us, as (B, len(exprs))
+        arrays.  H's own divisions are tested row by row on floats, as value tests them,
+        so a batch fails where its first failing row fails alone, with that message."""
+        for row in us.tolist():
+            self._outer_values(None, row)
+        return _samples(exprs, dict(zip(self.outer_vars, us.T)), us.shape[:1])
 
     def outer_value(self, us) -> float:
         return float(self._outer_values(self.outer, us))
 
     def outer_gradient(self, us) -> np.ndarray:
-        return np.array(self._outer_values(self.outer_grad_exprs, us), dtype=float)
+        """H' at the (n,) or (B, n) inner values us, one row per trajectory, on arrays."""
+        return self._outer_rows(self.outer_grad_exprs, np.atleast_2d(us)).reshape(np.shape(us))
 
     def outer_hessian(self, us) -> np.ndarray:
-        hess = np.array(self._outer_values(self.second_partials[3], us), dtype=float)
-        return hess.reshape(self.n, self.n)
+        """H'' at the (n,) or (B, n) inner values us, (n, n) per trajectory, on arrays."""
+        hess = self._outer_rows(self.second_partials[3], np.atleast_2d(us))
+        return hess.reshape(np.shape(us) + (self.n,))
 
     def __repr__(self) -> str:
         inner = ", ".join(str(f) for f in self.inner)
@@ -171,18 +182,31 @@ class Trajectory:
             raise ValueError(
                 f"trajectory has {x.size} samples, scale has {len(ts)} points"
             )
-        x_sigma = np.concatenate([x[1:], x[-1:]])
-        x_delta = delta_derivative(ts, x)
+        self._own(ts, x, np.concatenate([x[1:], x[-1:]]), delta_derivative(ts, x))
+
+    def _own(self, ts: TimeScale, x, x_sigma, x_delta) -> "Trajectory":
         for arr in (x, x_sigma, x_delta):
             arr.setflags(write=False)
-        self.ts = ts
-        self.x = x
-        self.x_sigma = x_sigma
-        self.x_delta = x_delta
-        self.partials = {}
+        self.ts, self.x, self.x_sigma, self.x_delta, self.partials = ts, x, x_sigma, x_delta, {}
+        return self
+
+    @classmethod
+    def _rows(cls, ts: TimeScale, X: np.ndarray) -> tuple[list["Trajectory"], dict]:
+        """One trajectory per row of the (B, N) samples X, each owning copies of its
+        row, and the rows' integrand bindings (see :func:`_integrand_bindings`)."""
+        sigma = np.concatenate((X[:, 1:], X[:, -1:]), axis=1)
+        delta = (X[:, 1:] - X[:, :-1]) / ts.steps  # delta_derivative, row by row
+        trs = [cls.__new__(cls)._own(ts, *rows)
+               for rows in zip(*map(_owned_rows, (X, sigma, delta)))]
+        return trs, {"t": ts.points[:-1], "y": sigma[:, :-1], "v": delta}
 
     def __repr__(self) -> str:
         return f"Trajectory(n={len(self.ts)}, x[0]={self.x[0]:g}, x[-1]={self.x[-1]:g})"
+
+
+def _owned_rows(a: np.ndarray):
+    """The rows of a batch array, each a copy owning its memory; one row is a view."""
+    return a if len(a) == 1 else [row.copy() for row in a]
 
 
 @dataclass(frozen=True)
@@ -211,27 +235,29 @@ class BoundarySpec:
 
 
 def _integrand_bindings(trs: Sequence[Trajectory]) -> dict:
-    """t, y and v over [a, b) (the maximal point dropped): a lone trajectory's own
-    arrays, or one (B, N - 1) row per trajectory of several on one scale."""
+    """t, y and v over [a, b) (the maximal point dropped), y and v one (B, N - 1) row
+    per trajectory of trs, on one scale: a lone trajectory's rows are its own arrays."""
     if len(trs) == 1:
-        return {"t": trs[0].ts.points[:-1], "y": trs[0].x_sigma[:-1], "v": trs[0].x_delta}
+        return {"t": trs[0].ts.points[:-1], "y": trs[0].x_sigma[None, :-1],
+                "v": trs[0].x_delta[None]}
     return {"t": trs[0].ts.points[:-1], "y": np.array([tr.x_sigma[:-1] for tr in trs]),
             "v": np.array([tr.x_delta for tr in trs])}
 
 
-def _samples(exprs: tuple[Expr, ...], b: dict) -> np.ndarray:
-    """Each expression sampled over the integrand bindings, one row each (each
-    row (B, N - 1) where y and v hold a batch of B trajectories)."""
-    out = np.empty((len(exprs),) + b["y"].shape)
-    # Row assignment broadcasts constant expressions, which give scalars.
+def _samples(exprs: tuple[Expr, ...], b: dict, shape: Optional[tuple] = None) -> np.ndarray:
+    """Each expression sampled over the bindings, broadcast to ``shape`` (B, ...) (the
+    integrands': y's (B, N - 1)) and stacked on axis 1, so row i is trajectory i's."""
+    shape = shape or b["y"].shape
+    out = np.empty((shape[0], len(exprs), *shape[1:]))
+    # Assignment broadcasts constant expressions, which give scalars.
     for i, values in enumerate(evaluate(exprs, b)):
-        out[i] = values
+        out[:, i] = values
     return out
 
 
 def inner_values(functional: CompositeFunctional, tr: Trajectory) -> np.ndarray:
     """The vector of inner integrals F_i[x], summed left to right."""
-    samples = _samples(functional.inner, _integrand_bindings([tr]))
+    samples = _samples(functional.inner, _integrand_bindings([tr]))[0]
     return np.array([delta_integral(tr.ts, row) for row in samples])
 
 

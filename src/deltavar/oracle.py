@@ -91,7 +91,7 @@ def _values(spec: ProblemSpec, F: CompositeFunctional, Z: np.ndarray, strict: bo
         b = {"t": spec.ts.points[:-1], "y": X[:, 1:], "v": (X[:, 1:] - X[:, :-1]) / steps}
         try:
             with np.errstate(invalid="ignore", over="ignore"):
-                us = (steps * _samples(F.inner, b)).cumsum(axis=2)[:, :, -1].T.tolist()
+                us = (steps * _samples(F.inner, b)).cumsum(axis=2)[:, :, -1].tolist()
         except _EVAL_ERRORS:
             us = [None] * len(rows)
         for i, (z, u) in enumerate(zip(rows, us), start):

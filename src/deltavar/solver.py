@@ -27,6 +27,7 @@ from scipy.sparse.linalg import splu
 
 from .euler_lagrange import (
     ProblemSpec,
+    _embedded,
     _fill_partials,
     _partials,
     constraint_gradient,
@@ -39,6 +40,7 @@ from .euler_lagrange import (
 from .functional import (
     _BATCH_SAMPLES,
     _EVAL_ERRORS,
+    _owned_rows,
     DenominatorVanished,
     Trajectory,
     c1rd_distance,
@@ -401,29 +403,33 @@ class _Hessian:
         return inertia - int(np.count_nonzero(mu > 0.0)) - B.shape[1]
 
 
-def _hessian(spec: ProblemSpec, tr: Trajectory, lam0: float, lam: Optional[float]) -> _Hessian:
-    """The Hessian of lam0 * L - lam * K over the decision samples at tr."""
+def _hessian(spec: ProblemSpec, tr, lam0: float, lam: Optional[float]):
+    """The Hessian of lam0 * L - lam * K over the decision samples at tr, or the list of
+    them at a list of trajectories, assembled together (:func:`hessian_parts`)."""
+    trs = [tr] if isinstance(tr, Trajectory) else tr
     terms = [(lam0, spec.lagrangian)]
     if spec.constraint is not None and lam:
         terms.append((-lam, spec.constraint.functional))
     d = decision_indices(spec).size
-    diag, off = np.zeros(d), np.zeros(max(d - 1, 0))
-    rows, blocks = [np.zeros((0, d))], []
+    diag, off = np.zeros((len(trs), d)), np.zeros((len(trs), max(d - 1, 0)))
+    rows, blocks = [np.zeros((len(trs), 0, d))], []
     for coef, F in terms:
         if coef == 0.0:
             continue
-        t_diag, t_off, t_rows, t_outer = hessian_parts(F, spec, tr)
+        t_diag, t_off, t_rows, t_outer = hessian_parts(F, spec, trs)
         diag += coef * t_diag
         off += coef * t_off
         rows.append(t_rows)
         blocks.append(coef * t_outer)
     # Block-diagonal C by hand: scipy.linalg.block_diag costs more than the
     # dense Hessian assembly of a small problem.
-    sizes = [b.shape[0] for b in blocks]
-    C = np.zeros((sum(sizes), sum(sizes)))
+    sizes = [b.shape[1] for b in blocks]
+    C = np.zeros((len(trs), sum(sizes), sum(sizes)))
     for b, at in zip(blocks, (0, *sizes)):  # at most two blocks
-        C[at : at + b.shape[0], at : at + b.shape[0]] = b
-    return _Hessian(diag, off, np.concatenate(rows), C)
+        C[:, at : at + b.shape[1], at : at + b.shape[1]] = b
+    parts = map(_owned_rows, (diag, off, np.concatenate(rows, axis=1), C))
+    hessians = [_Hessian(*row) for row in zip(*parts)]
+    return hessians[0] if tr is not trs else hessians
 
 
 def functional_hessian(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
@@ -541,7 +547,8 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
     """Damped Newton from w0, a generator returning _NewtonResult; ``pin_scale`` keeps ||z||.
 
     Each ``(yield w)()`` evaluates w: :func:`_lockstep` sends a thunk giving the residual and
-    a Jacobian thunk on the same sampled partials, or raising w's evaluation error.
+    a Jacobian request on the same sampled partials, or raising w's evaluation error; each
+    ``(yield request)()`` gives that Jacobian, or raises its evaluation error.
     Scale-invariant gradient systems (r(c*w) = r(w)/c) have rays of roots
     along which an unpinned Newton step escapes instead of converging: a
     pinned one keeps ||z||, z the decision samples in w, to first order.
@@ -556,7 +563,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
     """
     w = np.asarray(w0, dtype=float).copy()
     try:
-        r, jacobian = (yield w)()
+        r, request = (yield w)()
     except _EVAL_ERRORS as exc:
         return _NewtonResult(w, np.full_like(w, np.inf), False, 0, failure=exc)
     if not np.isfinite(r).all():
@@ -583,13 +590,13 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
     for it in range(MAX_ITERS):
         r_inf = float(np.abs(r).max())
         try:
-            J = jacobian()
+            J = (yield request)()
         except _EVAL_ERRORS as exc:
             # Residual is known but the matrix is not evaluable here.
             return _NewtonResult(w, r, r_inf <= opts.tol_residual, it, failure=exc)
         if not J.finite:
             return _NewtonResult(w, r, False, it)
-        jacobian = jacobian_trial = None  # J holds what it needs: drop the records
+        request = request_trial = None  # J holds what it needs: drop the records
 
         d_newton = J.step(r, w[:, None] if pin_scale else no_pin)
         if r_inf <= opts.tol_residual and contracting(d_newton, w):
@@ -616,9 +623,9 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
                 continue
             alpha = 1.0
             for _ in range(MAX_BACKTRACKS):
-                w_trial, jacobian_trial = w + alpha * d, None
+                w_trial, request_trial = w + alpha * d, None
                 try:
-                    r_trial, jacobian_trial = (yield w_trial)()
+                    r_trial, request_trial = (yield w_trial)()
                 except _EVAL_ERRORS as exc:
                     last_failure = exc
                     r_trial = None
@@ -630,7 +637,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
                 alpha *= 0.5
             if accepted:
                 step_norm = float(np.linalg.norm(alpha * d))
-                w, r, jacobian = w_trial, r_trial, jacobian_trial
+                w, r, request = w_trial, r_trial, request_trial
                 break
         if not accepted:
             stalled = True
@@ -661,7 +668,8 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
 def _lockstep(runs, evaluate, size: int = 1) -> list[_NewtonResult]:
     """The results of the :func:`_run_newton` generators ``runs``, in order, ``size`` at a time:
     each round passes the pending iterates of all live runs to ``evaluate`` as one batch
-    and sends each run the thunk that ``evaluate`` returns for its row."""
+    and sends each run the thunk that ``evaluate`` returns for its row; the runs that then
+    yield a Jacobian request ``(assemble, key)`` get theirs from one call (:func:`_answers`)."""
     runs, results, pending = iter(runs), [], {}
 
     def advance(k, run, answer):
@@ -680,6 +688,19 @@ def _lockstep(runs, evaluate, size: int = 1) -> list[_NewtonResult]:
         answers = evaluate([w for _, w in batch.values()])[::-1]
         for k, (run, _) in batch.items():
             advance(k, run, answers.pop())  # a row's record lives while its run needs it
+        while asks := [k for k, (_, request) in pending.items() if type(request) is tuple]:
+            asking, requests = zip(*(pending.pop(k) for k in asks))  # of one system's assemble
+            answers = _answers(requests[0][0], [key for _, key in requests])
+            for k, run, answer in zip(asks, asking, answers):
+                advance(k, run, answer)
+
+
+def _answers(assemble, keys) -> list:
+    """Thunks of the Jacobians ``assemble(keys)`` gives, assembled together; where that
+    raises, each thunk assembles its own alone, raising that request's lone error."""
+    with suppress(*_EVAL_ERRORS):
+        return [lambda J=J: J for J in assemble(keys)]
+    return [lambda key=key: assemble([key])[0] for key in keys]
 
 
 # -- assembling and deduplicating stationary points ------------------------------
@@ -797,23 +818,30 @@ def _no_point(
 def _gradient_system(spec: ProblemSpec, level: Optional[float] = None):
     """(evaluate, scale_invariant) of Newton on the gradient of spec's objective F.
 
-    ``evaluate`` answers a batch (:func:`_lockstep`) from one batch of records.
+    ``evaluate`` answers a batch (:func:`_lockstep`) from one (B, N) embedding and one
+    batch of records, and a round's Jacobian requests from one assembly of their Hessians.
     The residual is grad F; with a ``level`` it is [grad F; F - level], whose
     Gauss-Newton steps (_LevelJacobian) draw runs onto that level set.  Runs
     on a scale-invariant F pin ||w||.
     """
     F = spec.lagrangian
 
+    def assemble(keys):
+        """The Jacobians at the requests (trajectory, gradient) of one round."""
+        hessians = _hessian(spec, [tr for tr, _ in keys], 1.0, None)
+        return hessians if level is None else [*map(_LevelJacobian, hessians, [g for _, g in keys])]
+
     def row(tr):
         g = functional_gradient(spec, tr)
         if level is None:
-            return g, lambda: _hessian(spec, tr, 1.0, None)
+            return g, (assemble, (tr, g))
         defect = F.outer_value(_partials(F, tr).us) - level  # the record g read
-        return np.append(g, defect), lambda: _LevelJacobian(_hessian(spec, tr, 1.0, None), g)
+        return np.append(g, defect), (assemble, (tr, g))
 
     def evaluate(Z):
+        trs, b = Trajectory._rows(spec.ts, _embedded(spec, Z))
         with suppress(*_EVAL_ERRORS):  # only a batch of one raises: its run meets that alone
-            _fill_partials(F, trs := [embed_decision(spec, z) for z in Z])
+            _fill_partials(F, trs, b)
         return [partial(row, tr) for tr in trs]
 
     return evaluate, _detect_scale_invariance(spec)
@@ -926,14 +954,17 @@ def solve_isoperimetric(
         gK = constraint_gradient(spec, tr)
         return gK, K.outer_value(_partials(K, tr).us) - target  # the record gK just filled
 
+    def assemble(keys):
+        """The Jacobian at the one run's request (tr, lam, grad K)."""
+        (tr, lam, gK), = keys
+        return [_NormalJacobian(_hessian(spec, tr, 1.0, lam), -gK)]
+
     def evaluate(w):
         z, lam = w[:-1], w[-1]
         tr = trajectory(z)
         gL = functional_gradient(spec, tr)
         gK, defect = constraint(tr)
-        return np.append(gL - lam * gK, -defect), lambda: _NormalJacobian(
-            _hessian(spec, tr, 1.0, lam), -gK
-        )
+        return np.append(gL - lam * gK, -defect), (assemble, (tr, lam, gK))
 
     def restored(z0):
         """z0 + s grad K(z0) with K = k there, by scalar Newton in s; None where that fails.

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from collections import Counter
 
@@ -6,7 +7,8 @@ import pytest
 from conftest import graded_timescale, random_constraint, random_problem
 from hypothesis import given, settings, strategies as st
 
-from deltavar import euler_lagrange
+from deltavar import euler_lagrange, solver
+from deltavar.euler_lagrange import hessian_parts
 
 from deltavar import (
     BothMultipliersZero,
@@ -32,8 +34,9 @@ from deltavar import (
     residual_report,
     value,
 )
-from deltavar.expr import ExprError, evaluate
+from deltavar.expr import DomainError, evaluate
 from deltavar.oracle import fd_gradient
+from deltavar.solver import _hessian
 
 THREE_PT = make_timescale("points", values=[0, 0.5, 1])
 PRODUCT = CompositeFunctional.from_strings(["v^2", "t*v"], "u1 * u2")
@@ -384,7 +387,11 @@ class TestBatchedEvaluation:
         # gets alone, bit for bit, or leaves it to raise its lone error.
         # Rows with a negative sample make the sqrt functional's batch pass
         # raise; rows with x(b) = x(a) make the last functional's
-        # denominator vanish in a batch pass that holds.
+        # denominator vanish in a batch pass that holds.  A random subset of
+        # rows then asks for its Hessians, assembled together as a lockstep
+        # round's Jacobians are: each row gets its lone pieces and dense
+        # Hessian byte for byte, and a row whose record raises gets none
+        # but raises its lone error.
         rng = np.random.default_rng(seed)
         spec, tr = random_problem(rng, ts=graded_timescale(rng) if graded else None)
         scales = rng.choice([0.0, 0.3, 3.0], size=int(rng.integers(2, 7)))
@@ -393,6 +400,7 @@ class TestBatchedEvaluation:
         X[rng.random(scales.size) < 0.3, -1] = X[0, 0]
         X[:, 0] = X[0, 0]
         root = CompositeFunctional.from_strings(["sqrt(y) + v^2", "y - 0.5"], "u1 / u2")
+        plain = np.zeros((decision_indices(spec).size, 0))
         for F in (spec.lagrangian, root,
                   CompositeFunctional.from_strings(["y^2 + v^2", "v"], "u1 / u2")):
             batch = [Trajectory(tr.ts, x) for x in X]
@@ -411,29 +419,54 @@ class TestBatchedEvaluation:
                 got = euler_lagrange._partials(F, got)
                 for name in ("us", "w", "g", "rows", "fy", "fv"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-                for a, b in zip(got.second(), want.second()):
-                    assert a.tobytes() == b.tobytes()
+            asks = [i for i in range(len(X)) if rng.random() < 0.6] or [len(X) - 1]
+            fspec = dataclasses.replace(spec, lagrangian=F)
+            hessians = solver._answers(lambda trs: _hessian(fspec, trs, 1.0, None),
+                                       [batch[i] for i in asks])
+            lone = []
+            for i in asks:
+                alone = Trajectory(tr.ts, X[i])
+                try:
+                    lone.append((hessian_parts(F, fspec, alone), _hessian(fspec, alone, 1.0, None)))
+                except Exception as exc:
+                    lone.append(exc)
+            for H, want in zip(hessians, lone):
+                if isinstance(want, Exception):
+                    with pytest.raises(type(want)) as raised:
+                        H()
+                    assert str(raised.value) == str(want)
+                else:
+                    assert H().dense(plain).tobytes() == want[1].dense(plain).tobytes()
+            held = [k for k, want in enumerate(lone) if not isinstance(want, Exception)]
+            if held:
+                parts = hessian_parts(F, fspec, [batch[asks[k]] for k in held])
+                for j, k in enumerate(held):
+                    for a, b in zip(parts, lone[k][0]):
+                        assert a[j].tobytes() == b.tobytes()
 
     def test_second_partials_of_a_failed_batch_pass_come_row_by_row(self, monkeypatch):
-        # Where the batch's second-partials pass raises, each record samples
-        # its own row, as alone.
+        # Where the batch's pass over the second partials raises, each row's
+        # Hessian is assembled alone, as it is alone.  The Hessian of this F
+        # depends on x, so a row given another row's Hessian fails.
         rng = np.random.default_rng(3)
         spec, tr = random_problem(rng, ts=graded_timescale(rng))
-        F, X = spec.lagrangian, tr.x + rng.standard_normal((4, len(tr.ts)))
+        F = CompositeFunctional.from_strings(["y^2*v^2 + y^3", "1 + y^2"], "u1 / u2")
+        spec = dataclasses.replace(spec, lagrangian=F)
+        X = tr.x + rng.standard_normal((4, len(tr.ts)))
         batch = [Trajectory(tr.ts, x) for x in X]
         euler_lagrange._fill_partials(F, batch)
         real = euler_lagrange._samples
 
         def failing(exprs, b):
-            if b["y"].shape[0] > 1 and b["y"].ndim == 2:
-                raise ExprError("some row of the batch raises")
+            if b["y"].shape[0] > 1:
+                raise DomainError(exprs[0], "some row of the batch raises")
             return real(exprs, b)
 
         monkeypatch.setattr(euler_lagrange, "_samples", failing)
-        for got, x in zip(batch, X):
-            want = euler_lagrange._partials(F, Trajectory(tr.ts, x)).second()
-            for a, b in zip(got.partials[F].second(), want):
-                assert a.tobytes() == b.tobytes()
+        plain = np.zeros((decision_indices(spec).size, 0))
+        for H, x in zip(solver._answers(lambda trs: _hessian(spec, trs, 1.0, None), batch), X):
+            want = _hessian(spec, Trajectory(tr.ts, x), 1.0, None).dense(plain)
+            assert H().dense(plain).tobytes() == want.tobytes()
 
     def test_record_raises_the_outer_error_before_the_partials_error(self):
         # f = sqrt(y) is finite at y = 0 where f_y divides by zero, and
@@ -479,8 +512,11 @@ class TestBatchedEvaluation:
 
         monkeypatch.setattr(expr, "evaluate", counting)
         monkeypatch.setattr(functional, "evaluate", counting)
-        record = euler_lagrange._partials(F, Trajectory(ts, 1.0 + ts.points**2))
-        fyy, fyv, fvv, outer_hess = record.second()
+        tr = Trajectory(ts, 1.0 + ts.points**2)
+        record = euler_lagrange._partials(F, tr)
+        spec = ProblemSpec(ts=ts, lagrangian=F, bc=BoundarySpec.fixed(1.0, 2.0))
+        diag, off, rows, outer_hess = hessian_parts(F, spec, tr)
         assert calls[0] == 4
-        assert fyy.shape == fyv.shape == fvv.shape == record.fy.shape == (n, len(ts) - 1)
+        assert record.fy.shape == record.fv.shape == (n, len(ts) - 1)
+        assert diag.size == off.size + 1 == len(ts) - 2 and rows.shape == (n, len(ts) - 2)
         assert outer_hess.shape == (n, n)

@@ -215,9 +215,9 @@ class TestSharedEvaluation:
         inner_calls = [0]
         real_records = euler_lagrange._fill_partials
 
-        def counting_records(F, trs):
+        def counting_records(F, trs, *bindings):
             inner_calls[0] += len(trs)
-            return real_records(F, trs)
+            return real_records(F, trs, *bindings)
 
         added = []
         real_parts = solver.hessian_parts
@@ -751,6 +751,11 @@ def test_count_below_with_outer_rows_of_graded_size(inner, x, below, label):
     assert classify(spec, point) == dense_label(spec, hess, gK)[0] == label
 
 
+def tridiagonal(hess):
+    """The tridiagonal block T of a structured Hessian, as a dense array."""
+    return np.diag(hess.diag) + np.diag(hess.off, 1) + np.diag(hess.off, -1)
+
+
 def parts_size(spec, tr, terms):
     """The size of the tridiagonal and low-rank parts of sum(coef * Hessian(F)).
 
@@ -865,10 +870,13 @@ class TestHessianSolve:
                     full_rhs = np.append(rhs, tail)
                     want = np.linalg.solve(matrix, full_rhs)
                     tol = 1e-7 * np.linalg.norm(want)  # the border's multipliers included
-                    # Block elimination either declines or gives the dense
-                    # solution, the border's multipliers included.
+                    # Block elimination gives the dense solution, the border's
+                    # multipliers included, and declines no system whose
+                    # tridiagonal block T is conditioned as well: it factors T.
                     factored = op.factor(B)
                     got = None if factored is None else factored(full_rhs)
+                    if scale < 1e6 * np.linalg.svd(tridiagonal(op), compute_uv=False).min():
+                        assert got is not None
                     if got is not None:
                         assert np.linalg.norm(got - want) <= tol
                     # The Newton solves and steps always do, whether they start
