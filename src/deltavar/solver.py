@@ -74,16 +74,29 @@ LOCAL_MAX = "local_max"
 SADDLE = "saddle"
 DEGENERATE = "degenerate"
 
-# _newton_solver factors a Newton system (plain, sphere-bordered or the
-# normal isoperimetric KKT system) of at most this many unknowns on its
-# dense form, by LAPACK; larger ones go through the block elimination of
-# _Hessian.factor (banded LU of the tridiagonal block plus a small
-# capacitance system), with the dense LU as the fallback.  No Newton system
-# forms a d x d array above this size unless that fallback fires.  Per plain
-# step (one factorization and solve, one BLAS thread) dense LU takes 0.19 ms
-# at d = 99 and 1.1 ms at d = 199, block elimination 0.34-0.39 ms at both:
-# they cross near d = 150, so the limit sits there.
-DENSE_NEWTON_LIMIT = 150
+# _newton_solver solves the Newton systems of one lockstep round (plain,
+# sphere-bordered or normal isoperimetric KKT systems) of at most this many
+# unknowns one by one, each on its dense form by LAPACK; larger ones all at
+# once, by the block elimination of _block_factor (one banded LU of the
+# runs' stacked tridiagonal blocks plus a small capacitance system per run),
+# with a run's dense LU as its fallback.  No Newton system forms a d x d
+# array above this size unless that fallback fires.  Microseconds per run
+# and plain step, dense / batched, for b runs asking in one round (factor,
+# solve, defect check and refinement; quotient2_R Hessians, one BLAS thread,
+# 2-vCPU VM):
+#
+#      d      b = 1       b = 4       b = 16      b = 40
+#      9     60 / 316    49 / 113    48 /  73    49 /  49
+#     24     58 / 358    42 / 130    40 /  55    55 /  54
+#     39     69 / 455    54 / 132    51 /  58    76 /  61
+#     66    169 / 510   137 / 196   137 / 103   148 /  87
+#     99    233 / 568   191 / 177   190 /  98   190 /  89
+#
+# A coarse round asks 34-46 steps at a time, where the batched solve wins
+# from d = 39 on (from 66 on at 16 runs), so the limit sits at 40.  A lone
+# run (a normal isoperimetric one) pays the batched solve's fixed cost of
+# 0.3-0.5 ms.
+DENSE_NEWTON_LIMIT = 40
 
 # Newton matrices with a 1-norm condition estimate beyond 1/RCOND_LIMIT are
 # treated as near-singular; the step then comes from the minimum-norm
@@ -241,17 +254,13 @@ class _NewtonResult:
 class _Hessian:
     """Exact Hessian tridiag(diag, off) + U^T C U of lam0 * L - lam * K.
 
-    Linear solves with a (d, m) border B, [[H, B], [B^T, 0]] (H alone when
-    m = 0) with any right-hand side, eliminate by blocks: T alone is
-    factored in natural order, which keeps its LU banded (O(d) entries), and
-    the k outer-map unknowns U x with the border's m multipliers come from
-    a (k+m)x(k+m) capacitance system, LU-factored once per :meth:`factor`.
-    Solutions are refined and verified against the exact matvec; where T
-    alone is singular or the check fails, the solver returns None and
-    :func:`_newton_solver` takes the dense LU of ``dense``, the one array
-    form of H, which :func:`functional_hessian` and
-    :func:`constraint_hessian` return too.  ``count_below`` serves
-    :func:`classify`.
+    Its Newton systems, [[H, B], [B^T, 0]] with a (d, m) border B (H alone
+    when m = 0), are solved a round at a time (:func:`_newton_solver`): above
+    DENSE_NEWTON_LIMIT unknowns by one block elimination of every asking
+    run's system (:func:`_block_factor`), and otherwise, or where a run's
+    row declines, by the dense LU of ``dense``, the one array form of H,
+    which :func:`functional_hessian` and :func:`constraint_hessian` return
+    too.  ``count_below`` serves :func:`classify`.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray, U: np.ndarray, C: np.ndarray):
@@ -283,89 +292,18 @@ class _Hessian:
         flat[n : n * d : n + 1] += self.off
         return M
 
-    def _defect(self, x, nu, f, B):
-        """Residuals (r, g) of [[H, B], [B^T, 0]] [x; nu] = f and their size ||r||_2 + ||g||_1."""
-        r = f[: x.size] - self @ x
-        r -= B.dot(nu)
-        g = f[x.size :] - x @ B
-        return r, g, float(np.linalg.norm(r)) + sum(map(abs, g.tolist()))
-
-    def factor(self, B: np.ndarray):
-        """A solver of [[H, B], [B^T, 0]] v = f for the (d, m) border B.
-
-        T and the capacitance matrix are factored once.  The returned
-        ``solve(f)`` gives v = [x; nu], d + m entries, and None when the
-        verified defect is too large; ``factor`` itself returns None when T
-        or the capacitance matrix is exactly singular.
-        """
-        # With z = [U x; nu], R = [U; B^T] and E = diag(I_k, 0_m) the system
-        # with right-hand side [f; g] reads T x + [U^T C, B] z = f and
-        # R x - E z = [0; g], so x = T^-1 f - Y z with Y = T^-1 [U^T C, B]
-        # and the capacitance system (R Y + E) z = R T^-1 f - [0; g].
-        d, m = B.shape
-        # T in compressed columns, column j holding rows j-1, j and j+1:
-        # built directly, this costs less than half of scipy.sparse.diags.
-        data = np.column_stack([np.append(0.0, self.off), self.diag, np.append(self.off, 0.0)])
-        rows = np.arange(d)[:, None] + np.arange(-1, 2)
-        starts = np.concatenate([[0], np.arange(2, 3 * d - 2, 3), [3 * d - 2]])
-        T = scipy.sparse.csc_matrix(
-            (data.ravel()[1:-1], rows.ravel()[1:-1], starts), shape=(d, d)
-        )
-        try:
-            lu = splu(T, permc_spec="NATURAL")
-        except RuntimeError:
-            return None  # T alone is exactly singular
-        R = np.concatenate((self.U, B.T))
-        Y = lu.solve(np.concatenate((self.U.T @ self.C, B), axis=1))
-        if not np.all(np.isfinite(Y)):
-            return None
-        k = self.C.shape[0]
-        cap = R @ Y
-        cap[:k, :k] += np.eye(k)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            cap_lu = scipy.linalg.lu_factor(cap, check_finite=False)
-        if not np.all(np.diag(cap_lu[0])):
-            return None  # singular capacitance matrix
-
-        def eliminate(y0, g):
-            """(x, nu) for the right-hand side [f; g], given y0 = T^-1 f."""
-            rz = R @ y0
-            rz[k:] -= g
-            z = lapack.dgetrs(*cap_lu, rz)[0]
-            return y0 - Y @ z, z[k:]
-
-        def solve(f: np.ndarray) -> Optional[np.ndarray]:
-            y0 = lu.solve(f[:d])
-            if not np.all(np.isfinite(y0)):
-                return None
-            x, nu = eliminate(y0, f[d:])
-            r, g, defect = self._defect(x, nu, f, B)
-            # Iterative refinement: T may be nearly singular (it is at
-            # Rayleigh-quotient solutions), where elimination loses digits
-            # that a step on the exact residual recovers.
-            for _ in range(2):
-                if not defect > 0.0:
-                    break
-                dx, dnu = eliminate(lu.solve(r), g)
-                r_new, g_new, defect_new = self._defect(x + dx, nu + dnu, f, B)
-                if not defect_new < defect:
-                    break
-                x, nu, r, g, defect = x + dx, nu + dnu, r_new, g_new, defect_new
-            scale = np.linalg.norm(f[:d]) + sum(map(abs, f[d:].tolist())) + np.linalg.norm(x) + m
-            return np.concatenate((x, nu)) if defect <= 1e-8 * scale else None
-
-        return solve
-
-    def step(self, r: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """The first r.size entries of v with [[H, B], [B^T, 0]] v = [-r; 0], r.size <= d + m.
+    @staticmethod
+    def steps(hessians, rs, pins) -> list:
+        """For each H, the first r.size entries of v with [[H, B], [B^T, 0]] v = [-r; 0], B its
+        pin and r.size <= d + m, every system solved together.
 
         With r.size = d this is the Newton step H s = -r with B^T s = 0:
         bordered by the iterate, a Newton step on the sphere.
         """
-        f = np.zeros(self.diag.size + B.shape[1])
-        np.negative(r, out=f[: r.size])
-        return _newton_solver(self, B)(f)[: r.size]
+        n = rs[0].size
+        F = np.zeros((len(rs), hessians[0].diag.size + pins[0].shape[1]))
+        np.negative(rs, out=F[:, :n])
+        return list(_newton_solver(hessians, pins)(F)[:, :n])
 
     @cached_property  # both count_below calls of a classification share one eigh
     def _outer_directions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -444,26 +382,170 @@ def constraint_hessian(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
     return _hessian(spec, tr, 0.0, -1.0).dense(np.zeros((decision_indices(spec).size, 0)))
 
 
-def _newton_solver(H: _Hessian, B: np.ndarray):
-    """Newton systems [[H, B], [B^T, 0]] with the (d, m) border B, factored once.
+def _newton_solver(hessians: Sequence[_Hessian], borders: Sequence[np.ndarray]):
+    """The Newton systems [[H, B], [B^T, 0]] of one round, with (d, m) borders B, factored once.
 
-    Returns ``solve(f)``, the v with that matrix times v = f.  Above
-    DENSE_NEWTON_LIMIT unknowns each right-hand side is first solved by
-    block elimination (:meth:`_Hessian.factor`); at most that size, or where
-    the elimination fails, by one dense LU of the same matrix, made on first need.
+    Returns ``solve(F)``, the (b, d + m) stack whose row i solves system i
+    for row i of F.  Above DENSE_NEWTON_LIMIT unknowns every row is first
+    solved by one block elimination of all the systems (:func:`_block_factor`);
+    at most that size, or where a row declines, by one dense LU of that
+    row's system, made on its first need.
     """
-    structured = H.factor(B) if H.diag.size > DENSE_NEWTON_LIMIT else None
-    dense = None
+    block = _block_factor(hessians, borders) if hessians[0].diag.size > DENSE_NEWTON_LIMIT else None
+    dense = [None] * len(hessians)
 
-    def solve(f: np.ndarray) -> np.ndarray:
-        nonlocal dense
-        if structured is not None:
-            v = structured(f)
-            if v is not None:
-                return v
-        if dense is None:
-            dense = _dense_solver(H.dense(B))
-        return dense(f)
+    def solve(F: np.ndarray) -> np.ndarray:
+        V, ok = block(F) if block else (np.empty_like(F), np.zeros(len(F), dtype=bool))
+        for i in np.flatnonzero(~ok):
+            if dense[i] is None:
+                dense[i] = _dense_solver(hessians[i].dense(borders[i]))
+            V[i] = dense[i](F[i])
+        return V
+
+    return solve
+
+
+@lru_cache(maxsize=4)
+def _tridiagonal_pattern(blocks: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row indices, column starts) of ``blocks`` tridiagonal d x d blocks down one diagonal, in
+    compressed columns: column j of a block holds its rows j-1, j and j+1, none of another block."""
+    per = 3 * d - 2
+    rows = (np.arange(d)[:, None] + np.arange(-1, 2)).ravel()[1:-1] + d * np.arange(blocks)[:, None]
+    starts = np.concatenate([[0], np.arange(2, per, 3)]) + per * np.arange(blocks)[:, None]
+    return rows.ravel().astype(np.intc), np.append(starts.ravel(), per * blocks).astype(np.intc)
+
+
+def _tridiagonal_solver(diags: np.ndarray, offs: np.ndarray):
+    """(solve, factored) for the b tridiagonal blocks T = tridiag(diags[i], offs[i]) of order d.
+
+    ``solve(X)`` gives T^-1 X for a (b, d) or (b, d, c) stack X, and
+    ``factored[i]`` is False where block i is exactly singular; its rows of
+    T^-1 X are zero.  The blocks are factored together, as one block-diagonal
+    matrix in natural order, which keeps the LU banded and gives each block
+    the bits of its own factorization.  Where some block is exactly
+    singular, each is factored alone.
+    """
+    b, d = diags.shape
+    data = np.zeros((b, d, 3))  # column j of a block: T[j-1, j], T[j, j], T[j+1, j]
+    data[:, 1:, 0], data[:, :, 1], data[:, :-1, 2] = offs, diags, offs
+    data = data.reshape(b, 3 * d)[:, 1:-1]
+
+    def factor(blocks: np.ndarray):
+        # With SuperLU's default panel_size, 8 to 65 stacked blocks of order
+        # 999 took 1.5-2.2x the time per block of one block alone; with 2,
+        # 0.8-1.1x, and the same bits.
+        n = len(blocks) * d
+        T = scipy.sparse.csc_matrix((blocks.ravel(), *_tridiagonal_pattern(len(blocks), d)),
+                                    shape=(n, n))
+        return splu(T, permc_spec="NATURAL", panel_size=2)
+
+    try:
+        lu = factor(data)
+    except RuntimeError:  # some block is exactly singular
+        lus = []
+        for block in data:
+            try:
+                lus.append(factor(block[None]))
+            except RuntimeError:
+                lus.append(None)
+
+        def solve(X: np.ndarray) -> np.ndarray:
+            out = np.zeros_like(X)
+            for i, block_lu in enumerate(lus):
+                if block_lu is not None:
+                    out[i] = block_lu.solve(X[i])
+            return out
+
+        return solve, np.array([block_lu is not None for block_lu in lus])
+    # SuperLU answers in Fortran order; the C-ordered copy gives each block's
+    # T^-1 X the layout, and so the bits in later products, of the loop above.
+    return (lambda X: np.ascontiguousarray(lu.solve(X.reshape(b * d, *X.shape[2:])).reshape(X.shape)),
+            np.ones(b, bool))
+
+
+def _block_factor(hessians: Sequence[_Hessian], borders: Sequence[np.ndarray]):
+    """Block elimination of the bordered systems [[H, B], [B^T, 0]] of one round, all together.
+
+    The systems share their sizes: d unknowns, k outer-map rows and an m
+    column border.  The tridiagonal blocks T are factored once, together
+    (:func:`_tridiagonal_solver`), and each system's (k+m)^2 capacitance
+    matrix by its own LU.  The returned ``solve(F)`` takes a (b, d + m)
+    stack of right-hand sides and gives (V, ok): row i of V is [x; nu] for
+    system i where ok[i].  A row declines where its T or capacitance matrix
+    is exactly singular, where T^-1 does not stay finite, or where its
+    verified defect is too large.  Every step acts row by row, so a row's
+    answer has the same bits in any batch.
+    """
+    # With z = [U x; nu], R = [U; B^T] and E = diag(I_k, 0_m) the system
+    # with right-hand side [f; g] reads T x + R^T [C U x; nu] = f and
+    # R x - E z = [0; g], so x = T^-1 f - Y z with Y = T^-1 [U^T C, B]
+    # and the capacitance system (R Y + E) z = R T^-1 f - [0; g].
+    d, m = borders[0].shape
+    k = hessians[0].C.shape[0]
+    stack = np.stack if len(hessians) > 1 else (lambda parts: parts[0][None])  # views for one
+    diags, offs, U, C = (stack([getattr(H, part) for H in hessians]) for part in ("diag", "off", "U", "C"))
+    B = stack(borders)
+    R = np.concatenate((U, B.transpose(0, 2, 1)), axis=1)
+    tsolve, ok = _tridiagonal_solver(diags, offs)
+    Y = tsolve(np.concatenate((U.transpose(0, 2, 1) @ C, B), axis=2))
+    ok &= np.isfinite(Y).all(axis=(1, 2))
+    Y[~ok] = 0.0  # declined rows stay finite through the batch arithmetic
+    cap = R @ Y
+    cap[:, :k, :k] += np.eye(k)
+    factors = [None] * len(hessians)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        for i in np.flatnonzero(ok):
+            factors[i] = scipy.linalg.lu_factor(cap[i], check_finite=False)
+            ok[i] = factors[i][0].diagonal().all()  # else cap is exactly singular
+    if not ok.all():  # a declined row solves with the identity
+        identity = np.eye(k + m), np.arange(k + m, dtype=np.intc)
+        factors = [lu if accepted else identity for lu, accepted in zip(factors, ok)]
+
+    def eliminate(y0, g):
+        """[x; nu] for the right-hand sides [f; g], given y0 = T^-1 f."""
+        rz = (R @ y0[:, :, None])[:, :, 0]
+        rz[:, k:] -= g
+        z = np.array([lapack.dgetrs(lu, piv, b)[0] for (lu, piv), b in zip(factors, rz)])
+        return np.concatenate((y0 - (Y @ z[:, :, None])[:, :, 0], z[:, k:]), axis=1)
+
+    def residual(v, F):
+        """F minus the bordered matrices times v = [x; nu], and its sizes ||r||_2 + ||g||_1."""
+        x = v[:, :d]
+        Rx = R @ x[:, :, None]  # [U x; B^T x]
+        w = np.concatenate((C @ Rx[:, :k], v[:, d:, None]), axis=1)  # [C U x; nu]
+        res = F - np.concatenate((R.transpose(0, 2, 1) @ w, Rx[:, k:]), axis=1)[:, :, 0]
+        res[:, :d] -= diags * x
+        res[:, : d - 1] -= offs * x[:, 1:]
+        res[:, 1:d] -= offs * x[:, :-1]
+        return res, np.linalg.norm(res[:, :d], axis=1) + np.abs(res[:, d:]).sum(axis=1)
+
+    def solve(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y0 = tsolve(F[:, :d])
+        good = ok & np.isfinite(y0).all(axis=1)
+        y0[~good] = 0.0
+        v = eliminate(y0, F[:, d:])
+        res, size = residual(v, F)
+        # Iterative refinement: T may be nearly singular (it is at
+        # Rayleigh-quotient solutions), where elimination loses digits that
+        # a step on the exact residual recovers.  A row refines while its
+        # defect is nonzero and each step lowers it.
+        active = size > 0.0
+        for _ in range(2):
+            if not active.any():
+                break
+            v_new = v + eliminate(tsolve(res[:, :d]), res[:, d:])
+            res_new, size_new = residual(v_new, F)
+            better = active & (size_new < size)
+            if not better.all():  # the rows that did not improve keep theirs
+                v_new, res_new = (np.where(better[:, None], new, old)
+                                  for new, old in ((v_new, v), (res_new, res)))
+                size_new = np.where(better, size_new, size)
+            v, res, size = v_new, res_new, size_new
+            active = better & (size > 0.0)
+        scale = np.linalg.norm(F[:, :d], axis=1) + np.abs(F[:, d:]).sum(axis=1)
+        scale += np.linalg.norm(v[:, :d], axis=1) + m
+        return v, good & (size <= 1e-8 * scale)
 
     return solve
 
@@ -472,8 +554,16 @@ def _dense_solver(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Solves with the square matrix M from one LU factorization.
 
     The factors are used only if their 1-norm condition estimate passes;
-    otherwise each solve is the minimum-norm least-squares solution.
+    otherwise each solve is the minimum-norm least-squares solution.  A 1x1
+    system [a] with a normal or zero float a is solved in closed form: f / a,
+    the LU answer bit for bit, and 0, the least-squares one, where a = 0.
     """
+    if M.size == 1:
+        a = float(M[0, 0])
+        if a == 0.0:
+            return np.zeros_like
+        if np.finfo(float).tiny <= abs(a) < np.inf:
+            return lambda f: f / a
     try:
         with warnings.catch_warnings():
             # Singular factorizations are expected here; the rcond gate
@@ -510,11 +600,17 @@ class _LevelJacobian:
         """[H; g^T]^T r = H r[:-1] + g r[-1], for the damped gradient step."""
         return self.H @ r[:-1] + self.g * r[-1]
 
-    def step(self, r: np.ndarray, pin: np.ndarray) -> np.ndarray:
-        solve, n, m = _newton_solver(self.H, pin), self.g.size, pin.shape[1]
-        q = solve(np.append(self.g, np.zeros(m)))[:n]
-        p = solve(np.append(q, np.zeros(m)))[:n]
-        return -q - p * ((r[-1] - self.g @ q) / (1.0 + q @ q))
+    @staticmethod
+    def steps(levels, rs, pins) -> list:
+        """The steps of every level system, its q and then its p as two passes over one factor."""
+        n = levels[0].g.size
+        solve = _newton_solver([J.H for J in levels], pins)
+        F = np.zeros((len(levels), n + pins[0].shape[1]))
+        F[:, :n] = [J.g for J in levels]
+        Q = solve(F)[:, :n]
+        F[:, :n] = Q
+        P = solve(F)[:, :n]
+        return [-q - p * ((r[-1] - J.g @ q) / (1.0 + q @ q)) for J, r, q, p in zip(levels, rs, Q, P)]
 
 
 class _NormalJacobian:
@@ -534,13 +630,26 @@ class _NormalJacobian:
 
     rmatvec = __matmul__  # J^T r, for the damped gradient step: J is symmetric
 
-    def step(self, r: np.ndarray, pin: np.ndarray) -> np.ndarray:
-        """(dz, dlam) with pin^T [dz; 0] = 0, for a (d + 1, m) pin."""
+    @staticmethod
+    def steps(normals, rs, pins) -> list:
+        """(dz, dlam) of each system with pin^T [dz; 0] = 0, for (d + 1, m) pins.
+
+        Normal runs advance one at a time, so each system is a batch of one.
+        """
+        return [J._step(r, pin) for J, r, pin in zip(normals, rs, pins)]
+
+    def _step(self, r: np.ndarray, pin: np.ndarray) -> np.ndarray:
         if not self.b.any():
             # grad K = 0 decouples the system; dlam = 0 is the minimum-norm
             # answer, and H alone keeps the step free of (d+1)^2 arrays.
-            return np.append(self.H.step(r[:-1], pin[:-1]), 0.0)
-        return self.H.step(r, np.column_stack([self.b, pin[:-1]]))
+            return np.append(_Hessian.steps([self.H], [r[:-1]], [pin[:-1]])[0], 0.0)
+        return _Hessian.steps([self.H], [r], [np.column_stack([self.b, pin[:-1]])])[0]
+
+
+def _steps(keys) -> list:
+    """The Newton steps of one round's step requests (J, r, pin), their systems solved together."""
+    Js, rs, pins = zip(*keys)
+    return type(Js[0]).steps(Js, rs, pins)
 
 
 def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
@@ -548,7 +657,8 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
 
     Each ``(yield w)()`` evaluates w: :func:`_lockstep` sends a thunk giving the residual and
     a Jacobian request on the same sampled partials, or raising w's evaluation error; each
-    ``(yield request)()`` gives that Jacobian, or raises its evaluation error.
+    ``(yield request)()`` gives that Jacobian, or raises its evaluation error, and each
+    ``(yield (_steps, (J, r, pin)))()`` gives the Newton step with J, solved with the round's.
     Scale-invariant gradient systems (r(c*w) = r(w)/c) have rays of roots
     along which an unpinned Newton step escapes instead of converging: a
     pinned one keeps ||z||, z the decision samples in w, to first order.
@@ -598,7 +708,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
             return _NewtonResult(w, r, False, it)
         request = request_trial = None  # J holds what it needs: drop the records
 
-        d_newton = J.step(r, w[:, None] if pin_scale else no_pin)
+        d_newton = (yield (_steps, (J, r, w[:, None] if pin_scale else no_pin)))()
         if r_inf <= opts.tol_residual and contracting(d_newton, w):
             # Polish with the contracting step: unpolished roots of one branch
             # sit further apart than the dedup distance.  The polished point
@@ -669,7 +779,8 @@ def _lockstep(runs, evaluate, size: int = 1) -> list[_NewtonResult]:
     """The results of the :func:`_run_newton` generators ``runs``, in order, ``size`` at a time:
     each round passes the pending iterates of all live runs to ``evaluate`` as one batch
     and sends each run the thunk that ``evaluate`` returns for its row; the runs that then
-    yield a Jacobian request ``(assemble, key)`` get theirs from one call (:func:`_answers`)."""
+    yield a request ``(answer, key)``, for a Jacobian and then for a Newton step, get theirs
+    from one call (:func:`_answers`) per kind."""
     runs, results, pending = iter(runs), [], {}
 
     def advance(k, run, answer):
@@ -689,18 +800,18 @@ def _lockstep(runs, evaluate, size: int = 1) -> list[_NewtonResult]:
         for k, (run, _) in batch.items():
             advance(k, run, answers.pop())  # a row's record lives while its run needs it
         while asks := [k for k, (_, request) in pending.items() if type(request) is tuple]:
-            asking, requests = zip(*(pending.pop(k) for k in asks))  # of one system's assemble
+            asking, requests = zip(*(pending.pop(k) for k in asks))  # all Jacobians or all steps
             answers = _answers(requests[0][0], [key for _, key in requests])
             for k, run, answer in zip(asks, asking, answers):
                 advance(k, run, answer)
 
 
-def _answers(assemble, keys) -> list:
-    """Thunks of the Jacobians ``assemble(keys)`` gives, assembled together; where that
-    raises, each thunk assembles its own alone, raising that request's lone error."""
+def _answers(answer, keys) -> list:
+    """Thunks of what ``answer(keys)`` gives (Jacobians, or Newton steps), made together; where
+    that raises, each thunk makes its own alone, raising that request's lone error."""
     with suppress(*_EVAL_ERRORS):
-        return [lambda J=J: J for J in assemble(keys)]
-    return [lambda key=key: assemble([key])[0] for key in keys]
+        return [lambda J=J: J for J in answer(keys)]
+    return [lambda key=key: answer([key])[0] for key in keys]
 
 
 # -- assembling and deduplicating stationary points ------------------------------

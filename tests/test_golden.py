@@ -4,12 +4,13 @@
 solve and what it returned: either the exception it ended in or its
 stationary points (value, F, lambda0, lambda, classification and basin
 count).  Under ``h_override`` it holds a second solve of the fixture on an
-interval grid of step ``h``, chosen on the other side of
-``solver.DENSE_NEWTON_LIMIT`` from the fixture's own grid, so that each
-fixture is pinned through both the dense and the structured Newton step.
-Points are matched by value, so the order of the returned list does not
-matter, and the tolerances admit the last-bit changes that a new linear
-solver or a reordered sum brings.
+interval grid of step ``h``, of 99 or 249 unknowns.  Those grids, and the
+fixtures' own grids of 999 unknowns, lie above
+``solver.DENSE_NEWTON_LIMIT``, where the structured Newton step solves
+them; only the three-point fixtures' own grids (one unknown) pin the dense
+step.  Points are matched by value, so the order of the returned list does
+not matter, and the tolerances admit the last-bit changes that a new
+linear solver or a reordered sum brings.
 
 Run as a script, this module writes the pins that are missing from the file
 and leaves every existing entry byte-identical:

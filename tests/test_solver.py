@@ -354,24 +354,25 @@ class TestIsoperimetric:
 
     @pytest.mark.parametrize("h", [None, 1e-2, 4e-3])
     def test_every_newton_system_is_square(self, monkeypatch, h):
-        # Every Newton system reaches _newton_solver as the structured
-        # Hessian at every size; it alone steps densely up to
-        # DENSE_NEWTON_LIMIT unknowns (h = 1e-2: d = 99) and by block
-        # elimination above it (h = 4e-3: d = 249).  Abnormal Newton runs on
-        # K's own gradient system, with an empty (d, 0) border.  Each normal
-        # step (_NormalJacobian) offers the Hessian of L - lam K bordered by
-        # the one column -grad K, never a (d+1)^2 array; where grad K = 0 the
-        # system decouples and the step offers that Hessian with no column.
+        # Every round's Newton systems reach _newton_solver together, as
+        # structured Hessians at every size; it alone steps densely up to
+        # DENSE_NEWTON_LIMIT unknowns (three points: d = 1) and by block
+        # elimination above it (h = 1e-2: d = 99; h = 4e-3: d = 249).
+        # Abnormal Newton runs on K's own gradient system, with an empty
+        # (d, 0) border.  Each normal step (_NormalJacobian) offers the
+        # Hessian of L - lam K bordered by the one column -grad K, never a
+        # (d+1)^2 array; where grad K = 0 the system decouples and the step
+        # offers that Hessian with no column.
         ts = THREE_PT if h is None else make_timescale("interval", a=0, b=1, h=h)
         spec = abnormal_spec(ts)
         d = decision_indices(spec).size
         systems, normal, gradients = [], [], []
-        real_solver, real_step = solver._newton_solver, _NormalJacobian.step
+        real_solver, real_step = solver._newton_solver, _NormalJacobian._step
         real_gradient = solver.constraint_gradient
 
-        def watched_solver(H, B):
-            systems.append((H, B))
-            return real_solver(H, B)
+        def watched_solver(hessians, borders):
+            systems.extend(zip(hessians, borders))
+            return real_solver(hessians, borders)
 
         def watched_step(J, r, pin):
             normal.append((J, len(systems)))
@@ -382,7 +383,7 @@ class TestIsoperimetric:
             return gradients[-1]
 
         monkeypatch.setattr(solver, "_newton_solver", watched_solver)
-        monkeypatch.setattr(_NormalJacobian, "step", watched_step)
+        monkeypatch.setattr(_NormalJacobian, "_step", watched_step)
         monkeypatch.setattr(solver, "constraint_gradient", watched_gradient)
         solve_isoperimetric(spec, SolveOptions(restarts=2))
         assert all(isinstance(H, _Hessian) and H.diag.size == d for H, _ in systems)
@@ -419,20 +420,23 @@ class TestIsoperimetric:
             d = H.diag.size
             r = rng.standard_normal(d + 1)
             want = np.linalg.lstsq(H.dense(np.zeros((d, 1))), -r, rcond=None)[0]
-            step = _NormalJacobian(H, np.zeros(d)).step(r, np.zeros((d + 1, 0)))
+            step = solver._steps([(_NormalJacobian(H, np.zeros(d)), r, np.zeros((d + 1, 0)))])[0]
             assert step[-1] == 0.0
             assert np.linalg.norm(step - want) <= 1e-7 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("h", [4e-3, 1e-2])
     def test_one_factorization_per_level_step(self, monkeypatch, h):
-        # q = H^-1 g and p = H^-1 q share one factorization of K's Hessian:
-        # one splu of T above DENSE_NEWTON_LIMIT (h = 4e-3: d = 249), one
-        # dense LU of order d at or below it (h = 1e-2: d = 99).
+        # The q = H^-1 g and p = H^-1 q of every run asking in a round share
+        # one factorization of their Hessians of K, above DENSE_NEWTON_LIMIT
+        # (h = 1e-2: d = 99; h = 4e-3: d = 249): one splu of the b runs'
+        # tridiagonal blocks stacked, of order b * d, and one LU of each
+        # run's k x k capacitance matrix (unpinned: m = 0); no LU of order d.
         ts = make_timescale("interval", a=0, b=1, h=h)
         spec = abnormal_spec(ts)
-        d = decision_indices(spec).size
-        factors, per_step = [], []
-        real_splu, real_lu, real_step = solver.splu, scipy.linalg.lu_factor, _LevelJacobian.step
+        d, k = decision_indices(spec).size, spec.constraint.functional.n
+        assert d > solver.DENSE_NEWTON_LIMIT
+        factors, per_round = [], []
+        real_splu, real_lu, real_steps = solver.splu, scipy.linalg.lu_factor, _LevelJacobian.steps
 
         def recording_splu(A, *args, **kwargs):
             factors.append(("splu", A.shape[0]))
@@ -442,30 +446,33 @@ class TestIsoperimetric:
             factors.append(("lu_factor", a.shape[0]))
             return real_lu(a, *args, **kwargs)
 
-        def watched_step(J, r, border=None):
+        def watched_steps(levels, rs, pins):
             before = len(factors)
-            out = real_step(J, r, border)
-            per_step.append(factors[before:])
+            out = real_steps(levels, rs, pins)
+            per_round.append((len(levels), factors[before:]))
             return out
 
         monkeypatch.setattr(solver, "splu", recording_splu)
         monkeypatch.setattr(scipy.linalg, "lu_factor", recording_lu)
-        monkeypatch.setattr(_LevelJacobian, "step", watched_step)
+        monkeypatch.setattr(_LevelJacobian, "steps", staticmethod(watched_steps))
         pts = solve_isoperimetric(spec, SolveOptions(restarts=4))
         assert [p.lam0 for p in pts] == [0.0]
-        want = ("splu" if d > solver.DENSE_NEWTON_LIMIT else "lu_factor", d)
-        assert per_step and all(made.count(want) == 1 for made in per_step)
+        assert max(b for b, _ in per_round) > 1
+        for b, made in per_round:
+            assert made == [("splu", b * d)] + [("lu_factor", k)] * b
 
     def test_fine_grid_normal_steps_stay_linear(self, monkeypatch):
         # iso_R at d = 9999: one dense (d+1)^2 Jacobian alone would take
-        # 800 MB.  The normal steps factor the tridiagonal block (splu) and
-        # the (k+1)^2 capacitance matrix, nothing of order d on dense form.
+        # 800 MB.  Normal runs advance alone, so each normal step is a round
+        # of its own: it factors the tridiagonal block (one splu of order d)
+        # and the (k+1)^2 capacitance matrix (one LU), nothing of order d on
+        # dense form.
         h = 1e-4
         spec = resolve_problem("iso_R").build(h_override=h)
         d = decision_indices(spec).size
         k = spec.lagrangian.n + spec.constraint.functional.n
-        factors, lu_orders = [], []
-        real_lu = scipy.linalg.lu_factor
+        factors, lu_orders, per_step = [], [], []
+        real_lu, real_steps = scipy.linalg.lu_factor, _NormalJacobian.steps
 
         def recording_splu(*args, **kwargs):
             lu = splu(*args, **kwargs)
@@ -476,8 +483,15 @@ class TestIsoperimetric:
             lu_orders.append(a.shape[0])
             return real_lu(a, *args, **kwargs)
 
+        def watched_steps(normals, rs, pins):
+            before = len(factors), len(lu_orders)
+            out = real_steps(normals, rs, pins)
+            per_step.append((len(factors) - before[0], len(lu_orders) - before[1]))
+            return out
+
         monkeypatch.setattr("deltavar.solver.splu", recording_splu)
         monkeypatch.setattr(scipy.linalg, "lu_factor", recording_lu)
+        monkeypatch.setattr(_NormalJacobian, "steps", staticmethod(watched_steps))
         tracemalloc.start()
         try:
             pts = solve_isoperimetric(spec, SolveOptions(restarts=3))
@@ -493,6 +507,7 @@ class TestIsoperimetric:
         assert factors and all(order == d for order, _ in factors)
         assert max(nnz for _, nnz in factors) <= 10 * (d + k)
         assert lu_orders and max(lu_orders) <= k + 1
+        assert per_step and set(per_step) == {(1, 1)}
         assert peak < 50e6
 
     def test_abnormal_starts_are_drawn_onto_the_level_set(self):
@@ -567,7 +582,7 @@ class TestIsoperimetric:
             stacked = np.vstack([H.dense(np.zeros((d, 0))), g])
             want = np.linalg.lstsq(stacked, -r, rcond=None)[0]
             level = _LevelJacobian(H, g)
-            step = level.step(r, np.zeros((d, 0)))
+            step = solver._steps([(level, r, np.zeros((d, 0)))])[0]
             np.testing.assert_allclose(step, want, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(level.rmatvec(r), stacked.T @ r, rtol=1e-12)
 
@@ -756,6 +771,13 @@ def tridiagonal(hess):
     return np.diag(hess.diag) + np.diag(hess.off, 1) + np.diag(hess.off, -1)
 
 
+def solved(systems, F):
+    """Block elimination of the systems (H, B) as one batch, row i of F the right-hand
+    side of system i: each row's [x; nu], None where the row declines."""
+    V, ok = solver._block_factor(*zip(*systems))(F)
+    return [v if accepted else None for v, accepted in zip(V, ok)]
+
+
 def parts_size(spec, tr, terms):
     """The size of the tridiagonal and low-rank parts of sum(coef * Hessian(F)).
 
@@ -838,8 +860,8 @@ class TestHessianSolve:
         # e1 e1^T (not orthogonal to the null vector (1, 0, -1, 0, ...)) makes
         # H nonsingular.
         singular = _Hessian(np.zeros(7), np.ones(6), np.eye(7)[:1], np.ones((1, 1)))
-        assert singular.factor(np.zeros((7, 0))) is None
-        assert singular.factor(np.linspace(1.0, 2.0, 7)[:, None]) is None
+        for B in (np.zeros((7, 0)), np.linspace(1.0, 2.0, 7)[:, None]):
+            assert solved([(singular, B)], np.ones((1, 7 + B.shape[1]))) == [None]
         cases = [
             (hess, dense, border, size, rng.standard_normal(dense.shape[0]),
              rng.standard_normal()),
@@ -873,8 +895,7 @@ class TestHessianSolve:
                     # Block elimination gives the dense solution, the border's
                     # multipliers included, and declines no system whose
                     # tridiagonal block T is conditioned as well: it factors T.
-                    factored = op.factor(B)
-                    got = None if factored is None else factored(full_rhs)
+                    got, = solved([(op, B)], full_rhs[None])
                     if scale < 1e6 * np.linalg.svd(tridiagonal(op), compute_uv=False).min():
                         assert got is not None
                     if got is not None:
@@ -883,10 +904,10 @@ class TestHessianSolve:
                     # from the structured solve (limit 0) or step on the dense form.
                     for limit in (0, solver.DENSE_NEWTON_LIMIT):
                         with mock.patch.object(solver, "DENSE_NEWTON_LIMIT", limit):
-                            got = solver._newton_solver(op, B)(full_rhs)
+                            got = solver._newton_solver([op], [B])(full_rhs[None])[0]
                             assert np.linalg.norm(got - want) <= tol
                             if not tail.any():
-                                step = op.step(-rhs, B)
+                                step = solver._steps([(op, -rhs, B)])[0]
                                 assert np.linalg.norm(step - want[:n]) <= tol
                             if m:
                                 # The normal step against the dense Newton step
@@ -895,19 +916,54 @@ class TestHessianSolve:
                                 # column b = -grad K; the other columns pin z.
                                 normal = _NormalJacobian(op, B[:, 0])
                                 pin = np.vstack([B[:, 1:], np.zeros((1, m - 1))])
-                                step = normal.step(-full_rhs[: n + 1], pin)
+                                step = solver._steps([(normal, -full_rhs[: n + 1], pin)])[0]
                                 assert np.linalg.norm(step - want[: n + 1]) <= tol
                                 # J^T r for the damped gradient step.
                                 jac, r = matrix[: n + 1, : n + 1], full_rhs[: n + 1]
                                 atol = 1e-12 * scale * np.abs(r).sum()
                                 assert np.abs(normal.rmatvec(r) - jac.T @ r).max() <= atol
+        # One more input: the drawn system solved in one batch with a random
+        # system of its sizes, at every border width, and again with a third
+        # whose T = 0 is exactly singular.  Every row keeps the bits of its
+        # batch of one, so no row meets another's factors; the singular row
+        # declines alone, and the others meet the dense solution as above.
+        d, k = hess.diag.size, hess.C.shape[0]
+        C = rng.standard_normal((k, k))
+        batch = [hess, _Hessian(rng.uniform(-4.0, 4.0, d), rng.uniform(-1.0, 1.0, d - 1),
+                                rng.standard_normal((k, d)), C + C.T),
+                 _Hessian(np.zeros(d), np.zeros(d - 1), hess.U, hess.C)]
+        sizes = [size] + [np.abs(op.diag).max() + np.abs(op.off).max(initial=0.0)
+                          + (np.abs(op.U).T @ np.abs(op.C) @ np.abs(op.U)).max()
+                          for op in batch[1:]]
+        for m in range(3):
+            borders = [np.column_stack([border, pins[0]])[:, :m],
+                       *rng.standard_normal((2, d, m))]
+            F = rng.standard_normal((3, d + m))
+            for rows in (2, 3):
+                answers = solved(list(zip(batch, borders))[:rows], F[:rows])
+                assert rows == 2 or answers[2] is None
+                for op, B, f, size, got in zip(batch, borders, F, sizes, answers):
+                    alone, = solved([(op, B)], f[None])
+                    assert (got is None) == (alone is None)
+                    if got is not None:
+                        np.testing.assert_array_equal(got, alone)
+                    matrix = op.dense(B)
+                    scale = size + np.abs(B).max(initial=0.0)
+                    if scale >= 1e6 * np.linalg.svd(matrix, compute_uv=False).min():
+                        continue
+                    want = np.linalg.solve(matrix, f)
+                    if scale < 1e6 * np.linalg.svd(tridiagonal(op), compute_uv=False).min():
+                        assert got is not None
+                    if got is not None:
+                        assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
 
     # sturm_liouville is scale invariant, so its steps take the sphere border.
     @pytest.mark.parametrize("problem", ["quotient2_R", "sturm_liouville"])
     def test_fine_grid_factors_stay_linear(self, monkeypatch, problem):
         # d = 9999: a dense Hessian alone would take 800 MB, and a sparse LU
         # of the arrowhead system [[T, U^T C], [U, -I]] fills in to about
-        # d^2 / 2 entries; the tridiagonal block T alone stays banded.
+        # d^2 / 2 entries; the tridiagonal blocks T alone stay banded, also
+        # stacked down one diagonal for the b runs of a round.
         spec = resolve_problem(problem).build(h_override=1e-4)
         d, k = decision_indices(spec).size, spec.lagrangian.n
         factors = []
@@ -920,9 +976,10 @@ class TestHessianSolve:
         monkeypatch.setattr("deltavar.solver.splu", recording_splu)
         pts = solve_unconstrained(spec, SolveOptions(restarts=4))
         assert pts and factors
-        assert max(nnz for _, nnz in factors) <= 10 * (d + k)
-        # splu factors the order-d tridiagonal block and nothing else.
-        assert all(order == d for order, _ in factors)
+        # splu factors the rounds' order-d tridiagonal blocks and nothing else.
+        assert all(order % d == 0 for order, _ in factors)
+        assert max(order for order, _ in factors) > d
+        assert max(nnz / (order // d) for order, nnz in factors) <= 10 * (d + k)
 
     @pytest.mark.parametrize("problem", ["quotient2_R", "iso_R"])
     def test_block_steps_below_old_dense_limit_find_the_same_points(self, problem):
