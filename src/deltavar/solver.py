@@ -94,7 +94,7 @@ DEGENERATE = "degenerate"
 #
 # A coarse round asks 34-46 steps at a time, where the batched solve wins
 # from d = 39 on (from 66 on at 16 runs), so the limit sits at 40.  A lone
-# run (a normal isoperimetric one) pays the batched solve's fixed cost of
+# run (a solve with one restart) pays the batched solve's fixed cost of
 # 0.3-0.5 ms.
 DENSE_NEWTON_LIMIT = 40
 
@@ -341,24 +341,30 @@ class _Hessian:
         return inertia - int(np.count_nonzero(mu > 0.0)) - B.shape[1]
 
 
-def _hessian(spec: ProblemSpec, tr, lam0: float, lam: Optional[float]):
-    """The Hessian of lam0 * L - lam * K over the decision samples at tr, or the list of
-    them at a list of trajectories, assembled together (:func:`hessian_parts`)."""
+def _hessian(spec: ProblemSpec, tr, lam0: float, lam):
+    """The Hessian of lam0 * L - lam * K over the decision samples at tr, or the list of them
+    at a list of trajectories, assembled together (:func:`hessian_parts`), with one lam or
+    one per trajectory; rows with lam = 0 have no term of K, so they are assembled apart."""
     trs = [tr] if isinstance(tr, Trajectory) else tr
-    terms = [(lam0, spec.lagrangian)]
-    if spec.constraint is not None and lam:
-        terms.append((-lam, spec.constraint.functional))
+    lams = np.full(len(trs), 0.0 if spec.constraint is None or lam is None else lam, dtype=float)
+    if 0 < (with_K := np.count_nonzero(lams)) < len(trs):
+        hessians = [None] * len(trs)
+        for rows in (np.flatnonzero(lams == 0.0), np.flatnonzero(lams)):
+            for i, H in zip(rows, _hessian(spec, [trs[i] for i in rows], lam0, lams[rows])):
+                hessians[i] = H
+        return hessians
+    terms = [(np.full(len(trs), lam0), spec.lagrangian)] if lam0 else []
+    if with_K:
+        terms.append((-lams, spec.constraint.functional))
     d = decision_indices(spec).size
     diag, off = np.zeros((len(trs), d)), np.zeros((len(trs), max(d - 1, 0)))
     rows, blocks = [np.zeros((len(trs), 0, d))], []
     for coef, F in terms:
-        if coef == 0.0:
-            continue
         t_diag, t_off, t_rows, t_outer = hessian_parts(F, spec, trs)
-        diag += coef * t_diag
-        off += coef * t_off
+        diag += coef[:, None] * t_diag
+        off += coef[:, None] * t_off
         rows.append(t_rows)
-        blocks.append(coef * t_outer)
+        blocks.append(coef[:, None, None] * t_outer)
     # Block-diagonal C by hand: scipy.linalg.block_diag costs more than the
     # dense Hessian assembly of a small problem.
     sizes = [b.shape[1] for b in blocks]
@@ -632,18 +638,19 @@ class _NormalJacobian:
 
     @staticmethod
     def steps(normals, rs, pins) -> list:
-        """(dz, dlam) of each system with pin^T [dz; 0] = 0, for (d + 1, m) pins.
-
-        Normal runs advance one at a time, so each system is a batch of one.
-        """
-        return [J._step(r, pin) for J, r, pin in zip(normals, rs, pins)]
-
-    def _step(self, r: np.ndarray, pin: np.ndarray) -> np.ndarray:
-        if not self.b.any():
-            # grad K = 0 decouples the system; dlam = 0 is the minimum-norm
-            # answer, and H alone keeps the step free of (d+1)^2 arrays.
-            return np.append(_Hessian.steps([self.H], [r[:-1]], [pin[:-1]])[0], 0.0)
-        return _Hessian.steps([self.H], [r], [np.column_stack([self.b, pin[:-1]])])[0]
+        """(dz, dlam) of each system with pin^T [dz; 0] = 0, for (d + 1, m) pins, the systems of
+        one shape solved together: grad K = 0 decouples a system, whose step is then H's alone
+        and dlam = 0, the minimum-norm answer, and H at lam = 0 has no rows of K."""
+        systems = [(J.H, r, np.column_stack([J.b, pin[:-1]])) if J.b.any()
+                   else (J.H, r[:-1], pin[:-1]) for J, r, pin in zip(normals, rs, pins)]
+        groups = {}
+        for i, (H, r, _) in enumerate(systems):
+            groups.setdefault((H.C.shape[0], r.size), []).append(i)
+        steps = [None] * len(systems)
+        for rows in groups.values():
+            for i, step in zip(rows, _Hessian.steps(*zip(*(systems[i] for i in rows)))):
+                steps[i] = step if step.size == rs[i].size else np.append(step, 0.0)
+        return steps
 
 
 def _steps(keys) -> list:
@@ -652,13 +659,13 @@ def _steps(keys) -> list:
     return type(Js[0]).steps(Js, rs, pins)
 
 
-def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
+def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, first=None):
     """Damped Newton from w0, a generator returning _NewtonResult; ``pin_scale`` keeps ||z||.
 
-    Each ``(yield w)()`` evaluates w: :func:`_lockstep` sends a thunk giving the residual and
-    a Jacobian request on the same sampled partials, or raising w's evaluation error; each
-    ``(yield request)()`` gives that Jacobian, or raises its evaluation error, and each
-    ``(yield (_steps, (J, r, pin)))()`` gives the Newton step with J, solved with the round's.
+    Each ``(yield w)()`` evaluates w: :func:`_lockstep` sends a thunk (``first`` at w0, where
+    given) giving the residual and a Jacobian request on the same sampled partials, or raising
+    w's evaluation error; each ``(yield request)()`` gives that Jacobian, or raises its
+    evaluation error, and each ``(yield (_steps, (J, r, pin)))()`` gives the Newton step.
     Scale-invariant gradient systems (r(c*w) = r(w)/c) have rays of roots
     along which an unpinned Newton step escapes instead of converging: a
     pinned one keeps ||z||, z the decision samples in w, to first order.
@@ -673,7 +680,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
     """
     w = np.asarray(w0, dtype=float).copy()
     try:
-        r, request = (yield w)()
+        r, request = (first or (yield w))()
     except _EVAL_ERRORS as exc:
         return _NewtonResult(w, np.full_like(w, np.inf), False, 0, failure=exc)
     if not np.isfinite(r).all():
@@ -775,17 +782,18 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False):
     return _NewtonResult(w, r, converged, it, failure=last_failure)
 
 
-def _lockstep(runs, evaluate, size: int = 1) -> list[_NewtonResult]:
-    """The results of the :func:`_run_newton` generators ``runs``, in order, ``size`` at a time:
-    each round passes the pending iterates of all live runs to ``evaluate`` as one batch
-    and sends each run the thunk that ``evaluate`` returns for its row; the runs that then
-    yield a request ``(answer, key)``, for a Jacobian and then for a Newton step, get theirs
-    from one call (:func:`_answers`) per kind."""
+def _lockstep(runs, evaluate, size: int = 1) -> list:
+    """The results of the generators ``runs``, in order, ``size`` at a time: each yields requests
+    ``(answer, key)``, an iterate w standing for ``(evaluate, w)``, and is sent a thunk of its
+    answer.  Jacobian and step requests are answered as they come, one call (:func:`_answers`)
+    per answer function; once every live run waits on an evaluation (its key an iterate), each
+    evaluate function answers its iterates as one batch, a thunk for each row."""
     runs, results, pending = iter(runs), [], {}
 
     def advance(k, run, answer):
         try:
-            pending[k] = run, run.send(answer)
+            request = run.send(answer)
+            pending[k] = run, (evaluate, request) if type(request) is np.ndarray else request
         except StopIteration as stop:
             results[k] = stop.value
 
@@ -795,15 +803,17 @@ def _lockstep(runs, evaluate, size: int = 1) -> list[_NewtonResult]:
             advance(len(results) - 1, run, None)
         if not pending:
             return results
-        batch, pending = pending, {}
-        answers = evaluate([w for _, w in batch.values()])[::-1]
-        for k, (run, _) in batch.items():
-            advance(k, run, answers.pop())  # a row's record lives while its run needs it
-        while asks := [k for k, (_, request) in pending.items() if type(request) is tuple]:
-            asking, requests = zip(*(pending.pop(k) for k in asks))  # all Jacobians or all steps
-            answers = _answers(requests[0][0], [key for _, key in requests])
-            for k, run, answer in zip(asks, asking, answers):
-                advance(k, run, answer)
+        evaluating = all(type(key) is np.ndarray for _, (_, key) in pending.values())
+        groups = {}
+        for k in [k for k, (_, (_, key)) in pending.items()
+                  if evaluating or type(key) is not np.ndarray]:
+            run, (answer, key) = pending.pop(k)
+            groups.setdefault(answer, []).append((k, run, key))
+        for answer, asks in groups.items():
+            keys = [key for _, _, key in asks]
+            thunks = (answer(keys) if evaluating else _answers(answer, keys))[::-1]
+            for k, run, _ in asks:
+                advance(k, run, thunks.pop())  # a row's record lives while its run needs it
 
 
 def _answers(answer, keys) -> list:
@@ -927,35 +937,48 @@ def _no_point(
 
 
 def _gradient_system(spec: ProblemSpec, level: Optional[float] = None):
-    """(evaluate, scale_invariant) of Newton on the gradient of spec's objective F.
+    """(evaluate, row) of Newton on the gradient system of spec's objective F.
 
-    ``evaluate`` answers a batch (:func:`_lockstep`) from one (B, N) embedding and one
-    batch of records, and a round's Jacobian requests from one assembly of their Hessians.
-    The residual is grad F; with a ``level`` it is [grad F; F - level], whose
-    Gauss-Newton steps (_LevelJacobian) draw runs onto that level set.  Runs
-    on a scale-invariant F pin ||w||.
+    ``evaluate`` answers a batch (:func:`_lockstep`) from one (B, N) embedding and one batch
+    of records per functional, and a round's Jacobian requests from one assembly of their
+    Hessians; ``row(tr, lam)`` gives the residual and Jacobian request at tr, its records
+    filled.  The residual is grad F; with a ``level`` it is [grad F; F - level], whose
+    Gauss-Newton steps (_LevelJacobian) draw runs onto that level set; with spec's constraint
+    K = k it is [grad F - lam grad K; k - K] in w = [z; lam] (_NormalJacobian).
     """
-    F = spec.lagrangian
+    F, constraint = spec.lagrangian, spec.constraint
+    functionals = (F,) if constraint is None else (F, constraint.functional)
 
     def assemble(keys):
-        """The Jacobians at the requests (trajectory, gradient) of one round."""
-        hessians = _hessian(spec, [tr for tr, _ in keys], 1.0, None)
-        return hessians if level is None else [*map(_LevelJacobian, hessians, [g for _, g in keys])]
+        """The Jacobians at the requests (trajectory, gradient, lam) of one round."""
+        trs, gs, lams = zip(*keys)
+        hessians = _hessian(spec, list(trs), 1.0, lams if constraint else None)
+        if constraint is not None:
+            return [_NormalJacobian(H, -g) for H, g in zip(hessians, gs)]
+        return hessians if level is None else [*map(_LevelJacobian, hessians, gs)]
 
-    def row(tr):
+    def row(tr, lam=None):
         g = functional_gradient(spec, tr)
+        if constraint is not None:
+            K = constraint.functional
+            gK = constraint_gradient(spec, tr)
+            defect = K.outer_value(_partials(K, tr).us) - constraint.target  # the record gK read
+            return np.append(g - lam * gK, -defect), (assemble, (tr, gK, lam))
         if level is None:
-            return g, (assemble, (tr, g))
+            return g, (assemble, (tr, g, None))
         defect = F.outer_value(_partials(F, tr).us) - level  # the record g read
-        return np.append(g, defect), (assemble, (tr, g))
+        return np.append(g, defect), (assemble, (tr, g, None))
 
-    def evaluate(Z):
+    def evaluate(W):
+        W = np.array(W)
+        Z, lams = (W[:, :-1], W[:, -1]) if constraint else (W, [None] * len(W))
         trs, b = Trajectory._rows(spec.ts, _embedded(spec, Z))
-        with suppress(*_EVAL_ERRORS):  # only a batch of one raises: its run meets that alone
-            _fill_partials(F, trs, b)
-        return [partial(row, tr) for tr in trs]
+        for G in functionals:
+            with suppress(*_EVAL_ERRORS):  # only a batch of one raises: its run meets that alone
+                _fill_partials(G, trs, b)
+        return [partial(row, tr, lam) for tr, lam in zip(trs, lams)]
 
-    return evaluate, _detect_scale_invariance(spec)
+    return evaluate, row
 
 
 def _gradient_points(spec: ProblemSpec, starts, opts: SolveOptions, level: Optional[float] = None):
@@ -968,7 +991,8 @@ def _gradient_points(spec: ProblemSpec, starts, opts: SolveOptions, level: Optio
     """
     gspec = spec if level is None else dataclasses.replace(
         spec, lagrangian=spec.constraint.functional, constraint=None)
-    evaluate, scale_invariant = _gradient_system(gspec, level)
+    evaluate, _ = _gradient_system(gspec, level)
+    scale_invariant = _detect_scale_invariance(gspec)
     runs = _lockstep((_run_newton(w0, opts, scale_invariant) for w0 in starts), evaluate,
                      max(1, _BATCH_SAMPLES // len(spec.ts)))
     lam0, lam = (1.0, None) if level is None else (0.0, 1.0)
@@ -1036,7 +1060,9 @@ def solve_isoperimetric(
     there is at least RESTORE_GRADIENT times ||grad K(z0)|| (else the level
     set is degenerate, a case for the abnormal branch); if the run from it
     fails, the restart runs from z0 with the multiplier fitted at z0, as
-    it would without the restoration.  Where a normal point has a nearly
+    it would without the restoration.  Restarts advance in lockstep, runs
+    that restore sharing rounds with runs that iterate, each exactly as
+    alone.  Where a normal point has a nearly
     vanishing grad K, or no normal run converges, the abnormal branch
     (lambda0 = 0) seeks extremals of K itself that meet the constraint
     value, by the unconstrained Newton system for K.  Where L and K are
@@ -1047,86 +1073,57 @@ def solve_isoperimetric(
     if spec.constraint is None:
         raise ValueError("spec has no constraint; use solve_unconstrained")
     opts = opts or SolveOptions()
-    K, target = spec.constraint.functional, spec.constraint.target
-    pin_scale = _detect_scale_invariance(spec) and _detect_scale_invariance(
-        dataclasses.replace(spec, lagrangian=K, constraint=None))
-    # The last two trajectories built, by decision bytes.  Every reuse hands
-    # one z to its next consumer: the restored start to the multiplier fit
-    # and Newton's first residual, the current iterate to a step (a trial or
-    # the polish) that moves only lambda, and a run's last iterate to the
-    # abnormal-seed check.
-    embed = lru_cache(maxsize=2)(lambda key: embed_decision(spec, np.frombuffer(key)))
+    target = spec.constraint.target
+    kspec = dataclasses.replace(spec, lagrangian=spec.constraint.functional, constraint=None)
+    pin_scale = _detect_scale_invariance(spec) and _detect_scale_invariance(kspec)
+    normal, row = _gradient_system(spec)
+    level, _ = _gradient_system(kspec, target)
 
-    def trajectory(z):
-        return embed(z.tobytes())
-
-    def constraint(tr):
-        """(grad K, K - k) at tr, from one record of K."""
-        gK = constraint_gradient(spec, tr)
-        return gK, K.outer_value(_partials(K, tr).us) - target  # the record gK just filled
-
-    def assemble(keys):
-        """The Jacobian at the one run's request (tr, lam, grad K)."""
-        (tr, lam, gK), = keys
-        return [_NormalJacobian(_hessian(spec, tr, 1.0, lam), -gK)]
-
-    def evaluate(w):
-        z, lam = w[:-1], w[-1]
-        tr = trajectory(z)
-        gL = functional_gradient(spec, tr)
-        gK, defect = constraint(tr)
-        return np.append(gL - lam * gK, -defect), (assemble, (tr, lam, gK))
-
-    def restored(z0):
-        """z0 + s grad K(z0) with K = k there, by scalar Newton in s; None where that fails.
-
-        Also None where ||grad K|| at that point fell below RESTORE_GRADIENT
-        times its size at z0 (a degenerate level set).
-        """
+    def start(tr):
+        """_run_newton's arguments at tr, K's record filled: lam is the least-squares multiplier
+        (0 where it cannot be evaluated)."""
         try:
-            g0, defect = constraint(trajectory(z0))
-            if abs(defect) <= opts.tol_residual:
-                return None  # z0 is on the level set: its own run is the restored one
-            g0_norm, s, gK = float(np.linalg.norm(g0)), 0.0, g0
-            for _ in range(RESTORE_ITERS):
+            lam = _fit_multiplier(functional_gradient(spec, tr), constraint_gradient(spec, tr))
+        except _EVAL_ERRORS:
+            lam = 0.0
+        return np.append(tr.x[decision_indices(spec)], lam), opts, pin_scale, partial(row, tr, lam)
+
+    def restart(z0):
+        """The normal run of one restart, a generator for _lockstep: from z0 restored by scalar
+        Newton in s on the level system's rows [grad K; K - k] at z0 + s grad K(z0), or from z0
+        where that Newton or the run from there fails, or the level set is degenerate."""
+        tr0 = restored = None
+        with suppress(*_EVAL_ERRORS):
+            r, (_, (tr0, g0, _)) = (yield level, z0)()
+            s, gK = 0.0, g0
+            # z0 on the level set is its own restored start.
+            for _ in range(RESTORE_ITERS if abs(r[-1]) > opts.tol_residual else 0):
                 slope = float(gK @ g0)
                 if not (np.isfinite(slope) and slope != 0.0):
-                    return None
-                s -= defect / slope
-                z = z0 + s * g0
-                gK, defect = constraint(trajectory(z))
-                if abs(defect) <= opts.tol_residual:
-                    return z if np.linalg.norm(gK) >= RESTORE_GRADIENT * g0_norm else None
-        except _EVAL_ERRORS:
-            pass
-        return None
+                    break
+                s -= r[-1] / slope
+                r, (_, (tr, gK, _)) = (yield level, z0 + s * g0)()
+                if abs(r[-1]) <= opts.tol_residual:
+                    kept = np.linalg.norm(gK) >= RESTORE_GRADIENT * np.linalg.norm(g0)
+                    restored = tr if kept else None
+                    break
+        if restored is not None:
+            out = yield from _run_newton(*start(restored))
+            if out.converged:
+                return out
+        return (yield from _run_newton(*start(embed_decision(spec, z0) if tr0 is None else tr0)))
 
-    def start(z):
-        """[z; the least-squares multiplier at z], 0 where it cannot be evaluated."""
-        tr = trajectory(z)
-        try:
-            return np.append(z, _fit_multiplier(functional_gradient(spec, tr),
-                                                constraint_gradient(spec, tr)))
-        except _EVAL_ERRORS:
-            return np.append(z, 0.0)
-
-    def newton(w0):
-        return _lockstep([_run_newton(w0, opts, pin_scale)], lambda W: [partial(evaluate, W[0])])[0]
+    def constraint_gradient_at(z):  # a generator for _lockstep
+        return (yield level, z)()[0][:-1]  # the head of the level system's residual
 
     inits = [_initial_decision(spec, opts, restart) for restart in range(opts.restarts)]
-    runs, seeds = [], []
-    for z0 in inits:
-        z = restored(z0)
-        out = None if z is None else newton(start(z))
-        if out is None or not out.converged:
-            out = newton(start(z0))
-        runs.append(out)
-        if out.converged:
-            # Newton evaluated gK at this z already, so this cannot raise.
-            gK = constraint_gradient(spec, trajectory(out.w[:-1]))
-            if float(np.max(np.abs(gK))) < ABNORMAL_GRADIENT:
-                seeds.append(out.w[:-1])
-    if not any(out.converged for out in runs):
+    size = max(1, _BATCH_SAMPLES // len(spec.ts))
+    runs = _lockstep(map(restart, inits), normal, size)
+    converged = [out.w[:-1] for out in runs if out.converged]
+    # Newton evaluated grad K at each of these z already, so this cannot raise.
+    gradients = _lockstep(map(constraint_gradient_at, converged), level, size)
+    seeds = [z for z, gK in zip(converged, gradients) if np.max(np.abs(gK)) < ABNORMAL_GRADIENT]
+    if not converged:
         # The normal system's Jacobian degenerates exactly when abnormal
         # extremals exist, so retry the lambda0 = 0 branch from every start.
         seeds = inits

@@ -391,7 +391,9 @@ class TestBatchedEvaluation:
         # rows then asks for its Hessians, assembled together as a lockstep
         # round's Jacobians are: each row gets its lone pieces and dense
         # Hessian byte for byte, and a row whose record raises gets none
-        # but raises its lone error.
+        # but raises its lone error.  So do the Hessians of F - lam_i K, one
+        # multiplier per row as in a round of normal Jacobians, with one
+        # lam_i = 0, whose Hessian has no rows of K.
         rng = np.random.default_rng(seed)
         spec, tr = random_problem(rng, ts=graded_timescale(rng) if graded else None)
         scales = rng.choice([0.0, 0.3, 3.0], size=int(rng.integers(2, 7)))
@@ -400,9 +402,9 @@ class TestBatchedEvaluation:
         X[rng.random(scales.size) < 0.3, -1] = X[0, 0]
         X[:, 0] = X[0, 0]
         root = CompositeFunctional.from_strings(["sqrt(y) + v^2", "y - 0.5"], "u1 / u2")
+        last = CompositeFunctional.from_strings(["y^2 + v^2", "v"], "u1 / u2")
         plain = np.zeros((decision_indices(spec).size, 0))
-        for F in (spec.lagrangian, root,
-                  CompositeFunctional.from_strings(["y^2 + v^2", "v"], "u1 / u2")):
+        for F in (spec.lagrangian, root, last):
             batch = [Trajectory(tr.ts, x) for x in X]
             euler_lagrange._fill_partials(F, batch)
             pass_holds = F is not root or (X[:, 1:] >= 0.0).all()
@@ -443,6 +445,23 @@ class TestBatchedEvaluation:
                 for j, k in enumerate(held):
                     for a, b in zip(parts, lone[k][0]):
                         assert a[j].tobytes() == b.tobytes()
+            cspec = ProblemSpec(ts=tr.ts, lagrangian=F, bc=BoundarySpec.fixed(0.0, 0.0),
+                                constraint=IsoConstraint(last, 1.0))
+            lams = rng.uniform(-2.0, 2.0, len(asks))
+            lams[rng.integers(len(asks))] = 0.0
+            hessians = solver._answers(
+                lambda keys: _hessian(cspec, [t for t, _ in keys], 1.0, [lam for _, lam in keys]),
+                [(batch[i], lam) for i, lam in zip(asks, lams)])
+            for H, i, lam in zip(hessians, asks, lams):
+                try:
+                    want = _hessian(cspec, Trajectory(tr.ts, X[i]), 1.0, lam)
+                except Exception as exc:
+                    with pytest.raises(type(exc)) as raised:
+                        H()
+                    assert str(raised.value) == str(exc)
+                else:
+                    for part in ("diag", "off", "U", "C"):
+                        assert getattr(H(), part).tobytes() == getattr(want, part).tobytes(), part
 
     def test_second_partials_of_a_failed_batch_pass_come_row_by_row(self, monkeypatch):
         # Where the batch's pass over the second partials raises, each row's

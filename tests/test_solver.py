@@ -241,18 +241,20 @@ class TestSharedEvaluation:
         # restoration's last step, the multiplier guess and Newton's first
         # residual share one trajectory, so each functional is evaluated once
         # at each start trajectory; at z0 the restoration reads K alone.
+        # Records are counted in batches and alone.
         calls, starts = [], []
         real_records, real_run = euler_lagrange._fill_partials, solver._run_newton
 
-        def counting_records(F, trs):
+        def counting_records(F, trs, *bindings):
             calls.extend((F, tr.x.tobytes()) for tr in trs)
-            return real_records(F, trs)
+            return real_records(F, trs, *bindings)
 
-        def recording(w0, opts, pin_scale=False):
+        def recording(w0, *args):
             starts.append(w0[:-1])
-            return real_run(w0, opts, pin_scale)
+            return real_run(w0, *args)
 
         monkeypatch.setattr(euler_lagrange, "_fill_partials", counting_records)
+        monkeypatch.setattr(solver, "_fill_partials", counting_records)
         monkeypatch.setattr(solver, "_run_newton", recording)
         spec = resolve_problem("iso_R").build(h_override=1e-2)
         L, K = spec.lagrangian, spec.constraint.functional
@@ -268,22 +270,29 @@ class TestSharedEvaluation:
             x0 = euler_lagrange.embed_decision(spec, z0).x.tobytes()
             assert (calls.count((L, x0)), calls.count((K, x0))) == (0, 1)
 
-    # The solve keeps two trajectories.  iso_R at h = 1e-2 builds 5 in its
-    # one restart, and the dedup of its converged run one more.  iso_3pt
-    # has d = 1, so every restart restores onto the same single point of
-    # K = k, which two entries do not keep from one restart to the next:
-    # 15 builds in 8 restarts, plus 8 in the dedup.
+    # Every trajectory is built once, as a row of a batch (each restart's
+    # z0, restoration steps, Newton iterates and abnormal-seed check) or by
+    # embed_decision (the dedup of each converged run).  iso_R at h = 1e-2
+    # builds 6 rows in its one restart and 1 in the dedup.  iso_3pt has
+    # d = 1: each restart restores in one step onto the single point of
+    # K = k, and its polish step and seed check meet that z again, so it
+    # builds 4 rows, 32 in 8 restarts, plus 8 in the dedup.
     @pytest.mark.parametrize("problem, h, restarts, builds",
-                             [("iso_R", 1e-2, 1, 6), ("iso_3pt", None, 8, 23)])
+                             [("iso_R", 1e-2, 1, 7), ("iso_3pt", None, 8, 40)])
     def test_isoperimetric_trajectory_builds(self, monkeypatch, problem, h, restarts, builds):
         calls = [0]
-        real = solver.embed_decision
+        real_embed, real_rows = solver.embed_decision, Trajectory._rows.__func__
 
         def counting(spec, z):
             calls[0] += 1
-            return real(spec, z)
+            return real_embed(spec, z)
+
+        def counting_rows(cls, ts, X):
+            calls[0] += len(X)
+            return real_rows(cls, ts, X)
 
         monkeypatch.setattr(solver, "embed_decision", counting)
+        monkeypatch.setattr(Trajectory, "_rows", classmethod(counting_rows))
         solve_isoperimetric(resolve_problem(problem).build(h), SolveOptions(restarts=restarts))
         assert calls[0] == builds
 
@@ -359,40 +368,44 @@ class TestIsoperimetric:
         # DENSE_NEWTON_LIMIT unknowns (three points: d = 1) and by block
         # elimination above it (h = 1e-2: d = 99; h = 4e-3: d = 249).
         # Abnormal Newton runs on K's own gradient system, with an empty
-        # (d, 0) border.  Each normal step (_NormalJacobian) offers the
-        # Hessian of L - lam K bordered by the one column -grad K, never a
-        # (d+1)^2 array; where grad K = 0 the system decouples and the step
-        # offers that Hessian with no column.
+        # (d, 0) border.  The normal steps of a round (_NormalJacobian) offer
+        # each run's Hessian of L - lam K bordered by the one column -grad K,
+        # never a (d+1)^2 array; where grad K = 0 the system decouples and the
+        # step offers that Hessian with no column.
         ts = THREE_PT if h is None else make_timescale("interval", a=0, b=1, h=h)
         spec = abnormal_spec(ts)
         d = decision_indices(spec).size
         systems, normal, gradients = [], [], []
-        real_solver, real_step = solver._newton_solver, _NormalJacobian._step
+        real_solver, real_steps = solver._newton_solver, _NormalJacobian.steps
         real_gradient = solver.constraint_gradient
 
         def watched_solver(hessians, borders):
             systems.extend(zip(hessians, borders))
             return real_solver(hessians, borders)
 
-        def watched_step(J, r, pin):
-            normal.append((J, len(systems)))
-            return real_step(J, r, pin)
+        def watched_steps(normals, rs, pins):
+            before = len(systems)
+            out = real_steps(normals, rs, pins)
+            normal.append((normals, systems[before:]))
+            return out
 
         def watched_gradient(spec, tr):
             gradients.append(real_gradient(spec, tr))
             return gradients[-1]
 
         monkeypatch.setattr(solver, "_newton_solver", watched_solver)
-        monkeypatch.setattr(_NormalJacobian, "_step", watched_step)
+        monkeypatch.setattr(_NormalJacobian, "steps", staticmethod(watched_steps))
         monkeypatch.setattr(solver, "constraint_gradient", watched_gradient)
         solve_isoperimetric(spec, SolveOptions(restarts=2))
         assert all(isinstance(H, _Hessian) and H.diag.size == d for H, _ in systems)
         assert all(B.ndim == 2 and B.shape[0] == d for _, B in systems)
         assert normal and any(B.shape[1] == 0 for _, B in systems)
-        for J, at in normal:
-            assert systems[at][0] is J.H
-            assert np.array_equal(systems[at][1], J.b[:, None] if J.b.any() else np.zeros((d, 0)))
-            assert any(np.array_equal(J.b, -g) for g in gradients)
+        for normals, solved in normal:
+            assert len(solved) == len(normals)
+            for J in normals:
+                B, = [B for H, B in solved if H is J.H]
+                assert np.array_equal(B, J.b[:, None] if J.b.any() else np.zeros((d, 0)))
+                assert any(np.array_equal(J.b, -g) for g in gradients)
 
     def test_zero_gradient_normal_step_stays_linear(self):
         # Restart 0 starts on x = t, where grad K = 0: its normal step solves
@@ -463,30 +476,30 @@ class TestIsoperimetric:
 
     def test_fine_grid_normal_steps_stay_linear(self, monkeypatch):
         # iso_R at d = 9999: one dense (d+1)^2 Jacobian alone would take
-        # 800 MB.  Normal runs advance alone, so each normal step is a round
-        # of its own: it factors the tridiagonal block (one splu of order d)
-        # and the (k+1)^2 capacitance matrix (one LU), nothing of order d on
-        # dense form.
+        # 800 MB.  The normal steps of the b runs asking in a round share one
+        # factorization, as the level steps do: one splu of their tridiagonal
+        # blocks stacked, of order b * d, and one LU of each run's (k+1)^2
+        # capacitance matrix, nothing of order d on dense form.
         h = 1e-4
         spec = resolve_problem("iso_R").build(h_override=h)
         d = decision_indices(spec).size
         k = spec.lagrangian.n + spec.constraint.functional.n
-        factors, lu_orders, per_step = [], [], []
+        factors, per_round = [], []
         real_lu, real_steps = scipy.linalg.lu_factor, _NormalJacobian.steps
 
         def recording_splu(*args, **kwargs):
             lu = splu(*args, **kwargs)
-            factors.append((lu.shape[0], lu.nnz))
+            factors.append(("splu", lu.shape[0], lu.nnz))
             return lu
 
         def recording_lu(a, *args, **kwargs):
-            lu_orders.append(a.shape[0])
+            factors.append(("lu_factor", a.shape[0], None))
             return real_lu(a, *args, **kwargs)
 
         def watched_steps(normals, rs, pins):
-            before = len(factors), len(lu_orders)
+            before = len(factors)
             out = real_steps(normals, rs, pins)
-            per_step.append((len(factors) - before[0], len(lu_orders) - before[1]))
+            per_round.append((len(normals), factors[before:]))
             return out
 
         monkeypatch.setattr("deltavar.solver.splu", recording_splu)
@@ -504,10 +517,13 @@ class TestIsoperimetric:
         excess = 6.0 * h / (1.0 - h)
         assert pts[0].value == pytest.approx(4.0 + excess, rel=1e-9)
         assert pts[0].lam == pytest.approx(8.0 + excess, rel=1e-9)
-        assert factors and all(order == d for order, _ in factors)
-        assert max(nnz for _, nnz in factors) <= 10 * (d + k)
-        assert lu_orders and max(lu_orders) <= k + 1
-        assert per_step and set(per_step) == {(1, 1)}
+        assert all(order % d == 0 if kind == "splu" else order <= k + 1
+                   for kind, order, _ in factors)
+        assert max(b for b, _ in per_round) > 1
+        for b, made in per_round:
+            assert [(kind, order) for kind, order, _ in made] == (
+                [("splu", b * d)] + [("lu_factor", k + 1)] * b)
+            assert made[0][2] <= 10 * (d + k) * b
         assert peak < 50e6
 
     def test_abnormal_starts_are_drawn_onto_the_level_set(self):
@@ -1100,32 +1116,40 @@ class TestLockstep:
 
     FIXTURES = ["iso_3pt", "iso_R", "product_3pt", "product_R", "quotient1",
                 "quotient2_3pt", "quotient2_R", "sturm_liouville"]
+    # Each on its own grid, with 16 restarts: 64 take 1.7-5 s on the first two.
+    PROBLEM_FILES = ["abnormal_line", "abnormal_rays", "normal_rays"]
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_groups_of_one_give_the_same_output(self, monkeypatch, capsys, tmp_path, seed):
-        # With a batch budget of one sample every group holds one run.
+        # With a batch budget of one sample every group holds one run.  The
+        # rows of every system are seen: plain, level and normal.
         from deltavar.cli import main
 
-        rows, real = [], solver._gradient_system
+        rows, real, solving = [], solver._gradient_system, [None]
 
         def watched(spec, level=None):
-            evaluate, scale_invariant = real(spec, level)
-            return lambda Z: rows.append(len(Z)) or evaluate(Z), scale_invariant
+            evaluate, row = real(spec, level)
+            normal = spec.constraint is not None
+            return lambda Z: rows.append((*solving[0], normal, len(Z))) or evaluate(Z), row
 
         monkeypatch.setattr(solver, "_gradient_system", watched)
         out, path, default = {}, tmp_path / "out.json", solver._BATCH_SAMPLES
+        cases = [(name, ["--restarts", "64", "--h-override", "1e-2"]) for name in self.FIXTURES] + [
+            (str(PROBLEMS / f"{name}.dvp"), ["--restarts", "16"]) for name in self.PROBLEM_FILES]
         for budget in (default, 1):
             monkeypatch.setattr(solver, "_BATCH_SAMPLES", budget)
-            for name in self.FIXTURES:
+            for name, argv in cases:
+                solving[0] = budget, name
                 path.unlink(missing_ok=True)
-                code = main(["solve", name, "--restarts", "64", "--seed", str(seed),
-                             "--h-override", "1e-2", "--json", str(path)])
+                code = main(["solve", name, "--seed", str(seed), *argv, "--json", str(path)])
                 text = path.read_bytes() if path.exists() else None
                 out[budget, name] = code, capsys.readouterr(), text
-            rows.append(None)
-        grouped, alone = rows[: rows.index(None)], rows[rows.index(None) + 1 : -1]
-        assert max(grouped) == 64 and max(alone) == 1
-        for name in self.FIXTURES:
+        assert max(n for budget, *_, n in rows if budget == default) == 64
+        assert max(n for budget, *_, n in rows if budget == 1) == 1
+        # iso_R's normal runs advance together.
+        assert max(n for budget, name, normal, n in rows
+                   if budget == default and name == "iso_R" and normal) > 1
+        for name, _ in cases:
             assert out[default, name] == out[1, name], name
 
 
@@ -1182,13 +1206,13 @@ class TestStagnatingRestarts:
         count, real = [0], solver._gradient_system
 
         def counting(spec, level=None):
-            evaluate, scale_invariant = real(spec, level)
+            evaluate, row = real(spec, level)
 
             def counted(Z):
                 count[0] += len(Z)
                 return evaluate(Z)
 
-            return counted, scale_invariant
+            return counted, row
 
         monkeypatch.setattr(solver, "_gradient_system", counting)
         with pytest.raises(NoStationaryPointFound):
@@ -1238,11 +1262,11 @@ class TestRestoredStarts:
         inits = [solver._initial_decision(spec, opts, r).tobytes() for r in range(4)]
         runs, real = [], solver._run_newton
 
-        def failing_restored(w0, opts, pin_scale=False):
+        def failing_restored(w0, *args):
             runs.append(w0[:-1].tobytes() in inits)
             if not runs[-1]:
                 return solver._NewtonResult(w0, np.full_like(w0, np.inf), False, 0)
-            return (yield from real(w0, opts, pin_scale))
+            return (yield from real(w0, *args))
 
         monkeypatch.setattr(solver, "_run_newton", failing_restored)
         fallback = solve_isoperimetric(spec, opts)
