@@ -39,7 +39,6 @@ from .functional import (
     CompositeFunctional,
     Trajectory,
     _integrand_bindings,
-    _owned_rows,
     _samples,
     inner_values,
 )
@@ -169,11 +168,10 @@ def extract_decision(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
 # -- sampled partial derivatives ----------------------------------------------
 
 
-# One evaluation of a functional's sampled partials along one trajectory.  Made a batch
-# at a time by _fill_partials, a record owns copies of its row: inner values us (bit for
-# bit inner_values), samples fy/fv, the inner-integral gradients rows over all N samples,
-# w = H'(us) and g = w @ rows.  It keeps no trajectory, so the trajectory's cache forms
-# no reference cycle.
+# One evaluation of a functional's sampled partials along one trajectory, made a batch at
+# a time by _fill_partials: views of its row of inner values us (bit for bit inner_values),
+# samples fy/fv, inner-integral gradients rows over all N samples, w = H'(us) and g = w @ rows.
+# It keeps its batch alive, as its trajectory does, but no trajectory (no reference cycle).
 _Partials = namedtuple("_Partials", "us w fy fv rows g")
 
 
@@ -199,7 +197,7 @@ def _fill_partials(F: CompositeFunctional, trs: list, b: Optional[dict] = None) 
     rows = np.zeros((len(trs), n, len(ts)))
     with np.errstate(over="ignore", invalid="ignore"):  # +inf and -inf sum to nan, as in value
         weighted = np.multiply(ts.steps, samples[:, :n], out=samples[:, :n])  # f is not kept
-        us = weighted.cumsum(axis=-1, out=weighted)[..., -1].copy()
+        us = weighted.cumsum(axis=-1, out=weighted)[..., -1]
         np.multiply(ts.steps, samples[:, n : 2 * n], out=rows[..., 1:])
     rows[..., 1:] += samples[:, 2 * n :]
     rows[..., :-1] -= samples[:, 2 * n :]
@@ -213,8 +211,7 @@ def _fill_partials(F: CompositeFunctional, trs: list, b: Optional[dict] = None) 
                 _fill_partials(F, [tr])
         return
     g = np.matmul(w[:, None], rows)[:, 0]  # each row's w @ rows, bit for bit
-    records = zip(*map(_owned_rows, (us, w, samples[:, n : 2 * n], samples[:, 2 * n :], rows, g)))
-    for tr, record in zip(trs, records):
+    for tr, *record in zip(trs, us, w, samples[:, n : 2 * n], samples[:, 2 * n :], rows, g):
         tr.partials[F] = _Partials(*record)
 
 

@@ -192,21 +192,15 @@ class Trajectory:
 
     @classmethod
     def _rows(cls, ts: TimeScale, X: np.ndarray) -> tuple[list["Trajectory"], dict]:
-        """One trajectory per row of the (B, N) samples X, each owning copies of its
-        row, and the rows' integrand bindings (see :func:`_integrand_bindings`)."""
+        """One trajectory per row of the (B, N) samples X, viewing its row of the batch (which
+        it keeps alive), and the rows' integrand bindings (see :func:`_integrand_bindings`)."""
         sigma = np.concatenate((X[:, 1:], X[:, -1:]), axis=1)
         delta = (X[:, 1:] - X[:, :-1]) / ts.steps  # delta_derivative, row by row
-        trs = [cls.__new__(cls)._own(ts, *rows)
-               for rows in zip(*map(_owned_rows, (X, sigma, delta)))]
+        trs = [cls.__new__(cls)._own(ts, *rows) for rows in zip(X, sigma, delta)]
         return trs, {"t": ts.points[:-1], "y": sigma[:, :-1], "v": delta}
 
     def __repr__(self) -> str:
         return f"Trajectory(n={len(self.ts)}, x[0]={self.x[0]:g}, x[-1]={self.x[-1]:g})"
-
-
-def _owned_rows(a: np.ndarray):
-    """The rows of a batch array, each a copy owning its memory; one row is a view."""
-    return a if len(a) == 1 else [row.copy() for row in a]
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from .euler_lagrange import (
 from .functional import (
     _BATCH_SAMPLES,
     _EVAL_ERRORS,
-    _owned_rows,
     DenominatorVanished,
     Trajectory,
     c1rd_distance,
@@ -244,7 +243,7 @@ class _NewtonResult:
     residual: np.ndarray
     converged: bool
     iterations: int
-    failure: Optional[BaseException] = None
+    failure: Optional[type] = None  # the error met; not the error, whose traceback holds a round
 
     @property
     def residual_norm(self) -> float:
@@ -371,8 +370,8 @@ def _hessian(spec: ProblemSpec, tr, lam0: float, lam):
     C = np.zeros((len(trs), sum(sizes), sum(sizes)))
     for b, at in zip(blocks, (0, *sizes)):  # at most two blocks
         C[:, at : at + b.shape[1], at : at + b.shape[1]] = b
-    parts = map(_owned_rows, (diag, off, np.concatenate(rows, axis=1), C))
-    hessians = [_Hessian(*row) for row in zip(*parts)]
+    # Each Hessian views its rows of these arrays, so it keeps the whole call's arrays alive.
+    hessians = [*map(_Hessian, diag, off, np.concatenate(rows, axis=1), C)]
     return hessians[0] if tr is not trs else hessians
 
 
@@ -682,7 +681,8 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
     try:
         r, request = (first or (yield w))()
     except _EVAL_ERRORS as exc:
-        return _NewtonResult(w, np.full_like(w, np.inf), False, 0, failure=exc)
+        return _NewtonResult(w, np.full_like(w, np.inf), False, 0, failure=type(exc))
+    first = None  # its trajectory belongs to w0's round
     if not np.isfinite(r).all():
         return _NewtonResult(w, r, False, 0)
 
@@ -698,7 +698,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
     # of iterations while the merit is still descending does NOT qualify:
     # that is the signature of a drift toward an asymptotic flat, where the
     # gradient shrinks without any stationary point nearby.
-    last_failure: Optional[BaseException] = None
+    last_failure: Optional[type] = None
     stalled = False
     it = 0
     w_norm, newton_norm, growing, deep = float(np.linalg.norm(w)), np.inf, 0, 0
@@ -710,7 +710,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
             J = (yield request)()
         except _EVAL_ERRORS as exc:
             # Residual is known but the matrix is not evaluable here.
-            return _NewtonResult(w, r, r_inf <= opts.tol_residual, it, failure=exc)
+            return _NewtonResult(w, r, r_inf <= opts.tol_residual, it, failure=type(exc))
         if not J.finite:
             return _NewtonResult(w, r, False, it)
         request = request_trial = None  # J holds what it needs: drop the records
@@ -744,7 +744,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
                 try:
                     r_trial, request_trial = (yield w_trial)()
                 except _EVAL_ERRORS as exc:
-                    last_failure = exc
+                    last_failure = type(exc)
                     r_trial = None
                 if r_trial is not None and np.isfinite(r_trial).all():
                     merit = float(r_trial @ r_trial)
@@ -797,12 +797,9 @@ def _lockstep(runs, evaluate, size: int = 1) -> list:
         except StopIteration as stop:
             results[k] = stop.value
 
-    while True:
-        while len(pending) < size and (run := next(runs, None)) is not None:
-            results.append(None)
-            advance(len(results) - 1, run, None)
-        if not pending:
-            return results
+    def play_round():
+        """Answer one round's requests.  Its keys and thunks, which hold its trajectories, are
+        bound only here: a run keeps only its iterate, residual and Jacobian past the round."""
         evaluating = all(type(key) is np.ndarray for _, (_, key) in pending.values())
         groups = {}
         for k in [k for k, (_, (_, key)) in pending.items()
@@ -813,7 +810,15 @@ def _lockstep(runs, evaluate, size: int = 1) -> list:
             keys = [key for _, _, key in asks]
             thunks = (answer(keys) if evaluating else _answers(answer, keys))[::-1]
             for k, run, _ in asks:
-                advance(k, run, thunks.pop())  # a row's record lives while its run needs it
+                advance(k, run, thunks.pop())
+
+    while True:
+        while len(pending) < size and (run := next(runs, None)) is not None:
+            results.append(None)
+            advance(len(results) - 1, run, None)
+        if not pending:
+            return results
+        play_round()
 
 
 def _answers(answer, keys) -> list:
@@ -919,7 +924,7 @@ def _no_point(
     Given the constraint value ``target``, the runs are normal
     isoperimetric ones, whose last residual entry is the constraint defect.
     """
-    if all(isinstance(out.failure, DenominatorVanished) for out in runs):
+    if all(out.failure is DenominatorVanished for out in runs):
         return DenominatorVanished(
             f"every one of {opts.restarts} restarts hit a vanishing denominator"
         )
@@ -1088,15 +1093,14 @@ def solve_isoperimetric(
             lam = 0.0
         return np.append(tr.x[decision_indices(spec)], lam), opts, pin_scale, partial(row, tr, lam)
 
-    def restart(z0):
-        """The normal run of one restart, a generator for _lockstep: from z0 restored by scalar
-        Newton in s on the level system's rows [grad K; K - k] at z0 + s grad K(z0), or from z0
-        where that Newton or the run from there fails, or the level set is degenerate."""
-        tr0 = restored = None
+    def restored_run(z0):
+        """A generator for _lockstep returning the run from z0 restored by scalar Newton in s on
+        the level system's rows [grad K; K - k] at z0 + s grad K(z0), or None where that Newton
+        fails or the level set is degenerate there.  No trajectory outlives it but the run's."""
         with suppress(*_EVAL_ERRORS):
-            r, (_, (tr0, g0, _)) = (yield level, z0)()
+            r, (_, (_, g0, _)) = (yield level, z0)()
             s, gK = 0.0, g0
-            # z0 on the level set is its own restored start.
+            # z0 on the level set needs no restoring: restart runs from z0 itself.
             for _ in range(RESTORE_ITERS if abs(r[-1]) > opts.tol_residual else 0):
                 slope = float(gK @ g0)
                 if not (np.isfinite(slope) and slope != 0.0):
@@ -1104,14 +1108,17 @@ def solve_isoperimetric(
                 s -= r[-1] / slope
                 r, (_, (tr, gK, _)) = (yield level, z0 + s * g0)()
                 if abs(r[-1]) <= opts.tol_residual:
-                    kept = np.linalg.norm(gK) >= RESTORE_GRADIENT * np.linalg.norm(g0)
-                    restored = tr if kept else None
+                    if np.linalg.norm(gK) >= RESTORE_GRADIENT * np.linalg.norm(g0):
+                        return _run_newton(*start(tr))
                     break
-        if restored is not None:
-            out = yield from _run_newton(*start(restored))
-            if out.converged:
-                return out
-        return (yield from _run_newton(*start(embed_decision(spec, z0) if tr0 is None else tr0)))
+
+    def restart(z0):
+        """The normal run of one restart, a generator for _lockstep: from z0 restored onto K = k,
+        or from z0 where that restoration or the run from there fails."""
+        run = yield from restored_run(z0)
+        if run is not None and (out := (yield from run)).converged:
+            return out
+        return (yield from _run_newton(*start(embed_decision(spec, z0))))
 
     def constraint_gradient_at(z):  # a generator for _lockstep
         return (yield level, z)()[0][:-1]  # the head of the level system's residual

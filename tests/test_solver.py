@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -1151,6 +1152,82 @@ class TestLockstep:
                    if budget == default and name == "iso_R" and normal) > 1
         for name, _ in cases:
             assert out[default, name] == out[1, name], name
+
+
+class TestRoundScope:
+    """Batch rows are views, so nothing of a lockstep round may outlive it: a run keeps only its
+    iterate, residual and Jacobian, and the (B, N) arrays its trajectories view die with it."""
+
+    @pytest.mark.parametrize("problem, fail_restored", [
+        ("sturm_liouville", False),  # restart 0 dies on a vanishing denominator
+        ("iso_R", False),  # every restart is restored onto K = k
+        ("iso_R", True),  # every restored run fails, so every restart falls back to z0
+    ])
+    def test_no_batch_outlives_the_next_round(self, monkeypatch, problem, fail_restored):
+        spec = resolve_problem(problem).build(h_override=1e-2)
+        opts = SolveOptions(restarts=8, seed=0)
+        inits = {solver._initial_decision(spec, opts, r).tobytes() for r in range(opts.restarts)}
+        batches = []  # (round, weak references to the batch's (B, N) arrays)
+        # The evaluate functions called in this round; None after a Jacobian or step round, so
+        # that the next evaluation starts a new round.
+        state = {"round": 0, "called": []}
+        starts, solved = [], []  # per Newton run whether it starts at z0; the runs given _points
+        real_system, real_answers = solver._gradient_system, solver._answers
+        real_points, real_rows, real_run = solver._points, Trajectory._rows.__func__, solver._run_newton
+
+        def new_round():
+            state["round"] += 1
+            alive = [(r, refs) for r, refs in batches if any(ref() is not None for ref in refs)]
+            assert [r for r, _ in alive if r <= state["round"] - 2] == []
+            batches[:] = alive
+
+        def system(gspec, level=None):
+            evaluate, row = real_system(gspec, level)
+
+            def watched(W):
+                if state["called"] is None or evaluate in state["called"]:
+                    new_round()
+                    state["called"] = []
+                state["called"].append(evaluate)
+                return evaluate(W)
+
+            return watched, row
+
+        def answers(answer, keys):
+            state["called"] = None
+            if answer is solver._steps:  # the Jacobians are made: no run needs a row
+                assert [r for r, refs in batches if any(ref() is not None for ref in refs)] == []
+            return real_answers(answer, keys)
+
+        def rows(cls, ts, X):  # X is _embedded's (B, N) array; the rows view it and y and v
+            trs, b = real_rows(cls, ts, X)
+            batches.append((state["round"], [weakref.ref(a) for a in (X, b["y"].base, b["v"])]))
+            return trs, b
+
+        def failing_restored(w0, *args):
+            starts.append(w0[:-1].tobytes() in inits)
+            if not starts[-1]:
+                return solver._NewtonResult(w0, np.full_like(w0, np.inf), False, 0)
+            # args holds the first residual's thunk, at a trajectory embed_decision made alone
+            return (yield from real_run(w0, *args))
+
+        def points(gspec, runs, *args, **kwargs):
+            solved.append(runs)
+            return real_points(gspec, runs, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_gradient_system", system)
+        monkeypatch.setattr(solver, "_answers", answers)
+        monkeypatch.setattr(solver, "_points", points)
+        monkeypatch.setattr(Trajectory, "_rows", classmethod(rows))
+        if fail_restored:
+            monkeypatch.setattr(solver, "_run_newton", failing_restored)
+        solve = solve_unconstrained if spec.constraint is None else solve_isoperimetric
+        assert solve(spec, opts) and state["round"] >= 4
+        new_round()
+        assert not batches  # none outlives the solve
+        if problem == "sturm_liouville":
+            assert solved[0][0].failure is DenominatorVanished
+        assert starts == ([False, True] * opts.restarts if fail_restored else [])
 
 
 def _recorded_runs(monkeypatch, problem, h, opts):
