@@ -27,7 +27,6 @@ stationary trajectories.
 from __future__ import annotations
 
 from collections import namedtuple
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
@@ -171,47 +170,39 @@ def extract_decision(spec: ProblemSpec, tr: Trajectory) -> np.ndarray:
 # One evaluation of a functional's sampled partials along one trajectory, made a batch at
 # a time by _fill_partials: views of its row of inner values us (bit for bit inner_values),
 # samples fy/fv, inner-integral gradients rows over all N samples, w = H'(us) and g = w @ rows.
-# It keeps its batch alive, as its trajectory does, but no trajectory (no reference cycle).
+# It keeps its batch's partials alive, as its trajectory keeps its batch's samples, but not
+# the f samples and no trajectory (no reference cycle).
 _Partials = namedtuple("_Partials", "us w fy fv rows g")
 
 
 def _fill_partials(F: CompositeFunctional, trs: list, b: Optional[dict] = None) -> None:
     """Cache F's record on each trajectory of trs, on one scale, from one pass of f, f_y, f_v
-    over their bindings ``b`` (stacked from trs where not given).
+    over their bindings ``b`` (stacked from trs where not given), or raise.
 
     A row-wise cumsum of mu * f gives the inner values, one pass of H' over (B,) arrays
-    the weights w, and one batched matmul each row's g.  A batch of one raises what its
-    record raises.  In a larger one whose H' pass raises, each row is filled alone, and
-    where the sampling pass raises each row is left to build alone; a row whose record
-    raises stays without one."""
+    the weights w, and one batched matmul each row's g.  Whatever the batch size, either
+    every row gets its record or none does and an error is raised: a batch of one raises
+    what its record raises, so a failed batch's rows are filled again one at a time
+    (:func:`deltavar.solver._answers`) to learn which of them fail."""
     n, ts, b = F.n, trs[0].ts, b or _integrand_bindings(trs)
     try:
-        samples = _samples(F.inner + F.inner_y + F.inner_v, b)
+        f, partials = _samples((F.inner, F.inner_y + F.inner_v), b)
     except ExprError:  # alone, raise what passes over f, H'(us), then f_y and f_v raised first
-        if len(trs) > 1:
-            return
         F.outer_gradient(inner_values(F, trs[0]))
         raise
     # Sample x_{j+1} enters interval j through y = x_{j+1} and v = (x_{j+1} - x_j)/mu_j,
-    # sample x_j only through v.  Products and sums go in place, into samples and rows.
+    # sample x_j only through v.  Products and sums go in place, into f and rows.
+    fy, fv = partials[:, :n], partials[:, n:]
     rows = np.zeros((len(trs), n, len(ts)))
     with np.errstate(over="ignore", invalid="ignore"):  # +inf and -inf sum to nan, as in value
-        weighted = np.multiply(ts.steps, samples[:, :n], out=samples[:, :n])  # f is not kept
-        us = weighted.cumsum(axis=-1, out=weighted)[..., -1]
-        np.multiply(ts.steps, samples[:, n : 2 * n], out=rows[..., 1:])
-    rows[..., 1:] += samples[:, 2 * n :]
-    rows[..., :-1] -= samples[:, 2 * n :]
-    try:
-        w = F._outer_rows(F.outer_grad_exprs, us)  # F.outer_gradient of the (B, n) us
-    except (ArithmeticError, ExprError):  # a batch of one raises; a larger one goes row by row
-        if len(trs) == 1:
-            raise
-        for tr in trs:
-            with suppress(ArithmeticError, ExprError):
-                _fill_partials(F, [tr])
-        return
+        weighted = np.multiply(ts.steps, f, out=f)
+        us = weighted.cumsum(axis=-1, out=weighted)[..., -1].copy()  # f is not kept
+        np.multiply(ts.steps, fy, out=rows[..., 1:])
+    rows[..., 1:] += fv
+    rows[..., :-1] -= fv
+    w = F._outer_rows(F.outer_grad_exprs, us)  # F.outer_gradient of the (B, n) us
     g = np.matmul(w[:, None], rows)[:, 0]  # each row's w @ rows, bit for bit
-    for tr, *record in zip(trs, us, w, samples[:, n : 2 * n], samples[:, 2 * n :], rows, g):
+    for tr, *record in zip(trs, us, w, fy, fv, rows, g):
         tr.partials[F] = _Partials(*record)
 
 

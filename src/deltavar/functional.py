@@ -141,8 +141,8 @@ class CompositeFunctional:
 
     def _outer_rows(self, exprs, us: np.ndarray) -> np.ndarray:
         """The expressions at each row of the (B, n) inner values us, as (B, len(exprs))
-        arrays.  H's own divisions are tested row by row on floats, as value tests them,
-        so a batch fails where its first failing row fails alone, with that message."""
+        arrays.  H's own divisions are tested row by row on floats, as value tests them, so
+        a row raises alone what value raises there (a batch raises where any row does)."""
         for row in us.tolist():
             self._outer_values(None, row)
         return _samples(exprs, dict(zip(self.outer_vars, us.T)), us.shape[:1])
@@ -238,15 +238,19 @@ def _integrand_bindings(trs: Sequence[Trajectory]) -> dict:
             "v": np.array([tr.x_delta for tr in trs])}
 
 
-def _samples(exprs: tuple[Expr, ...], b: dict, shape: Optional[tuple] = None) -> np.ndarray:
+def _samples(exprs: tuple, b: dict, shape: Optional[tuple] = None):
     """Each expression sampled over the bindings, broadcast to ``shape`` (B, ...) (the
-    integrands': y's (B, N - 1)) and stacked on axis 1, so row i is trajectory i's."""
+    integrands': y's (B, N - 1)) and stacked on axis 1, so row i is trajectory i's.  Given
+    groups of expressions (a tuple of tuples), one pass fills one such array per group."""
+    groups = exprs if isinstance(exprs[0], tuple) else (exprs,)
     shape = shape or b["y"].shape
-    out = np.empty((shape[0], len(exprs), *shape[1:]))
+    outs = [np.empty((shape[0], len(group), *shape[1:])) for group in groups]
     # Assignment broadcasts constant expressions, which give scalars.
-    for i, values in enumerate(evaluate(exprs, b)):
-        out[:, i] = values
-    return out
+    values = iter(evaluate(sum(groups, ()), b))
+    for out in outs:
+        for i in range(out.shape[1]):
+            out[:, i] = next(values)
+    return outs if groups is exprs else outs[0]
 
 
 def inner_values(functional: CompositeFunctional, tr: Trajectory) -> np.ndarray:

@@ -785,9 +785,9 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
 def _lockstep(runs, evaluate, size: int = 1) -> list:
     """The results of the generators ``runs``, in order, ``size`` at a time: each yields requests
     ``(answer, key)``, an iterate w standing for ``(evaluate, w)``, and is sent a thunk of its
-    answer.  Jacobian and step requests are answered as they come, one call (:func:`_answers`)
-    per answer function; once every live run waits on an evaluation (its key an iterate), each
-    evaluate function answers its iterates as one batch, a thunk for each row."""
+    answer.  Jacobian and step requests are answered as they come; once every live run waits
+    on an evaluation (its key an iterate), the evaluations are.  Each answer function takes
+    its requests of a round as one batch (:func:`_answers`)."""
     runs, results, pending = iter(runs), [], {}
 
     def advance(k, run, answer):
@@ -808,7 +808,7 @@ def _lockstep(runs, evaluate, size: int = 1) -> list:
             groups.setdefault(answer, []).append((k, run, key))
         for answer, asks in groups.items():
             keys = [key for _, _, key in asks]
-            thunks = (answer(keys) if evaluating else _answers(answer, keys))[::-1]
+            thunks = _answers(answer, keys)[::-1]
             for k, run, _ in asks:
                 advance(k, run, thunks.pop())
 
@@ -822,8 +822,9 @@ def _lockstep(runs, evaluate, size: int = 1) -> list:
 
 
 def _answers(answer, keys) -> list:
-    """Thunks of what ``answer(keys)`` gives (Jacobians, or Newton steps), made together; where
-    that raises, each thunk makes its own alone, raising that request's lone error."""
+    """Thunks of what ``answer(keys)`` gives (residuals, Jacobians or Newton steps), made
+    together; where that raises, each thunk makes its own alone, raising that request's lone
+    error.  This is the one place where a failing row of a batch is told from the others."""
     with suppress(*_EVAL_ERRORS):
         return [lambda J=J: J for J in answer(keys)]
     return [lambda key=key: answer([key])[0] for key in keys]
@@ -944,8 +945,9 @@ def _no_point(
 def _gradient_system(spec: ProblemSpec, level: Optional[float] = None):
     """(evaluate, row) of Newton on the gradient system of spec's objective F.
 
-    ``evaluate`` answers a batch (:func:`_lockstep`) from one (B, N) embedding and one batch
-    of records per functional, and a round's Jacobian requests from one assembly of their
+    ``evaluate`` answers a batch of iterates (:func:`_lockstep`) with each one's residual and
+    Jacobian request, or raises, from one (B, N) embedding and one batch of records per
+    functional, and a round's Jacobian requests are answered by one assembly of their
     Hessians; ``row(tr, lam)`` gives the residual and Jacobian request at tr, its records
     filled.  The residual is grad F; with a ``level`` it is [grad F; F - level], whose
     Gauss-Newton steps (_LevelJacobian) draw runs onto that level set; with spec's constraint
@@ -979,9 +981,8 @@ def _gradient_system(spec: ProblemSpec, level: Optional[float] = None):
         Z, lams = (W[:, :-1], W[:, -1]) if constraint else (W, [None] * len(W))
         trs, b = Trajectory._rows(spec.ts, _embedded(spec, Z))
         for G in functionals:
-            with suppress(*_EVAL_ERRORS):  # only a batch of one raises: its run meets that alone
-                _fill_partials(G, trs, b)
-        return [partial(row, tr, lam) for tr, lam in zip(trs, lams)]
+            _fill_partials(G, trs, b)
+        return [row(tr, lam) for tr, lam in zip(trs, lams)]
 
     return evaluate, row
 

@@ -34,7 +34,7 @@ from deltavar import (
     residual_report,
     value,
 )
-from deltavar.expr import DomainError, evaluate
+from deltavar.expr import DomainError, ExprError, evaluate
 from deltavar.oracle import fd_gradient
 from deltavar.solver import _hessian
 
@@ -384,16 +384,17 @@ class TestBatchedEvaluation:
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def test_batch_records_match_lone_records(self, seed, graded):
         # A batch of trajectories on one scale gives each the record it
-        # gets alone, bit for bit, or leaves it to raise its lone error.
-        # Rows with a negative sample make the sqrt functional's batch pass
-        # raise; rows with x(b) = x(a) make the last functional's
-        # denominator vanish in a batch pass that holds.  A random subset of
-        # rows then asks for its Hessians, assembled together as a lockstep
-        # round's Jacobians are: each row gets its lone pieces and dense
-        # Hessian byte for byte, and a row whose record raises gets none
-        # but raises its lone error.  So do the Hessians of F - lam_i K, one
-        # multiplier per row as in a round of normal Jacobians, with one
-        # lam_i = 0, whose Hessian has no rows of K.
+        # gets alone, bit for bit, where every row has one alone; otherwise
+        # it raises and fills none, and each row then builds alone, with its
+        # lone bits or its lone error.  Rows with a negative sample make the
+        # sqrt functional's batch pass raise; rows with x(b) = x(a) make the
+        # last functional's denominator vanish in a batch pass that holds.
+        # A random subset of rows then asks for its Hessians, assembled
+        # together as a lockstep round's Jacobians are: each row gets its
+        # lone pieces and dense Hessian byte for byte, and a row whose record
+        # raises gets none but raises its lone error.  So do the Hessians of
+        # F - lam_i K, one multiplier per row as in a round of normal
+        # Jacobians, with one lam_i = 0, whose Hessian has no rows of K.
         rng = np.random.default_rng(seed)
         spec, tr = random_problem(rng, ts=graded_timescale(rng) if graded else None)
         scales = rng.choice([0.0, 0.3, 3.0], size=int(rng.integers(2, 7)))
@@ -406,21 +407,28 @@ class TestBatchedEvaluation:
         plain = np.zeros((decision_indices(spec).size, 0))
         for F in (spec.lagrangian, root, last):
             batch = [Trajectory(tr.ts, x) for x in X]
-            euler_lagrange._fill_partials(F, batch)
-            pass_holds = F is not root or (X[:, 1:] >= 0.0).all()
+            try:
+                euler_lagrange._fill_partials(F, batch)
+                filled = True
+            except (ArithmeticError, ExprError):
+                filled = False
+            assert [F in got.partials for got in batch] == [filled] * len(batch)
+            holds = []
             for got, x in zip(batch, X):
                 try:
                     want = euler_lagrange._partials(F, Trajectory(tr.ts, x))
                 except Exception as exc:
+                    holds.append(False)
                     assert F not in got.partials
                     with pytest.raises(type(exc)) as raised:
                         euler_lagrange._partials(F, got)
                     assert str(raised.value) == str(exc)
                     continue
-                assert (F in got.partials) == pass_holds
+                holds.append(True)
                 got = euler_lagrange._partials(F, got)
                 for name in ("us", "w", "g", "rows", "fy", "fv"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert filled == all(holds)
             asks = [i for i in range(len(X)) if rng.random() < 0.6] or [len(X) - 1]
             fspec = dataclasses.replace(spec, lagrangian=F)
             hessians = solver._answers(lambda trs: _hessian(fspec, trs, 1.0, None),
@@ -462,6 +470,25 @@ class TestBatchedEvaluation:
                 else:
                     for part in ("diag", "off", "U", "C"):
                         assert getattr(H(), part).tobytes() == getattr(want, part).tobytes(), part
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_records_keep_no_f_samples(self, rows):
+        # A batch's records keep its arrays alive, so each array they reach
+        # must be covered by the records' own fields: no byte of it, such as
+        # the f samples that only the inner values' running sum reads, is
+        # kept for nothing.
+        rng = np.random.default_rng(11)
+        spec, tr = random_problem(rng, ts=graded_timescale(rng))
+        F = CompositeFunctional.from_strings(["y^2*v^2 + t", "1 + y^2", "v"], "u1 * u2 + u3")
+        batch = [Trajectory(tr.ts, tr.x + rng.standard_normal(len(tr.ts))) for _ in range(rows)]
+        euler_lagrange._fill_partials(F, batch)
+        owners, covered = {}, Counter()
+        for record in (got.partials[F] for got in batch):
+            for field in record:
+                owner = field if field.base is None else field.base
+                owners[id(owner)] = owner
+                covered[id(owner)] += field.nbytes
+        assert {key: owner.nbytes for key, owner in owners.items()} == dict(covered)
 
     def test_second_partials_of_a_failed_batch_pass_come_row_by_row(self, monkeypatch):
         # Where the batch's pass over the second partials raises, each row's

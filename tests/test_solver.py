@@ -1117,8 +1117,9 @@ class TestLockstep:
 
     FIXTURES = ["iso_3pt", "iso_R", "product_3pt", "product_R", "quotient1",
                 "quotient2_3pt", "quotient2_R", "sturm_liouville"]
-    # Each on its own grid, with 16 restarts: 64 take 1.7-5 s on the first two.
-    PROBLEM_FILES = ["abnormal_line", "abnormal_rays", "normal_rays"]
+    # Each on its own grid, with 16 restarts: 64 take 1.7-5 s on the first two.  At seed 0
+    # some brachistochrone batches fail mid-solve, in their sampling pass (sqrt(y), y < 0).
+    PROBLEM_FILES = ["abnormal_line", "abnormal_rays", "normal_rays", "brachistochrone"]
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_groups_of_one_give_the_same_output(self, monkeypatch, capsys, tmp_path, seed):
@@ -1169,8 +1170,10 @@ class TestRoundScope:
         inits = {solver._initial_decision(spec, opts, r).tobytes() for r in range(opts.restarts)}
         batches = []  # (round, weak references to the batch's (B, N) arrays)
         # The evaluate functions called in this round; None after a Jacobian or step round, so
-        # that the next evaluation starts a new round.
-        state = {"round": 0, "called": []}
+        # that the next evaluation starts a new round.  "retry" counts the rows of a failed
+        # evaluation, each evaluated again alone in its round.
+        state = {"round": 0, "called": [], "retry": 0}
+        evaluations = set()
         starts, solved = [], []  # per Newton run whether it starts at z0; the runs given _points
         real_system, real_answers = solver._gradient_system, solver._answers
         real_points, real_rows, real_run = solver._points, Trajectory._rows.__func__, solver._run_newton
@@ -1185,16 +1188,25 @@ class TestRoundScope:
             evaluate, row = real_system(gspec, level)
 
             def watched(W):
-                if state["called"] is None or evaluate in state["called"]:
+                retry = state["retry"] > 0
+                if retry:
+                    state["retry"] -= 1
+                elif state["called"] is None or evaluate in state["called"]:
                     new_round()
                     state["called"] = []
                 state["called"].append(evaluate)
-                return evaluate(W)
+                try:
+                    return evaluate(W)
+                except solver._EVAL_ERRORS:
+                    state["retry"] += 0 if retry else len(W)
+                    raise
 
+            evaluations.add(watched)
             return watched, row
 
         def answers(answer, keys):
-            state["called"] = None
+            if answer not in evaluations:
+                state["called"] = None
             if answer is solver._steps:  # the Jacobians are made: no run needs a row
                 assert [r for r, refs in batches if any(ref() is not None for ref in refs)] == []
             return real_answers(answer, keys)
@@ -1222,7 +1234,7 @@ class TestRoundScope:
         if fail_restored:
             monkeypatch.setattr(solver, "_run_newton", failing_restored)
         solve = solve_unconstrained if spec.constraint is None else solve_isoperimetric
-        assert solve(spec, opts) and state["round"] >= 4
+        assert solve(spec, opts) and state["round"] >= 4 and state["retry"] == 0
         new_round()
         assert not batches  # none outlives the solve
         if problem == "sturm_liouville":
