@@ -180,10 +180,11 @@ def _fill_partials(F: CompositeFunctional, trs: list, b: Optional[dict] = None) 
     over their bindings ``b`` (stacked from trs where not given), or raise.
 
     A row-wise cumsum of mu * f gives the inner values, one pass of H' over (B,) arrays
-    the weights w, and one batched matmul each row's g.  Whatever the batch size, either
-    every row gets its record or none does and an error is raised: a batch of one raises
-    what its record raises, so a failed batch's rows are filled again one at a time
-    (:func:`deltavar.solver._answers`) to learn which of them fail."""
+    (after one array test of each of H's own divisions) the weights w, and one batched
+    matmul each row's g.  Whatever the batch size, either every row gets its record or
+    none does and an error is raised: a batch of one raises what its record raises, so a
+    failed batch's rows are filled again one at a time (:func:`deltavar.solver._answers`)
+    to learn which of them fail."""
     n, ts, b = F.n, trs[0].ts, b or _integrand_bindings(trs)
     try:
         f, partials = _samples((F.inner, F.inner_y + F.inner_v), b)
@@ -200,7 +201,7 @@ def _fill_partials(F: CompositeFunctional, trs: list, b: Optional[dict] = None) 
         np.multiply(ts.steps, fy, out=rows[..., 1:])
     rows[..., 1:] += fv
     rows[..., :-1] -= fv
-    w = F._outer_rows(F.outer_grad_exprs, us)  # F.outer_gradient of the (B, n) us
+    w = F._outer_values(F.outer_grad_exprs, us)  # F.outer_gradient of the (B, n) us
     g = np.matmul(w[:, None], rows)[:, 0]  # each row's w @ rows, bit for bit
     for tr, *record in zip(trs, us, w, fy, fv, rows, g):
         tr.partials[F] = _Partials(*record)

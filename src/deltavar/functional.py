@@ -123,40 +123,43 @@ class CompositeFunctional:
 
     # -- outer-map evaluation (guarded) -------------------------------------
 
-    def _outer_values(self, exprs, us):
-        """The expressions at us, on Python floats: numpy's bits at a fraction of its cost.
+    def _outer_values(self, exprs, us: np.ndarray):
+        """The expressions at each row of the (B, n) inner values us, as (B, len(exprs))
+        arrays; with no expressions (None), only the test of H's own divisions.
 
-        H's own divisions that evaluate at us are tested first, innermost first; with no
-        expressions (None) that test is all."""
-        b = dict(zip(self.outer_vars, map(float, us)))
+        Each of H's divisions that evaluates is tested first, innermost first, on the whole
+        batch, one array comparison each, so a batch raises where some row raises alone and
+        a batch of one raises what value raises."""
+        b = dict(zip(self.outer_vars, us.T))
         for pair in self._divisions:
             try:
                 num, den = evaluate(pair, b)
-            except ExprError:  # the trees themselves raise what applies
-                continue
-            if abs(den) < EPS_DENOMINATOR * (1.0 + abs(num)):
+            except ExprError:
+                if len(us) == 1:
+                    continue  # alone, the trees themselves raise what applies
+                for i in range(len(us)):  # some row's does not: test each row alone
+                    self._outer_values(None, us[i : i + 1])
+                break
+            bad = abs(den) < EPS_DENOMINATOR * (1.0 + abs(num))
+            if np.count_nonzero(bad):  # report the first failing row
+                i = np.argmax(bad) if np.ndim(bad) else 0
+                num, den = (float(np.broadcast_to(v, len(us))[i]) for v in (num, den))
                 raise DenominatorVanished(f"outer-map denominator {den} vanishes (|den| < "
                                           f"{EPS_DENOMINATOR:g}*(1+|num|) with num={num})")
-        return evaluate(exprs, b) if exprs else None
-
-    def _outer_rows(self, exprs, us: np.ndarray) -> np.ndarray:
-        """The expressions at each row of the (B, n) inner values us, as (B, len(exprs))
-        arrays.  H's own divisions are tested row by row on floats, as value tests them, so
-        a row raises alone what value raises there (a batch raises where any row does)."""
-        for row in us.tolist():
-            self._outer_values(None, row)
-        return _samples(exprs, dict(zip(self.outer_vars, us.T)), us.shape[:1])
+        return _samples(exprs, b, us.shape[:1]) if exprs else None
 
     def outer_value(self, us) -> float:
-        return float(self._outer_values(self.outer, us))
+        """H at the (n,) inner values us: a batch of one."""
+        us = np.asarray(us, dtype=float).reshape(1, -1)
+        return float(self._outer_values((self.outer,), us)[0, 0])
 
     def outer_gradient(self, us) -> np.ndarray:
         """H' at the (n,) or (B, n) inner values us, one row per trajectory, on arrays."""
-        return self._outer_rows(self.outer_grad_exprs, np.atleast_2d(us)).reshape(np.shape(us))
+        return self._outer_values(self.outer_grad_exprs, np.atleast_2d(us)).reshape(np.shape(us))
 
     def outer_hessian(self, us) -> np.ndarray:
         """H'' at the (n,) or (B, n) inner values us, (n, n) per trajectory, on arrays."""
-        hess = self._outer_rows(self.second_partials[3], np.atleast_2d(us))
+        hess = self._outer_values(self.second_partials[3], np.atleast_2d(us))
         return hess.reshape(np.shape(us) + (self.n,))
 
     def __repr__(self) -> str:

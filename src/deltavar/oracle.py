@@ -14,6 +14,7 @@ the classification built on it) in tests.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -79,24 +80,23 @@ def _values(spec: ProblemSpec, F: CompositeFunctional, Z: np.ndarray, strict: bo
     """value(F, embed_decision(spec, z)) for each row z of Z, bit for bit.
 
     One integrand pass per batch of rows, a row-wise cumsum per inner integral
-    (delta_integral's sum), then the outer map per row on floats, as value
-    does: numpy's x**n on arrays differs in the last bit.  A row that raises
-    gets NaN, or re-raises if ``strict``; a batch whose integrand pass raises
-    is evaluated row by row."""
+    (delta_integral's sum), then one pass of the outer map over the batch's inner
+    values, a lone value being a batch of one.  A row that raises gets NaN, or
+    re-raises if ``strict``; a batch whose integrand or outer pass raises is
+    evaluated row by row."""
     out, per, steps = np.empty(len(Z)), max(1, _BATCH_SAMPLES // len(spec.ts)), spec.ts.steps
     for start in range(0, len(Z), per):
         rows = Z[start : start + per]
         X = np.repeat(embed_decision(spec, rows[0]).x[None], len(rows), axis=0)
         X[:, decision_indices(spec)] = rows
         b = {"t": spec.ts.points[:-1], "y": X[:, 1:], "v": (X[:, 1:] - X[:, :-1]) / steps}
-        try:
-            with np.errstate(invalid="ignore", over="ignore"):
-                us = (steps * _samples(F.inner, b)).cumsum(axis=2)[:, :, -1].tolist()
-        except _EVAL_ERRORS:
-            us = [None] * len(rows)
-        for i, (z, u) in enumerate(zip(rows, us), start):
+        with suppress(*_EVAL_ERRORS), np.errstate(invalid="ignore", over="ignore"):
+            us = (steps * _samples(F.inner, b)).cumsum(axis=2)[:, :, -1]
+            out[start : start + len(rows)] = F._outer_values((F.outer,), us)[:, 0]
+            continue
+        for i, z in enumerate(rows, start):
             try:
-                out[i] = value(F, embed_decision(spec, z)) if u is None else F.outer_value(u)
+                out[i] = value(F, embed_decision(spec, z))
             except _EVAL_ERRORS:
                 if strict:
                     raise

@@ -946,15 +946,18 @@ def _gradient_system(spec: ProblemSpec, level: Optional[float] = None):
     """(evaluate, row) of Newton on the gradient system of spec's objective F.
 
     ``evaluate`` answers a batch of iterates (:func:`_lockstep`) with each one's residual and
-    Jacobian request, or raises, from one (B, N) embedding and one batch of records per
-    functional, and a round's Jacobian requests are answered by one assembly of their
-    Hessians; ``row(tr, lam)`` gives the residual and Jacobian request at tr, its records
-    filled.  The residual is grad F; with a ``level`` it is [grad F; F - level], whose
-    Gauss-Newton steps (_LevelJacobian) draw runs onto that level set; with spec's constraint
-    K = k it is [grad F - lam grad K; k - K] in w = [z; lam] (_NormalJacobian).
+    Jacobian request, or raises, from one (B, N) embedding, one batch of records per
+    functional and one outer pass for the batch's defects, and a round's Jacobian requests
+    are answered by one assembly of their Hessians; ``row(tr, lam)`` gives the residual and
+    Jacobian request at tr alone, its records filled.  The residual is grad F; with a
+    ``level`` it is [grad F; F - level], whose Gauss-Newton steps (_LevelJacobian) draw runs
+    onto that level set; with spec's constraint K = k it is [grad F - lam grad K; k - K] in
+    w = [z; lam] (_NormalJacobian).
     """
     F, constraint = spec.lagrangian, spec.constraint
     functionals = (F,) if constraint is None else (F, constraint.functional)
+    # The leveled functional G and its goal: K and k, or F and the level (None: no defect).
+    G, goal = (constraint.functional, constraint.target) if constraint else (F, level)
 
     def assemble(keys):
         """The Jacobians at the requests (trajectory, gradient, lam) of one round."""
@@ -964,25 +967,29 @@ def _gradient_system(spec: ProblemSpec, level: Optional[float] = None):
             return [_NormalJacobian(H, -g) for H, g in zip(hessians, gs)]
         return hessians if level is None else [*map(_LevelJacobian, hessians, gs)]
 
-    def row(tr, lam=None):
+    def defects(trs):
+        """G - goal at each of trs, from one pass of G's outer map over their records."""
+        us = np.array([_partials(G, tr).us for tr in trs])
+        return G._outer_values((G.outer,), us)[:, 0] - goal
+
+    def row(tr, lam=None, defect=None):
         g = functional_gradient(spec, tr)
         if constraint is not None:
-            K = constraint.functional
             gK = constraint_gradient(spec, tr)
-            defect = K.outer_value(_partials(K, tr).us) - constraint.target  # the record gK read
+            defect = defects([tr])[0] if defect is None else defect  # the record gK read
             return np.append(g - lam * gK, -defect), (assemble, (tr, gK, lam))
         if level is None:
             return g, (assemble, (tr, g, None))
-        defect = F.outer_value(_partials(F, tr).us) - level  # the record g read
+        defect = defects([tr])[0] if defect is None else defect  # the record g read
         return np.append(g, defect), (assemble, (tr, g, None))
 
     def evaluate(W):
         W = np.array(W)
         Z, lams = (W[:, :-1], W[:, -1]) if constraint else (W, [None] * len(W))
         trs, b = Trajectory._rows(spec.ts, _embedded(spec, Z))
-        for G in functionals:
-            _fill_partials(G, trs, b)
-        return [row(tr, lam) for tr, lam in zip(trs, lams)]
+        for functional in functionals:
+            _fill_partials(functional, trs, b)
+        return [*map(row, trs, lams, [None] * len(trs) if goal is None else defects(trs))]
 
     return evaluate, row
 

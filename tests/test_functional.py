@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltavar import functional
-from deltavar.expr import Div
+from conftest import random_polynomial, random_problem
+from deltavar import functional, oracle
+from deltavar.cli import resolve_problem
+from deltavar.euler_lagrange import decision_indices, embed_decision
+from deltavar.expr import Div, DivisionByZero, DomainError
+from deltavar.functional import INNER_VARS
 from deltavar import (
     CompositeFunctional,
     DenominatorVanished,
@@ -196,7 +200,7 @@ def random_outer_text(rng: np.random.Generator, n: int, depth: int = 3) -> str:
     return f"-({arg})"
 
 
-# Inner values that reach every branch of the float evaluation: signed zeros,
+# Inner values that reach every branch of the outer map's evaluation: signed zeros,
 # NaN, infinities, near-vanishing denominators and powers that overflow.
 OUTER_INPUTS = st.one_of(
     st.floats(width=64),
@@ -228,16 +232,17 @@ def fails_rule(num, den) -> bool:
     return bool(np.abs(den) < functional.EPS_DENOMINATOR * (1.0 + np.abs(num)))
 
 
-def numpy_scalar_values(F, exprs, us):
-    """The expressions' values on numpy scalars, after testing H's own divisions.
+def numpy_reference_values(F, exprs, us):
+    """The expressions' values at the (n,) inner values us, bound as numpy (1,) arrays,
+    after testing H's own divisions.
 
     Each division of H that evaluates is tested innermost first; the
     expressions themselves then raise only at an exact zero denominator.
     """
-    b = dict(zip(F.outer_vars, np.asarray(us, dtype=float)))
+    b = {u: np.array([x]) for u, x in zip(F.outer_vars, np.asarray(us, dtype=float))}
     for pair in own_divisions(F.outer):
         try:
-            num, den = evaluate(pair, b)
+            num, den = (np.asarray(v).item() for v in evaluate(pair, b))
         except ExprError:
             continue
         if fails_rule(num, den):
@@ -245,22 +250,30 @@ def numpy_scalar_values(F, exprs, us):
                 f"outer-map denominator {den} vanishes (|den| < "
                 f"{functional.EPS_DENOMINATOR:g}*(1+|num|) with num={num})"
             )
-    return np.array([float(v) for v in evaluate(exprs, b)])
+    return np.array([np.asarray(v).item() for v in evaluate(exprs, b)])
+
+
+def outer_exprs(F):
+    return (F.outer,), F.outer_grad_exprs, F.second_partials[3]
 
 
 class TestFloatOuterMap:
+    """H, H' and H'' on (B, n) arrays of inner values, a lone value being a batch of one."""
+
     @settings(max_examples=400, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.data())
-    def test_matches_numpy_scalars_bit_for_bit(self, seed, data):
+    def test_matches_numpy_reference_bit_for_bit(self, seed, data):
         # Values, gradients and the typed error (DenominatorVanished,
-        # DivisionByZero, DomainError) agree at every input.
+        # DivisionByZero, DomainError) agree at every input, and so does outer_value.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
         F = CompositeFunctional.from_strings(["v"] * n, random_outer_text(rng, n))
         us = np.array(data.draw(st.lists(OUTER_INPUTS, min_size=n, max_size=n)))
-        for exprs in ((F.outer,), F.outer_grad_exprs, F.second_partials[3]):
-            want = outcome(lambda: numpy_scalar_values(F, exprs, us))
-            assert outcome(lambda: F._outer_values(exprs, us)) == want
+        for exprs in outer_exprs(F):
+            want = outcome(lambda: numpy_reference_values(F, exprs, us))
+            assert outcome(lambda: F._outer_values(exprs, us[None])[0]) == want
+        want = outcome(lambda: numpy_reference_values(F, (F.outer,), us)[0])
+        assert outcome(lambda: F.outer_value(us)) == want
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.data())
@@ -272,16 +285,54 @@ class TestFloatOuterMap:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
         F = CompositeFunctional.from_strings(["v"] * n, random_outer_text(rng, n))
-        us = data.draw(st.lists(OUTER_INPUTS, min_size=n, max_size=n))
-        b = dict(zip(F.outer_vars, us))
+        us = np.array(data.draw(st.lists(OUTER_INPUTS, min_size=n, max_size=n)))
+        b = {u: np.array([x]) for u, x in zip(F.outer_vars, us)}
         fails = False
         for num, den in own_divisions(F.outer):
             try:
                 fails |= fails_rule(evaluate(num, b), evaluate(den, b))
             except ExprError:
                 pass
-        for exprs in ((F.outer,), F.outer_grad_exprs, F.second_partials[3]):
-            assert (outcome(lambda: F._outer_values(exprs, us))[0] is DenominatorVanished) == fails
+        for exprs in outer_exprs(F):
+            got = outcome(lambda: F._outer_values(exprs, us[None]))
+            assert (got[0] is DenominatorVanished) == fails
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([7, 64]), st.data())
+    def test_batch_rows_match_batches_of_one(self, seed, rows, data):
+        # Each row of a batch is bit for bit its batch of one.  A batch raises
+        # exactly where some row raises alone, and then what one of those rows
+        # raises alone.  A few inputs per batch come from OUTER_INPUTS.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        F = CompositeFunctional.from_strings(["v"] * n, random_outer_text(rng, n))
+        us = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, n))
+        for _ in range(data.draw(st.integers(0, 3))):
+            us[int(rng.integers(rows)), int(rng.integers(n))] = data.draw(OUTER_INPUTS)
+        for exprs in outer_exprs(F):
+            lone = [outcome(lambda: F._outer_values(exprs, us[i : i + 1])) for i in range(rows)]
+            failed = [got for got in lone if got[0] != "ok"]
+            got = outcome(lambda: F._outer_values(exprs, us))
+            if failed:
+                assert got in failed
+            else:
+                assert got == ("ok", b"".join(bits for _, bits in lone))
+
+    @pytest.mark.parametrize("rows", [[0, 2], [1, 2], [0, 1, 2], [2, 0, 2, 1]])
+    def test_division_that_some_rows_cannot_evaluate(self, rows):
+        # Row 0 cannot evaluate H's division (log of -1), row 1 fails its EPS
+        # rule (num = e^30), row 2 passes.  H' = (1/u1/2, e^u2/2) has no log,
+        # so row 0 alone gives H' and row 1 alone raises: so does any batch
+        # holding row 1, and only such a batch.
+        F = CompositeFunctional.from_strings(["v", "v"], "(log(u1) + exp(u2))/2")
+        us = np.array([[-1.0, 0.0], [1.0, 30.0], [2.0, 1.0]])[rows]
+        lone = [outcome(lambda: F.outer_gradient(u)) for u in us]
+        assert [got[0] for got in lone] == [("ok", DenominatorVanished, "ok")[r] for r in rows]
+        got = outcome(lambda: F.outer_gradient(us))
+        if 1 in rows:
+            assert got == lone[rows.index(1)]
+        else:
+            assert got == ("ok", b"".join(bits for _, bits in lone))
 
     @pytest.mark.parametrize(
         "us, vanished",
@@ -295,10 +346,10 @@ class TestFloatOuterMap:
     )
     def test_nested_division(self, us, vanished):
         F = CompositeFunctional.from_strings(["v"] * 3, "u1/(u2/u3)")
-        for exprs in ((F.outer,), F.outer_grad_exprs, F.second_partials[3]):
-            got = outcome(lambda: F._outer_values(exprs, us))
+        for exprs in outer_exprs(F):
+            got = outcome(lambda: F._outer_values(exprs, np.array([us]))[0])
             assert (got[0] is DenominatorVanished) == vanished
-            assert got == outcome(lambda: numpy_scalar_values(F, exprs, us))
+            assert got == outcome(lambda: numpy_reference_values(F, exprs, us))
 
     def test_partials_near_the_pole_are_finite(self):
         # H'' of u1/u2 divides by u2^4 = 1e-16; H's own denominator u2 = 1e-4
@@ -313,10 +364,58 @@ class TestFloatOuterMap:
         F = CompositeFunctional.from_strings(["v", "v"], "u1 / u2")
         for us in (np.array([1.0, den]), np.array([np.nan, den])):
             for exprs in ((F.outer,), F.outer_grad_exprs):
-                want = outcome(lambda: numpy_scalar_values(F, exprs, us))
-                assert outcome(lambda: F._outer_values(exprs, us)) == want
+                want = outcome(lambda: numpy_reference_values(F, exprs, us))
+                assert outcome(lambda: F._outer_values(exprs, us[None])[0]) == want
 
     def test_overflowing_power_is_infinite(self):
         F = CompositeFunctional.from_strings(["v"], "u1^3")
         assert F.outer_value(np.array([-1e200])) == -np.inf
         assert F.outer_gradient(np.array([1e200]))[0] == np.inf
+
+
+class TestBatchedOuterMap:
+    """The oracle's values take one pass of the outer map per batch of trajectories."""
+
+    def test_scan_makes_one_outer_pass_per_batch(self, monkeypatch):
+        # Each batch's integrand pass is followed by one outer pass over the
+        # batch's rows, for the grid and for every bisection step.
+        spec = resolve_problem("quotient2_3pt").build()
+        batches, passes = [], []
+        real_samples, real_outer = oracle._samples, CompositeFunctional._outer_values
+
+        def samples(exprs, b, *shape):
+            batches.append(len(b["y"]))
+            return real_samples(exprs, b, *shape)
+
+        def outer(F, exprs, us):
+            passes.append(len(us))
+            return real_outer(F, exprs, us)
+
+        monkeypatch.setattr(oracle, "_samples", samples)
+        monkeypatch.setattr(CompositeFunctional, "_outer_values", outer)
+        assert oracle.scan_low_dim(spec, [(-10.0, 10.0)], 401).has_roots
+        assert len(batches) > 1 and passes == batches
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_values_match_value_under_any_outer_map(self, seed):
+        # Random outer maps with powers and every function, such as
+        # u1^3 - exp(u2)/u1: each row of oracle._values is bit for bit value
+        # along that row, NaN where value raises.
+        rng = np.random.default_rng(seed)
+        spec, tr = random_problem(rng)
+        n = int(rng.integers(1, 4))
+        F = CompositeFunctional.from_strings(
+            [random_polynomial(rng, INNER_VARS) for _ in range(n)], random_outer_text(rng, n))
+        idx = decision_indices(spec)
+        rows = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 12)), idx.size))
+        Z = np.concatenate([tr.x[idx][None], rows])
+        want = []
+        for z in Z:
+            try:
+                want.append(value(F, embed_decision(spec, z)))
+            except (DenominatorVanished, DivisionByZero, DomainError):
+                want.append(np.nan)
+        got = oracle._values(spec, F, Z)
+        assert np.where(np.isnan(got), np.nan, got).tobytes() == (
+            np.where(np.isnan(want), np.nan, want).tobytes())

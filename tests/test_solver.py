@@ -271,6 +271,35 @@ class TestSharedEvaluation:
             x0 = euler_lagrange.embed_decision(spec, z0).x.tobytes()
             assert (calls.count((L, x0)), calls.count((K, x0))) == (0, 1)
 
+    @pytest.mark.parametrize("system", ["normal", "level"])
+    def test_batch_defects_take_one_outer_pass(self, monkeypatch, system):
+        # The constraint defect of a batch of iterates is one pass of K's outer
+        # map over the batch, in the normal system [grad L - lam grad K; k - K]
+        # and in the level system [grad K; K - k]; each residual is still the
+        # bits of its iterate evaluated alone.
+        spec = resolve_problem("iso_R").build(h_override=1e-1)
+        K, opts = spec.constraint.functional, SolveOptions(restarts=5, seed=0)
+        Z = np.array([solver._initial_decision(spec, opts, r) for r in range(opts.restarts)])
+        if system == "normal":
+            evaluate, _ = solver._gradient_system(spec)
+            W = np.column_stack([Z, np.linspace(-1.0, 1.0, len(Z))])
+        else:
+            kspec = dataclasses.replace(spec, lagrangian=K, constraint=None)
+            evaluate, W = solver._gradient_system(kspec, spec.constraint.target)[0], Z
+        lone = [evaluate([w])[0][0] for w in W]
+        passes, real = [], CompositeFunctional._outer_values
+
+        def watched(F, exprs, us):
+            if F is K and exprs is not K.outer_grad_exprs:
+                passes.append(len(us))
+            return real(F, exprs, us)
+
+        monkeypatch.setattr(CompositeFunctional, "_outer_values", watched)
+        batch = evaluate(W)
+        assert passes == [len(W)]
+        for (r, _), alone in zip(batch, lone):
+            assert r.tobytes() == alone.tobytes()
+
     # Every trajectory is built once, as a row of a batch (each restart's
     # z0, restoration steps, Newton iterates and abnormal-seed check) or by
     # embed_decision (the dedup of each converged run).  iso_R at h = 1e-2
