@@ -233,10 +233,7 @@ class BoundarySpec:
 
 def _integrand_bindings(trs: Sequence[Trajectory]) -> dict:
     """t, y and v over [a, b) (the maximal point dropped), y and v one (B, N - 1) row
-    per trajectory of trs, on one scale: a lone trajectory's rows are its own arrays."""
-    if len(trs) == 1:
-        return {"t": trs[0].ts.points[:-1], "y": trs[0].x_sigma[None, :-1],
-                "v": trs[0].x_delta[None]}
+    per trajectory of trs, on one scale, stacked: a lone trajectory is a batch of one."""
     return {"t": trs[0].ts.points[:-1], "y": np.array([tr.x_sigma[:-1] for tr in trs]),
             "v": np.array([tr.x_delta for tr in trs])}
 

@@ -16,7 +16,7 @@ import dataclasses
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -96,6 +96,13 @@ DEGENERATE = "degenerate"
 # run (a solve with one restart) pays the batched solve's fixed cost of
 # 0.3-0.5 ms.
 DENSE_NEWTON_LIMIT = 40
+
+# A row that block elimination declines falls back to its dense LU only up to
+# this many unknowns (the bundled fine grids have d = 999); above it the row's
+# step is NaN, and its run takes the damped gradient step.  One fallback at d =
+# 1,000 / 2,000 / 4,000 took 0.03 / 0.19 / 1.30 s and grew the peak RSS by 27 /
+# 99 / 379 MB (one BLAS thread, 2-vCPU VM); at d = 49,999 it would need 56 GiB.
+DENSE_FALLBACK_LIMIT = 2000
 
 # Newton matrices with a 1-norm condition estimate beyond 1/RCOND_LIMIT are
 # treated as near-singular; the step then comes from the minimum-norm
@@ -342,19 +349,12 @@ class _Hessian:
 
 def _hessian(spec: ProblemSpec, tr, lam0: float, lam):
     """The Hessian of lam0 * L - lam * K over the decision samples at tr, or the list of them
-    at a list of trajectories, assembled together (:func:`hessian_parts`), with one lam or
-    one per trajectory; rows with lam = 0 have no term of K, so they are assembled apart."""
+    at a list of trajectories, assembled together (:func:`hessian_parts`), with one lam or one
+    per trajectory; given a constraint and lam, each carries K's rows, at lam = 0 too."""
     trs = [tr] if isinstance(tr, Trajectory) else tr
-    lams = np.full(len(trs), 0.0 if spec.constraint is None or lam is None else lam, dtype=float)
-    if 0 < (with_K := np.count_nonzero(lams)) < len(trs):
-        hessians = [None] * len(trs)
-        for rows in (np.flatnonzero(lams == 0.0), np.flatnonzero(lams)):
-            for i, H in zip(rows, _hessian(spec, [trs[i] for i in rows], lam0, lams[rows])):
-                hessians[i] = H
-        return hessians
     terms = [(np.full(len(trs), lam0), spec.lagrangian)] if lam0 else []
-    if with_K:
-        terms.append((-lams, spec.constraint.functional))
+    if spec.constraint is not None and lam is not None:
+        terms.append((-np.full(len(trs), lam, dtype=float), spec.constraint.functional))
     d = decision_indices(spec).size
     diag, off = np.zeros((len(trs), d)), np.zeros((len(trs), max(d - 1, 0)))
     rows, blocks = [np.zeros((len(trs), 0, d))], []
@@ -394,23 +394,25 @@ def _newton_solver(hessians: Sequence[_Hessian], borders: Sequence[np.ndarray]):
     for row i of F.  Above DENSE_NEWTON_LIMIT unknowns every row is first
     solved by one block elimination of all the systems (:func:`_block_factor`);
     at most that size, or where a row declines, by one dense LU of that
-    row's system, made on its first need.
+    row's system, made on its first need.  Above DENSE_FALLBACK_LIMIT
+    unknowns a declined row forms no dense system: its answer is NaN.
     """
-    block = _block_factor(hessians, borders) if hessians[0].diag.size > DENSE_NEWTON_LIMIT else None
+    d = hessians[0].diag.size
+    block = _block_factor(hessians, borders) if d > DENSE_NEWTON_LIMIT else None
     dense = [None] * len(hessians)
 
     def solve(F: np.ndarray) -> np.ndarray:
         V, ok = block(F) if block else (np.empty_like(F), np.zeros(len(F), dtype=bool))
         for i in np.flatnonzero(~ok):
             if dense[i] is None:
-                dense[i] = _dense_solver(hessians[i].dense(borders[i]))
+                dense[i] = (_dense_solver(hessians[i].dense(borders[i])) if d <= DENSE_FALLBACK_LIMIT
+                            else partial(np.full_like, fill_value=np.nan))
             V[i] = dense[i](F[i])
         return V
 
     return solve
 
 
-@lru_cache(maxsize=4)
 def _tridiagonal_pattern(blocks: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(row indices, column starts) of ``blocks`` tridiagonal d x d blocks down one diagonal, in
     compressed columns: column j of a block holds its rows j-1, j and j+1, none of another block."""
@@ -487,9 +489,9 @@ def _block_factor(hessians: Sequence[_Hessian], borders: Sequence[np.ndarray]):
     # and the capacitance system (R Y + E) z = R T^-1 f - [0; g].
     d, m = borders[0].shape
     k = hessians[0].C.shape[0]
-    stack = np.stack if len(hessians) > 1 else (lambda parts: parts[0][None])  # views for one
-    diags, offs, U, C = (stack([getattr(H, part) for H in hessians]) for part in ("diag", "off", "U", "C"))
-    B = stack(borders)
+    diags, offs, U, C = (np.stack([getattr(H, part) for H in hessians])
+                         for part in ("diag", "off", "U", "C"))
+    B = np.stack(borders)
     R = np.concatenate((U, B.transpose(0, 2, 1)), axis=1)
     tsolve, ok = _tridiagonal_solver(diags, offs)
     Y = tsolve(np.concatenate((U.transpose(0, 2, 1) @ C, B), axis=2))
@@ -533,21 +535,16 @@ def _block_factor(hessians: Sequence[_Hessian], borders: Sequence[np.ndarray]):
         res, size = residual(v, F)
         # Iterative refinement: T may be nearly singular (it is at
         # Rayleigh-quotient solutions), where elimination loses digits that
-        # a step on the exact residual recovers.  A row refines while its
-        # defect is nonzero and each step lowers it.
-        active = size > 0.0
+        # a step on the exact residual recovers.  A row keeps a step only
+        # where it lowers that row's defect (a row that did not improve
+        # computes the same step again), and refinement ends once no row does.
         for _ in range(2):
-            if not active.any():
-                break
             v_new = v + eliminate(tsolve(res[:, :d]), res[:, d:])
             res_new, size_new = residual(v_new, F)
-            better = active & (size_new < size)
-            if not better.all():  # the rows that did not improve keep theirs
-                v_new, res_new = (np.where(better[:, None], new, old)
-                                  for new, old in ((v_new, v), (res_new, res)))
-                size_new = np.where(better, size_new, size)
-            v, res, size = v_new, res_new, size_new
-            active = better & (size > 0.0)
+            if not (better := size_new < size).any():
+                break
+            v, res = (np.where(better[:, None], new, old) for new, old in ((v_new, v), (res_new, res)))
+            size = np.where(better, size_new, size)
         scale = np.linalg.norm(F[:, :d], axis=1) + np.abs(F[:, d:]).sum(axis=1)
         scale += np.linalg.norm(v[:, :d], axis=1) + m
         return v, good & (size <= 1e-8 * scale)
@@ -556,7 +553,7 @@ def _block_factor(hessians: Sequence[_Hessian], borders: Sequence[np.ndarray]):
 
 
 def _dense_solver(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Solves with the square matrix M from one LU factorization.
+    """Solves with the square matrix M from one LU factorization, LAPACK's dgetrf called directly.
 
     The factors are used only if their 1-norm condition estimate passes;
     otherwise each solve is the minimum-norm least-squares solution.  A 1x1
@@ -569,17 +566,10 @@ def _dense_solver(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
             return np.zeros_like
         if np.finfo(float).tiny <= abs(a) < np.inf:
             return lambda f: f / a
-    try:
-        with warnings.catch_warnings():
-            # Singular factorizations are expected here; the rcond gate
-            # decides whether the factors are used.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            factors = scipy.linalg.lu_factor(M, check_finite=False)
-        rcond, info = lapack.dgecon(factors[0], np.abs(M).sum(axis=0).max(), norm="1")
-        if info == 0 and rcond > RCOND_LIMIT:
-            return lambda f: lapack.dgetrs(*factors, f)[0]
-    except (scipy.linalg.LinAlgError, ValueError):
-        pass
+    lu, piv, _ = lapack.dgetrf(M)  # info > 0 (exactly singular): the rcond gate declines it
+    rcond, info = lapack.dgecon(lu, np.abs(M).sum(axis=0).max(), norm="1")
+    if info == 0 and rcond > RCOND_LIMIT:
+        return lambda f: lapack.dgetrs(lu, piv, f)[0]
     # Near-singular: least-squares solution (QR with pivoting; rank-deficient
     # systems get the minimum-norm solution of the truncated problem, which
     # projects out near-null components).
@@ -638,15 +628,13 @@ class _NormalJacobian:
     @staticmethod
     def steps(normals, rs, pins) -> list:
         """(dz, dlam) of each system with pin^T [dz; 0] = 0, for (d + 1, m) pins, the systems of
-        one shape solved together: grad K = 0 decouples a system, whose step is then H's alone
-        and dlam = 0, the minimum-norm answer, and H at lam = 0 has no rows of K."""
+        one size solved together: grad K = 0 decouples a system, whose step is then H's alone
+        and dlam = 0, the minimum-norm answer.  Every H carries the rows of L and K."""
         systems = [(J.H, r, np.column_stack([J.b, pin[:-1]])) if J.b.any()
                    else (J.H, r[:-1], pin[:-1]) for J, r, pin in zip(normals, rs, pins)]
-        groups = {}
-        for i, (H, r, _) in enumerate(systems):
-            groups.setdefault((H.C.shape[0], r.size), []).append(i)
         steps = [None] * len(systems)
-        for rows in groups.values():
+        for size in dict.fromkeys(r.size for _, r, _ in systems):
+            rows = [i for i, (_, r, _) in enumerate(systems) if r.size == size]
             for i, step in zip(rows, _Hessian.steps(*zip(*(systems[i] for i in rows)))):
                 steps[i] = step if step.size == rs[i].size else np.append(step, 0.0)
         return steps
@@ -1092,14 +1080,14 @@ def solve_isoperimetric(
     normal, row = _gradient_system(spec)
     level, _ = _gradient_system(kspec, target)
 
-    def start(tr):
-        """_run_newton's arguments at tr, K's record filled: lam is the least-squares multiplier
-        (0 where it cannot be evaluated)."""
+    def start(tr, defect=None):
+        """_run_newton's arguments at tr, K's record filled and K - k the ``defect`` where
+        given: lam is the least-squares multiplier (0 where it cannot be evaluated)."""
         try:
             lam = _fit_multiplier(functional_gradient(spec, tr), constraint_gradient(spec, tr))
         except _EVAL_ERRORS:
             lam = 0.0
-        return np.append(tr.x[decision_indices(spec)], lam), opts, pin_scale, partial(row, tr, lam)
+        return np.append(tr.x[decision_indices(spec)], lam), opts, pin_scale, partial(row, tr, lam, defect)
 
     def restored_run(z0):
         """A generator for _lockstep returning the run from z0 restored by scalar Newton in s on
@@ -1117,7 +1105,7 @@ def solve_isoperimetric(
                 r, (_, (tr, gK, _)) = (yield level, z0 + s * g0)()
                 if abs(r[-1]) <= opts.tol_residual:
                     if np.linalg.norm(gK) >= RESTORE_GRADIENT * np.linalg.norm(g0):
-                        return _run_newton(*start(tr))
+                        return _run_newton(*start(tr, r[-1]))  # r[-1] = K - k at tr
                     break
 
     def restart(z0):

@@ -394,7 +394,7 @@ class TestBatchedEvaluation:
         # lone pieces and dense Hessian byte for byte, and a row whose record
         # raises gets none but raises its lone error.  So do the Hessians of
         # F - lam_i K, one multiplier per row as in a round of normal
-        # Jacobians, with one lam_i = 0, whose Hessian has no rows of K.
+        # Jacobians, with one lam_i = 0, whose Hessian carries K's rows too.
         rng = np.random.default_rng(seed)
         spec, tr = random_problem(rng, ts=graded_timescale(rng) if graded else None)
         scales = rng.choice([0.0, 0.3, 3.0], size=int(rng.integers(2, 7)))

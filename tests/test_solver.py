@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -9,6 +10,7 @@ import pytest
 import scipy.linalg
 from conftest import graded_timescale, random_constraint, random_problem
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from deltavar import (
@@ -299,6 +301,51 @@ class TestSharedEvaluation:
         assert passes == [len(W)]
         for (r, _), alone in zip(batch, lone):
             assert r.tobytes() == alone.tobytes()
+
+    def test_mixed_multiplier_round_takes_one_hessian_pass_per_functional(self, monkeypatch):
+        # A round of normal Jacobians whose multipliers include lam = 0 assembles
+        # every Hessian of L - lam K in one pass of hessian_parts per functional:
+        # each carries K's rows, at weight -lam, and equals its batch of one.
+        spec = resolve_problem("iso_R").build(h_override=1e-1)
+        L, K = spec.lagrangian, spec.constraint.functional
+        opts = SolveOptions(restarts=5, seed=0)
+        Z = np.array([solver._initial_decision(spec, opts, r) for r in range(opts.restarts)])
+        evaluate, _ = solver._gradient_system(spec)
+        batch = evaluate(np.column_stack([Z, [0.0, 1.5, 0.0, -2.0, 0.7]]))
+        (assemble, _), keys = batch[0][1], [key for _, (_, key) in batch]
+        passes, real_parts = [], solver.hessian_parts
+
+        def watched_parts(F, spec, trs):
+            passes.append((F, len(trs)))
+            return real_parts(F, spec, trs)
+
+        monkeypatch.setattr(solver, "hessian_parts", watched_parts)
+        normals = assemble(keys)
+        assert passes == [(L, len(keys)), (K, len(keys))]
+        for J, key in zip(normals, keys):
+            alone, = assemble([key])
+            assert J.H.U.shape[0] == L.n + K.n
+            for part in ("diag", "off", "U", "C"):
+                assert getattr(J.H, part).tobytes() == getattr(alone.H, part).tobytes()
+            assert J.b.tobytes() == alone.b.tobytes()
+
+    def test_restored_starts_take_no_lone_constraint_value(self, monkeypatch):
+        # The restoration's last residual ends with K - k at the restored
+        # start, and the run's first residual takes that defect, so no
+        # restart evaluates K's outer map alone; the solve's only lone passes
+        # of an outer map H are its one point's values of L and K.
+        lone, real = [], CompositeFunctional._outer_values
+
+        def watched(F, exprs, us):
+            if exprs == (F.outer,) and len(us) == 1:
+                lone.append(F)
+            return real(F, exprs, us)
+
+        monkeypatch.setattr(CompositeFunctional, "_outer_values", watched)
+        spec = resolve_problem("iso_3pt").build()
+        pts = solve_isoperimetric(spec, SolveOptions(restarts=64, seed=0))
+        assert len(pts) == 1
+        assert lone == [spec.lagrangian, spec.constraint.functional]
 
     # Every trajectory is built once, as a row of a batch (each restart's
     # z0, restoration steps, Newton iterates and abnormal-seed check) or by
@@ -1045,6 +1092,76 @@ class TestHessianSolve:
         for p, q in zip(block, dense):
             assert p.value == pytest.approx(q.value, rel=1e-12)
             np.testing.assert_allclose(p.trajectory.x, q.trajectory.x, atol=1e-10)
+
+    def test_fine_grid_declined_row_forms_no_dense_system(self, monkeypatch):
+        # sturm_liouville at h = 2e-5 (d = 49,999): one block-elimination row
+        # declines at a Rayleigh-quotient solution, where T = stiffness -
+        # lam * mass is nearly singular.  Above DENSE_FALLBACK_LIMIT its step
+        # is NaN and its run takes the damped gradient step; no dense form is
+        # built (it would take 18.6 GiB).  The points are the grid's first two
+        # pencil eigenvalues, (4 / h^2) sin^2(k pi h / 2).
+        h, declined = 2e-5, []
+        real_dense, real_block = _Hessian.dense, solver._block_factor
+
+        def guarded_dense(H, B):
+            if H.diag.size > solver.DENSE_FALLBACK_LIMIT:
+                raise AssertionError(f"dense form of order {H.diag.size}")
+            return real_dense(H, B)
+
+        def watched_block(hessians, borders):
+            solve = real_block(hessians, borders)
+
+            def watched_solve(F):
+                V, ok = solve(F)
+                declined.append(int(np.count_nonzero(~ok)))
+                return V, ok
+
+            return watched_solve
+
+        monkeypatch.setattr(_Hessian, "dense", guarded_dense)
+        monkeypatch.setattr(solver, "_block_factor", watched_block)
+        spec = resolve_problem("sturm_liouville").build(h_override=h)
+        assert decision_indices(spec).size > solver.DENSE_FALLBACK_LIMIT >= 999
+        pts = solve_unconstrained(spec, SolveOptions(restarts=4, seed=0))
+        assert sum(declined) > 0
+        want = [4.0 / h**2 * np.sin(k * np.pi * h / 2.0) ** 2 for k in (1, 2)]
+        assert [p.value for p in pts] == pytest.approx(want, rel=1e-9)
+
+
+def reference_dense_solve(M, f):
+    """_dense_solver's answer through scipy's lu_factor wrapper, with no closed form."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
+    rcond, info = lapack.dgecon(lu, np.abs(M).sum(axis=0).max(), norm="1")
+    if info == 0 and rcond > solver.RCOND_LIMIT:
+        return lapack.dgetrs(lu, piv, f)[0]
+    return scipy.linalg.lstsq(M, f, cond=1e-10, lapack_driver="gelsy", check_finite=False)[0]
+
+
+class TestDenseSolver:
+    # _dense_solver calls LAPACK's dgetrf itself and solves 1x1 systems in
+    # closed form; both give the bits of the lu_factor route.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans(),
+           st.sampled_from([0, -300, 300]))
+    def test_matches_the_lu_factor_route(self, seed, n, deficient, exponent):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n, n))
+        if deficient:  # rank r < n: the rcond gate sends it to least squares
+            r = int(rng.integers(0, n))
+            M = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
+        M *= 10.0**exponent
+        for f in (rng.standard_normal(n), np.zeros(n)):
+            assert solver._dense_solver(M)(f).tobytes() == reference_dense_solve(M, f).tobytes()
+
+    @pytest.mark.parametrize("a", [0.0, -0.0, 5e-324, -2e-310, np.inf, -np.inf, np.nan,
+                                   3.0, -1e-300, 1e300])
+    def test_one_by_one_systems_match_the_lu_factor_route(self, a):
+        M = np.array([[a]])
+        for f in (1.5, -2.0, 0.0, -0.0):
+            got = solver._dense_solver(M)(np.array([f]))
+            assert got.tobytes() == reference_dense_solve(M, np.array([f])).tobytes()
 
 
 class TestInertia:
