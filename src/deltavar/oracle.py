@@ -89,8 +89,8 @@ def _values(spec: ProblemSpec, F: CompositeFunctional, Z: np.ndarray, strict: bo
         rows = Z[start : start + per]
         X = np.repeat(embed_decision(spec, rows[0]).x[None], len(rows), axis=0)
         X[:, decision_indices(spec)] = rows
-        b = {"t": spec.ts.points[:-1], "y": X[:, 1:], "v": (X[:, 1:] - X[:, :-1]) / steps}
         with suppress(*_EVAL_ERRORS), np.errstate(invalid="ignore", over="ignore"):
+            b = {"t": spec.ts.points[:-1], "y": X[:, 1:], "v": (X[:, 1:] - X[:, :-1]) / steps}
             us = (steps * _samples(F.inner, b)).cumsum(axis=2)[:, :, -1]
             out[start : start + len(rows)] = F._outer_values((F.outer,), us)[:, 0]
             continue
@@ -259,6 +259,8 @@ def scan_low_dim(
         raise ValueError(f"scan ranges must be finite, got {list(ranges)}")
     if any(lo >= hi for lo, hi in ranges):
         raise ValueError(f"scan ranges need lo < hi, got {list(ranges)}")
+    if not all(np.isfinite(float(hi) - float(lo)) for lo, hi in ranges):
+        raise ValueError(f"scan ranges need a finite width hi - lo, got {list(ranges)}")
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     if d == 2 and spec.constraint is not None:

@@ -99,9 +99,10 @@ DENSE_NEWTON_LIMIT = 40
 
 # A row that block elimination declines falls back to its dense LU only up to
 # this many unknowns (the bundled fine grids have d = 999); above it the row's
-# step is NaN, and its run takes the damped gradient step.  One fallback at d =
-# 1,000 / 2,000 / 4,000 took 0.03 / 0.19 / 1.30 s and grew the peak RSS by 27 /
-# 99 / 379 MB (one BLAS thread, 2-vCPU VM); at d = 49,999 it would need 56 GiB.
+# step is NaN, and its run takes the damped gradient step.  One fallback on a
+# singular sturm_liouville Hessian (LU, then least squares) at d = 1,000 / 2,000
+# / 4,000 took 0.17 / 1.30 / 9.6 s and grew the peak RSS by 21 / 70 / 259 MB, 2.1
+# times M (one BLAS thread, 2-vCPU VM, fresh processes); at d = 49,999: 40 GiB.
 DENSE_FALLBACK_LIMIT = 2000
 
 # Newton matrices with a 1-norm condition estimate beyond 1/RCOND_LIMIT are
@@ -566,8 +567,9 @@ def _dense_solver(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
             return np.zeros_like
         if np.finfo(float).tiny <= abs(a) < np.inf:
             return lambda f: f / a
+    norm = np.abs(M).sum(axis=0).max()  # before dgetrf copies M: |M| is freed by then
     lu, piv, _ = lapack.dgetrf(M)  # info > 0 (exactly singular): the rcond gate declines it
-    rcond, info = lapack.dgecon(lu, np.abs(M).sum(axis=0).max(), norm="1")
+    rcond, info = lapack.dgecon(lu, norm, norm="1")
     if info == 0 and rcond > RCOND_LIMIT:
         return lambda f: lapack.dgetrs(lu, piv, f)[0]
     # Near-singular: least-squares solution (QR with pivoting; rank-deficient
@@ -936,8 +938,8 @@ def _gradient_system(spec: ProblemSpec, level: Optional[float] = None):
     ``evaluate`` answers a batch of iterates (:func:`_lockstep`) with each one's residual and
     Jacobian request, or raises, from one (B, N) embedding, one batch of records per
     functional and one outer pass for the batch's defects, and a round's Jacobian requests
-    are answered by one assembly of their Hessians; ``row(tr, lam)`` gives the residual and
-    Jacobian request at tr alone, its records filled.  The residual is grad F; with a
+    are answered by one assembly of their Hessians; ``row(tr, lam, defect)`` gives both at tr
+    from its filled records and the defect G - goal there.  The residual is grad F; with a
     ``level`` it is [grad F; F - level], whose Gauss-Newton steps (_LevelJacobian) draw runs
     onto that level set; with spec's constraint K = k it is [grad F - lam grad K; k - K] in
     w = [z; lam] (_NormalJacobian).
@@ -960,16 +962,12 @@ def _gradient_system(spec: ProblemSpec, level: Optional[float] = None):
         us = np.array([_partials(G, tr).us for tr in trs])
         return G._outer_values((G.outer,), us)[:, 0] - goal
 
-    def row(tr, lam=None, defect=None):
+    def row(tr, lam, defect):
         g = functional_gradient(spec, tr)
         if constraint is not None:
             gK = constraint_gradient(spec, tr)
-            defect = defects([tr])[0] if defect is None else defect  # the record gK read
             return np.append(g - lam * gK, -defect), (assemble, (tr, gK, lam))
-        if level is None:
-            return g, (assemble, (tr, g, None))
-        defect = defects([tr])[0] if defect is None else defect  # the record g read
-        return np.append(g, defect), (assemble, (tr, g, None))
+        return (g if level is None else np.append(g, defect)), (assemble, (tr, g, None))
 
     def evaluate(W):
         W = np.array(W)
@@ -1056,14 +1054,14 @@ def solve_isoperimetric(
     DENSE_NEWTON_LIMIT unknowns, so in O(d) time and memory.  Each normal
     run starts on the constraint (Nocedal & Wright, Numerical Optimization,
     2nd ed., ch. 15 and 18): a scalar Newton on K(z0 + s grad K(z0)) = k
-    restores the start z0, and lambda is the least-squares multiplier there.
-    The restored start is kept only if that Newton converged and ||grad K||
+    restores the start z0, kept only if that Newton converged and ||grad K||
     there is at least RESTORE_GRADIENT times ||grad K(z0)|| (else the level
     set is degenerate, a case for the abnormal branch); if the run from it
-    fails, the restart runs from z0 with the multiplier fitted at z0, as
-    it would without the restoration.  Restarts advance in lockstep, runs
-    that restore sharing rounds with runs that iterate, each exactly as
-    alone.  Where a normal point has a nearly
+    fails, the restart runs from z0, as it would without the restoration.
+    Either start's row at lambda = 0, a row of its round's batch, gives the
+    least-squares lambda and the first residual.  Restarts advance in
+    lockstep, runs that restore sharing rounds with runs that iterate, each
+    exactly as alone.  Where a normal point has a nearly
     vanishing grad K, or no normal run converges, the abnormal branch
     (lambda0 = 0) seeks extremals of K itself that meet the constraint
     value, by the unconstrained Newton system for K.  Where L and K are
@@ -1080,19 +1078,10 @@ def solve_isoperimetric(
     normal, row = _gradient_system(spec)
     level, _ = _gradient_system(kspec, target)
 
-    def start(tr, defect=None):
-        """_run_newton's arguments at tr, K's record filled and K - k the ``defect`` where
-        given: lam is the least-squares multiplier (0 where it cannot be evaluated)."""
-        try:
-            lam = _fit_multiplier(functional_gradient(spec, tr), constraint_gradient(spec, tr))
-        except _EVAL_ERRORS:
-            lam = 0.0
-        return np.append(tr.x[decision_indices(spec)], lam), opts, pin_scale, partial(row, tr, lam, defect)
-
-    def restored_run(z0):
-        """A generator for _lockstep returning the run from z0 restored by scalar Newton in s on
+    def restored(z0):
+        """A generator for _lockstep returning z0 restored onto K = k by scalar Newton in s on
         the level system's rows [grad K; K - k] at z0 + s grad K(z0), or None where that Newton
-        fails or the level set is degenerate there.  No trajectory outlives it but the run's."""
+        fails or the level set is degenerate there."""
         with suppress(*_EVAL_ERRORS):
             r, (_, (_, g0, _)) = (yield level, z0)()
             s, gK = 0.0, g0
@@ -1102,19 +1091,28 @@ def solve_isoperimetric(
                 if not (np.isfinite(slope) and slope != 0.0):
                     break
                 s -= r[-1] / slope
-                r, (_, (tr, gK, _)) = (yield level, z0 + s * g0)()
+                r, (_, (_, gK, _)) = (yield level, (z := z0 + s * g0))()
                 if abs(r[-1]) <= opts.tol_residual:
-                    if np.linalg.norm(gK) >= RESTORE_GRADIENT * np.linalg.norm(g0):
-                        return _run_newton(*start(tr, r[-1]))  # r[-1] = K - k at tr
-                    break
+                    return z if np.linalg.norm(gK) >= RESTORE_GRADIENT * np.linalg.norm(g0) else None
+
+    def started(z):
+        """A generator for _lockstep returning the normal run from z, not its result, so that the
+        row at (z, 0) dies with the run.  That row, in its round's batch, gives the least-squares
+        lam and the first residual at (z, lam); where it raises, the run starts at (z, 0)."""
+        first = yield (w := np.append(z, 0.0))
+        with suppress(*_EVAL_ERRORS):
+            r, (_, (tr, gK, _)) = first()
+            lam = _fit_multiplier(functional_gradient(spec, tr), gK)
+            w, first = np.append(z, lam), partial(row, tr, lam, -r[-1])  # r[-1] = k - K
+        return _run_newton(w, opts, pin_scale, first)
 
     def restart(z0):
         """The normal run of one restart, a generator for _lockstep: from z0 restored onto K = k,
         or from z0 where that restoration or the run from there fails."""
-        run = yield from restored_run(z0)
-        if run is not None and (out := (yield from run)).converged:
+        z = yield from restored(z0)
+        if z is not None and (out := (yield from (yield from started(z)))).converged:
             return out
-        return (yield from _run_newton(*start(embed_decision(spec, z0))))
+        return (yield from (yield from started(z0)))
 
     def constraint_gradient_at(z):  # a generator for _lockstep
         return (yield level, z)()[0][:-1]  # the head of the level system's residual

@@ -282,14 +282,16 @@ def delta_derivative(ts: TimeScale, x: GridSamples) -> np.ndarray:
 
     At every right-scattered point the derivative is the forward difference
     quotient (x(sigma(t)) - x(t)) / mu(t); the maximal point is dropped, so
-    the result has ``ts.kappa_count()`` entries.
+    the result has ``ts.kappa_count()`` entries.  A quotient that overflows
+    is +-inf (nan from inf - inf), without numpy's warning, as in delta_integral.
     """
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size != len(ts):
         raise ValueError(
             f"samples have {arr.size} values, scale has {len(ts)} points"
         )
-    return (arr[1:] - arr[:-1]) / ts.steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (arr[1:] - arr[:-1]) / ts.steps
 
 
 def delta_integral(

@@ -308,6 +308,14 @@ right = free
 
 
 class TestScanCommand:
+    def test_overflowing_samples_scan_without_warning(self, capsys):
+        # Difference quotients of samples near the largest float overflow to
+        # inf inside the scan; no RuntimeWarning (an error in this suite)
+        # reaches the command.
+        code, out, err = run(capsys, "scan", "quotient2_3pt", "--var", "x@0.5",
+                             "--range=-1e308,1e307", "--resolution", "5")
+        assert code in (0, 3) and "grid: 5 samples on [-1e+308, 1e+307]" in out and not err
+
     def test_product_3pt_scan_no_roots(self, capsys):
         code, out, _ = run(
             capsys, "scan", "product_3pt", "--var", "x@0.5",
@@ -438,6 +446,11 @@ class TestRejectedInput:
     def test_bad_number(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert_usage_error(code, err, message)
+
+    def test_scan_range_whose_width_overflows(self, capsys):
+        code, _, err = run(capsys, "scan", "quotient2_3pt", "--var", "x@0.5",
+                           "--range=-1e308,1e308", "--resolution", "5")
+        assert_usage_error(code, err, "finite width")
 
     @pytest.mark.parametrize("command", [["solve", "quotient2_3pt"],
                                          ["refine", "quotient2_3pt", "--h-list", "0.5"]])

@@ -228,6 +228,19 @@ class TestScanLowDim:
         assert roots[0] == pytest.approx((2 - np.sqrt(2)) / 2, abs=1e-10)
         assert roots[1] == pytest.approx((2 + np.sqrt(2)) / 2, abs=1e-10)
 
+    def test_range_whose_width_overflows_is_rejected(self):
+        # Its grid would start at nan (linspace forms hi - lo).
+        with pytest.raises(ValueError, match="finite width"):
+            scan_low_dim(quotient2_spec(), [(-1e308, 1e308)], resolution=5)
+
+    def test_overflowing_difference_quotients_warn_nowhere(self):
+        # Samples near the largest float: the delta derivative of the
+        # embedded trajectory and of the batched values overflow to inf, as
+        # a value's delta integral does, and the scan still runs (the suite
+        # turns a RuntimeWarning into an error).
+        report = scan_low_dim(quotient2_spec(), [(-1e308, 1e307)], resolution=5)
+        assert report.grid[0] == -1e308 and report.grid[-1] == 1e307
+
     def test_roots_lie_in_brackets(self):
         report = scan_low_dim(quotient2_spec(), [(-10.0, 10.0)], resolution=401)
         for (lo, hi), root in zip(report.brackets, report.roots):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 import warnings
 import weakref
@@ -241,10 +242,11 @@ class TestSharedEvaluation:
 
     def test_isoperimetric_start_evaluated_once(self, monkeypatch):
         # Every start is first restored onto K = k along grad K.  The
-        # restoration's last step, the multiplier guess and Newton's first
-        # residual share one trajectory, so each functional is evaluated once
-        # at each start trajectory; at z0 the restoration reads K alone.
-        # Records are counted in batches and alone.
+        # restoration's last step reads K at the start; the normal row there,
+        # evaluated in its round's batch, reads L and K again, and the
+        # multiplier guess and Newton's first residual share its trajectory.
+        # So L is evaluated once at each start and K twice; at z0 the
+        # restoration reads K alone.  Records are counted in batches and alone.
         calls, starts = [], []
         real_records, real_run = euler_lagrange._fill_partials, solver._run_newton
 
@@ -267,8 +269,7 @@ class TestSharedEvaluation:
         for restart, z in enumerate(starts):
             tr = euler_lagrange.embed_decision(spec, z)
             assert value(K, tr) == pytest.approx(1.0, abs=opts.tol_residual)
-            for F in (L, K):
-                assert calls.count((F, tr.x.tobytes())) == 1
+            assert (calls.count((L, tr.x.tobytes())), calls.count((K, tr.x.tobytes()))) == (1, 2)
             z0 = solver._initial_decision(spec, opts, restart)
             x0 = euler_lagrange.embed_decision(spec, z0).x.tobytes()
             assert (calls.count((L, x0)), calls.count((K, x0))) == (0, 1)
@@ -347,15 +348,33 @@ class TestSharedEvaluation:
         assert len(pts) == 1
         assert lone == [spec.lagrangian, spec.constraint.functional]
 
-    # Every trajectory is built once, as a row of a batch (each restart's
-    # z0, restoration steps, Newton iterates and abnormal-seed check) or by
-    # embed_decision (the dedup of each converged run).  iso_R at h = 1e-2
-    # builds 6 rows in its one restart and 1 in the dedup.  iso_3pt has
-    # d = 1: each restart restores in one step onto the single point of
-    # K = k, and its polish step and seed check meet that z again, so it
-    # builds 4 rows, 32 in 8 restarts, plus 8 in the dedup.
+    @pytest.mark.parametrize("problem, h", [("iso_3pt", None), ("iso_R", 1e-2)])
+    def test_restarts_fill_no_record_alone(self, monkeypatch, problem, h):
+        # Every normal start is a row of its round's batch, so the solve's
+        # only records filled alone are its one point's L and K (an earlier
+        # design filled L alone at each of the 64 starts as well).
+        lone, real = [], euler_lagrange._fill_partials
+
+        def counting(F, trs, *bindings):  # solver's own batch calls are not patched
+            lone.append((F, len(trs)))
+            return real(F, trs, *bindings)
+
+        monkeypatch.setattr(euler_lagrange, "_fill_partials", counting)
+        spec = resolve_problem(problem).build(h_override=h)
+        assert len(solve_isoperimetric(spec, SolveOptions(restarts=64, seed=0))) == 1
+        assert lone == [(spec.lagrangian, 1), (spec.constraint.functional, 1)]
+
+    # Every trajectory is built once per system that evaluates it, as a row
+    # of a batch (each restart's z0, restoration steps, normal start row,
+    # Newton iterates and abnormal-seed check) or by embed_decision (the
+    # dedup of each converged run).  The restored start is a row of the
+    # level system and again of the normal one.  iso_R at h = 1e-2 builds 7
+    # rows in its one restart and 1 in the dedup.  iso_3pt has d = 1: each
+    # restart restores in one step onto the single point of K = k, and its
+    # polish step and seed check meet that z again, so it builds 5 rows, 40
+    # in 8 restarts, plus 8 in the dedup.
     @pytest.mark.parametrize("problem, h, restarts, builds",
-                             [("iso_R", 1e-2, 1, 7), ("iso_3pt", None, 8, 40)])
+                             [("iso_R", 1e-2, 1, 8), ("iso_3pt", None, 8, 48)])
     def test_isoperimetric_trajectory_builds(self, monkeypatch, problem, h, restarts, builds):
         calls = [0]
         real_embed, real_rows = solver.embed_decision, Trajectory._rows.__func__
@@ -1163,6 +1182,21 @@ class TestDenseSolver:
             got = solver._dense_solver(M)(np.array([f]))
             assert got.tobytes() == reference_dense_solve(M, np.array([f])).tobytes()
 
+    def test_factor_holds_one_copy_of_the_matrix(self):
+        # The LU factors are M's one copy: the 1-norm's |M| temporary is gone
+        # before dgetrf copies M (both at once peaked at 2x M).
+        n = 600
+        M = np.random.default_rng(0).standard_normal((n, n)) + n * np.eye(n)
+        tracemalloc.start()
+        try:
+            solve = solver._dense_solver(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * M.nbytes
+        f = np.ones(n)
+        assert solve(f).tobytes() == reference_dense_solve(M, f).tobytes()
+
 
 class TestInertia:
     def test_bordered_counts_match_dense(self):
@@ -1320,7 +1354,8 @@ class TestRoundScope:
         # evaluation, each evaluated again alone in its round.
         state = {"round": 0, "called": [], "retry": 0}
         evaluations = set()
-        starts, solved = [], []  # per Newton run whether it starts at z0; the runs given _points
+        restart = _restart_tags(monkeypatch)  # [the restart being advanced]
+        starts, solved = [], []  # per Newton run (restart, starts at z0); the runs given _points
         real_system, real_answers = solver._gradient_system, solver._answers
         real_points, real_rows, real_run = solver._points, Trajectory._rows.__func__, solver._run_newton
 
@@ -1363,11 +1398,12 @@ class TestRoundScope:
             return trs, b
 
         def failing_restored(w0, *args):
-            starts.append(w0[:-1].tobytes() in inits)
-            if not starts[-1]:
+            starts.append((restart[0], w0[:-1].tobytes() in inits))
+            if not starts[-1][1]:
                 return solver._NewtonResult(w0, np.full_like(w0, np.inf), False, 0)
-            # args holds the first residual's thunk, at a trajectory embed_decision made alone
-            return (yield from real_run(w0, *args))
+            # args holds the first residual's row, a view of its batch: the run alone keeps it
+            run, args = real_run(w0, *args), None
+            return (yield from run)
 
         def points(gspec, runs, *args, **kwargs):
             solved.append(runs)
@@ -1385,7 +1421,28 @@ class TestRoundScope:
         assert not batches  # none outlives the solve
         if problem == "sturm_liouville":
             assert solved[0][0].failure is DenominatorVanished
-        assert starts == ([False, True] * opts.restarts if fail_restored else [])
+        assert [[at_z0 for k, at_z0 in starts if k == r] for r in range(opts.restarts)] == (
+            [[False, True] if fail_restored else []] * opts.restarts)
+
+
+def _restart_tags(monkeypatch):
+    """A list whose one item names, during a solve, the run of _lockstep being advanced (its
+    index among that _lockstep's runs), so a restart's Newton runs can be told apart."""
+    current, real = [None], solver._lockstep
+
+    def tagged(k, run):
+        answer = None
+        while True:
+            current[0] = k
+            try:
+                request, answer = run.send(answer), None
+            except StopIteration as stop:
+                return stop.value
+            answer = yield request
+
+    monkeypatch.setattr(solver, "_lockstep", lambda runs, *args: real(
+        map(tagged, itertools.count(), runs), *args))
+    return current
 
 
 def _recorded_runs(monkeypatch, problem, h, opts):
@@ -1495,22 +1552,49 @@ class TestRestoredStarts:
         spec = resolve_problem("iso_R").build(h_override=1e-2)
         opts = SolveOptions(restarts=4, seed=0)
         inits = [solver._initial_decision(spec, opts, r).tobytes() for r in range(4)]
-        runs, real = [], solver._run_newton
+        runs, real, restart = [], solver._run_newton, _restart_tags(monkeypatch)
 
         def failing_restored(w0, *args):
-            runs.append(w0[:-1].tobytes() in inits)
-            if not runs[-1]:
+            runs.append((restart[0], w0[:-1].tobytes() == inits[restart[0]]))
+            if not runs[-1][1]:
                 return solver._NewtonResult(w0, np.full_like(w0, np.inf), False, 0)
             return (yield from real(w0, *args))
 
         monkeypatch.setattr(solver, "_run_newton", failing_restored)
         fallback = solve_isoperimetric(spec, opts)
-        assert runs == [False, True] * opts.restarts
+        # Each restart runs from its restored start, then from its own z0.
+        assert [[at_z0 for k, at_z0 in runs if k == r] for r in range(opts.restarts)] == [
+            [False, True]] * opts.restarts
         monkeypatch.setattr(solver, "_run_newton", real)
         monkeypatch.setattr(solver, "RESTORE_ITERS", 0)
         unrestored = solve_isoperimetric(spec, opts)
         assert [(p.value, p.lam, p.basin_count) for p in fallback] == [
             (p.value, p.lam, p.basin_count) for p in unrestored]
+
+    def test_fallback_starts_share_one_batch(self, monkeypatch):
+        # With every restored run failing, the restarts fall back to their z0
+        # in the same round, so L's records at the 4 starts are one batch.
+        spec = resolve_problem("iso_R").build(h_override=1e-2)
+        opts = SolveOptions(restarts=4, seed=0)
+        inits = [solver._initial_decision(spec, opts, r) for r in range(4)]
+        starts = {euler_lagrange.embed_decision(spec, z).x.tobytes() for z in inits}
+        fills, real_fill, real_run = [], euler_lagrange._fill_partials, solver._run_newton
+
+        def counting(F, trs, *bindings):
+            if F is spec.lagrangian:
+                fills.append(sum(tr.x.tobytes() in starts for tr in trs))
+            return real_fill(F, trs, *bindings)
+
+        def failing_restored(w0, *args):
+            if not any(np.array_equal(w0[:-1], z) for z in inits):
+                return solver._NewtonResult(w0, np.full_like(w0, np.inf), False, 0)
+            return (yield from real_run(w0, *args))
+
+        monkeypatch.setattr(euler_lagrange, "_fill_partials", counting)
+        monkeypatch.setattr(solver, "_fill_partials", counting)
+        monkeypatch.setattr(solver, "_run_newton", failing_restored)
+        solve_isoperimetric(spec, opts)
+        assert [n for n in fills if n] == [4]
 
     def test_degenerate_level_set_is_left_to_the_abnormal_branch(self, monkeypatch):
         # Every line z0 + s grad K(z0) meets K = 1 only at x = t, a double

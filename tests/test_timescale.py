@@ -222,6 +222,12 @@ class TestDeltaDerivative:
         with pytest.raises(ValueError):
             delta_derivative(ts, [0.0, 1.0])
 
+    def test_overflow_gives_inf_without_warning(self):
+        # The suite turns a RuntimeWarning into an error.
+        ts = make_timescale("points", values=[0, 0.5, 1, 1.5])
+        xd = delta_derivative(ts, [-1e308, 1e308, np.inf, np.inf])
+        assert xd[:2].tolist() == [np.inf, np.inf] and np.isnan(xd[2])
+
     def test_first_order_convergence_to_derivative(self):
         # Sampled smooth function: the forward quotient converges at rate h.
         errs = []
