@@ -32,14 +32,13 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import ExprError
 from .functional import (
     BoundarySpec,
     CompositeFunctional,
     Trajectory,
     _integrand_bindings,
     _samples,
-    inner_values,
+    inner_values,  # not used here: importable by name, as bench/tracer.py patches it
 )
 from .timescale import TimeScale
 
@@ -176,32 +175,27 @@ _Partials = namedtuple("_Partials", "us w fy fv rows g")
 
 
 def _fill_partials(F: CompositeFunctional, trs: list, b: Optional[dict] = None) -> None:
-    """Cache F's record on each trajectory of trs, on one scale, from one pass of f, f_y, f_v
-    over their bindings ``b`` (stacked from trs where not given), or raise.
+    """Cache F's record on each trajectory of trs, on one scale, from passes of f, H'(us),
+    then f_y and f_v over their bindings ``b`` (stacked from trs where not given), or raise.
 
     A row-wise cumsum of mu * f gives the inner values, one pass of H' over (B,) arrays
     (after one array test of each of H's own divisions) the weights w, and one batched
-    matmul each row's g.  Whatever the batch size, either every row gets its record or
-    none does and an error is raised: a batch of one raises what its record raises, so a
-    failed batch's rows are filled again one at a time (:func:`deltavar.solver._answers`)
-    to learn which of them fail."""
+    matmul each row's g.  The passes go in the order in which a lone value raises, each
+    raising where some row raises alone, so a batch of any size fills every row or raises,
+    and a batch of one raises what its record raises (:func:`deltavar.solver._answers`
+    splits a failed batch to learn which rows fail)."""
     n, ts, b = F.n, trs[0].ts, b or _integrand_bindings(trs)
-    try:
-        f, partials = _samples((F.inner, F.inner_y + F.inner_v), b)
-    except ExprError:  # alone, raise what passes over f, H'(us), then f_y and f_v raised first
-        F.outer_gradient(inner_values(F, trs[0]))
-        raise
-    # Sample x_{j+1} enters interval j through y = x_{j+1} and v = (x_{j+1} - x_j)/mu_j,
-    # sample x_j only through v.  Products and sums go in place, into f and rows.
-    fy, fv = partials[:, :n], partials[:, n:]
-    rows = np.zeros((len(trs), n, len(ts)))
     with np.errstate(over="ignore", invalid="ignore"):  # +inf and -inf sum to nan, as in value
-        weighted = np.multiply(ts.steps, f, out=f)
-        us = weighted.cumsum(axis=-1, out=weighted)[..., -1].copy()  # f is not kept
+        f = _samples(F.inner, b)
+        us = np.multiply(ts.steps, f, out=f).cumsum(axis=-1, out=f)[..., -1].copy()  # f is not kept
+        w = F._outer_values(F.outer_grad_exprs, us)  # F.outer_gradient of the (B, n) us
+        partials = _samples(F.inner_y + F.inner_v, b)
+        # Sample x_{j+1} enters interval j through y = x_{j+1} and v = (x_{j+1} - x_j)/mu_j,
+        # sample x_j only through v.  Products and sums go in place, into f and rows.
+        fy, fv, rows = partials[:, :n], partials[:, n:], np.zeros((len(trs), n, len(ts)))
         np.multiply(ts.steps, fy, out=rows[..., 1:])
-    rows[..., 1:] += fv
-    rows[..., :-1] -= fv
-    w = F._outer_values(F.outer_grad_exprs, us)  # F.outer_gradient of the (B, n) us
+        rows[..., 1:] += fv
+        rows[..., :-1] -= fv
     g = np.matmul(w[:, None], rows)[:, 0]  # each row's w @ rows, bit for bit
     for tr, *record in zip(trs, us, w, fy, fv, rows, g):
         tr.partials[F] = _Partials(*record)

@@ -129,7 +129,8 @@ class CompositeFunctional:
 
         Each of H's divisions that evaluates is tested first, innermost first, on the whole
         batch, one array comparison each, so a batch raises where some row raises alone and
-        a batch of one raises what value raises."""
+        a batch of one raises what value raises; a division that some row cannot evaluate
+        is tested on each half of the batch, recursively."""
         b = dict(zip(self.outer_vars, us.T))
         for pair in self._divisions:
             try:
@@ -137,8 +138,8 @@ class CompositeFunctional:
             except ExprError:
                 if len(us) == 1:
                     continue  # alone, the trees themselves raise what applies
-                for i in range(len(us)):  # some row's does not: test each row alone
-                    self._outer_values(None, us[i : i + 1])
+                for half in np.array_split(us, 2):
+                    self._outer_values(None, half)
                 break
             bad = abs(den) < EPS_DENOMINATOR * (1.0 + abs(num))
             if np.count_nonzero(bad):  # report the first failing row
@@ -238,19 +239,15 @@ def _integrand_bindings(trs: Sequence[Trajectory]) -> dict:
             "v": np.array([tr.x_delta for tr in trs])}
 
 
-def _samples(exprs: tuple, b: dict, shape: Optional[tuple] = None):
+def _samples(exprs: tuple, b: dict, shape: Optional[tuple] = None) -> np.ndarray:
     """Each expression sampled over the bindings, broadcast to ``shape`` (B, ...) (the
-    integrands': y's (B, N - 1)) and stacked on axis 1, so row i is trajectory i's.  Given
-    groups of expressions (a tuple of tuples), one pass fills one such array per group."""
-    groups = exprs if isinstance(exprs[0], tuple) else (exprs,)
+    integrands': y's (B, N - 1)) and stacked on axis 1, so row i is trajectory i's."""
     shape = shape or b["y"].shape
-    outs = [np.empty((shape[0], len(group), *shape[1:])) for group in groups]
+    out = np.empty((shape[0], len(exprs), *shape[1:]))
     # Assignment broadcasts constant expressions, which give scalars.
-    values = iter(evaluate(sum(groups, ()), b))
-    for out in outs:
-        for i in range(out.shape[1]):
-            out[:, i] = next(values)
-    return outs if groups is exprs else outs[0]
+    for i, values in enumerate(evaluate(exprs, b)):
+        out[:, i] = values
+    return out
 
 
 def inner_values(functional: CompositeFunctional, tr: Trajectory) -> np.ndarray:

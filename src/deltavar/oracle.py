@@ -81,26 +81,26 @@ def _values(spec: ProblemSpec, F: CompositeFunctional, Z: np.ndarray, strict: bo
 
     One integrand pass per batch of rows, a row-wise cumsum per inner integral
     (delta_integral's sum), then one pass of the outer map over the batch's inner
-    values, a lone value being a batch of one.  A row that raises gets NaN, or
-    re-raises if ``strict``; a batch whose integrand or outer pass raises is
-    evaluated row by row."""
-    out, per, steps = np.empty(len(Z)), max(1, _BATCH_SAMPLES // len(spec.ts)), spec.ts.steps
-    for start in range(0, len(Z), per):
-        rows = Z[start : start + per]
-        X = np.repeat(embed_decision(spec, rows[0]).x[None], len(rows), axis=0)
-        X[:, decision_indices(spec)] = rows
-        with suppress(*_EVAL_ERRORS), np.errstate(invalid="ignore", over="ignore"):
-            b = {"t": spec.ts.points[:-1], "y": X[:, 1:], "v": (X[:, 1:] - X[:, :-1]) / steps}
-            us = (steps * _samples(F.inner, b)).cumsum(axis=2)[:, :, -1]
-            out[start : start + len(rows)] = F._outer_values((F.outer,), us)[:, 0]
-            continue
-        for i, z in enumerate(rows, start):
-            try:
-                out[i] = value(F, embed_decision(spec, z))
-            except _EVAL_ERRORS:
-                if strict:
-                    raise
-                out[i] = np.nan
+    values.  Rows beyond one batch's samples, and those of a batch that raises,
+    are evaluated as two halves, recursively: a row that raises alone, as a batch
+    of one, gets NaN, or re-raises if ``strict``."""
+    out, per, steps = np.full(len(Z), np.nan), max(1, _BATCH_SAMPLES // len(spec.ts)), spec.ts.steps
+
+    def fill(lo, hi):  # rows lo..hi-1: one batch where it fits and evaluates, else halves
+        if hi - lo <= per:
+            X = np.repeat(embed_decision(spec, Z[lo]).x[None], hi - lo, axis=0)
+            X[:, decision_indices(spec)] = Z[lo:hi]
+            errors = () if strict and hi - lo == 1 else _EVAL_ERRORS
+            with suppress(*errors), np.errstate(invalid="ignore", over="ignore"):
+                b = {"t": spec.ts.points[:-1], "y": X[:, 1:], "v": (X[:, 1:] - X[:, :-1]) / steps}
+                us = (steps * _samples(F.inner, b)).cumsum(axis=2)[:, :, -1]
+                out[lo:hi] = F._outer_values((F.outer,), us)[:, 0]
+                return
+        if hi - lo > 1:  # a lone row that raises keeps its NaN
+            fill(lo, (lo + hi) // 2)
+            fill((lo + hi) // 2, hi)
+
+    fill(0, len(Z))
     return out
 
 
@@ -108,7 +108,8 @@ def _central_differences(spec: ProblemSpec, W: np.ndarray, step: float, strict: 
     """Central-difference gradients of the value at the rows of W, (P, d), as
     one batch whose rows come in fd_gradient's order (+step, then -step, per
     variable), and the bound FD_ROUNDING * (|v+| + |v-|) / (2 step) on their
-    rounding error."""
+    rounding error.  A gradient entry is NaN where w + step or w - step rounds
+    to w: no difference is taken there."""
     P, d = W.shape
     Z = np.repeat(W, 2 * d, axis=0).reshape(P, d, 2, d)
     for j in range(d):
@@ -116,7 +117,8 @@ def _central_differences(spec: ProblemSpec, W: np.ndarray, step: float, strict: 
         Z[:, j, 1, j] -= step
     v, h2 = _values(spec, spec.lagrangian, Z.reshape(-1, d), strict).reshape(P, d, 2), 2.0 * step
     with np.errstate(over="ignore", invalid="ignore"):
-        return (v[..., 0] - v[..., 1]) / h2, FD_ROUNDING * (abs(v[..., 0]) + abs(v[..., 1])) / h2
+        g = np.where((W + step == W) | (W - step == W), np.nan, (v[..., 0] - v[..., 1]) / h2)
+        return g, FD_ROUNDING * (abs(v[..., 0]) + abs(v[..., 1])) / h2
 
 
 def fd_gradient(spec: ProblemSpec, tr: Trajectory, step: float = FD_STEP) -> np.ndarray:

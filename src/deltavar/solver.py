@@ -813,11 +813,14 @@ def _lockstep(runs, evaluate, size: int = 1) -> list:
 
 def _answers(answer, keys) -> list:
     """Thunks of what ``answer(keys)`` gives (residuals, Jacobians or Newton steps), made
-    together; where that raises, each thunk makes its own alone, raising that request's lone
-    error.  This is the one place where a failing row of a batch is told from the others."""
+    together; where that raises, each half of keys is answered so, recursively, and a lone
+    request only by its thunk, inside its run, which gets its lone bits or meets its lone
+    error there.  This is the one place where a failing row of a batch is told from the rest."""
+    if len(keys) == 1:
+        return [lambda: answer(keys)[0]]
     with suppress(*_EVAL_ERRORS):
         return [lambda J=J: J for J in answer(keys)]
-    return [lambda key=key: answer([key])[0] for key in keys]
+    return _answers(answer, keys[: len(keys) // 2]) + _answers(answer, keys[len(keys) // 2 :])
 
 
 # -- assembling and deduplicating stationary points ------------------------------

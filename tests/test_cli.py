@@ -316,6 +316,13 @@ class TestScanCommand:
                              "--range=-1e308,1e307", "--resolution", "5")
         assert code in (0, 3) and "grid: 5 samples on [-1e+308, 1e+307]" in out and not err
 
+    def test_far_range_scan_finds_no_roots(self, capsys):
+        # There w +- the difference step rounds to w, so no gradient is taken: exit 3,
+        # not five zero-width "roots".
+        code, out, _ = run(capsys, "scan", "quotient2_3pt", "--var", "x@0.5",
+                           "--range=-1e12,1.1e12", "--resolution", "5")
+        assert code == 3 and "no roots in range" in out and "root " not in out
+
     def test_product_3pt_scan_no_roots(self, capsys):
         code, out, _ = run(
             capsys, "scan", "product_3pt", "--var", "x@0.5",

@@ -540,9 +540,10 @@ class TestBatchedEvaluation:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_record_evaluates_in_four_stages(self, monkeypatch, n):
-        # The integrands with their first partials, the outer gradient, the
-        # second partials and the outer Hessian: one evaluate call each,
-        # whatever the number of inner integrands.
+        # The integrands, the outer gradient, the integrands' first partials
+        # (the order in which a lone value raises), the second partials and
+        # the outer Hessian: one evaluate call each, five in all, whatever the
+        # number of inner integrands.
         from deltavar import expr, functional
 
         ts = make_timescale("uniform", a=0, b=1, h=0.25)
@@ -562,7 +563,7 @@ class TestBatchedEvaluation:
         record = euler_lagrange._partials(F, tr)
         spec = ProblemSpec(ts=ts, lagrangian=F, bc=BoundarySpec.fixed(1.0, 2.0))
         diag, off, rows, outer_hess = hessian_parts(F, spec, tr)
-        assert calls[0] == 4
+        assert calls[0] == 5
         assert record.fy.shape == record.fv.shape == (n, len(ts) - 1)
         assert diag.size == off.size + 1 == len(ts) - 2 and rows.shape == (n, len(ts) - 2)
         assert outer_hess.shape == (n, n)

@@ -26,6 +26,7 @@ from deltavar import (
     solve_unconstrained,
     value,
 )
+from deltavar import oracle
 from deltavar.cli import resolve_problem
 from deltavar.euler_lagrange import decision_indices
 from deltavar.expr import DivisionByZero, DomainError
@@ -157,6 +158,42 @@ class TestBatchedValues:
             raised = (type(exc), str(exc))
         assert raised == expected
 
+    @pytest.mark.parametrize("budget", [None, 40])
+    def test_failing_rows_are_found_by_halves(self, monkeypatch, budget):
+        # Rows 0, 17 and 40 of 41 raise alone: a denominator vanishing (v = 0 everywhere)
+        # and sqrt of a negative y twice.  With a budget of 40 samples a batch holds 4
+        # rows, so the halving also splits the rows into batches.  Every value comes from
+        # the batch path, and at most two rows per failing one are evaluated alone.
+        if budget is not None:
+            monkeypatch.setattr("deltavar.oracle._BATCH_SAMPLES", budget)
+        batches, real = [], oracle._samples
+        monkeypatch.setattr(oracle, "_samples", lambda exprs, b: batches.append(len(b["y"]))
+                            or real(exprs, b))
+        monkeypatch.setattr(oracle, "value", None)
+        ts = make_timescale("uniform", a=0, b=1, h=0.1)
+        F = CompositeFunctional.from_strings(["sqrt(y) * v^2", "v^2"], "u1 / u2")
+        spec = ProblemSpec(ts=ts, lagrangian=F, bc=BoundarySpec.fixed(1.0, 1.0))
+        Z = np.random.default_rng(3).uniform(0.5, 2.0, size=(41, 9))
+        Z[0], Z[17, 4], Z[40, 8] = 1.0, -0.25, -1.0
+        errors = {}
+        for i, z in enumerate(Z):
+            try:
+                value(F, embed_decision(spec, z))
+            except EVAL_ERRORS as exc:
+                errors[i] = (type(exc), str(exc))
+        assert sorted(errors) == [0, 17, 40] and errors[0][0] is DenominatorVanished
+        got = _values(spec, F, Z)
+        assert np.flatnonzero(np.isnan(got)).tolist() == [0, 17, 40]
+        ok = np.setdiff1d(np.arange(len(Z)), [0, 17, 40])
+        want = np.array([value(F, embed_decision(spec, Z[i])) for i in ok])
+        assert got[ok].tobytes() == want.tobytes() and batches.count(1) <= 6
+        with pytest.raises(EVAL_ERRORS) as raised:
+            _values(spec, F, Z, strict=True)
+        assert (type(raised.value), str(raised.value)) == errors[0]
+        with pytest.raises(EVAL_ERRORS) as raised:
+            _values(spec, F, Z[1:], strict=True)
+        assert (type(raised.value), str(raised.value)) == errors[17]
+
     def test_batches_split_long_inputs(self, monkeypatch):
         # Rows beyond one batch's samples give the same bits as one batch.
         spec = resolve_problem("quotient2_3pt").build()
@@ -240,6 +277,12 @@ class TestScanLowDim:
         # turns a RuntimeWarning into an error).
         report = scan_low_dim(quotient2_spec(), [(-1e308, 1e307)], resolution=5)
         assert report.grid[0] == -1e308 and report.grid[-1] == 1e307
+
+    def test_far_range_has_no_zero_width_roots(self):
+        # From |w| = 2^34 (1.7e10) on, w +- FD_STEP rounds to w: both values are equal and
+        # the difference would be an exact 0, a root at every grid point.  The field is NaN.
+        report = scan_low_dim(quotient2_spec(), [(-1e12, 1.1e12)], resolution=5)
+        assert np.isnan(report.values).all() and not report.has_roots
 
     def test_roots_lie_in_brackets(self):
         report = scan_low_dim(quotient2_spec(), [(-10.0, 10.0)], resolution=401)

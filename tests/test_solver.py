@@ -1335,6 +1335,45 @@ class TestLockstep:
             assert out[default, name] == out[1, name], name
 
 
+class TestFailingBatches:
+    """A failing lockstep batch is answered as two halves, recursively, so only the rows near
+    a failing one are evaluated alone, once each."""
+
+    @staticmethod
+    def lone_fills(monkeypatch, problem, opts, h=None):
+        """The rows that the evaluation of one solve filled one at a time."""
+        lone, real = [], solver._fill_partials
+
+        def counting(F, trs, b=None):
+            if len(trs) == 1:
+                lone.append(trs[0].x)
+            return real(F, trs, b)
+
+        monkeypatch.setattr(solver, "_fill_partials", counting)
+        spec = resolve_problem(problem).build(h_override=h)
+        solve_unconstrained(spec, opts)
+        return spec, lone
+
+    def test_one_failing_start_fills_two_rows_alone(self, monkeypatch):
+        # Restart 0 starts at x = 0, where the Rayleigh quotient's denominator vanishes: the
+        # round of the 64 starts fails.  Its halves locate that row with two lone fills, where
+        # answering each row again alone made 64.
+        opts = SolveOptions(restarts=64, seed=0)
+        spec, lone = self.lone_fills(monkeypatch, "sturm_liouville", opts, h=1e-2)
+        starts = {solver._initial_decision(spec, opts, r).tobytes() for r in range(64)}
+        idx = decision_indices(spec)
+        assert 1 <= sum(x[idx].tobytes() in starts for x in lone) <= 2
+
+    @pytest.mark.parametrize("seed, most", [(0, 160), (1, 100)])
+    def test_failing_steps_keep_their_batches(self, monkeypatch, seed, most):
+        # Newton steps to y < 0 fail the sampling pass of sqrt(y) mid-solve (27 failing batches
+        # at seed 0, 11 at seed 1).  Answering each row of them alone made 318 and 251 lone
+        # fills; halving makes 142 and 79.
+        _, lone = self.lone_fills(monkeypatch, str(PROBLEMS / "brachistochrone.dvp"),
+                                  SolveOptions(restarts=64, seed=seed))
+        assert len(lone) < most
+
+
 class TestRoundScope:
     """Batch rows are views, so nothing of a lockstep round may outlive it: a run keeps only its
     iterate, residual and Jacobian, and the (B, N) arrays its trajectories view die with it."""
@@ -1350,8 +1389,8 @@ class TestRoundScope:
         inits = {solver._initial_decision(spec, opts, r).tobytes() for r in range(opts.restarts)}
         batches = []  # (round, weak references to the batch's (B, N) arrays)
         # The evaluate functions called in this round; None after a Jacobian or step round, so
-        # that the next evaluation starts a new round.  "retry" counts the rows of a failed
-        # evaluation, each evaluated again alone in its round.
+        # that the next evaluation starts a new round.  "retry" counts the halves of a failed
+        # evaluation of more than one row, each evaluated again in its round.
         state = {"round": 0, "called": [], "retry": 0}
         evaluations = set()
         restart = _restart_tags(monkeypatch)  # [the restart being advanced]
@@ -1379,7 +1418,7 @@ class TestRoundScope:
                 try:
                     return evaluate(W)
                 except solver._EVAL_ERRORS:
-                    state["retry"] += 0 if retry else len(W)
+                    state["retry"] += 2 if len(W) > 1 else 0
                     raise
 
             evaluations.add(watched)
