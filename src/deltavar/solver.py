@@ -642,19 +642,13 @@ class _NormalJacobian:
         return steps
 
 
-def _steps(keys) -> list:
-    """The Newton steps of one round's step requests (J, r, pin), their systems solved together."""
-    Js, rs, pins = zip(*keys)
-    return type(Js[0]).steps(Js, rs, pins)
-
-
 def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, first=None):
     """Damped Newton from w0, a generator returning _NewtonResult; ``pin_scale`` keeps ||z||.
 
-    Each ``(yield w)()`` evaluates w: :func:`_lockstep` sends a thunk (``first`` at w0, where
-    given) giving the residual and a Jacobian request on the same sampled partials, or raising
-    w's evaluation error; each ``(yield request)()`` gives that Jacobian, or raises its
-    evaluation error, and each ``(yield (_steps, (J, r, pin)))()`` gives the Newton step.
+    Each ``yield w`` gets w's residual and Newton request ``(answer, key)`` (``first``, w0's,
+    where given), or has w's evaluation error thrown in (:func:`_lockstep`); each iteration's
+    one other request, ``yield answer, (key, r, pin)``, gets the Jacobian and its Newton step
+    (None where that Jacobian is not finite), or has its evaluation error thrown in.
     Scale-invariant gradient systems (r(c*w) = r(w)/c) have rays of roots
     along which an unpinned Newton step escapes instead of converging: a
     pinned one keeps ||z||, z the decision samples in w, to first order.
@@ -669,7 +663,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
     """
     w = np.asarray(w0, dtype=float).copy()
     try:
-        r, request = (first or (yield w))()
+        r, request = first or (yield w)
     except _EVAL_ERRORS as exc:
         return _NewtonResult(w, np.full_like(w, np.inf), False, 0, failure=type(exc))
     first = None  # its trajectory belongs to w0's round
@@ -697,21 +691,19 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
     for it in range(MAX_ITERS):
         r_inf = float(np.abs(r).max())
         try:
-            J = (yield request)()
+            J, d_newton = yield request[0], (request[1], r, w[:, None] if pin_scale else no_pin)
         except _EVAL_ERRORS as exc:
             # Residual is known but the matrix is not evaluable here.
             return _NewtonResult(w, r, r_inf <= opts.tol_residual, it, failure=type(exc))
-        if not J.finite:
+        if d_newton is None:  # J is not finite
             return _NewtonResult(w, r, False, it)
         request = request_trial = None  # J holds what it needs: drop the records
-
-        d_newton = (yield (_steps, (J, r, w[:, None] if pin_scale else no_pin)))()
         if r_inf <= opts.tol_residual and contracting(d_newton, w):
             # Polish with the contracting step: unpolished roots of one branch
             # sit further apart than the dedup distance.  The polished point
             # must keep the acceptance bound on the largest residual entry.
             try:
-                r_next, _ = (yield w + d_newton)()
+                r_next, _ = yield w + d_newton
             except _EVAL_ERRORS:
                 r_next = None
             if r_next is not None and np.isfinite(r_next).all() and (
@@ -732,7 +724,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
             for _ in range(MAX_BACKTRACKS):
                 w_trial, request_trial = w + alpha * d, None
                 try:
-                    r_trial, request_trial = (yield w_trial)()
+                    r_trial, request_trial = yield w_trial
                 except _EVAL_ERRORS as exc:
                     last_failure = type(exc)
                     r_trial = None
@@ -774,21 +766,21 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
 
 def _lockstep(runs, evaluate, size: int = 1) -> list:
     """The results of the generators ``runs``, in order, ``size`` at a time: each yields requests
-    ``(answer, key)``, an iterate w standing for ``(evaluate, w)``, and is sent a thunk of its
-    answer.  Jacobian and step requests are answered as they come; once every live run waits
+    ``(answer, key)``, an iterate w standing for ``(evaluate, w)``, and is sent its answer or
+    thrown its error.  Newton requests are answered as they come; once every live run waits
     on an evaluation (its key an iterate), the evaluations are.  Each answer function takes
     its requests of a round as one batch (:func:`_answers`)."""
     runs, results, pending = iter(runs), [], {}
 
     def advance(k, run, answer):
         try:
-            request = run.send(answer)
+            request = run.throw(answer) if isinstance(answer, Exception) else run.send(answer)
             pending[k] = run, (evaluate, request) if type(request) is np.ndarray else request
         except StopIteration as stop:
             results[k] = stop.value
 
     def play_round():
-        """Answer one round's requests.  Its keys and thunks, which hold its trajectories, are
+        """Answer one round's requests.  Its keys and answers, which hold its trajectories, are
         bound only here: a run keeps only its iterate, residual and Jacobian past the round."""
         evaluating = all(type(key) is np.ndarray for _, (_, key) in pending.values())
         groups = {}
@@ -797,10 +789,9 @@ def _lockstep(runs, evaluate, size: int = 1) -> list:
             run, (answer, key) = pending.pop(k)
             groups.setdefault(answer, []).append((k, run, key))
         for answer, asks in groups.items():
-            keys = [key for _, _, key in asks]
-            thunks = _answers(answer, keys)[::-1]
+            got = _answers(answer, [key for _, _, key in asks])[::-1]
             for k, run, _ in asks:
-                advance(k, run, thunks.pop())
+                advance(k, run, got.pop())
 
     while True:
         while len(pending) < size and (run := next(runs, None)) is not None:
@@ -812,14 +803,16 @@ def _lockstep(runs, evaluate, size: int = 1) -> list:
 
 
 def _answers(answer, keys) -> list:
-    """Thunks of what ``answer(keys)`` gives (residuals, Jacobians or Newton steps), made
-    together; where that raises, each half of keys is answered so, recursively, and a lone
-    request only by its thunk, inside its run, which gets its lone bits or meets its lone
-    error there.  This is the one place where a failing row of a batch is told from the rest."""
-    if len(keys) == 1:
-        return [lambda: answer(keys)[0]]
-    with suppress(*_EVAL_ERRORS):
-        return [lambda J=J: J for J in answer(keys)]
+    """What ``answer(keys)`` gives (residuals or Newton answers), made together; where that
+    raises, each half of keys is answered so, recursively, and a lone request that raises gets
+    its error, with its context and traceback cleared, so that no frame of the round outlives
+    it.  This is the one place where a failing row of a batch is told from the rest."""
+    try:
+        return answer(keys)
+    except _EVAL_ERRORS as exc:
+        if len(keys) == 1:
+            exc.__context__ = None
+            return [exc.with_traceback(None)]
     return _answers(answer, keys[: len(keys) // 2]) + _answers(answer, keys[len(keys) // 2 :])
 
 
@@ -939,26 +932,30 @@ def _gradient_system(spec: ProblemSpec, level: Optional[float] = None):
     """(evaluate, row) of Newton on the gradient system of spec's objective F.
 
     ``evaluate`` answers a batch of iterates (:func:`_lockstep`) with each one's residual and
-    Jacobian request, or raises, from one (B, N) embedding, one batch of records per
-    functional and one outer pass for the batch's defects, and a round's Jacobian requests
-    are answered by one assembly of their Hessians; ``row(tr, lam, defect)`` gives both at tr
-    from its filled records and the defect G - goal there.  The residual is grad F; with a
-    ``level`` it is [grad F; F - level], whose Gauss-Newton steps (_LevelJacobian) draw runs
-    onto that level set; with spec's constraint K = k it is [grad F - lam grad K; k - K] in
-    w = [z; lam] (_NormalJacobian).
+    Newton request, or raises, from one (B, N) embedding, one batch of records per functional
+    and one outer pass for the batch's defects; ``row(tr, lam, defect)`` gives both at tr from
+    its filled records and the defect G - goal there.  A round's Newton requests get one
+    assembly of their Jacobians and one solve of the finite ones' steps (None elsewhere).
+    The residual is grad F; with a ``level`` it is [grad F; F - level], whose Gauss-Newton
+    steps (_LevelJacobian) draw runs onto that level set; with spec's constraint K = k it is
+    [grad F - lam grad K; k - K] in w = [z; lam] (_NormalJacobian).
     """
     F, constraint = spec.lagrangian, spec.constraint
     functionals = (F,) if constraint is None else (F, constraint.functional)
     # The leveled functional G and its goal: K and k, or F and the level (None: no defect).
     G, goal = (constraint.functional, constraint.target) if constraint else (F, level)
 
-    def assemble(keys):
-        """The Jacobians at the requests (trajectory, gradient, lam) of one round."""
+    def newton(asks):
+        """(J, step) at each request ((trajectory, gradient, lam), r, pin) of one round."""
+        keys, rs, pins = zip(*asks)
         trs, gs, lams = zip(*keys)
         hessians = _hessian(spec, list(trs), 1.0, lams if constraint else None)
-        if constraint is not None:
-            return [_NormalJacobian(H, -g) for H, g in zip(hessians, gs)]
-        return hessians if level is None else [*map(_LevelJacobian, hessians, gs)]
+        Js = ([_NormalJacobian(H, -g) for H, g in zip(hessians, gs)] if constraint is not None
+              else hessians if level is None else [*map(_LevelJacobian, hessians, gs)])
+        finite = [J.finite for J in Js]
+        asked = [ask for ask, ok in zip(zip(Js, rs, pins), finite) if ok]
+        steps = iter(type(Js[0]).steps(*zip(*asked)) if asked else ())
+        return [(J, next(steps) if ok else None) for J, ok in zip(Js, finite)]
 
     def defects(trs):
         """G - goal at each of trs, from one pass of G's outer map over their records."""
@@ -969,8 +966,8 @@ def _gradient_system(spec: ProblemSpec, level: Optional[float] = None):
         g = functional_gradient(spec, tr)
         if constraint is not None:
             gK = constraint_gradient(spec, tr)
-            return np.append(g - lam * gK, -defect), (assemble, (tr, gK, lam))
-        return (g if level is None else np.append(g, defect)), (assemble, (tr, g, None))
+            return np.append(g - lam * gK, -defect), (newton, (tr, gK, lam))
+        return (g if level is None else np.append(g, defect)), (newton, (tr, g, None))
 
     def evaluate(W):
         W = np.array(W)
@@ -1086,7 +1083,7 @@ def solve_isoperimetric(
         the level system's rows [grad K; K - k] at z0 + s grad K(z0), or None where that Newton
         fails or the level set is degenerate there."""
         with suppress(*_EVAL_ERRORS):
-            r, (_, (_, g0, _)) = (yield level, z0)()
+            r, (_, (_, g0, _)) = yield level, z0
             s, gK = 0.0, g0
             # z0 on the level set needs no restoring: restart runs from z0 itself.
             for _ in range(RESTORE_ITERS if abs(r[-1]) > opts.tol_residual else 0):
@@ -1094,31 +1091,34 @@ def solve_isoperimetric(
                 if not (np.isfinite(slope) and slope != 0.0):
                     break
                 s -= r[-1] / slope
-                r, (_, (_, gK, _)) = (yield level, (z := z0 + s * g0))()
+                r, (_, (_, gK, _)) = yield level, (z := z0 + s * g0)
                 if abs(r[-1]) <= opts.tol_residual:
                     return z if np.linalg.norm(gK) >= RESTORE_GRADIENT * np.linalg.norm(g0) else None
 
     def started(z):
-        """A generator for _lockstep returning the normal run from z, not its result, so that the
-        row at (z, 0) dies with the run.  That row, in its round's batch, gives the least-squares
-        lam and the first residual at (z, lam); where it raises, the run starts at (z, 0)."""
-        first = yield (w := np.append(z, 0.0))
-        with suppress(*_EVAL_ERRORS):
-            r, (_, (tr, gK, _)) = first()
-            lam = _fit_multiplier(functional_gradient(spec, tr), gK)
-            w, first = np.append(z, lam), partial(row, tr, lam, -r[-1])  # r[-1] = k - K
-        return _run_newton(w, opts, pin_scale, first)
+        """A generator for _lockstep returning the result of the normal run from z.  Its row at
+        (z, 0), in its round's batch, gives the least-squares lam and the first residual at
+        (z, lam); where that row raises, the run ends at (z, 0)."""
+        w = np.append(z, 0.0)
+        try:
+            r, (_, (tr, gK, _)) = yield w
+        except _EVAL_ERRORS as exc:
+            return _NewtonResult(w, np.full_like(w, np.inf), False, 0, failure=type(exc))
+        lam = _fit_multiplier(functional_gradient(spec, tr), gK)
+        run = _run_newton(np.append(z, lam), opts, pin_scale, row(tr, lam, -r[-1]))  # r[-1] = k - K
+        del r, tr, gK  # the row dies with its round, not with the run
+        return (yield from run)
 
     def restart(z0):
         """The normal run of one restart, a generator for _lockstep: from z0 restored onto K = k,
         or from z0 where that restoration or the run from there fails."""
         z = yield from restored(z0)
-        if z is not None and (out := (yield from (yield from started(z)))).converged:
+        if z is not None and (out := (yield from started(z))).converged:
             return out
-        return (yield from (yield from started(z0)))
+        return (yield from started(z0))
 
     def constraint_gradient_at(z):  # a generator for _lockstep
-        return (yield level, z)()[0][:-1]  # the head of the level system's residual
+        return (yield level, z)[0][:-1]  # the head of the level system's residual
 
     inits = [_initial_decision(spec, opts, restart) for restart in range(opts.restarts)]
     size = max(1, _BATCH_SAMPLES // len(spec.ts))

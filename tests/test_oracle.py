@@ -122,7 +122,7 @@ class TestBatchedValues:
     def test_rows_match_per_point_values_bit_for_bit(self, seed, which, graded):
         # Graded scales, free ends and constraint functionals; the last kind
         # uses every function, so some rows raise in the integrand pass and
-        # the batch falls back to one row at a time.
+        # a failing batch is evaluated as two halves, recursively, down to them.
         rng = np.random.default_rng(seed)
         spec, tr = random_problem(rng, ts=graded_timescale(rng) if graded else None)
         F = spec.lagrangian

@@ -3,6 +3,7 @@ import itertools
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -313,7 +314,8 @@ class TestSharedEvaluation:
         Z = np.array([solver._initial_decision(spec, opts, r) for r in range(opts.restarts)])
         evaluate, _ = solver._gradient_system(spec)
         batch = evaluate(np.column_stack([Z, [0.0, 1.5, 0.0, -2.0, 0.7]]))
-        (assemble, _), keys = batch[0][1], [key for _, (_, key) in batch]
+        no_pin = np.empty((Z.shape[1] + 1, 0))
+        (newton, _), asks = batch[0][1], [(key, r, no_pin) for r, (_, key) in batch]
         passes, real_parts = [], solver.hessian_parts
 
         def watched_parts(F, spec, trs):
@@ -321,13 +323,14 @@ class TestSharedEvaluation:
             return real_parts(F, spec, trs)
 
         monkeypatch.setattr(solver, "hessian_parts", watched_parts)
-        normals = assemble(keys)
-        assert passes == [(L, len(keys)), (K, len(keys))]
-        for J, key in zip(normals, keys):
-            alone, = assemble([key])
+        normals = newton(asks)
+        assert passes == [(L, len(asks)), (K, len(asks))]
+        for (J, step), ask in zip(normals, asks):
+            (alone, alone_step), = newton([ask])
             assert J.H.U.shape[0] == L.n + K.n
             for part in ("diag", "off", "U", "C"):
                 assert getattr(J.H, part).tobytes() == getattr(alone.H, part).tobytes()
+            assert step.tobytes() == alone_step.tobytes()
             assert J.b.tobytes() == alone.b.tobytes()
 
     def test_restored_starts_take_no_lone_constraint_value(self, monkeypatch):
@@ -529,7 +532,8 @@ class TestIsoperimetric:
             d = H.diag.size
             r = rng.standard_normal(d + 1)
             want = np.linalg.lstsq(H.dense(np.zeros((d, 1))), -r, rcond=None)[0]
-            step = solver._steps([(_NormalJacobian(H, np.zeros(d)), r, np.zeros((d + 1, 0)))])[0]
+            normal = _NormalJacobian(H, np.zeros(d))
+            step = _NormalJacobian.steps([normal], [r], [np.zeros((d + 1, 0))])[0]
             assert step[-1] == 0.0
             assert np.linalg.norm(step - want) <= 1e-7 * np.linalg.norm(want)
 
@@ -694,7 +698,7 @@ class TestIsoperimetric:
             stacked = np.vstack([H.dense(np.zeros((d, 0))), g])
             want = np.linalg.lstsq(stacked, -r, rcond=None)[0]
             level = _LevelJacobian(H, g)
-            step = solver._steps([(level, r, np.zeros((d, 0)))])[0]
+            step = _LevelJacobian.steps([level], [r], [np.zeros((d, 0))])[0]
             np.testing.assert_allclose(step, want, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(level.rmatvec(r), stacked.T @ r, rtol=1e-12)
 
@@ -1019,7 +1023,7 @@ class TestHessianSolve:
                             got = solver._newton_solver([op], [B])(full_rhs[None])[0]
                             assert np.linalg.norm(got - want) <= tol
                             if not tail.any():
-                                step = solver._steps([(op, -rhs, B)])[0]
+                                step = _Hessian.steps([op], [-rhs], [B])[0]
                                 assert np.linalg.norm(step - want[:n]) <= tol
                             if m:
                                 # The normal step against the dense Newton step
@@ -1028,7 +1032,8 @@ class TestHessianSolve:
                                 # column b = -grad K; the other columns pin z.
                                 normal = _NormalJacobian(op, B[:, 0])
                                 pin = np.vstack([B[:, 1:], np.zeros((1, m - 1))])
-                                step = solver._steps([(normal, -full_rhs[: n + 1], pin)])[0]
+                                r = -full_rhs[: n + 1]
+                                step = _NormalJacobian.steps([normal], [r], [pin])[0]
                                 assert np.linalg.norm(step - want[: n + 1]) <= tol
                                 # J^T r for the damped gradient step.
                                 jac, r = matrix[: n + 1, : n + 1], full_rhs[: n + 1]
@@ -1373,6 +1378,32 @@ class TestFailingBatches:
                                   SolveOptions(restarts=64, seed=seed))
         assert len(lone) < most
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("problem", ["normal_rays", "abnormal_rays"])
+    def test_failing_start_row_raises_once(self, monkeypatch, problem, seed):
+        # A normal start row that raises in its round's batch is found by halves and raises
+        # once alone, which ends its run.  Handing that row on to the run raised it twice.  The
+        # level system is not counted: the restoration and the abnormal branch are two phases.
+        raised, real = Counter(), solver._gradient_system
+
+        def watched(spec, level=None):
+            evaluate, row = real(spec, level)
+
+            def counting(W):
+                try:
+                    return evaluate(W)
+                except solver._EVAL_ERRORS:
+                    if len(W) == 1:
+                        raised[np.asarray(W[0]).tobytes()] += 1
+                    raise
+
+            return (evaluate if spec.constraint is None else counting), row
+
+        monkeypatch.setattr(solver, "_gradient_system", watched)
+        spec = resolve_problem(str(PROBLEMS / f"{problem}.dvp")).build()
+        solve_isoperimetric(spec, SolveOptions(restarts=64, seed=seed))
+        assert raised and max(raised.values()) == 1
+
 
 class TestRoundScope:
     """Batch rows are views, so nothing of a lockstep round may outlive it: a run keeps only its
@@ -1388,8 +1419,8 @@ class TestRoundScope:
         opts = SolveOptions(restarts=8, seed=0)
         inits = {solver._initial_decision(spec, opts, r).tobytes() for r in range(opts.restarts)}
         batches = []  # (round, weak references to the batch's (B, N) arrays)
-        # The evaluate functions called in this round; None after a Jacobian or step round, so
-        # that the next evaluation starts a new round.  "retry" counts the halves of a failed
+        # The evaluate functions called in this round; None after a Newton round, so that the
+        # next evaluation starts a new round.  "retry" counts the halves of a failed
         # evaluation of more than one row, each evaluated again in its round.
         state = {"round": 0, "called": [], "retry": 0}
         evaluations = set()
@@ -1402,6 +1433,8 @@ class TestRoundScope:
             state["round"] += 1
             alive = [(r, refs) for r, refs in batches if any(ref() is not None for ref in refs)]
             assert [r for r, _ in alive if r <= state["round"] - 2] == []
+            if state["called"] is None:  # the Jacobians and steps are made: no run needs a row
+                assert [r for r, _ in alive] == []
             batches[:] = alive
 
         def system(gspec, level=None):
@@ -1425,10 +1458,10 @@ class TestRoundScope:
             return watched, row
 
         def answers(answer, keys):
-            if answer not in evaluations:
+            if answer not in evaluations:  # a Newton round: only this round's rows are needed
                 state["called"] = None
-            if answer is solver._steps:  # the Jacobians are made: no run needs a row
-                assert [r for r, refs in batches if any(ref() is not None for ref in refs)] == []
+                assert [r for r, refs in batches if r < state["round"]
+                        and any(ref() is not None for ref in refs)] == []
             return real_answers(answer, keys)
 
         def rows(cls, ts, X):  # X is _embedded's (B, N) array; the rows view it and y and v
@@ -1474,10 +1507,14 @@ def _restart_tags(monkeypatch):
         while True:
             current[0] = k
             try:
-                request, answer = run.send(answer), None
+                send = run.throw if isinstance(answer, Exception) else run.send
+                request, answer = send(answer), None
             except StopIteration as stop:
                 return stop.value
-            answer = yield request
+            try:
+                answer = yield request
+            except solver._EVAL_ERRORS as exc:  # an evaluation error, thrown on into the run
+                answer = exc
 
     monkeypatch.setattr(solver, "_lockstep", lambda runs, *args: real(
         map(tagged, itertools.count(), runs), *args))
