@@ -508,13 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _glue_negative_values(argv: list[str]) -> list[str]:
-    """Join '--range -10,10' style pairs so argparse accepts negative values."""
+    """Join '--range -10,10' and '--tol -1e-9' style pairs so argparse accepts negative values."""
     out = []
     i = 0
     while i < len(argv):
         arg = argv[i]
         if (
-            arg in ("--range", "--h-list", "--reference")
+            arg in ("--range", "--h-list", "--reference", "--tol", "--dedup-distance", "--h-override")
             and i + 1 < len(argv)
             and argv[i + 1].startswith("-")
         ):

@@ -337,8 +337,9 @@ class _Hessian:
         [[T - s M, V^T, B], [V, -diag(1/mu), 0], [B^T, 0, 0]] has the
         negative inertia of the restricted H - s M, plus one per positive
         mu, plus m for the border (Haynsworth additivity).  M is positive
-        definite, so by Sylvester's law that inertia counts the pencil's
-        eigenvalues below s.
+        definite, so by Sylvester's law that inertia, the Sturm count of
+        T - s M plus the inertia of a small Schur corner, counts the
+        pencil's eigenvalues below s.
         """
         v, mu = self._outer_directions
         border = np.concatenate([v, B.T]).T
@@ -1143,10 +1144,6 @@ def solve_isoperimetric(
 
 # -- classification -----------------------------------------------------------------
 
-# Bunch's pivot threshold for the block LDL^T of a symmetric tridiagonal
-# matrix; it bounds the element growth of both pivot sizes.
-_BUNCH_ALPHA = (5.0 ** 0.5 - 1.0) / 2.0
-
 # Pencil eigenvalues within this fraction of the pencil's largest Rayleigh
 # quotient on the first four sine modes count as zero; that scale converges
 # as h -> 0, so the threshold does not shrink with the grid.
@@ -1162,64 +1159,61 @@ def _negative_inertia(
 ) -> int:
     """Number of negative eigenvalues of [[tridiag(diag, off), border], [border.T, corner]].
 
-    One block LDL^T pass over the tridiagonal block with Bunch's 1x1/2x2
-    pivoting (no fill, stable where the block is singular) carries the
-    dense border along; by Sylvester's law the count is the negative
-    pivots plus the negative eigenvalues of the small Schur corner.  The
-    sign of a 2x2 pivot comes from its determinant.  A zero pivot with no
-    coupling ahead touches only the border, so it joins the corner.
+    The Sturm count: T's negative pivots in its unpivoted LDL^T (Kahan 1966;
+    Demmel 1997, 5.3.4), by dpttrf, which stops at a pivot that is not
+    positive.  -T has T's pivots negated, so after a negative pivot the count
+    factors -T, and T again after the next positive one: one call per change
+    of pivot sign.  An exact zero pivot coupled ahead takes the 2x2 pivot
+    [[0, b], [b, a]] (determinant -b^2: one negative); one with no coupling
+    ahead touches only the border, so it joins the corner.  By Sylvester's
+    law the count adds the small Schur corner's negative eigenvalues.
     """
     n = diag.size
-    a = diag.tolist()
-    b = off.tolist()
-    sigma = max(max(map(abs, a), default=0.0), max(map(abs, b), default=0.0))
-    sub1 = [0.0] * n  # L[i + 1, i]
-    sub2 = [0.0] * n  # L[i + 2, i]
-    ones, ones_piv = [], []  # 1x1 pivot positions and values
-    twos, twos_lead = [], []  # 2x2 pivot positions and updated leading entries
-    deferred = []
-    neg = 0
-    i = 0
-    c = a[0] if n else 0.0
+    d = np.array([diag, -diag])  # the diagonals of T and -T, factored in place
+    e = np.zeros((2, max(n, 1)))  # their couplings, and a spare entry: f2py wants one
+    e[0, : n - 1], e[1, : n - 1] = off, -off
+    sign = np.zeros(n, dtype=np.intp)  # 1 where a row was factored in -T
+    twos, deferred = [], []
+    neg = i = s = 0
     while i < n:
-        e = b[i] if i + 1 < n else 0.0
-        if sigma * abs(c) >= _BUNCH_ALPHA * e * e:
-            if c == 0.0:
-                deferred.append(i)
-            else:
-                neg += c < 0.0
-                ones.append(i)
-                ones_piv.append(c)
-                sub1[i] = e / c
-            if i + 1 < n:
-                c = a[i + 1] - sub1[i] * e
-            i += 1
+        stop = max(n - 1, i + 1)
+        info = lapack.dpttrf(d[s, i:], e[s, i:stop], overwrite_d=1, overwrite_e=1)[2]
+        p = i + info - 1 if info else n  # the first pivot that is not positive
+        sign[i : p + 2] = s  # through p + 1, a 2x2 pivot's second row
+        neg += s * (p - i)
+        if p == n:
+            break
+        c = d[s, p]
+        if c < 0.0:  # a pivot of the other sign: eliminate its row here, go on in the other
+            neg += 1 - s
+            if p + 1 < n:
+                e[s, p] /= c
+                d[1 - s, p + 1] -= e[s, p] * e[1 - s, p]
+            s, i = 1 - s, p + 1
+        elif p + 1 < n and off[p] != 0.0:
+            neg += 1
+            twos.append(p)
+            i = p + 2
         else:
-            det = c * a[i + 1] - e * e
-            neg += 1 if det < 0.0 else (2 if c < 0.0 else 0)
-            twos.append(i)
-            twos_lead.append(c)
-            if i + 2 < n:
-                f = b[i + 1]
-                sub2[i] = -f * e / det
-                sub1[i + 1] = f * c / det
-                c = a[i + 2] - f * sub1[i + 1]
-            i += 2
+            deferred.append(p)
+            i = p + 1
 
     schur = np.array(corner, dtype=float)
     if border.shape[1] and n:
-        band = np.array([np.ones(n), sub1, sub2])
+        rows, two = np.arange(n), np.array(twos, dtype=np.intp)
+        band = np.array([np.ones(n), e[sign, rows], np.zeros(n)])  # L: 1, L[i+1, i], L[i+2, i]
+        band[1, two] = band[1, two + 1] = 0.0
+        ahead = two[two + 2 < n]
+        band[2, ahead] = off[ahead + 1] / off[ahead]
         reduced, _ = lapack.dtbtrs(band, border, uplo="L", diag="U")
-        if ones:
-            x = reduced[ones]
-            schur -= x.T @ (x / np.array(ones_piv)[:, None])
-        if twos:
-            p = np.array(twos)
-            x, y = reduced[p], reduced[p + 1]
-            lead, e, tail = np.array(twos_lead), off[p], diag[p + 1]
-            det = (lead * tail - e * e)[:, None]
-            schur -= x.T @ ((tail[:, None] * x - e[:, None] * y) / det)
-            schur -= y.T @ ((lead[:, None] * y - e[:, None] * x) / det)
+        ones = np.ones(n, dtype=bool)
+        ones[two] = ones[two + 1] = ones[deferred] = False
+        x = reduced[ones]
+        schur -= x.T @ (x / (d[sign, rows] * (1 - 2 * sign))[ones, None])
+        # The inverse of a 2x2 pivot [[0, b], [b, a]] is [[-a / b^2, 1 / b], [1 / b, 0]].
+        b = off[two, None]
+        x, w = reduced[two], reduced[two + 1] / b
+        schur -= x.T @ (w - diag[two + 1, None] * x / b**2) + w.T @ x
         if deferred:
             z = reduced[deferred]
             schur = np.block([[np.zeros((len(deferred), len(deferred))), z], [z.T, schur]])
@@ -1236,7 +1230,7 @@ def classify(spec: ProblemSpec, point: StationaryPoint) -> str:
     first step), so M^-1 H is the discrete second variation, whose low
     spectrum converges as h -> 0.  For constrained problems the pencil is
     restricted to the tangent space of the constraint.  Eigenvalues below
-    +-eps are counted by Sylvester's law from one LDL^T pass per shift;
+    +-eps are counted by Sylvester's law from one Sturm count per shift;
     eps is DEGENERATE_RELATIVE times the largest |v^T H v| / v^T M v over
     the first four sine modes of [a, b], and any eigenvalue within eps of
     zero marks the point degenerate.  Time and memory are O(d): no d x d

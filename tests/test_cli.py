@@ -449,6 +449,12 @@ class TestRejectedInput:
         (["solve", "quotient1", "--seed", "-1"], "seed must be in [0, 2**128)"),
         (["scan", "quotient2_3pt", "--var", "x@0.5", "--range", "10,-10"], "lo < hi"),
         (["scan", "quotient2_3pt", "--var", "x@0.5", "--range", "1,1"], "lo < hi"),
+        # argparse's negative-number pattern has no exponent: these read as flags unless joined.
+        (["solve", "quotient2_3pt", "--tol", "-1e-9"], "tol_residual"),
+        (["solve", "quotient2_3pt", "--dedup-distance", "-1e-6"], "dedup_distance"),
+        (["solve", "quotient2_3pt", "--h-override", "-1e-2"], "step must be finite"),
+        (["verify", "quotient1", "--solution", "sol.csv", "--tol", "-1e-6"],
+         "--tol must be finite and positive"),
     ])
     def test_bad_number(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)

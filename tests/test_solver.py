@@ -1261,6 +1261,57 @@ class TestInertia:
                     continue
                 assert hess.count_below(s, mass, B) == np.count_nonzero(eigs < s)
 
+    def test_near_tie_shifts_match_dense(self):
+        # Sturm-Liouville matrices (2, -1) / h^2 shifted to within a relative
+        # delta of one of their own eigenvalues, (4 / h^2) sin^2(j pi h / 2):
+        # a pivot passes close to zero and the multipliers after it grow.
+        rng = np.random.default_rng(38)
+        checked = 0
+        for n in (20, 90, 400):
+            h = 1.0 / (n + 1)
+            diag, off = np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2)
+            tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            for m in (0, 1, 3):
+                border, corner = rng.standard_normal((n, m)), np.zeros((m, m))
+                for j in (1, 2, n // 2, n):
+                    lam = 4.0 / h**2 * np.sin(j * np.pi * h / 2.0) ** 2
+                    for delta in (1e-6, -1e-6, 1e-8, -1e-8, 1e-10, -1e-10):
+                        s = lam * (1.0 + delta)
+                        full = np.block([[tri - s * np.eye(n), border], [border.T, corner]])
+                        eigs = np.linalg.eigvalsh(full)
+                        # Below this, dense eigvalsh's own rounding can flip a sign.
+                        if np.min(np.abs(eigs)) < 64 * n * np.finfo(float).eps * np.max(np.abs(eigs)):
+                            continue
+                        assert _negative_inertia(diag - s, off, border, corner) == np.count_nonzero(eigs < 0.0)
+                        checked += 1
+        assert checked > 120
+
+    def test_sign_runs_match_dense(self):
+        # A negative definite T changes pivot sign once; a random one about every other row.
+        rng = np.random.default_rng(300)
+        n = 300
+        cases = [(np.full(n, -2.0) - rng.random(n), np.ones(n - 1)),
+                 (rng.standard_normal(n), rng.standard_normal(n - 1))]
+        for diag, off in cases:
+            border, corner = rng.standard_normal((n, 2)), rng.standard_normal((2, 2))
+            tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            for s in (-0.5, 0.0, 0.5):
+                full = np.block([[tri - s * np.eye(n), border], [border.T, corner + corner.T]])
+                eigs = np.linalg.eigvalsh(full)
+                assert np.min(np.abs(eigs)) > 1e-8
+                got = _negative_inertia(diag - s, off, border, corner + corner.T)
+                assert got == np.count_nonzero(eigs < 0.0)
+
+    def test_negative_definite_count_makes_two_factor_calls(self, monkeypatch):
+        # Every pivot is negative, so the count factors -T from the first row
+        # on: one dpttrf call per change of pivot sign, not one per pivot.
+        calls, real = [], lapack.dpttrf
+        monkeypatch.setattr(lapack, "dpttrf", lambda *a, **k: calls.append(a[0].size) or real(*a, **k))
+        n = 10_000
+        diag, off, border = np.full(n, -2.5), np.ones(n - 1), np.ones((n, 1))
+        assert _negative_inertia(diag, off, border, np.zeros((1, 1))) == n
+        assert 0 < len(calls) <= 2
+
     def test_classify_memory_is_linear(self):
         # d = 9999: a dense Hessian alone would take 800 MB.
         spec = resolve_problem("sturm_liouville").build(h_override=1e-4)
