@@ -1,9 +1,9 @@
 """Command-line front end: solve, verify, scan, refine, examples.
 
 Exit codes: 0 at least one stationary point (or a passing verification),
-2 parse/validation errors and unreadable or unwritable files, 3 no
-stationary point found (also: failed verification), 4 vanishing
-denominator at every restart.
+2 parse/validation errors, unreadable or unwritable files and grids or
+scans too large to allocate, 3 no stationary point found (also: failed
+verification), 4 vanishing denominator at every restart.
 """
 from __future__ import annotations
 
@@ -533,7 +533,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_glue_negative_values(list(argv)))
     try:
         return args.fn(args)
-    except (ExprError, ValueError, OSError) as exc:  # ProblemFileError is a ValueError
+    except (ExprError, ValueError, OSError, MemoryError) as exc:  # ProblemFileError: ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DenominatorVanished as exc:

@@ -247,11 +247,14 @@ def _initial_decision(spec: ProblemSpec, opts: SolveOptions, restart: int) -> np
 
 @dataclass
 class _NewtonResult:
+    """A run's last iterate w, its residual and, if it may be a root, its request's gradient."""
+
     w: np.ndarray
     residual: np.ndarray
     converged: bool
     iterations: int
     failure: Optional[type] = None  # the error met; not the error, whose traceback holds a round
+    gradient: Optional[np.ndarray] = None  # a copy, which outlives w's round: grad K if normal
 
     @property
     def residual_norm(self) -> float:
@@ -650,6 +653,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
     where given), or has w's evaluation error thrown in (:func:`_lockstep`); each iteration's
     one other request, ``yield answer, (key, r, pin)``, gets the Jacobian and its Newton step
     (None where that Jacobian is not finite), or has its evaluation error thrown in.
+    A result that may have converged keeps the gradient of its w's request, ``key[1]``.
     Scale-invariant gradient systems (r(c*w) = r(w)/c) have rays of roots
     along which an unpinned Newton step escapes instead of converging: a
     pinned one keeps ||z||, z the decision samples in w, to first order.
@@ -667,7 +671,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
         r, request = first or (yield w)
     except _EVAL_ERRORS as exc:
         return _NewtonResult(w, np.full_like(w, np.inf), False, 0, failure=type(exc))
-    first = None  # its trajectory belongs to w0's round
+    first, g = None, request[1][1]  # first's trajectory belongs to w0's round; g is w's gradient
     if not np.isfinite(r).all():
         return _NewtonResult(w, r, False, 0)
 
@@ -695,7 +699,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
             J, d_newton = yield request[0], (request[1], r, w[:, None] if pin_scale else no_pin)
         except _EVAL_ERRORS as exc:
             # Residual is known but the matrix is not evaluable here.
-            return _NewtonResult(w, r, r_inf <= opts.tol_residual, it, failure=type(exc))
+            return _NewtonResult(w, r, r_inf <= opts.tol_residual, it, type(exc), g)
         if d_newton is None:  # J is not finite
             return _NewtonResult(w, r, False, it)
         request = request_trial = None  # J holds what it needs: drop the records
@@ -704,15 +708,15 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
             # sit further apart than the dedup distance.  The polished point
             # must keep the acceptance bound on the largest residual entry.
             try:
-                r_next, _ = yield w + d_newton
+                r_next, polished = yield w + d_newton
             except _EVAL_ERRORS:
                 r_next = None
             if r_next is not None and np.isfinite(r_next).all() and (
                 float(r_next @ r_next) <= float(r @ r)
                 and float(np.max(np.abs(r_next))) <= opts.tol_residual
             ):
-                w, r = w + d_newton, r_next
-            return _NewtonResult(w, r, True, it)
+                w, r, g = w + d_newton, r_next, polished[1][1]
+            return _NewtonResult(w, r, True, it, gradient=g)
 
         merit0 = float(r @ r)
         accepted = False
@@ -737,7 +741,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
                 alpha *= 0.5
             if accepted:
                 step_norm = float(np.linalg.norm(alpha * d))
-                w, r, request = w_trial, r_trial, request_trial
+                w, r, request, g = w_trial, r_trial, request_trial, request_trial[1][1]
                 break
         if not accepted:
             stalled = True
@@ -762,7 +766,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
 
     r_inf = float(np.abs(r).max())
     converged = r_inf <= opts.tol_residual and stalled
-    return _NewtonResult(w, r, converged, it, failure=last_failure)
+    return _NewtonResult(w, r, converged, it, last_failure, g)
 
 
 def _lockstep(runs, evaluate, size: int = 1) -> list:
@@ -1062,13 +1066,13 @@ def solve_isoperimetric(
     Either start's row at lambda = 0, a row of its round's batch, gives the
     least-squares lambda and the first residual.  Restarts advance in
     lockstep, runs that restore sharing rounds with runs that iterate, each
-    exactly as alone.  Where a normal point has a nearly
-    vanishing grad K, or no normal run converges, the abnormal branch
-    (lambda0 = 0) seeks extremals of K itself that meet the constraint
-    value, by the unconstrained Newton system for K.  Where L and K are
-    both scale-invariant, the normal runs pin ||z|| as a second border
-    column beside -grad K, and their points are deduplicated as rays.
-    Points are labeled through ``lam0``.
+    exactly as alone.  A converged normal run whose last request carries
+    max |grad K| < ABNORMAL_GRADIENT, or every start where none converges,
+    seeds the abnormal branch (lambda0 = 0): extremals of K itself that
+    meet the constraint value, by the unconstrained Newton system for K.
+    Where L and K are both scale-invariant, the normal runs pin ||z|| as a
+    second border column beside -grad K, and their points are deduplicated
+    as rays.  Points are labeled through ``lam0``.
     """
     if spec.constraint is None:
         raise ValueError("spec has no constraint; use solve_unconstrained")
@@ -1118,17 +1122,11 @@ def solve_isoperimetric(
             return out
         return (yield from started(z0))
 
-    def constraint_gradient_at(z):  # a generator for _lockstep
-        return (yield level, z)[0][:-1]  # the head of the level system's residual
-
     inits = [_initial_decision(spec, opts, restart) for restart in range(opts.restarts)]
-    size = max(1, _BATCH_SAMPLES // len(spec.ts))
-    runs = _lockstep(map(restart, inits), normal, size)
-    converged = [out.w[:-1] for out in runs if out.converged]
-    # Newton evaluated grad K at each of these z already, so this cannot raise.
-    gradients = _lockstep(map(constraint_gradient_at, converged), level, size)
-    seeds = [z for z, gK in zip(converged, gradients) if np.max(np.abs(gK)) < ABNORMAL_GRADIENT]
-    if not converged:
+    runs = _lockstep(map(restart, inits), normal, max(1, _BATCH_SAMPLES // len(spec.ts)))
+    seeds = [out.w[:-1] for out in runs
+             if out.converged and np.max(np.abs(out.gradient)) < ABNORMAL_GRADIENT]
+    if not any(out.converged for out in runs):
         # The normal system's Jacobian degenerates exactly when abnormal
         # extremals exist, so retry the lambda0 = 0 branch from every start.
         seeds = inits

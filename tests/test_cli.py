@@ -460,6 +460,19 @@ class TestRejectedInput:
         code, _, err = run(capsys, *argv)
         assert_usage_error(code, err, message)
 
+    # Each array is above 2**48 bytes, more than a process's address space holds, so no
+    # allocation can succeed: h = 1e-14 on [0, 2] is 2e14 samples, the scan grid 1e14 values.
+    @pytest.mark.parametrize("argv", [
+        ["solve", "quotient1", "--h-override", "1e-14"],
+        ["refine", "quotient1", "--h-list", "0.5,1e-14"],
+        ["scan", "quotient2_3pt", "--var", "x@0.5", "--range", "0,1", "--h-override", "1e-14"],
+        ["scan", "quotient2_3pt", "--var", "x@0.5", "--range", "0,1",
+         "--resolution", "100000000000000"],
+    ])
+    def test_too_large_to_allocate(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert_usage_error(code, err, "Unable to allocate")
+
     def test_scan_range_whose_width_overflows(self, capsys):
         code, _, err = run(capsys, "scan", "quotient2_3pt", "--var", "x@0.5",
                            "--range=-1e308,1e308", "--resolution", "5")

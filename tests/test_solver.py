@@ -368,16 +368,15 @@ class TestSharedEvaluation:
         assert lone == [(spec.lagrangian, 1), (spec.constraint.functional, 1)]
 
     # Every trajectory is built once per system that evaluates it, as a row
-    # of a batch (each restart's z0, restoration steps, normal start row,
-    # Newton iterates and abnormal-seed check) or by embed_decision (the
-    # dedup of each converged run).  The restored start is a row of the
-    # level system and again of the normal one.  iso_R at h = 1e-2 builds 7
-    # rows in its one restart and 1 in the dedup.  iso_3pt has d = 1: each
-    # restart restores in one step onto the single point of K = k, and its
-    # polish step and seed check meet that z again, so it builds 5 rows, 40
-    # in 8 restarts, plus 8 in the dedup.
+    # of a batch (each restart's z0, restoration steps, normal start row and
+    # Newton iterates) or by embed_decision (the dedup of each converged
+    # run).  The restored start is a row of the level system and again of
+    # the normal one.  iso_R at h = 1e-2 builds 6 rows in its one restart
+    # and 1 in the dedup.  iso_3pt has d = 1: each restart restores in one
+    # step onto the single point of K = k, and its polish step meets that z
+    # again, so it builds 4 rows, 32 in 8 restarts, plus 8 in the dedup.
     @pytest.mark.parametrize("problem, h, restarts, builds",
-                             [("iso_R", 1e-2, 1, 8), ("iso_3pt", None, 8, 48)])
+                             [("iso_R", 1e-2, 1, 7), ("iso_3pt", None, 8, 40)])
     def test_isoperimetric_trajectory_builds(self, monkeypatch, problem, h, restarts, builds):
         calls = [0]
         real_embed, real_rows = solver.embed_decision, Trajectory._rows.__func__
@@ -394,6 +393,51 @@ class TestSharedEvaluation:
         monkeypatch.setattr(Trajectory, "_rows", classmethod(counting_rows))
         solve_isoperimetric(resolve_problem(problem).build(h), SolveOptions(restarts=restarts))
         assert calls[0] == builds
+
+    @pytest.mark.parametrize("problem, h, restarts, seed, seeds", [
+        ("iso_R", 1e-2, 64, 1, 0),
+        ("normal_rays", None, 64, 0, 0),  # pinned runs, and a start row's error thrown
+        ("degenerate_level", None, 64, 0, 1),  # grad K = 0 on all of K = k
+    ])
+    def test_normal_runs_keep_their_constraint_gradient(self, monkeypatch, problem, h, restarts,
+                                                        seed, seeds):
+        # Each converged normal run returns grad K at its last iterate, read from that iterate's
+        # Newton request, bit for bit the gradient of its trajectory evaluated alone; the
+        # abnormal seeds are chosen from these, with no second evaluation.
+        normal_runs, real_points = [], solver._points
+
+        def points(spec, runs, opts, lam0=1.0, *args, **kwargs):
+            if lam0 == 1.0:
+                normal_runs.extend(runs)
+            return real_points(spec, runs, opts, lam0, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_points", points)
+        path = PROBLEMS / f"{problem}.dvp"
+        spec = resolve_problem(str(path) if path.exists() else problem).build(h_override=h)
+        solve_isoperimetric(spec, SolveOptions(restarts=restarts, seed=seed))
+        converged = [out for out in normal_runs if out.converged]
+        assert len(normal_runs) == restarts and converged
+        for out in converged:
+            alone = constraint_gradient(spec, euler_lagrange.embed_decision(spec, out.w[:-1]))
+            assert out.gradient.tobytes() == alone.tobytes()
+        assert sum(np.max(np.abs(out.gradient)) < solver.ABNORMAL_GRADIENT
+                   for out in converged) == seeds
+
+    @pytest.mark.parametrize("h, restarts, seed, fills, rows", [
+        (None, 1, 0, 10, 10),  # d = 999, the op of the fine_isoperimetric benchmark
+        (1e-2, 64, 1, 10, 640),  # one group of 64: the converged z are not evaluated again
+    ])
+    def test_isoperimetric_record_fills(self, monkeypatch, h, restarts, seed, fills, rows):
+        batches, real = [], solver._fill_partials
+
+        def counting(F, trs, *bindings):
+            batches.append(len(trs))
+            return real(F, trs, *bindings)
+
+        monkeypatch.setattr(solver, "_fill_partials", counting)
+        spec = resolve_problem("iso_R").build(h_override=h)
+        solve_isoperimetric(spec, SolveOptions(restarts=restarts, seed=seed))
+        assert (len(batches), sum(batches)) == (fills, rows)
 
 
 class TestIsoperimetric:
