@@ -126,6 +126,7 @@ def write_trajectory_svg(path: Path, t: np.ndarray, x: np.ndarray, title: str):
     def sy(xv: float) -> float:
         return height - margin - (xv - x0) / (x1 - x0) * (height - 2 * margin)
 
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     pts = " ".join(f"{sx(ti):.2f},{sy(xi):.2f}" for ti, xi in zip(t, x))
     markers = ""
     if t.size <= 64:
@@ -279,7 +280,7 @@ def _solution_rows(lines: list[str]) -> np.ndarray:
 
 
 def _load_solution_csv(path: Path, spec: ProblemSpec) -> Trajectory:
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    lines = path.read_text(encoding="utf-8").removeprefix("\ufeff").strip().splitlines()
     # One numpy pass after a leading header; anything it rejects (another
     # header, a bad row) goes to the line scan, which names the line.
     body = lines[1:] if lines and lines[0].strip().lower().startswith("t,") else lines

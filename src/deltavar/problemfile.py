@@ -331,8 +331,8 @@ def parse_problem_text(text: str, name: str = "<problem>") -> ProblemFile:
 
 
 def load_problem(source) -> ProblemFile:
-    """Load a UTF-8 problem file from a path or an importlib.resources traversable."""
+    """Load a UTF-8 problem file, BOM or not, from a path or an importlib.resources traversable."""
     if not hasattr(source, "read_text"):
         source = Path(source)
-    text = source.read_text(encoding="utf-8")
+    text = source.read_text(encoding="utf-8").removeprefix("\ufeff")
     return parse_problem_text(text, name=re.sub(r"\.dvp$", "", source.name))

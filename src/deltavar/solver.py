@@ -247,13 +247,13 @@ def _initial_decision(spec: ProblemSpec, opts: SolveOptions, restart: int) -> np
 
 @dataclass
 class _NewtonResult:
-    """A run's last iterate w, its residual and, if it may be a root, its request's gradient."""
+    """A run's last iterate w, its residual and its request's gradient."""
 
     w: np.ndarray
     residual: np.ndarray
     converged: bool
     iterations: int
-    failure: Optional[type] = None  # the error met; not the error, whose traceback holds a round
+    failure: Optional[type] = None  # the last error met; not the error, whose traceback holds a round
     gradient: Optional[np.ndarray] = None  # a copy, which outlives w's round: grad K if normal
 
     @property
@@ -652,19 +652,29 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
     Each ``yield w`` gets w's residual and Newton request ``(answer, key)`` (``first``, w0's,
     where given), or has w's evaluation error thrown in (:func:`_lockstep`); each iteration's
     one other request, ``yield answer, (key, r, pin)``, gets the Jacobian and its Newton step
-    (None where that Jacobian is not finite), or has its evaluation error thrown in.
-    A result that may have converged keeps the gradient of its w's request, ``key[1]``.
-    Scale-invariant gradient systems (r(c*w) = r(w)/c) have rays of roots
-    along which an unpinned Newton step escapes instead of converging: a
-    pinned one keeps ||z||, z the decision samples in w, to first order.
-    A run escapes once ESCAPE_STEPS full Newton steps in a row each outgrow
-    the previous Newton step and grow ||w||, well before the backstop
-    ||w|| > 1e3 * (1 + ||w0||), which takes quotients 15-25 iterations.
-    A run stagnates, and ends unconverged, once STAGNATION_STEPS accepted
-    steps in a row each needed alpha <= STAGNATION_ALPHA or the damped
-    gradient while max |r| stays above ``opts.tol_residual``: such runs
-    otherwise crawl along a merit valley to MAX_ITERS.  A run already
-    below tolerance is never cut there, since it may still stall onto a root.
+    (None where that Jacobian is not finite), or has its evaluation error thrown in.  The
+    result keeps w's gradient, ``key[1]`` of w's request, and the last evaluation error met.
+    Scale-invariant systems (r(c*w) = r(w)/c) have rays of roots along which an unpinned
+    step escapes: a pinned one keeps ||z||, z the decision samples in w, to first order.
+
+    A run ends where its first evaluation raises, and otherwise on the first of these, in
+    this order; "converged if small" means max |r| <= ``opts.tol_residual`` (tol):
+    - r is not finite (only w0's can be): unconverged;
+    - the Newton request raises: converged if small;
+    - the Jacobian is not finite: unconverged;
+    - r is small and the Newton step d contracts, ||d|| <= CONTRACTION_LIMIT * (1 + ||w||):
+      converged, a genuine root, polished to w + d where that keeps max |r| <= tol without
+      raising ||r|| (unpolished roots of one branch sit further apart than dedup_distance);
+    - a stall, a local minimum of ||r||^2: no step is accepted, ||r||^2 falls by less than
+      STALL_RELATIVE_PROGRESS of itself, or the step is below STEP_TOLERANCE * (1 + ||w||):
+      converged if small, the smallest residual the discretization admits;
+    - an escape or a stagnation: unconverged.  A run escapes once ESCAPE_STEPS full Newton
+      steps in a row each outgrow the previous Newton step and grow ||w||, or at the backstop
+      ||w|| > 1e3 * (1 + ||w0||), which takes quotients 15-25 iterations.  It stagnates once
+      STAGNATION_STEPS accepted steps in a row each needed alpha <= STAGNATION_ALPHA or the
+      damped gradient while max |r| > tol, crawling along a merit valley; below tol it may
+      still stall onto a root;
+    - MAX_ITERS iterations: unconverged, a drift toward an asymptotic flat.
     """
     w = np.asarray(w0, dtype=float).copy()
     try:
@@ -672,54 +682,36 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
     except _EVAL_ERRORS as exc:
         return _NewtonResult(w, np.full_like(w, np.inf), False, 0, failure=type(exc))
     first, g = None, request[1][1]  # first's trajectory belongs to w0's round; g is w's gradient
-    if not np.isfinite(r).all():
-        return _NewtonResult(w, r, False, 0)
-
-    def contracting(d: np.ndarray, w: np.ndarray) -> bool:
-        return np.isfinite(d).all() and float(np.linalg.norm(d)) <= (
-            CONTRACTION_LIMIT * (1.0 + float(np.linalg.norm(w)))
-        )
-
-    # A point is accepted as a root in two ways: the residual is below
-    # tolerance and the Newton step there contracts (a genuine root), or the
-    # line search stalls with the residual below tolerance (a merit minimum,
-    # reaching the smallest residual the discretization admits).  Running out
-    # of iterations while the merit is still descending does NOT qualify:
-    # that is the signature of a drift toward an asymptotic flat, where the
-    # gradient shrinks without any stationary point nearby.
-    last_failure: Optional[type] = None
-    stalled = False
-    it = 0
+    converged, failure = False, None
     w_norm, newton_norm, growing, deep = float(np.linalg.norm(w)), np.inf, 0, 0
     no_pin = np.empty((w.size, 0))  # the (empty) border of an unpinned step
     escape_norm = 1e3 * (1.0 + w_norm)
     for it in range(MAX_ITERS):
         r_inf = float(np.abs(r).max())
+        if not np.isfinite(r_inf):
+            break
         try:
             J, d_newton = yield request[0], (request[1], r, w[:, None] if pin_scale else no_pin)
-        except _EVAL_ERRORS as exc:
-            # Residual is known but the matrix is not evaluable here.
-            return _NewtonResult(w, r, r_inf <= opts.tol_residual, it, type(exc), g)
-        if d_newton is None:  # J is not finite
-            return _NewtonResult(w, r, False, it)
+        except _EVAL_ERRORS as exc:  # r is known, but the Jacobian is not evaluable here
+            converged, failure = r_inf <= opts.tol_residual, type(exc)
+            break
+        if d_newton is None:
+            break
         request = request_trial = None  # J holds what it needs: drop the records
-        if r_inf <= opts.tol_residual and contracting(d_newton, w):
-            # Polish with the contracting step: unpolished roots of one branch
-            # sit further apart than the dedup distance.  The polished point
-            # must keep the acceptance bound on the largest residual entry.
+        if r_inf <= opts.tol_residual and np.isfinite(d_newton).all() and float(
+                np.linalg.norm(d_newton)) <= CONTRACTION_LIMIT * (1.0 + w_norm):
             try:
                 r_next, polished = yield w + d_newton
-            except _EVAL_ERRORS:
-                r_next = None
+            except _EVAL_ERRORS as exc:
+                r_next, failure = None, type(exc)
             if r_next is not None and np.isfinite(r_next).all() and (
-                float(r_next @ r_next) <= float(r @ r)
-                and float(np.max(np.abs(r_next))) <= opts.tol_residual
-            ):
+                    float(r_next @ r_next) <= float(r @ r)
+                    and float(np.max(np.abs(r_next))) <= opts.tol_residual):
                 w, r, g = w + d_newton, r_next, polished[1][1]
-            return _NewtonResult(w, r, True, it, gradient=g)
+            converged = True
+            break
 
-        merit0 = float(r @ r)
-        accepted = False
+        merit0, accepted = float(r @ r), False
         for d in (d_newton, None):
             if d is None:  # the damped gradient step, formed only when needed
                 d = -DAMPED_STEP * J.rmatvec(r)
@@ -731,8 +723,7 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
                 try:
                     r_trial, request_trial = yield w_trial
                 except _EVAL_ERRORS as exc:
-                    last_failure = type(exc)
-                    r_trial = None
+                    r_trial, failure = None, type(exc)
                 if r_trial is not None and np.isfinite(r_trial).all():
                     merit = float(r_trial @ r_trial)
                     if merit <= merit0 * (1.0 - ARMIJO_SLOPE * alpha):
@@ -743,30 +734,19 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
                 step_norm = float(np.linalg.norm(alpha * d))
                 w, r, request, g = w_trial, r_trial, request_trial, request_trial[1][1]
                 break
-        if not accepted:
-            stalled = True
-            break
-        if merit0 - merit <= STALL_RELATIVE_PROGRESS * merit0:
-            stalled = True
-            break
         w_norm, w_norm_prev = float(np.linalg.norm(w)), w_norm
-        if step_norm <= STEP_TOLERANCE * (1.0 + w_norm):
-            stalled = True
+        if not accepted or merit0 - merit <= STALL_RELATIVE_PROGRESS * merit0 or (
+                step_norm <= STEP_TOLERANCE * (1.0 + w_norm)):
+            converged = float(np.abs(r).max()) <= opts.tol_residual
             break
         outgrew = d is d_newton and alpha == 1.0 and step_norm > newton_norm
         growing = growing + 1 if outgrew and w_norm > w_norm_prev else 0
         newton_norm = step_norm if d is d_newton else newton_norm
-        if w_norm > escape_norm or growing == ESCAPE_STEPS:
-            # Runaway amplitude: the iterate is escaping toward the flat far
-            # field where no stationary point exists.
-            return _NewtonResult(w, r, False, it, failure=last_failure)
         deep = deep + 1 if d is not d_newton or alpha <= STAGNATION_ALPHA else 0
-        if deep >= STAGNATION_STEPS and float(np.abs(r).max()) > opts.tol_residual:
-            return _NewtonResult(w, r, False, it, failure=last_failure)
-
-    r_inf = float(np.abs(r).max())
-    converged = r_inf <= opts.tol_residual and stalled
-    return _NewtonResult(w, r, converged, it, last_failure, g)
+        if w_norm > escape_norm or growing == ESCAPE_STEPS or (
+                deep >= STAGNATION_STEPS and float(np.abs(r).max()) > opts.tol_residual):
+            break
+    return _NewtonResult(w, r, converged, it, failure, g)
 
 
 def _lockstep(runs, evaluate, size: int = 1) -> list:

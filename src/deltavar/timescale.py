@@ -32,8 +32,12 @@ __all__ = [
 # index-for-index with the scale's points (or with its kappa points).
 GridSamples = np.ndarray
 
-# Relative tolerance for merging near-duplicate points and for real-valued
-# point lookup, both scaled by the span b - a.
+# Relative tolerance for real-valued point lookup and for merging near-duplicate
+# points.  A value matches its nearest point t (ties to the lower one) within
+# LOOKUP_REL_TOL * max(|t|, step from t to its nearer neighbour); consecutive
+# points merge where they differ by at most LOOKUP_REL_TOL times the larger
+# magnitude.  Neither is scaled by the span b - a, which on a graded scale
+# (2^k, k = 0..50) exceeds the smallest steps by fifteen decades.
 LOOKUP_REL_TOL = 1e-12
 
 
@@ -167,26 +171,26 @@ class TimeScale:
         return RegularityReport(sigma_rho=sigma_rho, rho_sigma=rho_sigma)
 
     def index_of(self, t: float) -> int:
-        """Locate a real value among the points, up to a span-relative tolerance."""
+        """Locate a real value among the points, up to a point-relative tolerance."""
         return int(self.indices_of([t])[0])
 
     def indices_of(self, values) -> np.ndarray:
-        """Vectorised :meth:`index_of`: each value takes the first point within
-        tolerance of the points before, at and after its sorted position."""
+        """Vectorised :meth:`index_of`: each value takes its nearest point, ties to the lower
+        one, if within LOOKUP_REL_TOL * max(|point|, step to the point's nearer neighbour)."""
         t = np.asarray(values, dtype=float).ravel()
-        tol = LOOKUP_REL_TOL * max(self.span, 1.0)
-        j = np.searchsorted(self.points, t)
-        out = np.full(t.shape, -1)
-        for cand in (j + 1, j, j - 1):  # the last match written wins
-            c = np.clip(cand, 0, len(self) - 1)
-            out = np.where((c == cand) & (np.abs(self.points[c] - t) <= tol), c, out)
-        if np.any(out < 0):
-            raise PointNotFound(float(t[np.argmax(out < 0)]), self)
-        return out
+        p, n = self.points, len(self)
+        hi = np.minimum(np.searchsorted(p, t), n - 1)  # t <= p[hi] unless t is past the end
+        lo = np.maximum(hi - 1, 0)
+        c = np.where(np.abs(p[hi] - t) < np.abs(t - p[lo]), hi, lo)
+        near = np.minimum(self.steps[np.maximum(c - 1, 0)], self.steps[np.minimum(c, n - 2)])
+        missing = ~(np.abs(p[c] - t) <= LOOKUP_REL_TOL * np.maximum(np.abs(p[c]), near))
+        if missing.any():
+            raise PointNotFound(float(t[np.argmax(missing)]), self)
+        return c
 
 
 def _canonical_points(values: Iterable[float]) -> np.ndarray:
-    """Sort and merge near-duplicate points (span-relative tolerance)."""
+    """Sort and merge near-duplicate points (magnitude-relative tolerance)."""
     arr = np.asarray(list(values), dtype=float).ravel()
     bad = arr[~np.isfinite(arr)]
     if bad.size:
@@ -194,7 +198,7 @@ def _canonical_points(values: Iterable[float]) -> np.ndarray:
     arr = np.sort(arr)
     if arr.size == 0:
         return arr
-    tol = LOOKUP_REL_TOL * max(float(arr[-1] - arr[0]), 1e-300)
+    tol = LOOKUP_REL_TOL * np.maximum(np.abs(arr[:-1]), np.abs(arr[1:]))
     keep = np.concatenate([[True], np.diff(arr) > tol])
     return arr[keep]
 

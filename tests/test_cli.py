@@ -159,6 +159,31 @@ right = fixed 0
         assert json.loads(text)["problem"] == 'q"uote\\back é'
         assert '"problem": "q\\"uote\\\\back é",' in text  # non-ASCII kept as is
 
+    def test_problem_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        # As written by common Windows editors: it once failed on line 1, "got '\ufeff'".
+        fixture = Path(deltavar.__file__).parent / "fixtures" / "quotient2_3pt.dvp"
+        runs = []
+        for folder, mark in (("plain", ""), ("bom", "\ufeff")):
+            problem = tmp_path / folder / "quotient2_3pt.dvp"
+            problem.parent.mkdir()
+            problem.write_text(mark + fixture.read_text(encoding="utf-8"), encoding="utf-8")
+            runs.append(run(capsys, "solve", str(problem), "--restarts", "8", *THREE_PT_TOL))
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+    def test_svg_title_escapes_the_problem_name(self, capsys, tmp_path):
+        import xml.etree.ElementTree as ElementTree
+
+        fixture = Path(deltavar.__file__).parent / "fixtures" / "quotient2_3pt.dvp"
+        problem = tmp_path / "a&b<c.dvp"
+        problem.write_text(fixture.read_text(encoding="utf-8"), encoding="utf-8")
+        svg = tmp_path / "out.svg"
+        code, _, _ = run(capsys, "solve", str(problem), "--restarts", "8", *THREE_PT_TOL,
+                         "--svg", str(svg))
+        assert code == 0
+        texts = ElementTree.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert next(texts).text == "a&b<c: stationary point 1"
+
     def test_h_override(self, capsys):
         code, out, _ = run(
             capsys, "solve", "quotient1", "--h-override", "0.5",
@@ -253,6 +278,30 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "PASS" in out
+
+    def test_csv_with_a_byte_order_mark(self, capsys, tmp_path):
+        # As written by spreadsheet tools: it once failed, "non-numeric row '\ufefft,x'".
+        csv, bom = tmp_path / "round.csv", tmp_path / "bom.csv"
+        code, _, _ = run(capsys, "solve", "quotient2_3pt", "--restarts", "16", *THREE_PT_TOL,
+                         "--csv", str(csv))
+        assert code == 0
+        bom.write_text("\ufeff" + csv.read_text(encoding="utf-8"), encoding="utf-8")
+        plain = run(capsys, "verify", "quotient2_3pt", "--solution", str(csv), "--tol", "1e-6")
+        assert plain[0] == 0
+        assert run(capsys, "verify", "quotient2_3pt", "--solution", str(bom),
+                   "--tol", "1e-6") == plain
+
+    def test_wide_q_scale_round_trip(self, capsys, tmp_path):
+        # Points 2^k, k = 0..50: a tolerance scaled by the span once matched
+        # t = 1 and t = 2 to one point, and verify rejected the solve's CSV.
+        problem, csv = str(PROBLEMS / "wide_qscale.dvp"), tmp_path / "rt.csv"
+        code, out, _ = run(capsys, "solve", problem, "--restarts", "8", "--seed", "1",
+                           "--csv", str(csv))
+        assert code == 0
+        assert "found 1 stationary point(s)" in out
+        code, out, _ = run(capsys, "verify", problem, "--solution", str(csv))
+        assert code == 0
+        assert "verification: PASS" in out
 
     def test_verify_reports_natural_bcs_for_free_ends(self, capsys, tmp_path):
         prob = tmp_path / "free.dvp"

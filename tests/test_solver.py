@@ -20,6 +20,7 @@ from deltavar import (
     CompositeFunctional,
     ConstraintInfeasible,
     DenominatorVanished,
+    DomainError,
     IsoConstraint,
     NoStationaryPointFound,
     ProblemSpec,
@@ -1704,6 +1705,42 @@ class TestStagnatingRestarts:
         monkeypatch.setattr(solver, "DAMPED_STEP", 0.0)
         with pytest.raises(ConstraintInfeasible, match=r"best defect 0\.164"):
             solve_isoperimetric(spec, opts)
+
+
+class TestUnreachedNewtonEnds:
+    """The two Newton ends no bundled solve reaches, forced through a patched Hessian."""
+
+    def test_raising_newton_request_keeps_a_root_below_tolerance(self, monkeypatch):
+        def raising(F, spec, trs):
+            raise DomainError(F.outer, "patched Hessian")
+
+        monkeypatch.setattr(solver, "hessian_parts", raising)
+        pts, runs = _recorded_runs(monkeypatch, "quotient1", None,
+                                   SolveOptions(restarts=3, seed=0))
+        # Restart 0 starts on the root x = 2t: its residual is already below tolerance.
+        assert [(run.converged, run.iterations, run.failure) for run in runs] == [
+            (True, 0, DomainError), (False, 0, DomainError), (False, 0, DomainError)]
+        assert [(p.basin_count, p.classification) for p in pts] == [(1, "degenerate")]
+        assert pts[0].value == pytest.approx(2 / 3, rel=1e-12)
+
+    def test_non_finite_jacobian_ends_unconverged(self, monkeypatch):
+        real_parts, real_points, runs = solver.hessian_parts, solver._points, []
+
+        def nan_diagonal(F, spec, trs):
+            diag, off, rows, outer = real_parts(F, spec, trs)
+            return np.full_like(diag, np.nan), off, rows, outer
+
+        def points(spec, ended, *args, **kwargs):
+            runs.extend(ended)
+            return real_points(spec, ended, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "hessian_parts", nan_diagonal)
+        monkeypatch.setattr(solver, "_points", points)
+        with pytest.raises(NoStationaryPointFound):
+            solve_unconstrained(resolve_problem("quotient2_3pt").build(),
+                                SolveOptions(restarts=4, seed=0))
+        assert [(run.converged, run.iterations, run.failure) for run in runs] == [
+            (False, 0, None)] * 4
 
 
 class TestRestoredStarts:

@@ -52,6 +52,11 @@ class TestMakeTimescale:
         assert len(ts) == 3
         assert list(ts.points) == [0, 0.5, 1]
 
+    def test_points_far_below_the_span_are_kept(self):
+        # A span-relative merge tolerance (1e-3 here) once kept only 3 of these.
+        values = [0, 1e-4, 2e-4, 1, 1e9]
+        assert list(make_timescale("points", values=values).points) == values
+
     def test_points_too_few_after_dedup(self):
         with pytest.raises(FewerThanThreePoints):
             make_timescale("points", values=[0, 0, 1])
@@ -169,9 +174,17 @@ class TestLookup:
         with pytest.raises(PointNotFound):
             ts.index_of(0.25)
 
+    def test_index_of_on_a_wide_q_scale(self):
+        # The span is about 1.1e15: a span-relative tolerance once took t = 2 for t = 1.
+        ts = make_timescale("qscale", q=2, kmax=50)
+        assert [ts.index_of(2.0**k) for k in range(51)] == list(range(51))
+        assert ts.indices_of(ts.points * (1 + 1e-13)).tolist() == list(range(51))
+        with pytest.raises(PointNotFound):
+            ts.index_of(2.0 * (1 + 1e-11))
+
     def test_indices_of_matches_scalar_lookup(self):
         # Random scales, plus one whose first two points lie inside one
-        # lookup tolerance, so that the candidate order decides the match.
+        # span-relative tolerance, so that the tie rule decides the match.
         rng = np.random.default_rng(5)
         scales = [TimeScale([0.0, 8e-13, 0.5])]
         scales += [random_timescale(rng) for _ in range(40)]
@@ -190,13 +203,12 @@ class TestLookup:
 
 
 def _scalar_index_of(ts, t):
-    """The scalar lookup loop that indices_of replaced; None when unmatched."""
-    tol = LOOKUP_REL_TOL * max(ts.span, 1.0)
-    j = int(np.searchsorted(ts.points, t))
-    for cand in (j - 1, j, j + 1):
-        if 0 <= cand < len(ts) and abs(ts.points[cand] - t) <= tol:
-            return cand
-    return None
+    """The nearest point, ties to the lower one, within its tolerance; None when unmatched."""
+    if np.isnan(t):
+        return None
+    i = min(range(len(ts)), key=lambda k: (abs(ts.points[k] - t), k))
+    near = min(ts.steps[max(i - 1, 0)], ts.steps[min(i, len(ts) - 2)])
+    return i if abs(ts.points[i] - t) <= LOOKUP_REL_TOL * max(abs(ts.points[i]), near) else None
 
 
 class TestDeltaDerivative:
