@@ -96,7 +96,8 @@ class ProblemSpec:
             raise ValueError(
                 "isoperimetric problems require both endpoint values fixed"
             )
-        # decision_indices, made once per spec (read-only; not a field).
+        # decision_indices, made once per spec (read-only; not a field): it is read several
+        # times per Newton iteration, and at h = 1e-6 each fresh arange would be 8 MB.
         idx = np.arange(int(self.bc.left_fixed), len(self.ts) - int(self.bc.right_fixed))
         idx.setflags(write=False)
         object.__setattr__(self, "_decision", idx)

@@ -454,21 +454,14 @@ def evaluate(e: Expr | tuple[Expr, ...], bindings: Mapping[str, float | np.ndarr
     however small, divides.  log of a non-positive value and sqrt of a
     negative value raise :class:`DomainError` naming the node; a tree too
     deep for one call per level raises :class:`NestingTooDeep`.
-    Bare variables and constants skip the ``np.errstate`` block: they do no arithmetic.
     """
-    if all(isinstance(n, (Var, Const)) for n in (e if isinstance(e, tuple) else (e,))):
-        return _evaluate(e, bindings)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _evaluate(e, bindings)
-
-
-def _evaluate(e, bindings):
-    try:
-        if isinstance(e, tuple):
-            return tuple([node._closure(bindings) for node in e])
-        return e._closure(bindings)
-    except RecursionError:
-        raise NestingTooDeep("evaluate") from None
+        try:
+            if isinstance(e, tuple):
+                return tuple([node._closure(bindings) for node in e])
+            return e._closure(bindings)
+        except RecursionError:
+            raise NestingTooDeep("evaluate") from None
 
 
 def _compile(node: Expr) -> Callable:

@@ -510,9 +510,8 @@ def _block_factor(hessians: Sequence[_Hessian], borders: Sequence[np.ndarray]):
         for i in np.flatnonzero(ok):
             factors[i] = scipy.linalg.lu_factor(cap[i], check_finite=False)
             ok[i] = factors[i][0].diagonal().all()  # else cap is exactly singular
-    if not ok.all():  # a declined row solves with the identity
-        identity = np.eye(k + m), np.arange(k + m, dtype=np.intc)
-        factors = [lu if accepted else identity for lu, accepted in zip(factors, ok)]
+    identity = np.eye(k + m), np.arange(k + m, dtype=np.intc)  # a declined row's factors
+    factors = [lu if accepted else identity for lu, accepted in zip(factors, ok)]
 
     def eliminate(y0, g):
         """[x; nu] for the right-hand sides [f; g], given y0 = T^-1 f."""
@@ -561,16 +560,8 @@ def _dense_solver(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Solves with the square matrix M from one LU factorization, LAPACK's dgetrf called directly.
 
     The factors are used only if their 1-norm condition estimate passes;
-    otherwise each solve is the minimum-norm least-squares solution.  A 1x1
-    system [a] with a normal or zero float a is solved in closed form: f / a,
-    the LU answer bit for bit, and 0, the least-squares one, where a = 0.
+    otherwise each solve is the minimum-norm least-squares solution.
     """
-    if M.size == 1:
-        a = float(M[0, 0])
-        if a == 0.0:
-            return np.zeros_like
-        if np.finfo(float).tiny <= abs(a) < np.inf:
-            return lambda f: f / a
     norm = np.abs(M).sum(axis=0).max()  # before dgetrf copies M: |M| is freed by then
     lu, piv, _ = lapack.dgetrf(M)  # info > 0 (exactly singular): the rcond gate declines it
     rcond, info = lapack.dgecon(lu, norm, norm="1")
@@ -653,13 +644,14 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
     where given), or has w's evaluation error thrown in (:func:`_lockstep`); each iteration's
     one other request, ``yield answer, (key, r, pin)``, gets the Jacobian and its Newton step
     (None where that Jacobian is not finite), or has its evaluation error thrown in.  The
-    result keeps w's gradient, ``key[1]`` of w's request, and the last evaluation error met.
+    result keeps w's gradient, ``key[1]`` of w's request (None where w0's raised), and the
+    last evaluation error met.
     Scale-invariant systems (r(c*w) = r(w)/c) have rays of roots along which an unpinned
     step escapes: a pinned one keeps ||z||, z the decision samples in w, to first order.
 
-    A run ends where its first evaluation raises, and otherwise on the first of these, in
-    this order; "converged if small" means max |r| <= ``opts.tol_residual`` (tol):
-    - r is not finite (only w0's can be): unconverged;
+    A run ends on the first of these, in this order; "converged if small" means
+    max |r| <= ``opts.tol_residual`` (tol):
+    - r is not finite (only w0's can be; where its evaluation raises, r = inf): unconverged;
     - the Newton request raises: converged if small;
     - the Jacobian is not finite: unconverged;
     - r is small and the Newton step d contracts, ||d|| <= CONTRACTION_LIMIT * (1 + ||w||):
@@ -677,12 +669,14 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
     - MAX_ITERS iterations: unconverged, a drift toward an asymptotic flat.
     """
     w = np.asarray(w0, dtype=float).copy()
+    converged, failure, g = False, None, None
     try:
         r, request = first or (yield w)
-    except _EVAL_ERRORS as exc:
-        return _NewtonResult(w, np.full_like(w, np.inf), False, 0, failure=type(exc))
-    first, g = None, request[1][1]  # first's trajectory belongs to w0's round; g is w's gradient
-    converged, failure = False, None
+    except _EVAL_ERRORS as exc:  # r is not finite: the run ends in the loop's first test
+        r, failure = np.full_like(w, np.inf), type(exc)
+    else:
+        g = request[1][1]  # w's gradient
+    first = None  # first's trajectory belongs to w0's round
     w_norm, newton_norm, growing, deep = float(np.linalg.norm(w)), np.inf, 0, 0
     no_pin = np.empty((w.size, 0))  # the (empty) border of an unpinned step
     escape_norm = 1e3 * (1.0 + w_norm)
@@ -698,14 +692,14 @@ def _run_newton(w0: np.ndarray, opts: SolveOptions, pin_scale: bool = False, fir
         if d_newton is None:
             break
         request = request_trial = None  # J holds what it needs: drop the records
-        if r_inf <= opts.tol_residual and np.isfinite(d_newton).all() and float(
+        # A non-finite d_newton or r_next fails these comparisons (r is finite here).
+        if r_inf <= opts.tol_residual and float(
                 np.linalg.norm(d_newton)) <= CONTRACTION_LIMIT * (1.0 + w_norm):
             try:
                 r_next, polished = yield w + d_newton
             except _EVAL_ERRORS as exc:
-                r_next, failure = None, type(exc)
-            if r_next is not None and np.isfinite(r_next).all() and (
-                    float(r_next @ r_next) <= float(r @ r)
+                r_next, failure = np.full_like(r, np.inf), type(exc)
+            if (float(r_next @ r_next) <= float(r @ r)
                     and float(np.max(np.abs(r_next))) <= opts.tol_residual):
                 w, r, g = w + d_newton, r_next, polished[1][1]
             converged = True
@@ -854,7 +848,9 @@ def _points(spec: ProblemSpec, runs: list[_NewtonResult], opts: SolveOptions, la
     best-converged one representing its cluster; with ``ray_normalize`` they
     are compared as rays, by both signs.  Normal isoperimetric runs (a
     constraint and lam0 = 1) solve for (z, lam), and each of their points
-    keeps its representative's multiplier.
+    keeps its representative's multiplier.  A run whose point does not
+    evaluate (the objective's value or spread raises there) is skipped, as
+    a run that failed would be.
     """
     normal = spec.constraint is not None and lam0 == 1.0
 
@@ -872,17 +868,20 @@ def _points(spec: ProblemSpec, runs: list[_NewtonResult], opts: SolveOptions, la
                 break
         else:
             multiplier = float(out.w[-1]) if normal else lam
-            point = StationaryPoint(
-                trajectory=tr,
-                inner=inner_values(spec.lagrangian, tr),
-                value=value(spec.lagrangian, tr),
-                residual=out.residual_norm,
-                lam0=lam0,
-                lam=multiplier,
-                constraint_value=None if spec.constraint is None
-                else value(spec.constraint.functional, tr),
-                dr_spread=dubois_reymond_spread(spec, tr, lam0, multiplier),
-            )
+            try:
+                point = StationaryPoint(
+                    trajectory=tr,
+                    inner=inner_values(spec.lagrangian, tr),
+                    value=value(spec.lagrangian, tr),
+                    residual=out.residual_norm,
+                    lam0=lam0,
+                    lam=multiplier,
+                    constraint_value=None if spec.constraint is None
+                    else value(spec.constraint.functional, tr),
+                    dr_spread=dubois_reymond_spread(spec, tr, lam0, multiplier),
+                )
+            except _EVAL_ERRORS:  # the point does not evaluate: skipped as a failed run
+                continue
             point.classification = classify(spec, point)
             clusters.append((point, keys[0]))
     return [point for point, _ in clusters]
@@ -1052,7 +1051,9 @@ def solve_isoperimetric(
     meet the constraint value, by the unconstrained Newton system for K.
     Where L and K are both scale-invariant, the normal runs pin ||z|| as a
     second border column beside -grad K, and their points are deduplicated
-    as rays.  Points are labeled through ``lam0``.
+    as rays.  Points are labeled through ``lam0``.  A converged run of either
+    branch whose point does not evaluate, the objective undefined there, is
+    skipped as a failed run would be (:func:`_points`).
     """
     if spec.constraint is None:
         raise ValueError("spec has no constraint; use solve_unconstrained")

@@ -747,6 +747,27 @@ class TestIsoperimetric:
             np.testing.assert_allclose(step, want, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(level.rmatvec(r), stacked.T @ r, rtol=1e-12)
 
+    @pytest.mark.parametrize("restarts, seed, skipped", [(16, 0, 3), (64, 1, 1)])
+    def test_abnormal_point_with_an_undefined_objective_is_skipped(self, restarts, seed,
+                                                                   skipped):
+        # The six zigzags with |v| = 1 are abnormal extremals.  u2 vanishes on one of them,
+        # x* = (0, 1/4, 0, -1/4, 0), so the objective's value raises there; its runs are
+        # skipped as failed runs, where the first of them used to end the whole solve.
+        spec = resolve_problem(str(PROBLEMS / "abnormal_pole.dvp")).build()
+        pts = solve_isoperimetric(spec, SolveOptions(restarts=restarts, seed=seed))
+        zigzags = {tuple(np.cumsum([0, *steps])) for steps in itertools.product((1, -1), repeat=4)
+                   if sum(steps) == 0}
+        assert len(zigzags) == 6 and (0, 1, 0, -1, 0) in zigzags
+        found = [tuple(np.round(4 * p.trajectory.x).astype(int)) for p in pts]
+        assert len(set(found)) == len(found) == 6 - skipped
+        assert set(found) <= zigzags - {(0, 1, 0, -1, 0)}
+        for p, x in zip(pts, found):
+            assert (p.lam0, p.lam) == (0.0, 1.0)
+            assert np.abs(4 * p.trajectory.x - x).max() < 1e-12
+            v = np.diff(x)  # x in quarters, steps of 1/4
+            u2 = 0.25 * np.sum((v - 16.0 * (np.arange(4) / 4.0 - 0.375) ** 2 + 1.25) ** 2)
+            assert p.value == pytest.approx(1.0 / u2, rel=1e-12)
+
 
 class TestClassify:
     def test_quotient2_min_max_labels(self):
@@ -1198,7 +1219,7 @@ class TestHessianSolve:
 
 
 def reference_dense_solve(M, f):
-    """_dense_solver's answer through scipy's lu_factor wrapper, with no closed form."""
+    """_dense_solver's answer through scipy's lu_factor wrapper."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
@@ -1209,8 +1230,8 @@ def reference_dense_solve(M, f):
 
 
 class TestDenseSolver:
-    # _dense_solver calls LAPACK's dgetrf itself and solves 1x1 systems in
-    # closed form; both give the bits of the lu_factor route.
+    # _dense_solver calls LAPACK's dgetrf itself, 1x1 systems included; it
+    # gives the bits of the lu_factor route.
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans(),
            st.sampled_from([0, -300, 300]))
@@ -1705,6 +1726,21 @@ class TestStagnatingRestarts:
         monkeypatch.setattr(solver, "DAMPED_STEP", 0.0)
         with pytest.raises(ConstraintInfeasible, match=r"best defect 0\.164"):
             solve_isoperimetric(spec, opts)
+
+
+class TestRaisingFirstEvaluation:
+    def test_run_ends_at_its_start(self, monkeypatch):
+        # sturm_liouville's restart 0 starts on x = 0, where its quotient's denominator
+        # vanishes: the run ends there with an infinite residual and no gradient.
+        opts = SolveOptions(restarts=8, seed=0)
+        _, runs = _recorded_runs(monkeypatch, "sturm_liouville", 1e-2, opts)
+        spec = resolve_problem("sturm_liouville").build(h_override=1e-2)
+        w0 = solver._initial_decision(spec, opts, 0)
+        out = runs[0]
+        assert out.w.tobytes() == w0.tobytes()
+        assert out.residual.shape == w0.shape and np.all(out.residual == np.inf)
+        assert (out.converged, out.iterations, out.failure, out.gradient) == (
+            False, 0, DenominatorVanished, None)
 
 
 class TestUnreachedNewtonEnds:
