@@ -20,10 +20,13 @@ from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.linalg import lapack
-from scipy.sparse.linalg import splu
+
+# Only the top-level package: SciPy loads a submodule on first attribute
+# access, so scipy.linalg (half of a fresh verify or scan process's time and
+# memory) loads at the first Newton step or classification, and scipy.sparse
+# at the first banded factor; verify and scan load neither.  splu stays a
+# name of this module because tests and the benchmark tracer replace it.
+import scipy
 
 from .euler_lagrange import (
     ProblemSpec,
@@ -427,6 +430,11 @@ def _tridiagonal_pattern(blocks: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows.ravel().astype(np.intc), np.append(starts.ravel(), per * blocks).astype(np.intc)
 
 
+def splu(A, **kwargs):
+    """scipy.sparse.linalg.splu; every banded factor goes through this name."""
+    return scipy.sparse.linalg.splu(A, **kwargs)
+
+
 def _tridiagonal_solver(diags: np.ndarray, offs: np.ndarray):
     """(solve, factored) for the b tridiagonal blocks T = tridiag(diags[i], offs[i]) of order d.
 
@@ -517,7 +525,7 @@ def _block_factor(hessians: Sequence[_Hessian], borders: Sequence[np.ndarray]):
         """[x; nu] for the right-hand sides [f; g], given y0 = T^-1 f."""
         rz = (R @ y0[:, :, None])[:, :, 0]
         rz[:, k:] -= g
-        z = np.array([lapack.dgetrs(lu, piv, b)[0] for (lu, piv), b in zip(factors, rz)])
+        z = np.array([scipy.linalg.lapack.dgetrs(lu, piv, b)[0] for (lu, piv), b in zip(factors, rz)])
         return np.concatenate((y0 - (Y @ z[:, :, None])[:, :, 0], z[:, k:]), axis=1)
 
     def residual(v, F):
@@ -563,10 +571,10 @@ def _dense_solver(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     otherwise each solve is the minimum-norm least-squares solution.
     """
     norm = np.abs(M).sum(axis=0).max()  # before dgetrf copies M: |M| is freed by then
-    lu, piv, _ = lapack.dgetrf(M)  # info > 0 (exactly singular): the rcond gate declines it
-    rcond, info = lapack.dgecon(lu, norm, norm="1")
+    lu, piv, _ = scipy.linalg.lapack.dgetrf(M)  # info > 0 (exactly singular): the rcond gate declines it
+    rcond, info = scipy.linalg.lapack.dgecon(lu, norm, norm="1")
     if info == 0 and rcond > RCOND_LIMIT:
-        return lambda f: lapack.dgetrs(lu, piv, f)[0]
+        return lambda f: scipy.linalg.lapack.dgetrs(lu, piv, f)[0]
     # Near-singular: least-squares solution (QR with pivoting; rank-deficient
     # systems get the minimum-norm solution of the truncated problem, which
     # projects out near-null components).
@@ -1156,7 +1164,7 @@ def _negative_inertia(
     neg = i = s = 0
     while i < n:
         stop = max(n - 1, i + 1)
-        info = lapack.dpttrf(d[s, i:], e[s, i:stop], overwrite_d=1, overwrite_e=1)[2]
+        info = scipy.linalg.lapack.dpttrf(d[s, i:], e[s, i:stop], overwrite_d=1, overwrite_e=1)[2]
         p = i + info - 1 if info else n  # the first pivot that is not positive
         sign[i : p + 2] = s  # through p + 1, a 2x2 pivot's second row
         neg += s * (p - i)
@@ -1184,7 +1192,7 @@ def _negative_inertia(
         band[1, two] = band[1, two + 1] = 0.0
         ahead = two[two + 2 < n]
         band[2, ahead] = off[ahead + 1] / off[ahead]
-        reduced, _ = lapack.dtbtrs(band, border, uplo="L", diag="U")
+        reduced, _ = scipy.linalg.lapack.dtbtrs(band, border, uplo="L", diag="U")
         ones = np.ones(n, dtype=bool)
         ones[two] = ones[two + 1] = ones[deferred] = False
         x = reduced[ones]
