@@ -45,6 +45,7 @@ from .timescale import TimeScale
 __all__ = [
     "IsoConstraint",
     "ProblemSpec",
+    "SolveOptions",
     "ResidualReport",
     "EndpointNotFree",
     "BothMultipliersZero",
@@ -60,6 +61,7 @@ __all__ = [
     "dubois_reymond_quantity",
     "dubois_reymond_spread",
     "isoperimetric_residual",
+    "fit_multipliers",
     "residual_report",
 ]
 
@@ -101,6 +103,35 @@ class ProblemSpec:
         idx = np.arange(int(self.bc.left_fixed), len(self.ts) - int(self.bc.right_fixed))
         idx.setflags(write=False)
         object.__setattr__(self, "_decision", idx)
+
+
+@dataclass(frozen=True)
+class SolveOptions:
+    """Settings of the multi-start Newton search (:mod:`deltavar.solver`).
+
+    ``restarts`` runs start from the line through the fixed end values (0 at
+    a free end) and from random perturbations of it keyed by ``seed``.  A run
+    converges at residual max-norm ``tol_residual`` and fails after
+    ``solver.MAX_ITERS`` iterations; converged points closer than
+    ``dedup_distance`` in the discrete C1_rd norm are one point.  It lives
+    beside ProblemSpec because the command-line parser reads its defaults
+    without loading the solver.
+    """
+
+    restarts: int = 64
+    seed: int = 0
+    tol_residual: float = 1e-9
+    dedup_distance: float = 1e-6
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if not 0 <= self.seed < 2**128:  # the key range of Philox
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
+        for name in ("tol_residual", "dedup_distance"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
 
 
 @dataclass(frozen=True)
@@ -333,6 +364,26 @@ def isoperimetric_residual(
     if lam != 0.0:
         res = res - lam * el_residual(spec, tr, functional=spec.constraint.functional)
     return res
+
+
+def _fit_multiplier(gL: np.ndarray, gK: np.ndarray) -> float:
+    denom = float(gK @ gK)
+    if denom <= 0.0 or not np.isfinite(denom):
+        return 0.0
+    return float(gL @ gK) / denom
+
+
+def fit_multipliers(gL: np.ndarray, gK: np.ndarray) -> tuple[float, float]:
+    """The multiplier pair (lam0, lam) of a trajectory with gradients gL and gK.
+
+    Of the two pairs normalized as the solver reports them, the normal
+    (1, least-squares lam) and the abnormal (0, 1), this is the one whose
+    gradient lam0 * gL - lam * gK is smaller; a tie is normal.
+    """
+    lam = _fit_multiplier(gL, gK)
+    if np.linalg.norm(gK) < np.linalg.norm(gL - lam * gK):
+        return 0.0, 1.0
+    return 1.0, lam
 
 
 def residual_report(

@@ -22,21 +22,25 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 # Only the top-level package: SciPy loads a submodule on first attribute
-# access, so scipy.linalg (half of a fresh verify or scan process's time and
-# memory) loads at the first Newton step or classification, and scipy.sparse
-# at the first banded factor; verify and scan load neither.  splu stays a
-# name of this module because tests and the benchmark tracer replace it.
+# access, so scipy.linalg loads at the first Newton step or classification,
+# and scipy.sparse at the first banded factor.  splu stays a name of this
+# module because tests and the benchmark tracer replace it.
 import scipy
 
+# SolveOptions and fit_multipliers live there, so that verify and the
+# command-line parser need not load this module; both stay names of it.
 from .euler_lagrange import (
     ProblemSpec,
+    SolveOptions,
     _embedded,
+    _fit_multiplier,
     _fill_partials,
     _partials,
     constraint_gradient,
     decision_indices,
     dubois_reymond_spread,
     embed_decision,
+    fit_multipliers,
     functional_gradient,
     hessian_parts,
 )
@@ -156,33 +160,6 @@ class NoStationaryPointFound(RuntimeError):
 
 class ConstraintInfeasible(RuntimeError):
     """No restart produced a trajectory meeting the isoperimetric constraint."""
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Settings of the multi-start Newton search.
-
-    ``restarts`` runs start from the line through the fixed end values (0 at
-    a free end) and from random perturbations of it keyed by ``seed``.  A run
-    converges at residual max-norm ``tol_residual`` and fails after
-    MAX_ITERS iterations; converged points closer than ``dedup_distance``
-    in the discrete C1_rd norm are one point.
-    """
-
-    restarts: int = 64
-    seed: int = 0
-    tol_residual: float = 1e-9
-    dedup_distance: float = 1e-6
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if not 0 <= self.seed < 2**128:  # the key range of Philox
-            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
-        for name in ("tol_residual", "dedup_distance"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
 
 
 @dataclass
@@ -1010,26 +987,6 @@ def solve_unconstrained(
     if not points:
         raise _no_point(runs, opts)
     return sorted(points, key=_output_order)
-
-
-def _fit_multiplier(gL: np.ndarray, gK: np.ndarray) -> float:
-    denom = float(gK @ gK)
-    if denom <= 0.0 or not np.isfinite(denom):
-        return 0.0
-    return float(gL @ gK) / denom
-
-
-def fit_multipliers(gL: np.ndarray, gK: np.ndarray) -> tuple[float, float]:
-    """The multiplier pair (lam0, lam) of a trajectory with gradients gL and gK.
-
-    Of the two pairs normalized as the solver reports them, the normal
-    (1, least-squares lam) and the abnormal (0, 1), this is the one whose
-    gradient lam0 * gL - lam * gK is smaller; a tie is normal.
-    """
-    lam = _fit_multiplier(gL, gK)
-    if np.linalg.norm(gK) < np.linalg.norm(gL - lam * gK):
-        return 0.0, 1.0
-    return 1.0, lam
 
 
 def solve_isoperimetric(

@@ -63,14 +63,17 @@ try:
     tracer.begin_op(0)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["solve", "quotient1", "--h-override", "1e-2", "--restarts", "4"])
+        scan_code = cli.main(["scan", "quotient2_3pt", "--var", "x@0.5", "--range", "-10,10"])
     totals = tracer.layer_totals(1)
 finally:
     tracer.uninstall()
 print(json.dumps({
     "code": code,
+    "scan_code": scan_code,
     "lazy": lazy,
     "calls": {name: totals.get(name, {}).get("calls", 0)
-              for name in ("solver.splu", "solver.lu_factor")},
+              for name in ("solver.splu", "solver.lu_factor", "solver.solve",
+                           "oracle.scan_low_dim")},
     "unrestored": [f"{m.__name__}.{a}" for m, a, o in patches if getattr(m, a) is not o],
 }))
 """
@@ -80,7 +83,9 @@ def test_tracer_installed_before_scipy_loads_still_counts():
     """The tracer replaces ``solver.scipy`` with a copy made at install time.
     In a fresh process scipy.sparse is not loaded yet, so the copy lacks
     ``sparse`` and reaches it through SciPy's lazy ``__getattr__``; the banded
-    factor and the capacitance LU must still fire their spans."""
+    factor and the capacitance LU must still fire their spans.  The solve and
+    the scan fire the spans the tracer puts on ``cli``'s names, so the
+    commands call the solver and the oracle through those names."""
     src = str(Path(solver.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -94,4 +99,7 @@ def test_tracer_installed_before_scipy_loads_still_counts():
     assert result["lazy"]  # the case under test: the copy holds no scipy.sparse
     assert result["calls"]["solver.splu"] > 0  # d = 199 > DENSE_NEWTON_LIMIT
     assert result["calls"]["solver.lu_factor"] > 0
+    assert result["scan_code"] == 0
+    assert result["calls"]["solver.solve"] == 1
+    assert result["calls"]["oracle.scan_low_dim"] == 1
     assert result["unrestored"] == []

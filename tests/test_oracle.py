@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import graded_timescale, random_constraint, random_problem
+from conftest import graded_timescale, random_constraint, random_problem, random_timescale
 from hypothesis import given, settings, strategies as st
 
 from deltavar import (
@@ -95,6 +95,29 @@ def reference_scan(spec, lo, hi, resolution, step=1e-6):
         brackets.append((float(grid[-1]), float(grid[-1])))
         roots.append(float(grid[-1]))
     return grid, vals, tuple(brackets), tuple(roots)
+
+
+def serial_bisect(spec, lo, hi, flo):
+    """The 1-D scan's bisection with one field batch per step, at the open
+    brackets' midpoints, which look-ahead replaced.  oracle._bisect must
+    reproduce its roots bit for bit."""
+    lo, hi, flo, roots = lo.copy(), hi.copy(), flo.copy(), np.full(lo.size, np.nan)
+    open_ = np.arange(lo.size)
+    while True:
+        mid = 0.5 * (lo[open_] + hi[open_])
+        done = (hi[open_] - lo[open_] <= BISECTION_TOL) | (mid == lo[open_]) | (mid == hi[open_])
+        roots[open_[done]] = mid[done]
+        open_, mid = open_[~done], mid[~done]
+        if not open_.size:
+            return roots
+        fmid = oracle._field(spec, mid)
+        roots[open_[fmid == 0.0]] = mid[fmid == 0.0]
+        keep = np.isfinite(fmid) & (fmid != 0.0)
+        left = keep & (flo[open_] * fmid < 0)
+        right = keep & ~left
+        hi[open_[left]] = mid[left]
+        lo[open_[right]], flo[open_[right]] = mid[right], fmid[right]
+        open_ = open_[keep]
 
 
 def random_integrand_text(rng, depth=3):
@@ -360,6 +383,55 @@ class TestScanLowDim:
         assert np.isnan(vals).any()
         assert report.values.tobytes() == vals.tobytes()
         assert (report.brackets, report.roots) == (brackets, roots)
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_lookahead_bisection_matches_serial_bisection(self, constrained, monkeypatch):
+        # Random problems with one decision variable: the gradient field,
+        # or the defect of a random constraint.
+        rng = np.random.default_rng(7 + constrained)
+        found = 0
+        for _ in range(30):
+            spec, _ = random_problem(rng, allow_free_ends=False, ts=random_timescale(rng, 3, 3))
+            if constrained:
+                spec = dataclasses.replace(spec, constraint=random_constraint(rng))
+            report = scan_low_dim(spec, [(-3.0, 3.0)], resolution=41)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_bisect", serial_bisect)
+                serial = scan_low_dim(spec, [(-3.0, 3.0)], resolution=41)
+            assert report.brackets == serial.brackets
+            assert np.array(report.roots).tobytes() == np.array(serial.roots).tobytes()
+            found += len(report.roots)
+        assert found >= 30
+
+    def test_lookahead_bisection_drops_a_bracket_at_a_failing_midpoint(self):
+        # The field is positive for w < 0 and NaN at w = 0 and 1, where the
+        # denominator vanishes.  Walking right from [-63, 1] meets w = 0 at
+        # the sixth step, in the second field batch; [-1, 1] meets it at
+        # once; [2, 6] walks left, and [1, 3] right, to roots at the ends.
+        spec = dataclasses.replace(
+            quotient2_spec(),
+            lagrangian=CompositeFunctional.from_strings(["t*v", "(y*(y - 1))^2"], "u1 / u2"),
+        )
+        lo, hi = np.array([-63.0, -1.0, 2.0, 1.0]), np.array([1.0, 1.0, 6.0, 3.0])
+        flo = np.array([1.0, 1.0, -1.0, 1.0])
+        roots = oracle._bisect(spec, lo, hi, flo)
+        assert roots.tobytes() == serial_bisect(spec, lo, hi, flo).tobytes()
+        assert np.isnan(roots[:2]).all() and np.isfinite(roots[2:]).all()
+
+    def test_bisection_takes_lookahead_steps_per_field_batch(self, monkeypatch):
+        batches, field = [], oracle._field
+
+        def counted(spec, w):
+            batches.append(w.size)
+            return field(spec, w)
+
+        monkeypatch.setattr(oracle, "_field", counted)
+        report = scan_low_dim(quotient2_spec(), [(-10.0, 10.0)], resolution=401)
+        assert len(report.roots) == 2
+        # The grid, then 2**LOOKAHEAD - 1 midpoints per open bracket per
+        # batch: 8 batches in all, where one batch per step took 35.
+        assert batches[0] == 401 and len(batches) == 8
+        assert {size % (2**oracle.LOOKAHEAD - 1) for size in batches[1:]} == {0}
 
     def test_csv_rows(self):
         report = scan_low_dim(product_spec(), [(-1.0, 1.0)], resolution=11)
